@@ -13,6 +13,11 @@ export PROPTEST_CASES="${PROPTEST_CASES:-64}"
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The repo benchmark (BENCHMARK.json) is its own package with an empty
+# [workspace], so the workspace steps above and below never reach it.
+echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 # The bench crate drives every substrate through the parallel
 # replication engine; its parity and panic-isolation guarantees must
 # hold at any worker count, so run its tests single-threaded and at a
@@ -113,8 +118,14 @@ cargo run --offline --release -p sas-bench --bin perfbench -- --validate-all
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo fmt --check --manifest-path benchmark/Cargo.toml"
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 # No panic paths in shipped library code: every first-party lib carries
 # #![warn(clippy::unwrap_used, clippy::panic)], promoted to errors here

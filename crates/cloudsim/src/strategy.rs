@@ -21,7 +21,7 @@ use crate::request::{Request, RequestOutcome};
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
 use selfaware::levels::{Level, LevelSet};
-use selfaware::models::drift::{DriftDetector, PageHinkley};
+use selfaware::models::drift::PageHinkley;
 use selfaware::models::ewma::Ewma;
 use selfaware::models::OnlineModel;
 use selfaware::replay::InterventionMask;

@@ -12,12 +12,9 @@
 //!   them at run time* ([`ModelPool`]) — the direct computational
 //!   analogue of "thinking about (one's own) thinking";
 //! * adapt its own learning parameters when its models go stale
-//!   ([`ExplorationGovernor`]);
-//! * deploy one of several whole *strategies* at a time and switch on
-//!   sustained evidence or detected reward drift
-//!   ([`StrategySwitcher`]).
+//!   ([`ExplorationGovernor`]).
 
-use crate::models::drift::{DriftDetector, PageHinkley};
+use crate::models::drift::PageHinkley;
 use crate::models::ewma::Ewma;
 use crate::models::{Forecaster, OnlineModel};
 use std::fmt;
@@ -467,253 +464,5 @@ mod tests {
     #[should_panic(expected = "floor must be in [0,boost]")]
     fn governor_bad_floor_panics() {
         let _ = ExplorationGovernor::new(0.5, 0.4, 0.99, 0.1, 10.0);
-    }
-}
-
-/// Policy-level meta-self-awareness: runs one of several candidate
-/// strategies at a time, tracks each strategy's realised reward, and
-/// switches when the incumbent has been beaten for a sustained period.
-///
-/// Unlike [`ModelPool`] (whose members can all be trained on every
-/// observation), strategies only generate reward evidence *while
-/// deployed*, so the switcher uses round-robin probation: an untried
-/// or long-unused strategy is given a trial window before judgement.
-/// This is the "strategy switching" form of meta-self-awareness from
-/// the common-techniques catalogue (Wang et al. \[61\]).
-///
-/// # Example
-///
-/// ```
-/// use selfaware::meta::StrategySwitcher;
-///
-/// let mut sw = StrategySwitcher::new(vec!["a".into(), "b".into()], 0.1, 50, 25);
-/// for t in 0..2000u32 {
-///     let active = sw.active();
-///     // Strategy 1 ("b") is better in this world.
-///     let reward = if active == 1 { 0.9 } else { 0.2 };
-///     sw.record_reward(reward);
-///     let _ = t;
-/// }
-/// assert_eq!(sw.active_name(), "b");
-/// ```
-#[derive(Debug, Clone)]
-pub struct StrategySwitcher {
-    names: Vec<String>,
-    reward: Vec<Ewma>,
-    tried: Vec<bool>,
-    active: usize,
-    trial_len: u32,
-    trial_left: u32,
-    patience: u32,
-    losing_streak: u32,
-    switches: u32,
-    /// Watches the live reward stream: a detected shift means the
-    /// stale estimates of the benched strategies can no longer be
-    /// trusted, so everyone is re-tried.
-    detector: PageHinkley,
-}
-
-impl StrategySwitcher {
-    /// Creates a switcher over named strategies.
-    ///
-    /// * `alpha` — reward-smoothing factor per strategy;
-    /// * `trial_len` — reward samples granted to a freshly deployed
-    ///   strategy before it can be switched away from;
-    /// * `patience` — consecutive samples the incumbent must trail the
-    ///   best known alternative before a switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strategies` is empty, `alpha ∉ (0,1]`, or either
-    /// window is zero.
-    #[must_use]
-    pub fn new(strategies: Vec<String>, alpha: f64, trial_len: u32, patience: u32) -> Self {
-        assert!(!strategies.is_empty(), "need at least one strategy");
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        assert!(trial_len > 0, "trial length must be positive");
-        assert!(patience > 0, "patience must be positive");
-        let n = strategies.len();
-        let mut tried = vec![false; n];
-        tried[0] = true;
-        Self {
-            names: strategies,
-            reward: (0..n).map(|_| Ewma::new(alpha)).collect(),
-            tried,
-            active: 0,
-            trial_len,
-            trial_left: trial_len,
-            patience,
-            losing_streak: 0,
-            switches: 0,
-            detector: PageHinkley::new(0.05, 5.0),
-        }
-    }
-
-    /// Index of the currently deployed strategy.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.active
-    }
-
-    /// Name of the currently deployed strategy.
-    #[must_use]
-    pub fn active_name(&self) -> &str {
-        &self.names[self.active]
-    }
-
-    /// Number of strategies under management.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the switcher manages no strategies (never true after
-    /// construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Smoothed reward estimate of strategy `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn reward_estimate(&self, idx: usize) -> f64 {
-        self.reward[idx].level()
-    }
-
-    /// Lifetime switch count.
-    #[must_use]
-    pub fn switches(&self) -> u32 {
-        self.switches
-    }
-
-    fn deploy(&mut self, idx: usize) {
-        self.active = idx;
-        self.tried[idx] = true;
-        self.trial_left = self.trial_len;
-        self.losing_streak = 0;
-        self.switches += 1;
-        // A new deployment legitimately changes the reward level; the
-        // drift detector must judge shifts *within* a deployment.
-        self.detector.reset();
-    }
-
-    /// Records the reward realised by the *active* strategy and
-    /// reconsiders the deployment. Returns the (possibly new) active
-    /// index.
-    pub fn record_reward(&mut self, reward: f64) -> usize {
-        self.reward[self.active].observe(reward);
-        // Meta-level drift check: if the incumbent's reward stream
-        // shifts, the benched strategies' estimates are stale — re-try
-        // everyone (the paper's "aware ... of the way in which they
-        // make decisions" applied to the decision-maker itself).
-        if self.detector.observe(reward) {
-            for (i, t) in self.tried.iter_mut().enumerate() {
-                *t = i == self.active;
-            }
-            self.trial_left = 0;
-        }
-        if self.trial_left > 0 {
-            self.trial_left -= 1;
-            return self.active;
-        }
-        // Probation for never-tried strategies first: evidence before
-        // judgement.
-        if let Some(untried) = (0..self.names.len()).find(|&i| !self.tried[i]) {
-            self.deploy(untried);
-            return self.active;
-        }
-        // Challenge: is some tried strategy persistently better?
-        let best = (0..self.names.len())
-            .max_by(|&a, &b| {
-                self.reward[a]
-                    .level()
-                    .partial_cmp(&self.reward[b].level())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("non-empty");
-        if best != self.active && self.reward[best].level() > self.reward[self.active].level() {
-            self.losing_streak += 1;
-            if self.losing_streak >= self.patience {
-                self.deploy(best);
-            }
-        } else {
-            self.losing_streak = 0;
-        }
-        self.active
-    }
-}
-
-#[cfg(test)]
-mod switcher_tests {
-    use super::*;
-
-    fn names(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("s{i}")).collect()
-    }
-
-    #[test]
-    fn tries_every_strategy_before_settling() {
-        let mut sw = StrategySwitcher::new(names(3), 0.2, 10, 5);
-        let mut deployed = std::collections::HashSet::new();
-        for _ in 0..100 {
-            deployed.insert(sw.active());
-            sw.record_reward(0.5);
-        }
-        assert_eq!(deployed.len(), 3, "all strategies get a trial");
-    }
-
-    #[test]
-    fn settles_on_the_best_strategy() {
-        let mut sw = StrategySwitcher::new(names(3), 0.1, 20, 10);
-        for _ in 0..1000 {
-            let r = match sw.active() {
-                0 => 0.2,
-                1 => 0.5,
-                _ => 0.9,
-            };
-            sw.record_reward(r);
-        }
-        assert_eq!(sw.active(), 2);
-        assert!(sw.reward_estimate(2) > 0.8);
-    }
-
-    #[test]
-    fn switches_when_the_world_flips() {
-        let mut sw = StrategySwitcher::new(names(2), 0.15, 20, 10);
-        for _ in 0..400 {
-            let r = if sw.active() == 0 { 0.9 } else { 0.1 };
-            sw.record_reward(r);
-        }
-        assert_eq!(sw.active(), 0);
-        let before = sw.switches();
-        // Regime flip: strategy 1 becomes the good one.
-        for _ in 0..800 {
-            let r = if sw.active() == 1 { 0.9 } else { 0.1 };
-            sw.record_reward(r);
-        }
-        assert_eq!(sw.active(), 1, "should follow the regime change");
-        assert!(sw.switches() > before);
-    }
-
-    #[test]
-    fn trial_protects_fresh_deployments() {
-        let mut sw = StrategySwitcher::new(names(2), 0.5, 50, 5);
-        // During the first trial window the incumbent cannot change.
-        for _ in 0..49 {
-            sw.record_reward(0.0);
-            assert_eq!(sw.active(), 0);
-        }
-        assert_eq!(sw.len(), 2);
-        assert!(!sw.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one strategy")]
-    fn empty_switcher_panics() {
-        let _ = StrategySwitcher::new(vec![], 0.1, 10, 10);
     }
 }

@@ -4,32 +4,18 @@
 //! A self-aware system must notice when the world has changed enough
 //! that its own models are stale (paper Sections II and IV; Minku's
 //! DDD ensemble work \[9\] is the cited exemplar of drift handling).
-//! Three detectors with different trade-offs are provided:
-//!
-//! * [`PageHinkley`] — classic sequential test for mean shifts;
-//! * [`Cusum`] — two-sided cumulative-sum detector;
-//! * [`WindowDrift`] — a lightweight ADWIN-style comparison of the
-//!   recent window against the older reference window.
+//! [`PageHinkley`] — the classic sequential test for mean shifts — is
+//! the detector the supervision layer, the meta-level exploration
+//! governor and the self-aware cloud strategy all use.
 
 use serde::{Deserialize, Serialize};
-
-/// A sequential change detector over a scalar stream.
-pub trait DriftDetector {
-    /// Feeds one observation; returns `true` if a change is detected
-    /// at this sample (the detector resets itself on detection).
-    fn observe(&mut self, x: f64) -> bool;
-    /// Number of changes detected so far.
-    fn detections(&self) -> u32;
-    /// Resets internal state (keeps the detection counter).
-    fn reset(&mut self);
-}
 
 /// Page–Hinkley test for (two-sided) mean shift.
 ///
 /// # Example
 ///
 /// ```
-/// use selfaware::models::drift::{DriftDetector, PageHinkley};
+/// use selfaware::models::drift::PageHinkley;
 ///
 /// let mut d = PageHinkley::new(0.05, 5.0);
 /// for _ in 0..200 {
@@ -77,10 +63,10 @@ impl PageHinkley {
             detections: 0,
         }
     }
-}
 
-impl DriftDetector for PageHinkley {
-    fn observe(&mut self, x: f64) -> bool {
+    /// Feeds one observation; returns `true` if a change is detected
+    /// at this sample (the detector resets itself on detection).
+    pub fn observe(&mut self, x: f64) -> bool {
         self.n += 1;
         self.mean += (x - self.mean) / self.n as f64;
         // Upward shift statistic.
@@ -100,164 +86,20 @@ impl DriftDetector for PageHinkley {
         }
     }
 
-    fn detections(&self) -> u32 {
+    /// Number of changes detected so far.
+    #[must_use]
+    pub fn detections(&self) -> u32 {
         self.detections
     }
 
-    fn reset(&mut self) {
+    /// Resets internal state (keeps the detection counter).
+    pub fn reset(&mut self) {
         self.mean = 0.0;
         self.n = 0;
         self.m_up = 0.0;
         self.min_up = 0.0;
         self.m_dn = 0.0;
         self.max_dn = 0.0;
-    }
-}
-
-/// Two-sided CUSUM detector around a fixed or learned reference level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Cusum {
-    k: f64,
-    h: f64,
-    target: Option<f64>,
-    learned: f64,
-    n: u64,
-    s_hi: f64,
-    s_lo: f64,
-    detections: u32,
-}
-
-impl Cusum {
-    /// Creates a CUSUM with slack `k` and decision threshold `h`,
-    /// learning the reference level from the stream itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 0` or `h <= 0`.
-    #[must_use]
-    pub fn new(k: f64, h: f64) -> Self {
-        assert!(k >= 0.0, "slack must be non-negative");
-        assert!(h > 0.0, "threshold must be positive");
-        Self {
-            k,
-            h,
-            target: None,
-            learned: 0.0,
-            n: 0,
-            s_hi: 0.0,
-            s_lo: 0.0,
-            detections: 0,
-        }
-    }
-
-    /// Uses a fixed reference level instead of learning one.
-    #[must_use]
-    pub fn with_target(mut self, target: f64) -> Self {
-        self.target = Some(target);
-        self
-    }
-
-    fn reference(&self) -> f64 {
-        self.target.unwrap_or(self.learned)
-    }
-}
-
-impl DriftDetector for Cusum {
-    fn observe(&mut self, x: f64) -> bool {
-        if self.target.is_none() {
-            self.n += 1;
-            self.learned += (x - self.learned) / self.n as f64;
-        }
-        let dev = x - self.reference();
-        self.s_hi = (self.s_hi + dev - self.k).max(0.0);
-        self.s_lo = (self.s_lo - dev - self.k).max(0.0);
-        if self.s_hi > self.h || self.s_lo > self.h {
-            self.detections += 1;
-            self.reset();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn detections(&self) -> u32 {
-        self.detections
-    }
-
-    fn reset(&mut self) {
-        self.s_hi = 0.0;
-        self.s_lo = 0.0;
-        self.n = 0;
-        self.learned = 0.0;
-    }
-}
-
-/// ADWIN-style two-window mean comparison: a reference window of the
-/// older past versus a head window of the recent past; drift is flagged
-/// when their means differ by more than `threshold` standard errors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowDrift {
-    window: usize,
-    threshold: f64,
-    buf: Vec<f64>,
-    detections: u32,
-}
-
-impl WindowDrift {
-    /// Creates a detector with half-window size `window` and z-score
-    /// `threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window < 4` or `threshold <= 0`.
-    #[must_use]
-    pub fn new(window: usize, threshold: f64) -> Self {
-        assert!(window >= 4, "window must be at least 4");
-        assert!(threshold > 0.0, "threshold must be positive");
-        Self {
-            window,
-            threshold,
-            buf: Vec::new(),
-            detections: 0,
-        }
-    }
-
-    fn mean_var(slice: &[f64]) -> (f64, f64) {
-        let n = slice.len() as f64;
-        let mean = slice.iter().sum::<f64>() / n;
-        let var = slice.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n.max(1.0);
-        (mean, var)
-    }
-}
-
-impl DriftDetector for WindowDrift {
-    fn observe(&mut self, x: f64) -> bool {
-        self.buf.push(x);
-        if self.buf.len() > 2 * self.window {
-            self.buf.remove(0);
-        }
-        if self.buf.len() < 2 * self.window {
-            return false;
-        }
-        let (old, new) = self.buf.split_at(self.window);
-        let (m0, v0) = Self::mean_var(old);
-        let (m1, v1) = Self::mean_var(new);
-        let se = ((v0 + v1) / self.window as f64).sqrt().max(1e-9);
-        if ((m1 - m0) / se).abs() > self.threshold {
-            self.detections += 1;
-            self.reset();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn detections(&self) -> u32 {
-        self.detections
-    }
-
-    fn reset(&mut self) {
-        self.buf.clear();
     }
 }
 
@@ -278,7 +120,7 @@ mod tests {
         v
     }
 
-    fn detects_after_change<D: DriftDetector>(d: &mut D, stream: &[f64], change_at: usize) -> bool {
+    fn detects_after_change(d: &mut PageHinkley, stream: &[f64], change_at: usize) -> bool {
         for (i, &x) in stream.iter().enumerate() {
             if d.observe(x) {
                 assert!(
@@ -317,43 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn cusum_detects_step() {
-        let s = noisy_step_stream(4, 300, 100, 2.0);
-        let mut d = Cusum::new(0.25, 8.0);
-        assert!(detects_after_change(&mut d, &s, 300));
-    }
-
-    #[test]
-    fn cusum_with_fixed_target() {
-        let mut d = Cusum::new(0.25, 4.0).with_target(0.0);
-        let mut fired = false;
-        for _ in 0..50 {
-            fired |= d.observe(1.5);
-        }
-        assert!(fired);
-    }
-
-    #[test]
-    fn window_drift_detects_step() {
-        let s = noisy_step_stream(5, 300, 100, 2.0);
-        let mut d = WindowDrift::new(30, 4.0);
-        assert!(detects_after_change(&mut d, &s, 300));
-    }
-
-    #[test]
-    fn window_drift_quiet_on_stationary() {
-        let s = noisy_step_stream(6, 3000, 0, 0.0);
-        let mut d = WindowDrift::new(30, 6.0);
-        let mut fired = 0;
-        for x in s {
-            if d.observe(x) {
-                fired += 1;
-            }
-        }
-        assert_eq!(fired, 0);
-    }
-
-    #[test]
     fn detectors_rearm_after_detection() {
         let mut d = PageHinkley::new(0.05, 10.0);
         let mut stream = noisy_step_stream(7, 200, 200, 3.0);
@@ -372,11 +177,5 @@ mod tests {
     #[should_panic(expected = "lambda must be positive")]
     fn bad_lambda_panics() {
         let _ = PageHinkley::new(0.1, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be at least 4")]
-    fn tiny_window_panics() {
-        let _ = WindowDrift::new(2, 3.0);
     }
 }

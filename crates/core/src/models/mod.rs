@@ -4,36 +4,26 @@
 //! Section VI of the paper: self-aware systems "learn and adapt during
 //! their lifetime on an ongoing basis, based on their sensed
 //! experiences and the internal models that they build". This module
-//! collects the *common techniques for self-awareness* catalogued by
-//! Wang et al. \[61\] and Minku et al. \[60\] in the Lewis et al. book:
+//! holds the *common techniques for self-awareness* (Wang et al. \[61\]
+//! and Minku et al. \[60\] in the Lewis et al. book) that the
+//! substrates and experiments actually run:
 //!
 //! * time-series forecasters — [`ewma::Ewma`], [`holt::Holt`],
-//!   [`seasonal::HoltWinters`], [`ar::ArModel`], [`kalman::Kalman1d`] —
-//!   for **time-awareness**;
-//! * state predictors — [`markov::MarkovChain`] — for discrete regime
-//!   tracking;
-//! * action-value learners — [`bandit`] (ε-greedy, UCB1, Exp3,
-//!   softmax) and [`qlearn::QLearner`] — the workhorses of
-//!   **self-expression** (acting on self-knowledge);
-//! * change detectors — [`drift::PageHinkley`], [`drift::Cusum`],
-//!   [`drift::WindowDrift`] — the triggers of **meta-self-awareness**
-//!   (noticing that one's own models have gone stale);
-//! * online regression — [`rls::Rls`] — for learned input→output
-//!   self-models (self-prediction in Kounev's sense).
+//!   [`ar::ArModel`] — for **time-awareness**;
+//! * the action-value learner [`qlearn::QLearner`] — **self-expression**
+//!   (acting on self-knowledge) in the multicore scheduler;
+//! * the change detector [`drift::PageHinkley`] — the trigger of
+//!   **meta-self-awareness** (noticing that one's own models have gone
+//!   stale).
 //!
 //! All models are incremental (O(1) or O(window) per observation), as
 //! required for the resource-constrained settings of paper Section V.
 
 pub mod ar;
-pub mod bandit;
 pub mod drift;
 pub mod ewma;
 pub mod holt;
-pub mod kalman;
-pub mod markov;
 pub mod qlearn;
-pub mod rls;
-pub mod seasonal;
 
 /// An incrementally trained model over a scalar signal.
 pub trait OnlineModel {

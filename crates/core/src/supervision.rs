@@ -29,7 +29,7 @@
 
 use crate::explain::{Explanation, ExplanationLog};
 use crate::meta::ResidualTracker;
-use crate::models::drift::{DriftDetector, PageHinkley};
+use crate::models::drift::PageHinkley;
 use crate::replay::{InterventionClass, InterventionMask};
 use simkernel::obs::Json;
 use simkernel::Tick;

@@ -15,8 +15,10 @@
 //! (work is time-shaped, not CPU-shaped, so a small box can host
 //! hundreds of in-flight requests) and `panic=1` makes the handler
 //! panic — caught per-request, answered `500`, worker survives. A
-//! request older than the governed deadline when a worker picks it up
-//! is answered `503` immediately (fail fast beats serving dead work).
+//! request asking for more than `MAX_WORK_MS` of handler time is
+//! answered `400` without running. A request older than the governed
+//! deadline when a worker picks it up is answered `503` immediately
+//! (fail fast beats serving dead work).
 //!
 //! Shutdown is deadlock-proof by construction: every blocking wait has
 //! a timeout (queue condvar, socket reads/writes, non-blocking
@@ -291,6 +293,12 @@ impl ServerHandle {
 const ACCEPT_IDLE: Duration = Duration::from_millis(2);
 const IO_TIMEOUT: Duration = Duration::from_millis(200);
 const WAIT_SLICE: Duration = Duration::from_millis(25);
+/// Longest handler time (`ms + stall`) a request may ask for, in ms.
+/// F11's chaos plan peaks near 66 ms (1.5 × a 4 ms service plus a
+/// 60 ms stall); the ceiling sits far above that and below the 5–10 s
+/// shutdown graces, so no single request can pin a worker past
+/// shutdown. Larger asks are answered `400 Bad Request`, unrun.
+const MAX_WORK_MS: u64 = 1_000;
 
 fn listen_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while shared.running.load(Ordering::SeqCst) {
@@ -427,6 +435,17 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
         return;
     }
     let spec = parse_request(&line);
+    // Both times come from the client, so their sum can overflow.
+    let Some(work_ms) = spec
+        .service_ms
+        .checked_add(spec.stall_ms)
+        .filter(|&ms| ms <= MAX_WORK_MS)
+    else {
+        let _ = job
+            .stream
+            .write_all(b"HTTP/1.0 400 Bad Request\r\nContent-Length: 8\r\n\r\ntoo long");
+        return;
+    };
 
     // Governed deadline: dead-on-arrival work is failed fast.
     let deadline = Duration::from_millis(shared.deadline_ms.load(Ordering::Relaxed));
@@ -441,7 +460,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
     // The handler proper: time-shaped work; a chaos panic is caught
     // per-request so the worker (and the pool accounting) survives.
     let started = Instant::now();
-    let work = Duration::from_millis(spec.service_ms + spec.stall_ms);
+    let work = Duration::from_millis(work_ms);
     #[allow(clippy::panic)] // deliberate fault injection: the whole point
     // is proving the pool contains a panicking handler.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -496,7 +515,10 @@ mod tests {
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(2))).ok();
-        write!(s, "GET {path} HTTP/1.0\r\n\r\n").expect("write");
+        // One write: a shed answer can close the socket before a
+        // fragmented request is fully sent, failing the later writes
+        // with a broken pipe. The response is what each test checks.
+        let _ = s.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes());
         let mut out = String::new();
         s.read_to_string(&mut out).ok();
         out
@@ -549,6 +571,30 @@ mod tests {
         let report = handle.shutdown(Duration::from_secs(5));
         assert!(report.clean_shutdown, "{report:?}");
         assert_eq!(report.panicked, 1);
+    }
+
+    #[test]
+    fn oversized_work_is_refused_unrun() {
+        let handle = Server::spawn(&ServerConfig {
+            max_workers: 1,
+            policy: LimitPolicy::Fixed,
+            ..ServerConfig::default()
+        })
+        .expect("spawn");
+        // Would pin the single worker for ~585 million years.
+        let resp = get(handle.addr, "/work?ms=18446744073709551615");
+        assert!(resp.starts_with("HTTP/1.0 400"), "{resp}");
+        // `ms + stall` overflows u64.
+        let resp = get(handle.addr, "/work?ms=18446744073709551615&stall=1");
+        assert!(resp.starts_with("HTTP/1.0 400"), "{resp}");
+        // The single worker must still be alive to serve this.
+        let resp = get(handle.addr, "/work?ms=1");
+        assert!(resp.starts_with("HTTP/1.0 200"), "{resp}");
+        let report = handle.shutdown(Duration::from_secs(5));
+        assert!(report.clean_shutdown, "{report:?}");
+        assert_eq!(report.threads_joined, report.threads_spawned);
+        assert_eq!(report.panicked, 0);
+        assert_eq!(report.served, 1);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!   and the [`clock::ClockSource`] trait that lets control loops run
 //!   against either simulated ticks or real elapsed time
 //!   ([`clock::WallClock`]);
-//! * [`events`] — a deterministic discrete-event queue with stable
-//!   FIFO ordering among simultaneous events;
 //! * [`sched`] — the discrete-event main-loop scheduler: sparse
 //!   activation via `wake_at`/`wake_on_input` with a deterministic
 //!   `(tick, priority class, FIFO seq)` delivery order and a
@@ -62,7 +60,6 @@
 
 pub mod clock;
 pub mod delivery;
-pub mod events;
 pub mod obs;
 pub mod parallel;
 pub mod rng;
@@ -74,7 +71,6 @@ pub mod table;
 
 pub use clock::{Clock, ClockSource, Tick, WallClock};
 pub use delivery::DeliveryQueue;
-pub use events::EventQueue;
 pub use obs::{Json, PhaseProfile};
 pub use parallel::{par_map, par_map_index, try_par_map_index, worker_count};
 pub use rng::SeedTree;

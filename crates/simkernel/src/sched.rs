@@ -1,10 +1,10 @@
 //! Deterministic discrete-event scheduler with sparse activation.
 //!
 //! [`SimScheduler`] promotes the calendar-queue machinery of
-//! [`crate::events::EventQueue`] / [`crate::delivery::DeliveryQueue`]
-//! into a *main-loop* primitive: instead of visiting every entity every
-//! tick, a simulator registers **wakes** — `(tick, class, entity)`
-//! triples — and each tick visits only the entities with a due wake.
+//! [`crate::delivery::DeliveryQueue`] into a *main-loop* primitive:
+//! instead of visiting every entity every tick, a simulator registers
+//! **wakes** — `(tick, class, entity)` triples — and each tick visits
+//! only the entities with a due wake.
 //! An entity is woken when
 //!
 //! * a previously scheduled event falls due ([`SimScheduler::wake_at`]

@@ -3,43 +3,9 @@
 use proptest::prelude::*;
 use simkernel::rng::SeedTree;
 use simkernel::stats::Percentiles;
-use simkernel::{EventQueue, Tick, TimeSeries};
+use simkernel::{Tick, TimeSeries};
 
 proptest! {
-    #[test]
-    fn event_queue_pops_sorted_stable(
-        events in proptest::collection::vec((0u64..100, 0u32..1000), 0..200),
-    ) {
-        let mut q = EventQueue::new();
-        for &(t, payload) in &events {
-            q.schedule(Tick(t), payload);
-        }
-        let mut popped = Vec::new();
-        while let Some((t, p)) = q.pop() {
-            popped.push((t, p));
-        }
-        prop_assert_eq!(popped.len(), events.len());
-        // Time-sorted.
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-        }
-        // Stable among equal times: relative order of payloads with the
-        // same tick must match insertion order.
-        for t in popped.iter().map(|&(t, _)| t).collect::<std::collections::BTreeSet<_>>() {
-            let inserted: Vec<u32> = events
-                .iter()
-                .filter(|&&(et, _)| Tick(et) == t)
-                .map(|&(_, p)| p)
-                .collect();
-            let got: Vec<u32> = popped
-                .iter()
-                .filter(|&&(pt, _)| pt == t)
-                .map(|&(_, p)| p)
-                .collect();
-            prop_assert_eq!(inserted, got);
-        }
-    }
-
     #[test]
     fn percentiles_are_order_statistics(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
         let mut p: Percentiles = xs.iter().copied().collect();

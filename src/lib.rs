@@ -16,8 +16,9 @@
 //!   clouds), [`multicore`] (heterogeneous multi-cores), [`cpn`]
 //!   (cognitive packet networks).
 //!
-//! Start with `examples/quickstart.rs`, then see `EXPERIMENTS.md` for
-//! the full evaluation and `cargo bench` to regenerate every table and
+//! Start with the `selfaware` crate docs' quickstart or
+//! `examples/cloud_autoscaler.rs`, then see `EXPERIMENTS.md` for the
+//! full evaluation and `cargo bench` to regenerate every table and
 //! figure.
 
 #![forbid(unsafe_code)]

@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use selfaware::goals::{dominates, pareto_front, Direction, Goal, Objective};
 use selfaware::levels::{Level, LevelSet};
-use selfaware::models::bandit::softmax;
 use selfaware::models::ewma::Ewma;
 use selfaware::models::{Forecaster, OnlineModel};
 use simkernel::rng::{fnv1a, SeedTree};
@@ -169,14 +168,6 @@ proptest! {
         let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let f = m.forecast().unwrap();
         prop_assert!(f >= lo - 1e-9 && f <= hi + 1e-9);
-    }
-
-    #[test]
-    fn softmax_is_distribution(vals in proptest::collection::vec(-50.0f64..50.0, 1..16)) {
-        let p = softmax(&vals, 1.0);
-        prop_assert_eq!(p.len(), vals.len());
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(p.iter().all(|&x| x >= 0.0));
     }
 
     // ---- collective ----

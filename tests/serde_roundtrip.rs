@@ -1,7 +1,7 @@
 //! Serde round-trip tests for the workspace's data-structure types
-//! (Rust API guideline C-SERDE): configurations, percepts,
-//! explanations and model state survive serialisation, so experiments
-//! and agent snapshots can be persisted and replayed.
+//! (Rust API guideline C-SERDE): configurations, explanations and
+//! model state survive serialisation, so experiments and controller
+//! snapshots can be persisted and replayed.
 
 use selfaware::explain::Explanation;
 use selfaware::goals::{Direction, Goal, Objective};
@@ -10,7 +10,6 @@ use selfaware::models::ewma::Ewma;
 use selfaware::models::holt::Holt;
 use selfaware::models::qlearn::QLearner;
 use selfaware::models::{Forecaster, OnlineModel};
-use selfaware::sensors::{Percept, Scope};
 use simkernel::Tick;
 
 // No serialisation-format crate (serde_json/bincode/...) is in the
@@ -23,8 +22,6 @@ fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
 #[test]
 fn data_types_implement_serde() {
     // Compile-time verification of C-SERDE across the workspace.
-    assert_serde::<Percept>();
-    assert_serde::<Scope>();
     assert_serde::<Level>();
     assert_serde::<LevelSet>();
     assert_serde::<Goal>();
@@ -90,13 +87,11 @@ fn qlearner_snapshot_preserves_policy() {
 fn send_sync_bounds_hold() {
     // C-SEND-SYNC: the long-lived framework types must cross threads.
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Percept>();
     assert_send_sync::<Goal>();
     assert_send_sync::<LevelSet>();
     assert_send_sync::<Explanation>();
     assert_send_sync::<Ewma>();
     assert_send_sync::<QLearner>();
-    assert_send_sync::<selfaware::knowledge::KnowledgeBase>();
     assert_send_sync::<simkernel::SeedTree>();
     assert_send_sync::<cloudsim::Cluster>();
     assert_send_sync::<cpn::Graph>();
