@@ -38,10 +38,13 @@ F8_STEPS=600 cargo bench --offline -p sas-bench --bench f8_comms_loss
 # F9 smoke: the composed smart-city cascade end-to-end at reduced
 # length, observability on, and schema-validate its emitted run trace
 # — the composition layer's cross-substrate wiring and the F9 trace
-# are both gated here.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f9_smart_city (F9_STEPS=300)"
+# are both gated here. The table itself must match the committed
+# golden byte for byte (crates/bench/golden/): a change that moves
+# any composed-city output fails here, not in a manual diff.
+echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f9_smart_city (F9_STEPS=300) vs golden"
 rm -rf target/obs
-SAS_OBS=1 F9_STEPS=300 cargo bench --offline -p sas-bench --bench f9_smart_city
+SAS_OBS=1 F9_STEPS=300 cargo bench --offline -p sas-bench --bench f9_smart_city \
+    | diff -u crates/bench/golden/f9_300.txt -
 
 echo "==> cargo run -p sas-bench --bin obs_validate (F9 trace)"
 cargo run --offline -p sas-bench --bin obs_validate
@@ -50,11 +53,13 @@ rm -rf target/obs
 # F10 smoke: counterfactual replay end-to-end at reduced length. The
 # bench binary exits non-zero if the intervention-regression gate
 # fails (an intervention class with negative measured benefit on its
-# canonical campaign), and the emitted trace — including the typed
-# `counterfactual` records — is schema-validated.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f10_counterfactual (F10_STEPS=600)"
+# canonical campaign), the emitted trace — including the typed
+# `counterfactual` records — is schema-validated, and the table must
+# match its committed golden byte for byte.
+echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f10_counterfactual (F10_STEPS=600) vs golden"
 rm -rf target/obs
-SAS_OBS=1 F10_STEPS=600 cargo bench --offline -p sas-bench --bench f10_counterfactual
+SAS_OBS=1 F10_STEPS=600 cargo bench --offline -p sas-bench --bench f10_counterfactual \
+    | diff -u crates/bench/golden/f10_600.txt -
 
 echo "==> cargo run -p sas-bench --bin obs_validate (F10 trace)"
 cargo run --offline -p sas-bench --bin obs_validate

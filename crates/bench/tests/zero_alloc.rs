@@ -1,4 +1,6 @@
-//! Counting-allocator proof of the comms zero-allocation contract.
+//! Counting-allocator proofs of allocation contracts: the comms
+//! layer's zero-allocation steady state, and a per-tick allocation
+//! bound on a supervised composed-city replicate.
 //!
 //! `selfaware::comms` promises that the steady-state reliable
 //! send/deliver/ack cycle performs no heap allocation per message
@@ -16,9 +18,15 @@
 
 use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsPolicy, IdealChannel};
 use selfaware::explain::ExplanationLog;
-use simkernel::{obs, Tick};
+use simkernel::{obs, SeedTree, Tick};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
+
+/// Serialises the tests that force observability off: the override is
+/// process-wide, and one test restoring it must not switch spans on
+/// under another test's measurement.
+static OBS_OFF: Mutex<()> = Mutex::new(());
 
 thread_local! {
     // const-initialised Cell: reading/bumping it never allocates, so
@@ -109,6 +117,9 @@ fn run_cycles<C: Channel>(
 fn steady_state_comms_cycle_is_allocation_free() {
     // Force observability off regardless of the environment: span
     // timing is outside this contract.
+    let _obs = OBS_OFF
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     obs::set_override(Some(false));
 
     // Phase A: ideal channel, explanation log enabled (the steady
@@ -143,4 +154,40 @@ fn steady_state_comms_cycle_is_allocation_free() {
     );
 
     obs::set_override(None);
+}
+
+/// A supervised city replicate under the F9 cascade allocates at most
+/// this many times per tick, set-up included. The supervisor owns the
+/// learned router, so a checkpoint is a pointer bump and the router is
+/// deep-copied only on the first write after a checkpoint or restore;
+/// copying the router into the supervisor every tick costs about 600
+/// allocations per tick on the standard 4×6 grid.
+const CITY_ALLOCS_PER_TICK: u64 = 150;
+
+#[test]
+fn supervised_city_replicate_stays_under_its_allocation_bound() {
+    let _obs = OBS_OFF
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    obs::set_override(Some(false));
+    let steps = 3000;
+    let seeds = SeedTree::new(7).child("city");
+    let mut cfg = compose::CityConfig::standard(compose::CityPolicy::supervised(), steps, &seeds);
+    cfg.campaign = sas_bench::f9_campaign(&seeds, steps);
+    let before = allocations();
+    let r = compose::run_city(&cfg, &seeds);
+    let allocs = allocations() - before;
+    obs::set_override(None);
+    assert!(
+        r.metrics.get("model_rollbacks").unwrap_or(0.0)
+            + r.metrics.get("model_fallbacks").unwrap_or(0.0)
+            > 0.0,
+        "the cascade must exercise the supervisor: {:?}",
+        r.metrics
+    );
+    assert!(
+        allocs <= CITY_ALLOCS_PER_TICK * steps,
+        "{allocs} allocations over {steps} ticks ({} per tick) exceed the bound of {CITY_ALLOCS_PER_TICK} per tick",
+        allocs / steps
+    );
 }

@@ -1,24 +1,27 @@
 //! The network's learned affinity state in struct-of-arrays layout.
 //!
-//! Each camera learns one affinity score and one invite count per
+//! Each camera learns one affinity score and keeps one invite count per
 //! peer. Storing those rows inside each [`crate::camera::Camera`]
 //! (array-of-structs) scattered the hottest data of the auction loop
 //! across `n` separate heap allocations and forced the
-//! staleness-blend path to clone a row per auction. This table keeps
-//! the whole network's state in two contiguous row-major buffers, so
-//! the per-auction hot path (affinity reads, auction updates) touches
-//! one cache-friendly slab and never allocates, and a supervisor
-//! checkpoint is a single flat copy instead of `n` row clones.
+//! staleness-blend path to clone a row per auction. Here the whole
+//! network's scores sit in one contiguous row-major buffer
+//! ([`AffinityTable`]) and its invite counts in another
+//! ([`InviteCounts`]), so the per-auction hot path (affinity reads,
+//! auction updates) touches cache-friendly slabs and never allocates.
+//!
+//! The two are separate types because only the scores are a model: a
+//! supervisor owns the [`AffinityTable`], and cloning it for a
+//! checkpoint is one flat copy. The invite counts record what the
+//! network actually did, so a rollback never rewrites them.
 
-/// Row-major `n × n` learned state for the whole camera network:
-/// `affinity[me * n + other]` is camera `me`'s learned affinity toward
-/// camera `other`, `invites[me * n + other]` how often `me` has
-/// invited `other` to an auction.
+/// Row-major `n × n` learned affinity scores for the whole camera
+/// network: `affinity[me * n + other]` is camera `me`'s learned
+/// affinity toward camera `other`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AffinityTable {
     n: usize,
     affinity: Vec<f64>,
-    invites: Vec<u64>,
 }
 
 impl AffinityTable {
@@ -26,13 +29,12 @@ impl AffinityTable {
     pub const PRIOR: f64 = 0.5;
 
     /// Creates the table for an `n`-camera network, every score at
-    /// [`Self::PRIOR`] and every invite count at zero.
+    /// [`Self::PRIOR`].
     #[must_use]
     pub fn new(n: usize) -> Self {
         Self {
             n,
             affinity: vec![Self::PRIOR; n * n],
-            invites: vec![0; n * n],
         }
     }
 
@@ -86,14 +88,6 @@ impl AffinityTable {
         } else {
             *a *= 0.94;
         }
-        self.invites[me * self.n + other] += 1;
-    }
-
-    /// Times camera `me` has invited camera `other`.
-    #[must_use]
-    pub fn invite_count(&self, me: usize, other: usize) -> u64 {
-        assert!(me < self.n && other < self.n, "camera index out of range");
-        self.invites[me * self.n + other]
     }
 
     /// Camera `me`'s ask-preference distribution over peers (excluding
@@ -111,13 +105,63 @@ impl AffinityTable {
         v
     }
 
+    /// Overwrites every affinity score (fault injection).
+    pub fn fill(&mut self, value: f64) {
+        self.affinity.fill(value);
+    }
+
+    /// Applies `f` to every affinity score in place (fault injection).
+    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
+        for a in &mut self.affinity {
+            *a = f(*a);
+        }
+    }
+
+    /// Mean of every affinity score, accumulated in row-major order.
+    /// NaN poison anywhere in the table surfaces here immediately.
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        self.affinity.iter().sum::<f64>() / self.affinity.len().max(1) as f64
+    }
+}
+
+/// Row-major `n × n` auction invitation counts for the whole camera
+/// network: `invites[me * n + other]` is how often camera `me` has
+/// invited camera `other` to an auction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InviteCounts {
+    n: usize,
+    invites: Vec<u64>,
+}
+
+impl InviteCounts {
+    /// Creates the counts for an `n`-camera network, all zero.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            n,
+            invites: vec![0; n * n],
+        }
+    }
+
+    /// Counts one invitation from camera `me` to camera `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn record(&mut self, me: usize, other: usize) {
+        assert!(me < self.n && other < self.n, "camera index out of range");
+        self.invites[me * self.n + other] += 1;
+    }
+
     /// Camera `me`'s *behavioural* ask distribution: the proportion of
     /// auction invitations actually sent to each peer. This — not the
-    /// latent beliefs — is what the F1 heterogeneity metric compares,
-    /// because a broadcast camera may *learn* distinct affinities yet
-    /// still ask everyone (behaviourally homogeneous), while a
-    /// self-aware camera's invitations themselves specialise. Uniform
-    /// over peers until the first invitation.
+    /// latent beliefs ([`AffinityTable::preference`]) — is what the F1
+    /// heterogeneity metric compares, because a broadcast camera may
+    /// *learn* distinct affinities yet still ask everyone
+    /// (behaviourally homogeneous), while a self-aware camera's
+    /// invitations themselves specialise. Uniform over peers until the
+    /// first invitation.
     #[must_use]
     pub fn ask_distribution(&self, me: usize) -> Vec<f64> {
         let row = &self.invites[me * self.n..(me + 1) * self.n];
@@ -131,48 +175,6 @@ impl AffinityTable {
         v[me] = 0.0;
         normalise(&mut v);
         v
-    }
-
-    /// Flat copy of every affinity score, row-major — the network's
-    /// *model state*, snapshotted by supervisors for checkpoints.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<f64> {
-        self.affinity.clone()
-    }
-
-    /// Restores the whole table from a [`Self::snapshot`] (checkpoint
-    /// rollback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` is not `n × n` scores.
-    pub fn restore(&mut self, snapshot: &[f64]) {
-        assert_eq!(
-            snapshot.len(),
-            self.affinity.len(),
-            "snapshot must cover every affinity score"
-        );
-        self.affinity.copy_from_slice(snapshot);
-    }
-
-    /// Overwrites every affinity score (fault injection).
-    pub fn fill(&mut self, value: f64) {
-        self.affinity.fill(value);
-    }
-
-    /// Applies `f` to every affinity score in place (fault injection).
-    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
-        for a in &mut self.affinity {
-            *a = f(*a);
-        }
-    }
-
-    /// Mean of every affinity score (row-major accumulation order, so
-    /// it matches summing a [`Self::snapshot`]). NaN poison anywhere
-    /// in the table surfaces here immediately.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.affinity.iter().sum::<f64>() / self.affinity.len().max(1) as f64
     }
 }
 
@@ -199,11 +201,9 @@ mod tests {
         }
         assert!(t.affinity(0, 1) > 0.95);
         assert!(t.affinity(0, 2) < 0.05);
-        assert_eq!(t.invite_count(0, 1), 50);
-        assert_eq!(t.invite_count(0, 3), 0);
+        assert_eq!(t.affinity(0, 3), AffinityTable::PRIOR);
         // Other rows untouched.
         assert_eq!(t.affinity(1, 2), AffinityTable::PRIOR);
-        assert_eq!(t.invite_count(1, 2), 0);
     }
 
     #[test]
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn ask_distribution_uniform_before_any_invites() {
-        let t = AffinityTable::new(4);
+        let t = InviteCounts::new(4);
         let d = t.ask_distribution(1);
         assert_eq!(d[1], 0.0);
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -228,29 +228,20 @@ mod tests {
 
     #[test]
     fn ask_distribution_reflects_actual_invitations() {
-        let mut t = AffinityTable::new(4);
+        let mut t = InviteCounts::new(4);
         for _ in 0..9 {
-            t.record_auction(0, 1, false);
+            t.record(0, 1);
         }
-        t.record_auction(0, 2, true);
+        t.record(0, 2);
         let d = t.ask_distribution(0);
         assert!((d[1] - 0.9).abs() < 1e-9);
         assert!((d[2] - 0.1).abs() < 1e-9);
         assert_eq!(d[3], 0.0);
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut t = AffinityTable::new(3);
-        t.record_auction(0, 1, true);
-        t.record_auction(2, 0, false);
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 9);
-        t.fill(f64::NAN);
-        assert!(t.mean().is_nan());
-        t.restore(&snap);
-        assert_eq!(t.snapshot(), snap);
-        assert!(t.affinity(0, 1) > AffinityTable::PRIOR);
+        assert_eq!(
+            t.ask_distribution(1),
+            InviteCounts::new(4).ask_distribution(1),
+            "other rows untouched"
+        );
     }
 
     #[test]
@@ -265,12 +256,14 @@ mod tests {
     }
 
     #[test]
-    fn mean_matches_flat_snapshot_sum() {
+    fn mean_matches_row_major_sum() {
         let mut t = AffinityTable::new(3);
         t.record_auction(1, 2, true);
-        let flat = t.snapshot();
+        let flat: Vec<f64> = (0..3).flat_map(|me| t.row(me).to_vec()).collect();
         let expect = flat.iter().sum::<f64>() / flat.len() as f64;
         assert_eq!(t.mean(), expect);
+        t.fill(f64::NAN);
+        assert!(t.mean().is_nan(), "poison surfaces in the mean");
     }
 
     #[test]
@@ -278,12 +271,5 @@ mod tests {
     fn out_of_range_read_panics() {
         let t = AffinityTable::new(2);
         let _ = t.affinity(0, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot must cover every affinity score")]
-    fn short_snapshot_panics() {
-        let mut t = AffinityTable::new(2);
-        t.restore(&[0.5; 3]);
     }
 }

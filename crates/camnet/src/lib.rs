@@ -15,8 +15,8 @@
 //! cost. Experiments T3 and F1 reproduce that result's shape.
 //!
 //! * [`camera`] — camera geometry (position, field of view);
-//! * [`affinity`] — the network's learned affinity state in
-//!   struct-of-arrays layout;
+//! * [`affinity`] — the network's learned affinity scores and its
+//!   invite counts, in struct-of-arrays layout;
 //! * [`strategy`] — handover strategies (broadcast, smooth, static,
 //!   self-aware learning);
 //! * [`diversity`] — the policy-divergence heterogeneity metric;
@@ -37,7 +37,7 @@ pub mod grid;
 pub mod sim;
 pub mod strategy;
 
-pub use affinity::AffinityTable;
+pub use affinity::{AffinityTable, InviteCounts};
 pub use camera::Camera;
 pub use des::{run_des_camnet, DesCamnetConfig, DesCamnetResult};
 pub use diversity::policy_divergence;

@@ -1,6 +1,6 @@
 //! The camera-network world: objects, ownership, auctions, metrics.
 
-use crate::affinity::AffinityTable;
+use crate::affinity::{AffinityTable, InviteCounts};
 use crate::camera::Camera;
 use crate::diversity::policy_divergence;
 use crate::strategy::{nearest_neighbours, random_subsets, HandoverStrategy};
@@ -9,7 +9,7 @@ use selfaware::comms::{CommsNetwork, CommsPolicy};
 use selfaware::explain::ExplanationLog;
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, Evidence, Supervisor, Verdict};
+use selfaware::supervision::{Evidence, SupervisionStats, Supervisor};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
@@ -163,30 +163,23 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         .collect();
     let mut alive = vec![true; n];
     // The network's learned state, struct-of-arrays: one contiguous
-    // affinity/invite slab instead of per-camera heap rows (see
-    // `crate::affinity`). The auction hot loop reads and updates it
-    // without allocating.
-    let mut table = AffinityTable::new(n);
+    // affinity slab and one invite-count slab instead of per-camera
+    // heap rows (see `crate::affinity`). The auction hot loop reads
+    // and updates them without allocating.
+    let mut affinities = if cfg.supervise {
+        Affinities::Supervised(Box::new(AffinitySupervision {
+            sup: Supervisor::new("camera-affinities", AffinityTable::new(n)).with_mask(cfg.mask),
+            log: ExplanationLog::new(512),
+        }))
+    } else {
+        Affinities::Plain(AffinityTable::new(n))
+    };
+    let mut invites = InviteCounts::new(n);
     // Initial ownership: best-quality seer, if any.
     let mut owner: Vec<Option<usize>> = objects
         .iter()
         .map(|o| best_seer(&cameras, &alive, o.position()))
         .collect();
-
-    // Meta-self-awareness: the supervised model is the network-wide
-    // affinity matrix (flat row-major). The supervisor checkpoints
-    // it, watches a tracking-loss error signal, and benches the
-    // network onto broadcast invitations while the model is corrupt.
-    struct AffinitySupervision {
-        sup: Supervisor<Vec<f64>>,
-        log: ExplanationLog,
-    }
-    let mut supervision = cfg.supervise.then(|| {
-        Box::new(AffinitySupervision {
-            sup: Supervisor::new("camera-affinities", table.snapshot()).with_mask(cfg.mask),
-            log: ExplanationLog::new(512),
-        })
-    });
     let mut frozen_until: Option<Tick> = None;
 
     // The comms layer carries every auction ask/bid round trip and
@@ -240,13 +233,13 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                 }
                 FaultKind::ModelCorruption { kind, .. } => match kind {
                     ModelCorruptionKind::NanPoison => {
-                        table.fill(f64::NAN);
+                        affinities.model_mut().fill(f64::NAN);
                     }
                     ModelCorruptionKind::WeightScramble { gain } => {
                         // Push every learned score far below any
                         // invitation threshold: the network forgets
                         // who its useful neighbours are.
-                        table.map_in_place(|a| (a - 1.0) * gain);
+                        affinities.model_mut().map_in_place(|a| (a - 1.0) * gain);
                     }
                     ModelCorruptionKind::StateFreeze { duration } => {
                         frozen_until = Some(Tick(t + duration));
@@ -256,9 +249,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
             }
         }
         let frozen = frozen_until.is_some_and(|until| now < until);
-        let benched = supervision
-            .as_ref()
-            .is_some_and(|s| s.sup.source() == ControlSource::Baseline);
+        let benched = affinities.benched();
 
         for o in &mut objects {
             o.step(&mut obj_rng);
@@ -294,6 +285,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                         // selection is exactly the historical one.
                         // Either way the blend is a read-only view —
                         // no row is cloned or written back.
+                        let table = affinities.model();
                         if ideal || !aware {
                             strategy.invitees_into(
                                 me,
@@ -354,7 +346,8 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                                 // decays affinity either way.
                                 if r || !aware {
                                     let won = winner.is_some_and(|(w, _)| w == j);
-                                    table.record_auction(me, j, won);
+                                    affinities.model_mut().record_auction(me, j, won);
+                                    invites.record(me, j);
                                 }
                             }
                         }
@@ -400,22 +393,18 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         // fraction of objects left untracked this tick (a corrupted
         // ask-policy loses objects). The strictly advancing input
         // lets the stall detector catch frozen state.
-        if let Some(s) = &mut supervision {
-            let mean_affinity = table.mean();
+        if let Affinities::Supervised(s) = &mut affinities {
+            let mean_affinity = s.sup.model().mean();
             let error = tick_untracked as f64 / cfg.objects.max(1) as f64;
-            s.sup.set_model(table.snapshot());
-            let verdict = s.sup.observe(
+            s.sup.observe(
                 now,
                 Evidence::scored(mean_affinity, error).with_input(t as f64),
                 &mut s.log,
             );
-            if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                table.restore(s.sup.model());
-            }
         }
 
         if t % 50 == 0 {
-            let policies: Vec<Vec<f64>> = (0..n).map(|i| table.ask_distribution(i)).collect();
+            let policies: Vec<Vec<f64>> = (0..n).map(|i| invites.ask_distribution(i)).collect();
             heterogeneity.push(now, policy_divergence(&policies));
             if window_samples > 0 {
                 quality_series.push(now, window_quality / window_samples as f64);
@@ -443,14 +432,11 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
     );
     metrics.set("auctions", auctions as f64);
     metrics.set("handovers", handovers as f64);
-    let policies: Vec<Vec<f64>> = (0..n).map(|i| table.ask_distribution(i)).collect();
+    let policies: Vec<Vec<f64>> = (0..n).map(|i| invites.ask_distribution(i)).collect();
     metrics.set("heterogeneity_final", policy_divergence(&policies));
     let utility = camnet_goal().utility(|k| metrics.get(k));
     metrics.set("utility", utility);
-    let sup = supervision
-        .as_ref()
-        .map(|s| s.sup.stats())
-        .unwrap_or_default();
+    let sup = affinities.stats();
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));
@@ -466,6 +452,50 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         heterogeneity,
         quality: quality_series,
         comms_log,
+    }
+}
+
+/// The network's affinity model, alone or under meta-self-awareness.
+/// Supervised, the [`Supervisor`] owns the table: the auctions train it
+/// in place, a checkpoint is an `Arc` pointer bump, and the table is
+/// deep-copied only on the first write after a checkpoint or restore.
+enum Affinities {
+    Plain(AffinityTable),
+    Supervised(Box<AffinitySupervision>),
+}
+
+/// The supervisor watches a tracking-loss error signal and benches the
+/// network onto broadcast invitations while the model is corrupt.
+struct AffinitySupervision {
+    sup: Supervisor<AffinityTable>,
+    log: ExplanationLog,
+}
+
+impl Affinities {
+    fn model(&self) -> &AffinityTable {
+        match self {
+            Affinities::Plain(t) => t,
+            Affinities::Supervised(s) => s.sup.model(),
+        }
+    }
+
+    fn model_mut(&mut self) -> &mut AffinityTable {
+        match self {
+            Affinities::Plain(t) => t,
+            Affinities::Supervised(s) => s.sup.model_mut(),
+        }
+    }
+
+    /// Whether the supervisor has benched the model this tick.
+    fn benched(&self) -> bool {
+        matches!(self, Affinities::Supervised(s) if s.sup.is_fallback())
+    }
+
+    fn stats(&self) -> SupervisionStats {
+        match self {
+            Affinities::Plain(_) => SupervisionStats::default(),
+            Affinities::Supervised(s) => s.sup.stats(),
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the camera network's geometry, learning
 //! and diversity metrics.
 
-use camnet::affinity::AffinityTable;
+use camnet::affinity::{AffinityTable, InviteCounts};
 use camnet::camera::Camera;
 use camnet::diversity::{entropy, jensen_shannon, policy_divergence};
 use camnet::strategy::{nearest_neighbours, random_subsets};
@@ -82,13 +82,13 @@ proptest! {
 
     #[test]
     fn ask_distribution_is_a_distribution(
-        invites in proptest::collection::vec((1usize..4, any::<bool>()), 0..100),
+        invites in proptest::collection::vec(1usize..4, 0..100),
     ) {
-        let mut table = AffinityTable::new(4);
-        for &(peer, won) in &invites {
-            table.record_auction(0, peer, won);
+        let mut counts = InviteCounts::new(4);
+        for &peer in &invites {
+            counts.record(0, peer);
         }
-        let d = table.ask_distribution(0);
+        let d = counts.ask_distribution(0);
         prop_assert_eq!(d.len(), 4);
         prop_assert_eq!(d[0], 0.0);
         prop_assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);

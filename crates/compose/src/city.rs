@@ -16,7 +16,7 @@
 use crate::world::{CityConfig, CityEvent};
 use camnet::Camera;
 use cpn::graph::Graph;
-use cpn::routing::{Router, RoutingStrategy};
+use cpn::routing::Routing;
 use multicore::{Core, CoreSpec};
 use rand::Rng as _;
 use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsStats, Delivered};
@@ -25,7 +25,6 @@ use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::health::SensorHealth;
 use selfaware::pressure::{HysteresisGate, HysteresisGateConfig};
 use selfaware::replay::InterventionClass;
-use selfaware::supervision::{Evidence, Supervisor, Verdict};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{Clock, ClockSource, MetricSet, Tick};
@@ -150,16 +149,6 @@ impl Channel for AgentLiveChannel<'_> {
     }
 }
 
-/// Meta-self-awareness over the detection-transport router, mirroring
-/// `cpn::sim`: the supervisor checkpoints the learned router, scores
-/// its route-delay estimates against realized transit delays, and
-/// benches it onto a periodic table when it misbehaves.
-struct CitySupervision {
-    sup: Supervisor<Router>,
-    baseline: Router,
-    realized: Option<f64>,
-}
-
 /// Runs one composed city scenario. Metric keys:
 ///
 /// * `detections`, `serviced`, `service_ratio` — end-to-end outcome;
@@ -204,15 +193,11 @@ pub fn run_city_with_clock<K: ClockSource>(
     let mut graph = Graph::grid(cfg.rows, cfg.cols);
     let n = graph.len();
     let mask = cfg.campaign.mask();
-    let mut router = cfg.policy.router.build(&graph);
-    let mut supervision =
-        matches!(cfg.policy.router, RoutingStrategy::SupervisedCpn { .. }).then(|| {
-            Box::new(CitySupervision {
-                sup: Supervisor::new("city-routing", router.clone()).with_mask(mask),
-                baseline: RoutingStrategy::Periodic { period: 25 }.build(&graph),
-                realized: None,
-            })
-        });
+    // Meta-self-awareness over the detection-transport router, as in
+    // `cpn::sim`: the supervisor owns the learned router, scores its
+    // route-delay estimates against realized transit delays, and
+    // benches it onto a periodic table when it misbehaves.
+    let mut routing = Routing::new(cfg.policy.router, &graph, "city-routing", mask);
     let mut frozen_until: Option<Tick> = None;
 
     let mut wander_rng = seeds.rng("wander");
@@ -238,6 +223,14 @@ pub fn run_city_with_clock<K: ClockSource>(
         .iter()
         .map(|c| cfg.ingress(c.position().x))
         .collect();
+    // Each camera's route to its home zone's gateway: the routes whose
+    // delay estimates the router's supervisor scores.
+    let home_routes: Vec<(usize, usize)> = cameras
+        .iter()
+        .zip(&ingress)
+        .map(|(cam, &src)| (src, cfg.gateway(cfg.zone_of(cam.position().x))))
+        .collect();
+    let camera_names: Vec<String> = (0..cfg.cameras).map(|c| format!("cam{c}")).collect();
     let mut camera_down = vec![false; cfg.cameras];
     let mut held = vec![0.5f64; cfg.cameras];
     let mut cam_degraded = vec![false; cfg.cameras];
@@ -387,8 +380,10 @@ pub fn run_city_with_clock<K: ClockSource>(
                     graph.restore_edge(a, b);
                 }
                 FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => router.poison_model(),
-                    ModelCorruptionKind::WeightScramble { gain } => router.scramble_model(gain),
+                    ModelCorruptionKind::NanPoison => routing.model_mut().poison_model(),
+                    ModelCorruptionKind::WeightScramble { gain } => {
+                        routing.model_mut().scramble_model(gain);
+                    }
                     ModelCorruptionKind::StateFreeze { duration } => {
                         frozen_until = Some(Tick(t + duration));
                     }
@@ -397,7 +392,6 @@ pub fn run_city_with_clock<K: ClockSource>(
             }
         }
         let frozen = frozen_until.is_some_and(|until| now.value() < until.value());
-        let benched = supervision.as_ref().is_some_and(|s| s.sup.is_fallback());
 
         // --- Population: diurnal activity plus the flash crowd. ----
         let in_crowd = t >= cfg.crowd_window.0 && t < cfg.crowd_window.1;
@@ -419,20 +413,15 @@ pub fn run_city_with_clock<K: ClockSource>(
                 .map_or(0, |k| queues[u][k].len())
         };
         if !frozen {
-            router.maintain(&graph, now, qlen);
+            routing.model_mut().maintain(&graph, now, qlen);
         }
-        if let Some(s) = &mut supervision {
-            s.baseline.maintain(&graph, now, qlen);
-        }
+        routing.maintain_baseline(&graph, now, qlen);
         let cutoff = QUEUE_CAP / 2;
         let congestion: Vec<f64> = (0..n)
             .map(|u| queues[u].iter().map(VecDeque::len).max().unwrap_or(0))
             .map(|c| if c >= cutoff { c as f64 } else { 0.0 })
             .collect();
-        router.set_congestion(&congestion);
-        if let Some(s) = &mut supervision {
-            s.baseline.set_congestion(&congestion);
-        }
+        routing.model_mut().set_congestion(&congestion);
         drop(decide_span);
 
         // --- Cameras: own, corrupt, heal, shed, emit. --------------
@@ -520,7 +509,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 Some(h) => {
                     let reference = consensus[c];
                     let reading = h.observe_with_reference(
-                        &format!("cam{c}"),
+                        &camera_names[c],
                         corrupted,
                         reference,
                         now,
@@ -568,17 +557,11 @@ pub fn run_city_with_clock<K: ClockSource>(
                     );
                     continue;
                 }
-                let smart = !benched && router.is_smart(&mut route_rng);
-                let hop = if benched {
-                    supervision
-                        .as_ref()
-                        .expect("benched implies supervised")
-                        .baseline
-                        .next_hop(&graph, src, dst, None, false, &mut route_rng)
-                } else {
-                    router.next_hop(&graph, src, dst, None, smart, &mut route_rng)
-                };
-                let Some(v) = hop else {
+                // While the model is benched its fallback table routes:
+                // no smart packets, and no draw from `route_rng`.
+                let hops = routing.in_control();
+                let smart = hops.is_smart(&mut route_rng);
+                let Some(v) = hops.next_hop(&graph, src, dst, None, smart, &mut route_rng) else {
                     net_dropped += 1;
                     continue;
                 };
@@ -589,7 +572,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 if queues[src][k].len() >= QUEUE_CAP {
                     net_dropped += 1;
                     if !frozen {
-                        router.reinforce_drop(&graph, src, v, dst);
+                        routing.model_mut().reinforce_drop(&graph, src, v, dst);
                     }
                     continue;
                 }
@@ -627,7 +610,9 @@ pub fn run_city_with_clock<K: ClockSource>(
             let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
             let hop_delay = (now.value().saturating_sub(entered.value())).max(1) as f64;
             if !frozen {
-                router.reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
+                routing
+                    .model_mut()
+                    .reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
             }
             if v == pkt.dst && zone_dead[pkt.zone] {
                 // Nobody home: a dead backend cannot consume the
@@ -644,7 +629,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 if pkt.ttl == 0 {
                     net_dropped += 1;
                     if !frozen {
-                        router.reinforce_drop(&graph, u, v, pkt.dst);
+                        routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
                     }
                     continue;
                 }
@@ -666,7 +651,9 @@ pub fn run_city_with_clock<K: ClockSource>(
                 tick_transit_sum += now.value().saturating_sub(pkt.created.value()) as f64;
                 tick_transit_n += 1;
                 if !frozen {
-                    router.reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
+                    routing
+                        .model_mut()
+                        .reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
                 }
                 admit(
                     cfg,
@@ -689,23 +676,22 @@ pub fn run_city_with_clock<K: ClockSource>(
             if pkt.ttl == 0 {
                 net_dropped += 1;
                 if !frozen {
-                    router.reinforce_drop(&graph, u, v, pkt.dst);
+                    routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
                 }
                 continue;
             }
-            let hop = if benched {
-                supervision
-                    .as_ref()
-                    .expect("benched implies supervised")
-                    .baseline
-                    .next_hop(&graph, v, pkt.dst, Some(u), false, &mut route_rng)
-            } else {
-                router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng)
-            };
+            let hop = routing.in_control().next_hop(
+                &graph,
+                v,
+                pkt.dst,
+                Some(u),
+                pkt.smart,
+                &mut route_rng,
+            );
             let Some(w) = hop else {
                 net_dropped += 1;
                 if !frozen {
-                    router.reinforce_drop(&graph, u, v, pkt.dst);
+                    routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
                 }
                 continue;
             };
@@ -716,7 +702,7 @@ pub fn run_city_with_clock<K: ClockSource>(
             if queues[v][k].len() >= QUEUE_CAP {
                 net_dropped += 1;
                 if !frozen {
-                    router.reinforce_drop(&graph, v, w, pkt.dst);
+                    routing.model_mut().reinforce_drop(&graph, v, w, pkt.dst);
                 }
                 continue;
             }
@@ -947,40 +933,11 @@ pub fn run_city_with_clock<K: ClockSource>(
         drop(act_span);
 
         // --- Meta-self-awareness over the router. ------------------
-        if let Some(s) = &mut supervision {
-            if tick_transit_n > 0 {
-                let mean = tick_transit_sum / f64::from(tick_transit_n);
-                s.realized = Some(match s.realized {
-                    Some(r) => 0.9 * r + 0.1 * mean,
-                    None => mean,
-                });
-            }
-            let realized = s.realized.unwrap_or(0.0);
-            let mut est_sum = 0.0;
-            let mut est_n = 0u32;
-            for (c, cam) in cameras.iter().enumerate() {
-                let home = cfg.zone_of(cam.position().x);
-                if let Some(e) = router.route_estimate(ingress[c], cfg.gateway(home)) {
-                    est_sum += e;
-                    est_n += 1;
-                }
-            }
-            let estimate = if est_n > 0 {
-                est_sum / f64::from(est_n)
-            } else {
-                realized
-            };
-            let error = (estimate - realized).abs();
-            s.sup.set_model(router.clone());
-            let verdict = s.sup.observe(
-                now,
-                Evidence::scored(estimate, error).with_input(realized),
-                &mut log,
-            );
-            if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                router = s.sup.model().clone();
-            }
-        }
+        let supervise_span = obs::span("city:decide");
+        let tick_transit =
+            (tick_transit_n > 0).then(|| tick_transit_sum / f64::from(tick_transit_n));
+        routing.supervise(now, tick_transit, &home_routes, &mut log);
+        drop(supervise_span);
 
         clock.wait_until(now + Tick(1));
     }
@@ -1023,10 +980,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         .map(|z| stats.link_expired(ctrl, z) + stats.link_expired(z, ctrl))
         .sum();
     metrics.set("comms_dead_zone_expired", dead_zone_expired as f64);
-    let sup_stats = supervision
-        .as_ref()
-        .map(|s| s.sup.stats())
-        .unwrap_or_default();
+    let sup_stats = routing.stats();
     metrics.set("model_rollbacks", f64::from(sup_stats.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup_stats.fallbacks));
     metrics.set(

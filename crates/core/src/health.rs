@@ -319,10 +319,15 @@ impl SensorHealth {
         log: &mut ExplanationLog,
     ) -> HealthReading {
         let cfg = self.cfg.clone();
-        let m = self
-            .monitors
-            .entry(key.to_string())
-            .or_insert_with(|| Monitor::new(cfg.residual_alpha));
+        // Look the key up by reference; only a sensor's first reading
+        // allocates its owned name.
+        let m = match self.monitors.get_mut(key) {
+            Some(m) => m,
+            None => self
+                .monitors
+                .entry(key.to_owned())
+                .or_insert_with(|| Monitor::new(cfg.residual_alpha)),
+        };
 
         // Masked quarantine (counterfactual replay, see
         // [`crate::replay`]): readings pass through raw, holding the

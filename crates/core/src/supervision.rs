@@ -372,18 +372,9 @@ impl<C: Clone> Supervisor<C> {
     /// Copy-on-write: if the model currently shares storage with a
     /// checkpoint, the first call after that checkpoint/restore deep-
     /// clones it once; subsequent calls are free until the next
-    /// checkpoint. Substrates that overwrite the whole model every
-    /// tick should prefer [`Supervisor::set_model`], which never
-    /// clones the old state.
+    /// checkpoint.
     pub fn model_mut(&mut self) -> &mut C {
         Arc::make_mut(&mut self.controller)
-    }
-
-    /// Replaces the supervised model wholesale without touching the
-    /// checkpoint (cheaper than `*model_mut() = c` — the shared
-    /// checkpoint state is never deep-cloned just to be overwritten).
-    pub fn set_model(&mut self, c: C) {
-        self.controller = Arc::new(c);
     }
 
     /// Who currently holds control.
@@ -941,7 +932,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_clones_lazily_and_set_model_never_clones() {
+    fn restore_clones_lazily_on_first_write() {
         let clones = std::rc::Rc::new(std::cell::Cell::new(0u32));
         let mut l = log();
         let mut sup = Supervisor::new(
@@ -964,13 +955,7 @@ mod tests {
         assert_eq!(clones.get(), 1, "clone-on-restore happens on write");
         sup.model_mut().value = 3.0;
         assert_eq!(clones.get(), 1, "further writes are free until shared");
-        // Whole-model replacement bypasses copy-on-write entirely.
-        sup.set_model(CloneCounter {
-            value: 9.0,
-            clones: std::rc::Rc::clone(&clones),
-        });
-        assert_eq!(clones.get(), 1, "set_model never clones old state");
-        assert!((sup.model().value - 9.0).abs() < 1e-12);
+        assert!((sup.model().value - 3.0).abs() < 1e-12);
     }
 
     /// Checkpoint-anchored replay: cloning a supervisor mid-run and

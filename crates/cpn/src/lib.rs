@@ -11,7 +11,8 @@
 //! * [`graph`] — the topology: adjacency, BFS and weighted shortest
 //!   paths;
 //! * [`routing`] — routers: frozen shortest-path, periodic re-route,
-//!   and CPN reinforcement routing with smart (exploring) packets;
+//!   and CPN reinforcement routing with smart (exploring) packets,
+//!   optionally under a meta-self-aware supervisor;
 //! * [`sim`] — packet-level simulation with per-link queues, drops,
 //!   TTLs, attack surges, and the F2 delay series.
 
@@ -24,5 +25,5 @@ pub mod routing;
 pub mod sim;
 
 pub use graph::Graph;
-pub use routing::RoutingStrategy;
+pub use routing::{Routing, RoutingStrategy};
 pub use sim::{run_cpn, CpnConfig, CpnResult};

@@ -1,5 +1,6 @@
 //! Routers: frozen shortest path, periodic re-routing, and CPN
-//! reinforcement routing.
+//! reinforcement routing — plus [`Routing`], the optionally supervised
+//! router a simulation trains and routes with.
 //!
 //! The CPN router follows the scheme the paper describes (Section III):
 //! a small fraction of traffic is *smart packets* that explore; every
@@ -10,6 +11,9 @@
 
 use crate::graph::Graph;
 use rand::Rng as _;
+use selfaware::explain::ExplanationLog;
+use selfaware::replay::InterventionMask;
+use selfaware::supervision::{Evidence, SupervisionStats, Supervisor};
 use simkernel::rng::Rng;
 use simkernel::Tick;
 
@@ -36,8 +40,8 @@ pub enum RoutingStrategy {
     /// CPN routing under a meta-self-aware supervisor: the simulator
     /// watchdogs the learned delay estimates and falls back to
     /// periodic table routing while the model is benched (see
-    /// `sim::run_cpn`). Routing behaviour while healthy is identical
-    /// to [`RoutingStrategy::Cpn`].
+    /// [`Routing`]). Routing behaviour while healthy is identical to
+    /// [`RoutingStrategy::Cpn`].
     SupervisedCpn {
         /// Fraction of packets that explore (smart packets).
         smart_ratio: f64,
@@ -188,8 +192,13 @@ enum RouterKind {
     },
 }
 
-/// A runtime router. `Clone` is cheap enough to checkpoint: the CPN
-/// state is one dense `f64` table.
+/// A runtime router.
+///
+/// `Clone` is a deep copy: the CPN state is one heap `Vec` of delay
+/// estimates per (node, destination) pair — about 600 allocations on
+/// the 4×6 grid. A supervisor therefore owns the live router (see
+/// [`Routing`]) and copies it only on the first write after a
+/// checkpoint or restore.
 #[derive(Clone)]
 pub struct Router {
     kind: RouterKind,
@@ -200,6 +209,8 @@ pub const DROP_PENALTY: f64 = 200.0;
 
 impl Router {
     /// Decides whether a freshly injected packet is a smart packet.
+    /// Table routers have none: they answer `false` and draw nothing
+    /// from `rng`.
     pub fn is_smart(&self, rng: &mut Rng) -> bool {
         match &self.kind {
             RouterKind::Table { .. } => false,
@@ -453,6 +464,155 @@ impl std::fmt::Debug for Router {
     }
 }
 
+/// The router a simulation trains and routes with, alone or under
+/// meta-self-awareness.
+///
+/// A supervised router ([`RoutingStrategy::SupervisedCpn`]) lives
+/// inside its [`Supervisor`]: the simulation trains it in place through
+/// [`Routing::model_mut`], so a checkpoint is an `Arc` pointer bump and
+/// the only deep copy is the first write after a checkpoint or
+/// restore. While the supervisor benches the model, a periodically
+/// recomputed table routes instead ([`Routing::in_control`]).
+#[derive(Debug)]
+pub enum Routing {
+    /// An unsupervised router.
+    Plain(Router),
+    /// A learned router under a supervisor, with its fallback table.
+    Supervised(Box<SupervisedRouter>),
+}
+
+/// A learned router, the supervisor that owns it, and the table that
+/// routes while the supervisor benches it.
+#[derive(Debug)]
+pub struct SupervisedRouter {
+    sup: Supervisor<Router>,
+    baseline: Router,
+    /// EWMA of realized delivery delay: the supervisor's ground truth
+    /// for the model's delay estimates.
+    realized: Option<f64>,
+}
+
+impl Routing {
+    /// Builds `strategy`'s router on `graph`. A
+    /// [`RoutingStrategy::SupervisedCpn`] router goes under a supervisor
+    /// named `name` with counterfactual intervention `mask`, and gets a
+    /// 25-tick periodic table as its fallback.
+    #[must_use]
+    pub fn new(
+        strategy: RoutingStrategy,
+        graph: &Graph,
+        name: &str,
+        mask: InterventionMask,
+    ) -> Self {
+        let router = strategy.build(graph);
+        if matches!(strategy, RoutingStrategy::SupervisedCpn { .. }) {
+            Routing::Supervised(Box::new(SupervisedRouter {
+                sup: Supervisor::new(name, router).with_mask(mask),
+                baseline: RoutingStrategy::Periodic { period: 25 }.build(graph),
+                realized: None,
+            }))
+        } else {
+            Routing::Plain(router)
+        }
+    }
+
+    /// The live router.
+    #[must_use]
+    pub fn model(&self) -> &Router {
+        match self {
+            Routing::Plain(r) => r,
+            Routing::Supervised(s) => s.sup.model(),
+        }
+    }
+
+    /// Mutable access to the live router, for training and fault
+    /// injection — including while it is benched, so it can relearn.
+    pub fn model_mut(&mut self) -> &mut Router {
+        match self {
+            Routing::Plain(r) => r,
+            Routing::Supervised(s) => s.sup.model_mut(),
+        }
+    }
+
+    /// The router that picks this tick's hops: the fallback table while
+    /// the supervisor benches the model, the model otherwise. The table
+    /// has no smart packets, so [`Router::is_smart`] on it is `false`
+    /// and draws nothing.
+    #[must_use]
+    pub fn in_control(&self) -> &Router {
+        match self {
+            Routing::Supervised(s) if s.sup.is_fallback() => &s.baseline,
+            _ => self.model(),
+        }
+    }
+
+    /// Per-tick maintenance of the fallback table (a no-op
+    /// unsupervised), so it is current whenever it takes over.
+    pub fn maintain_baseline<Q: Fn(usize, usize) -> usize>(
+        &mut self,
+        graph: &Graph,
+        now: Tick,
+        queue_len: Q,
+    ) {
+        if let Routing::Supervised(s) = self {
+            s.baseline.maintain(graph, now, queue_len);
+        }
+    }
+
+    /// The meta-self-awareness step, once per tick after the tick's
+    /// deliveries (a no-op unsupervised): folds `tick_delay`, the
+    /// tick's mean realized delivery delay if anything was delivered,
+    /// into the realized-delay EWMA, scores the model's mean best-case
+    /// estimate over `routes` (`(src, dst)` pairs) against it, and lets
+    /// the supervisor checkpoint, roll back or bench the model.
+    pub fn supervise(
+        &mut self,
+        now: Tick,
+        tick_delay: Option<f64>,
+        routes: &[(usize, usize)],
+        log: &mut ExplanationLog,
+    ) {
+        let Routing::Supervised(s) = self else {
+            return;
+        };
+        if let Some(mean) = tick_delay {
+            s.realized = Some(match s.realized {
+                Some(r) => 0.9 * r + 0.1 * mean,
+                None => mean,
+            });
+        }
+        let realized = s.realized.unwrap_or(0.0);
+        let mut est_sum = 0.0;
+        let mut est_n = 0u32;
+        for &(src, dst) in routes {
+            if let Some(e) = s.sup.model().route_estimate(src, dst) {
+                est_sum += e;
+                est_n += 1;
+            }
+        }
+        let estimate = if est_n > 0 {
+            est_sum / f64::from(est_n)
+        } else {
+            realized
+        };
+        let error = (estimate - realized).abs();
+        s.sup.observe(
+            now,
+            Evidence::scored(estimate, error).with_input(realized),
+            log,
+        );
+    }
+
+    /// Lifetime supervision counters (all zero unsupervised).
+    #[must_use]
+    pub fn stats(&self) -> SupervisionStats {
+        match self {
+            Routing::Plain(_) => SupervisionStats::default(),
+            Routing::Supervised(s) => s.sup.stats(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,6 +769,40 @@ mod tests {
         // After recompute the isolated node has no route.
         r.maintain(&g, Tick(10), |_, _| 0);
         assert_eq!(r.next_hop(&g, 0, 8, None, false, &mut rr), None);
+    }
+
+    #[test]
+    fn benched_routing_hands_hops_to_a_table_that_draws_nothing() {
+        let g = Graph::grid(3, 3);
+        let mask = InterventionMask::allow_all();
+        let mut log = ExplanationLog::new(16);
+        let mut plain = Routing::new(RoutingStrategy::cpn_default(), &g, "plain", mask);
+        plain.supervise(Tick(0), Some(4.0), &[(0, 8)], &mut log);
+        assert!(matches!(plain, Routing::Plain(_)));
+        assert_eq!(plain.stats(), SupervisionStats::default());
+
+        let mut routing = Routing::new(RoutingStrategy::supervised_cpn_default(), &g, "r", mask);
+        // A NaN estimate before any checkpoint benches the model at once.
+        routing.model_mut().poison_model();
+        routing.supervise(Tick(0), Some(4.0), &[(0, 8)], &mut log);
+        assert_eq!(routing.stats().fallbacks, 1);
+        let (mut drawn, mut fresh) = (rng(), rng());
+        assert!(!routing.in_control().is_smart(&mut drawn));
+        assert_eq!(
+            drawn.gen::<u64>(),
+            fresh.gen::<u64>(),
+            "no draw while benched"
+        );
+        // No checkpoint to restore: the model stays poisoned, and the
+        // table routes around it.
+        assert!(routing
+            .model()
+            .route_estimate(0, 8)
+            .is_some_and(f64::is_nan));
+        assert!(routing
+            .in_control()
+            .next_hop(&g, 0, 8, None, false, &mut drawn)
+            .is_some());
     }
 
     #[test]

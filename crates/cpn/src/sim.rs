@@ -2,11 +2,10 @@
 //! surges — and the F2 adapt-around-the-attack experiment.
 
 use crate::graph::Graph;
-use crate::routing::{Router, RoutingStrategy};
+use crate::routing::{Routing, RoutingStrategy};
 use selfaware::comms::{CommsNetwork, CommsPolicy};
 use selfaware::explain::ExplanationLog;
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{Evidence, Supervisor, Verdict};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
@@ -239,20 +238,6 @@ struct Packet {
     hop_log: Vec<(usize, Tick)>,
 }
 
-/// Sim-level meta-self-awareness for `SupervisedCpn`: the supervisor
-/// checkpoints the live router, scores its best-case delay estimates
-/// against realized deliveries, and — while the model is benched —
-/// routes over a periodically recomputed table instead.
-struct CpnSupervision {
-    sup: Supervisor<Router>,
-    log: ExplanationLog,
-    /// Fallback used while the learned model is benched.
-    baseline: Router,
-    /// EWMA of realized end-to-end delivery delay (the supervisor's
-    /// ground truth for the model's delay estimates).
-    realized: Option<f64>,
-}
-
 /// Runs a scenario. Metric keys:
 ///
 /// * `injected`, `delivered`, `dropped` — background packet counts;
@@ -265,18 +250,20 @@ struct CpnSupervision {
 #[must_use]
 pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     let mut graph = Graph::grid(cfg.rows, cfg.cols);
-    let mut router = cfg.strategy.build(&graph);
+    // `SupervisedCpn`: the supervisor owns the live router, scores its
+    // best-case delay estimates against realized deliveries, and —
+    // while the model is benched — routes over a periodically
+    // recomputed table instead.
+    let mut routing = Routing::new(cfg.strategy, &graph, "cpn-routing", cfg.mask);
+    let mut supervision_log = ExplanationLog::new(512);
+    let background_routes: Vec<(usize, usize)> = cfg
+        .flows
+        .iter()
+        .filter(|f| !f.hostile)
+        .map(|f| (f.src, f.dst))
+        .collect();
     let mut inject_rng = seeds.rng("inject");
     let mut route_rng = seeds.rng("route");
-    let mut supervision =
-        matches!(cfg.strategy, RoutingStrategy::SupervisedCpn { .. }).then(|| {
-            Box::new(CpnSupervision {
-                sup: Supervisor::new("cpn-routing", router.clone()).with_mask(cfg.mask),
-                log: ExplanationLog::new(512),
-                baseline: RoutingStrategy::Periodic { period: 25 }.build(&graph),
-                realized: None,
-            })
-        });
     let mut frozen_until: Option<Tick> = None;
 
     // queues[u][k] = packets waiting at u for the link to its k-th
@@ -319,7 +306,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
 
     let enqueue = |graph: &Graph,
                    queues: &mut Vec<Vec<std::collections::VecDeque<Packet>>>,
-                   router: &mut Router,
+                   routing: &mut Routing,
                    frozen: bool,
                    u: usize,
                    v: usize,
@@ -335,7 +322,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 *dropped += 1;
             }
             if !frozen {
-                router.reinforce_drop(graph, u, v, pkt.dst);
+                routing.model_mut().reinforce_drop(graph, u, v, pkt.dst);
             }
         } else {
             queues[u][k].push_back(pkt);
@@ -360,8 +347,10 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                     graph.restore_edge(a, b);
                 }
                 FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => router.poison_model(),
-                    ModelCorruptionKind::WeightScramble { gain } => router.scramble_model(gain),
+                    ModelCorruptionKind::NanPoison => routing.model_mut().poison_model(),
+                    ModelCorruptionKind::WeightScramble { gain } => {
+                        routing.model_mut().scramble_model(gain);
+                    }
                     ModelCorruptionKind::StateFreeze { duration } => {
                         frozen_until = Some(Tick(t + duration));
                     }
@@ -371,7 +360,6 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         }
 
         let frozen = frozen_until.is_some_and(|until| now.value() < until.value());
-        let benched = supervision.as_ref().is_some_and(|s| s.sup.is_fallback());
 
         // The queue state routing sees: believed reports, with the
         // staleness-aware policy discounting silent routers toward
@@ -401,10 +389,8 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         };
         drop(sense_span);
         let decide_span = obs::span("cpn:decide");
-        router.maintain(&graph, now, qlen);
-        if let Some(s) = &mut supervision {
-            s.baseline.maintain(&graph, now, qlen);
-        }
+        routing.model_mut().maintain(&graph, now, qlen);
+        routing.maintain_baseline(&graph, now, qlen);
 
         // Learned routers carry the controller's picture as a
         // decision-time penalty: a hop into a router whose queues are
@@ -427,10 +413,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 .map(|row| row.iter().copied().max().unwrap_or(0))
                 .map(|c| if c >= cutoff { c as f64 } else { 0.0 })
                 .collect();
-            router.set_congestion(&congestion);
-            if let Some(s) = &mut supervision {
-                s.baseline.set_congestion(&congestion);
-            }
+            routing.model_mut().set_congestion(&congestion);
         }
 
         drop(decide_span);
@@ -447,11 +430,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 if !flow.hostile {
                     injected += 1;
                 }
-                let smart = if benched {
-                    false // table fallback has no smart packets
-                } else {
-                    router.is_smart(&mut route_rng)
-                };
+                let smart = routing.in_control().is_smart(&mut route_rng);
                 let pkt = Packet {
                     dst: flow.dst,
                     smart,
@@ -459,21 +438,20 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                     created: now,
                     hop_log: vec![(flow.src, now)],
                 };
-                let hop = if benched {
-                    supervision
-                        .as_ref()
-                        .expect("benched implies supervised")
-                        .baseline
-                        .next_hop(&graph, flow.src, flow.dst, None, false, &mut route_rng)
-                } else {
-                    router.next_hop(&graph, flow.src, flow.dst, None, smart, &mut route_rng)
-                };
+                let hop = routing.in_control().next_hop(
+                    &graph,
+                    flow.src,
+                    flow.dst,
+                    None,
+                    smart,
+                    &mut route_rng,
+                );
                 match hop {
                     Some(v) => {
                         enqueue(
                             &graph,
                             &mut queues,
-                            &mut router,
+                            &mut routing,
                             frozen,
                             flow.src,
                             v,
@@ -526,13 +504,17 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 debug_assert_eq!(log_u, u);
                 let hop_delay = now.value().saturating_sub(entered_u.value()) as f64;
                 if !frozen {
-                    router.reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
+                    routing
+                        .model_mut()
+                        .reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
                 }
             }
             pkt.hop_log.push((v, now));
             if v == pkt.dst {
                 if !frozen {
-                    router.reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
+                    routing
+                        .model_mut()
+                        .reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
                 }
                 if !pkt.hostile {
                     delivered += 1;
@@ -558,24 +540,23 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                     dropped += 1;
                 }
                 if !frozen {
-                    router.reinforce_drop(&graph, u, v, pkt.dst);
+                    routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
                 }
                 continue;
             }
-            let hop = if benched {
-                supervision
-                    .as_ref()
-                    .expect("benched implies supervised")
-                    .baseline
-                    .next_hop(&graph, v, pkt.dst, Some(u), false, &mut route_rng)
-            } else {
-                router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng)
-            };
+            let hop = routing.in_control().next_hop(
+                &graph,
+                v,
+                pkt.dst,
+                Some(u),
+                pkt.smart,
+                &mut route_rng,
+            );
             match hop {
                 Some(w) => enqueue(
                     &graph,
                     &mut queues,
-                    &mut router,
+                    &mut routing,
                     frozen,
                     v,
                     w,
@@ -615,41 +596,8 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         // estimates against realized deliveries and let the
         // supervisor checkpoint / roll back / bench the live router.
         let _decide_span = obs::span("cpn:decide");
-        if let Some(s) = &mut supervision {
-            if tick_delay_count > 0 {
-                let mean = tick_delay_sum / tick_delay_count as f64;
-                s.realized = Some(match s.realized {
-                    Some(r) => 0.9 * r + 0.1 * mean,
-                    None => mean,
-                });
-            }
-            let realized = s.realized.unwrap_or(0.0);
-            let mut est_sum = 0.0;
-            let mut est_n = 0u32;
-            for flow in cfg.flows.iter().filter(|f| !f.hostile) {
-                if let Some(e) = router.route_estimate(flow.src, flow.dst) {
-                    est_sum += e;
-                    est_n += 1;
-                }
-            }
-            let estimate = if est_n > 0 {
-                est_sum / f64::from(est_n)
-            } else {
-                realized
-            };
-            let error = (estimate - realized).abs();
-            // Sync the live router into the supervisor so checkpoints
-            // capture it, then copy back on rollback/fallback.
-            s.sup.set_model(router.clone());
-            let verdict = s.sup.observe(
-                now,
-                Evidence::scored(estimate, error).with_input(realized),
-                &mut s.log,
-            );
-            if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                router = s.sup.model().clone();
-            }
-        }
+        let tick_delay = (tick_delay_count > 0).then(|| tick_delay_sum / tick_delay_count as f64);
+        routing.supervise(now, tick_delay, &background_routes, &mut supervision_log);
     }
 
     let mut metrics = MetricSet::new();
@@ -676,10 +624,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         );
     }
     metrics.set("utility", ratio - mean_delay / 100.0);
-    let sup = supervision
-        .as_ref()
-        .map(|s| s.sup.stats())
-        .unwrap_or_default();
+    let sup = routing.stats();
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));

@@ -93,6 +93,16 @@ pub fn set_override(on: Option<bool>) {
     );
 }
 
+/// Serialises this crate's tests that flip the process-global
+/// override: they share one test binary, and one test restoring the
+/// override must not switch observability under another.
+#[cfg(test)]
+pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 // ---------------------------------------------------------------------------
 // JSON values (hand-rolled: the vendored serde has no encoder)
 // ---------------------------------------------------------------------------
@@ -992,6 +1002,7 @@ mod tests {
 
     #[test]
     fn sink_collects_only_when_enabled() {
+        let _guard = override_lock();
         set_override(Some(false));
         let ((), off) = with_sink(|| {
             let _s = span("phase");
@@ -1012,6 +1023,7 @@ mod tests {
 
     #[test]
     fn sink_nesting_saves_and_restores() {
+        let _guard = override_lock();
         set_override(Some(true));
         let ((), outer) = with_sink(|| {
             emit(Json::str("outer-1"));
@@ -1028,6 +1040,7 @@ mod tests {
 
     #[test]
     fn emit_without_sink_is_a_noop() {
+        let _guard = override_lock();
         set_override(Some(true));
         emit(Json::str("dropped"));
         let _s = span("orphan");

@@ -846,15 +846,6 @@ mod tests {
         }
     }
 
-    /// `set_override` is process-global, and these tests share one
-    /// binary with the rest of the suite — serialize the ones that
-    /// flip it.
-    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Scenario that emits one record and opens one span per
     /// replicate — results depend only on the seeds, never on obs.
     fn observing_scenario(seeds: SeedTree) -> MetricSet {
@@ -869,7 +860,7 @@ mod tests {
 
     #[test]
     fn report_collects_records_and_profile_when_enabled() {
-        let _guard = obs_lock();
+        let _guard = crate::obs::override_lock();
         crate::obs::set_override(Some(true));
         let reps = Replications::new(0x0B5, 5);
         let report = reps.run_par_threads(3, observing_scenario);
@@ -889,7 +880,7 @@ mod tests {
 
     #[test]
     fn report_records_empty_when_disabled() {
-        let _guard = obs_lock();
+        let _guard = crate::obs::override_lock();
         crate::obs::set_override(Some(false));
         let reps = Replications::new(0x0B5, 4);
         let report = reps.run_par_threads(2, observing_scenario);
@@ -903,7 +894,7 @@ mod tests {
 
     #[test]
     fn obs_toggle_never_changes_results_and_timing_is_excluded_from_eq() {
-        let _guard = obs_lock();
+        let _guard = crate::obs::override_lock();
         let reps = Replications::new(0x0B5E, 6);
         crate::obs::set_override(Some(false));
         let off = reps.run_par_threads(4, observing_scenario);
@@ -921,7 +912,7 @@ mod tests {
 
     #[test]
     fn failed_attempt_observations_are_discarded() {
-        let _guard = obs_lock();
+        let _guard = crate::obs::override_lock();
         crate::obs::set_override(Some(true));
         let reps = Replications::new(0xDEAD, 4);
         let poison = reps.seeds_for(2).raw();
