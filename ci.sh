@@ -31,9 +31,11 @@ SAS_THREADS=4 cargo test -q --offline -p sas-bench -p simkernel
 
 # F8 smoke: drive the lossy-comms sweep end-to-end at reduced length
 # so a channel / retry-protocol regression surfaces here without the
-# cost of the full-length bench.
-echo "==> cargo bench -p sas-bench --bench f8_comms_loss (F8_STEPS=600)"
-F8_STEPS=600 cargo bench --offline -p sas-bench --bench f8_comms_loss
+# cost of the full-length bench. The table must match its committed
+# golden byte for byte.
+echo "==> cargo bench -p sas-bench --bench f8_comms_loss (F8_STEPS=600) vs golden"
+F8_STEPS=600 cargo bench --offline -p sas-bench --bench f8_comms_loss \
+    | diff -u crates/bench/golden/f8_600.txt -
 
 # F9 smoke: the composed smart-city cascade end-to-end at reduced
 # length, observability on, and schema-validate its emitted run trace
@@ -96,29 +98,17 @@ rm -rf target/obs
 
 # Observability smoke: one real experiment under SAS_OBS=1 must emit
 # a parseable JSONL run trace with the expected schema (provenance,
-# arm aggregates + phase profile, per-replicate records). target/obs
+# arm aggregates + phase profile, per-replicate records), and its
+# table must match its committed golden byte for byte. target/obs
 # is cleaned on both sides so stale artifacts can't mask a regression.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f5_camnet_outage (F5_STEPS=900, F5_REPS=2)"
+echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f5_camnet_outage (F5_STEPS=900, F5_REPS=2) vs golden"
 rm -rf target/obs
-SAS_OBS=1 F5_STEPS=900 F5_REPS=2 cargo bench --offline -p sas-bench --bench f5_camnet_outage
+SAS_OBS=1 F5_STEPS=900 F5_REPS=2 cargo bench --offline -p sas-bench --bench f5_camnet_outage \
+    | diff -u crates/bench/golden/f5_900x2.txt -
 
 echo "==> cargo run -p sas-bench --bin obs_validate"
 cargo run --offline -p sas-bench --bin obs_validate
 rm -rf target/obs
-
-# Perf-trajectory smoke: regenerate the macro-bench document at
-# reduced steps/reps and schema-check it, then schema-check EVERY
-# committed BENCH_<n>.json and print the cross-PR wall-clock delta
-# table. This gates on SCHEMA DRIFT only — a renamed arm, missing
-# field, malformed histogram, or a deleted historical document fails
-# here; machine-local timing differences never do.
-echo "==> cargo run -p sas-bench --bin perfbench -- --smoke"
-PERF_SMOKE_OUT="$(mktemp -t perfbench_smoke.XXXXXX.json)"
-trap 'rm -f "$PERF_SMOKE_OUT"' EXIT
-cargo run --offline --release -p sas-bench --bin perfbench -- --smoke --out "$PERF_SMOKE_OUT"
-cargo run --offline --release -p sas-bench --bin perfbench -- --validate "$PERF_SMOKE_OUT"
-echo "==> perfbench --validate-all (committed trajectory)"
-cargo run --offline --release -p sas-bench --bin perfbench -- --validate-all
 
 echo "==> cargo fmt --check"
 cargo fmt --check

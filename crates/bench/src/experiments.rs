@@ -3579,18 +3579,9 @@ pub fn f12_cloud_scenario(cfg: &cloudsim::DesCloudConfig, seeds: &SeedTree) -> M
 
 /// Runs the six F12 measurement arms (per substrate: dense\@reduced,
 /// sparse\@reduced, sparse\@full), one replicate at one worker each —
-/// these are wall-clock measurements, so they never time-share.
-/// `progress` receives one line per finished arm.
-#[must_use]
-pub fn f12_measurements(smoke: bool, progress: &mut impl FnMut(&str)) -> Vec<DesMeasurement> {
-    f12_measured_arms(smoke, progress)
-        .into_iter()
-        .map(|(m, _)| m)
-        .collect()
-}
-
-/// [`f12_measurements`] keeping each arm's [`RunReport`] for the run
-/// trace.
+/// these are wall-clock measurements, so they never time-share. Each
+/// arm keeps its [`RunReport`] for the run trace. `progress` receives
+/// one line per finished arm.
 fn f12_measured_arms(
     smoke: bool,
     progress: &mut impl FnMut(&str),
@@ -3759,8 +3750,6 @@ pub fn run_f12(smoke: bool, mut progress: impl FnMut(&str)) -> F12Report {
         progress("f12/cloud: parity checks done");
     }
 
-    // Wall-clock measurements (also exported as the benchmark
-    // document's `des` section by `run_perfbench`).
     let measured = f12_measured_arms(smoke, &mut progress);
     let measurements: Vec<DesMeasurement> = measured.iter().map(|(m, _)| m.clone()).collect();
     let speedups = f12_speedups(&measurements);
@@ -3871,7 +3860,10 @@ mod f12_tests {
 
     #[test]
     fn measurements_cover_both_substrates_and_all_arms() {
-        let ms = f12_measurements(true, &mut |_| ());
+        let ms: Vec<DesMeasurement> = f12_measured_arms(true, &mut |_| ())
+            .into_iter()
+            .map(|(m, _)| m)
+            .collect();
         assert_eq!(ms.len(), 6);
         for substrate in ["camnet", "cloud"] {
             for arm in ["dense@reduced", "sparse@reduced", "sparse@full"] {

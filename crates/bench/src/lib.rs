@@ -14,6 +14,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 
 pub use experiments::*;

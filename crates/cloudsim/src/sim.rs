@@ -5,7 +5,9 @@ use crate::cluster::Cluster;
 use crate::node::NodeSpec;
 use crate::request::{Request, RequestOutcome};
 use crate::strategy::Strategy;
-use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsPolicy, CommsStats, Delivered};
+use selfaware::comms::{
+    AgentLiveChannel, Channel, CommsNetwork, CommsPolicy, CommsStats, Delivered,
+};
 use selfaware::explain::{Explanation, ExplanationLog};
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::replay::{InterventionClass, InterventionMask};
@@ -71,36 +73,6 @@ struct ZonedPlane {
     /// zone is dead while *all* its nodes sit inside an active
     /// `ZoneOutage` window. Reused buffer, no per-tick allocation.
     dead: Vec<bool>,
-}
-
-/// Channel adapter that silences a dead zone's agent: while a zone's
-/// entire node block is inside an active [`FaultKind::ZoneOutage`]
-/// window, frames to or from that agent are lost regardless of what
-/// the underlying [`ChannelPlan`] says. This is the restore-ordering
-/// fix for overlapping outage and [`workloads::NetPartition`]
-/// windows: a partition healing mid-outage re-opens the *link*, but
-/// the agent behind it is still off, so retransmits and acks must
-/// keep dying until the outage itself lifts. Without this, the heal
-/// would resurrect delivery to a zone with nobody home.
-///
-/// Only constructed when the fault plan actually schedules zone
-/// outages, so outage-free scenarios keep their exact channel
-/// behaviour (and bit-identical traces).
-struct ZoneLiveChannel<'a> {
-    inner: &'a ChannelPlan,
-    /// Per-agent liveness for the current tick; controller (id ==
-    /// `dead.len()`) is always alive.
-    dead: &'a [bool],
-}
-
-impl Channel for ZoneLiveChannel<'_> {
-    fn transmit(&self, src: usize, dst: usize, seq: u64, now: Tick) -> ChannelOutcome {
-        let gone = |id: usize| self.dead.get(id).copied().unwrap_or(false);
-        if gone(src) || gone(dst) {
-            return ChannelOutcome::lost();
-        }
-        self.inner.transmit(src, dst, seq, now)
-    }
 }
 
 impl ZonedPlane {
@@ -204,8 +176,12 @@ impl ZonedPlane {
             *flag = !r.is_empty() && r.clone().all(|i| faults.zone_down_at(i, now));
             any_dead |= *flag;
         }
+        // A zone whose whole node block is inside a `ZoneOutage` has no
+        // agent to talk to, even where a partition heals mid-outage.
+        // The view is substituted only while a zone is dark, so
+        // outage-free runs keep their exact channel behaviour.
         if any_dead {
-            let live = ZoneLiveChannel {
+            let live = AgentLiveChannel {
                 inner: channel,
                 dead: &dead,
             };

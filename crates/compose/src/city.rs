@@ -19,7 +19,7 @@ use cpn::graph::Graph;
 use cpn::routing::Routing;
 use multicore::{Core, CoreSpec};
 use rand::Rng as _;
-use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsStats, Delivered};
+use selfaware::comms::{AgentLiveChannel, Channel, CommsNetwork, CommsStats, Delivered};
 use selfaware::explain::{Explanation, ExplanationLog};
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::health::SensorHealth;
@@ -29,7 +29,7 @@ use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{Clock, ClockSource, MetricSet, Tick};
 use std::collections::{BTreeMap, VecDeque};
-use workloads::faults::{ChannelPlan, FaultKind, ModelCorruptionKind};
+use workloads::faults::{FaultKind, ModelCorruptionKind};
 use workloads::rates::{DiurnalRate, RateFn};
 use workloads::tasks::{Task, TaskClass};
 use workloads::trajectories::{Point, Wanderer};
@@ -128,25 +128,6 @@ struct Pkt {
     /// `(node, tick entered that node's queue)` per hop, for
     /// delivery reinforcement.
     hop_log: Vec<(usize, Tick)>,
-}
-
-/// Channel adapter silencing dead zone agents (same restore-ordering
-/// contract as cloudsim's zoned plane: a partition healing inside a
-/// `ZoneOutage` must not resurrect delivery to a zone with nobody
-/// home). Ids `>= dead.len()` (controller, camera head) never die.
-struct AgentLiveChannel<'a> {
-    inner: &'a ChannelPlan,
-    dead: &'a [bool],
-}
-
-impl Channel for AgentLiveChannel<'_> {
-    fn transmit(&self, src: usize, dst: usize, seq: u64, now: Tick) -> ChannelOutcome {
-        let gone = |id: usize| self.dead.get(id).copied().unwrap_or(false);
-        if gone(src) || gone(dst) {
-            return ChannelOutcome::lost();
-        }
-        self.inner.transmit(src, dst, seq, now)
-    }
 }
 
 /// Runs one composed city scenario. Metric keys:

@@ -10,7 +10,8 @@
 //!   yields zero or more delivery ticks ([`ChannelOutcome`]); the
 //!   deterministic lossy implementation lives in
 //!   `workloads::faults::ChannelPlan`, while [`IdealChannel`] keeps
-//!   the historical perfect-network behaviour.
+//!   the historical perfect-network behaviour and [`AgentLiveChannel`]
+//!   loses every frame to or from an agent that is down.
 //! * [`CommsNetwork`] — a message layer over a channel. In
 //!   [`CommsPolicy::Naive`] mode it is fire-and-forget (the ablation
 //!   baseline: no acknowledgements, no dedup, no retry). In
@@ -232,6 +233,31 @@ impl Channel for IdealChannel {
 
     fn is_ideal(&self) -> bool {
         true
+    }
+}
+
+/// A channel view that silences dead agents: a frame to or from an
+/// agent marked in `dead` is lost, otherwise `inner` decides. Ids past
+/// the end of `dead` never die.
+///
+/// This is the restore ordering for overlapping outage and partition
+/// windows: a partition healing while an agent is down re-opens the
+/// *link*, but nobody is home behind it, so retransmits and acks must
+/// keep dying until the outage itself lifts.
+pub struct AgentLiveChannel<'a, C: Channel + ?Sized> {
+    /// The channel live agents talk over.
+    pub inner: &'a C,
+    /// Per-agent death flags for the current tick.
+    pub dead: &'a [bool],
+}
+
+impl<C: Channel + ?Sized> Channel for AgentLiveChannel<'_, C> {
+    fn transmit(&self, src: usize, dst: usize, seq: u64, now: Tick) -> ChannelOutcome {
+        let gone = |id: usize| self.dead.get(id).copied().unwrap_or(false);
+        if gone(src) || gone(dst) {
+            return ChannelOutcome::lost();
+        }
+        self.inner.transmit(src, dst, seq, now)
     }
 }
 

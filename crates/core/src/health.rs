@@ -32,61 +32,40 @@ use std::collections::BTreeMap;
 use simkernel::obs::Json;
 use simkernel::Tick;
 
-/// Tuning knobs for [`SensorHealth`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SensorHealthConfig {
-    /// EWMA factor for the per-sensor residual magnitude estimate.
-    pub residual_alpha: f64,
-    /// Consecutive *bit-identical* readings before a moving signal is
-    /// declared stuck.
-    pub stuck_after: u32,
-    /// Outlier threshold in residual multiples: a reading is suspect
-    /// when `|x - forecast| > outlier_k * max(residual, outlier_floor)`.
-    pub outlier_k: f64,
-    /// Lower bound on the residual scale, so an exactly-predictable
-    /// signal does not make the outlier envelope collapse to zero.
-    pub outlier_floor: f64,
-    /// Consecutive suspect (or missing) readings before quarantine.
-    pub outlier_patience: u32,
-    /// Consecutive readings agreeing with the model before a
-    /// quarantined sensor is restored.
-    pub recover_after: u32,
-    /// Observations to absorb before any fault verdicts are issued.
-    pub min_samples: u64,
-    /// EWMA factor of the fast (reactive) residual-power tracker used
-    /// by the variance-ratio watchdog.
-    pub var_fast_alpha: f64,
-    /// EWMA factor of the slow residual-power baseline.
-    pub var_slow_alpha: f64,
-    /// The variance watchdog trips when the fast residual power
-    /// exceeds `var_ratio` times the slow baseline.
-    pub var_ratio: f64,
-    /// Floor on the slow residual-power baseline (keeps the ratio
-    /// meaningful for near-perfectly-predictable signals).
-    pub var_floor: f64,
-    /// Consecutive trusted readings over the ratio before the
-    /// variance watchdog quarantines.
-    pub var_patience: u32,
-}
+// Detector tuning, shared by every monitored sensor.
 
-impl Default for SensorHealthConfig {
-    fn default() -> Self {
-        Self {
-            residual_alpha: 0.2,
-            stuck_after: 12,
-            outlier_k: 4.0,
-            outlier_floor: 1e-3,
-            outlier_patience: 3,
-            recover_after: 8,
-            min_samples: 16,
-            var_fast_alpha: 0.25,
-            var_slow_alpha: 0.02,
-            var_ratio: 6.0,
-            var_floor: 1e-4,
-            var_patience: 4,
-        }
-    }
-}
+/// EWMA factor for the per-sensor residual magnitude estimate.
+const RESIDUAL_ALPHA: f64 = 0.2;
+/// Consecutive *bit-identical* readings before a moving signal is
+/// declared stuck.
+const STUCK_AFTER: u32 = 12;
+/// Outlier threshold in residual multiples: a reading is suspect
+/// when `|x - forecast| > OUTLIER_K * max(residual, OUTLIER_FLOOR)`.
+const OUTLIER_K: f64 = 4.0;
+/// Lower bound on the residual scale, so an exactly-predictable
+/// signal does not make the outlier envelope collapse to zero.
+const OUTLIER_FLOOR: f64 = 1e-3;
+/// Consecutive suspect (or missing) readings before quarantine.
+const OUTLIER_PATIENCE: u32 = 3;
+/// Consecutive readings agreeing with the model before a quarantined
+/// sensor is restored.
+pub const RECOVER_AFTER: u32 = 8;
+/// Observations to absorb before any fault verdicts are issued.
+pub const MIN_SAMPLES: u64 = 16;
+/// EWMA factor of the fast (reactive) residual-power tracker used by
+/// the variance-ratio watchdog.
+const VAR_FAST_ALPHA: f64 = 0.25;
+/// EWMA factor of the slow residual-power baseline.
+const VAR_SLOW_ALPHA: f64 = 0.02;
+/// The variance watchdog trips when the fast residual power exceeds
+/// `VAR_RATIO` times the slow baseline.
+const VAR_RATIO: f64 = 6.0;
+/// Floor on the slow residual-power baseline (keeps the ratio
+/// meaningful for near-perfectly-predictable signals).
+const VAR_FLOOR: f64 = 1e-4;
+/// Consecutive trusted readings over the ratio before the variance
+/// watchdog quarantines.
+const VAR_PATIENCE: u32 = 4;
 
 /// What [`SensorHealth::observe`] hands downstream for one reading.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,10 +109,10 @@ struct Monitor {
 }
 
 impl Monitor {
-    fn new(residual_alpha: f64) -> Self {
+    fn new() -> Self {
         Self {
             model: Holt::new(0.4, 0.2),
-            residual: ResidualTracker::new(residual_alpha),
+            residual: ResidualTracker::new(RESIDUAL_ALPHA),
             last_raw: None,
             repeats: 0,
             outlier_streak: 0,
@@ -161,8 +140,8 @@ impl Monitor {
         self.predicted_now().or(self.last_raw).unwrap_or(0.0)
     }
 
-    fn envelope(&self, cfg: &SensorHealthConfig) -> f64 {
-        cfg.outlier_k * self.residual.error().max(cfg.outlier_floor)
+    fn envelope(&self) -> f64 {
+        OUTLIER_K * self.residual.error().max(OUTLIER_FLOOR)
     }
 
     fn enter_quarantine(
@@ -184,7 +163,7 @@ impl Monitor {
         log.record(e);
     }
 
-    fn restore(&mut self, key: &str, now: Tick, log: &mut ExplanationLog, residual_alpha: f64) {
+    fn restore(&mut self, key: &str, now: Tick, log: &mut ExplanationLog) {
         self.quarantined = false;
         self.outlier_streak = 0;
         self.missing_streak = 0;
@@ -194,7 +173,7 @@ impl Monitor {
         // stale, so relearn from scratch rather than resume from a
         // forecast that may have drifted arbitrarily far.
         self.model = Holt::new(0.4, 0.2);
-        self.residual = ResidualTracker::new(residual_alpha);
+        self.residual = ResidualTracker::new(RESIDUAL_ALPHA);
         self.samples = 0;
         self.var_fast = 0.0;
         self.var_slow = 0.0;
@@ -208,12 +187,12 @@ impl Monitor {
 
     /// Feeds a trusted reading into the self-model, updating the
     /// variance-ratio watchdog's power trackers as a side effect.
-    fn learn(&mut self, x: f64, cfg: &SensorHealthConfig) {
+    fn learn(&mut self, x: f64) {
         if let Some(p) = self.model.forecast() {
             self.residual.record(p, x);
             let r2 = (p - x) * (p - x);
-            self.var_fast += cfg.var_fast_alpha * (r2 - self.var_fast);
-            self.var_slow += cfg.var_slow_alpha * (r2 - self.var_slow);
+            self.var_fast += VAR_FAST_ALPHA * (r2 - self.var_fast);
+            self.var_slow += VAR_SLOW_ALPHA * (r2 - self.var_slow);
         }
         self.model.observe(x);
         self.behind = 0;
@@ -229,15 +208,15 @@ impl Monitor {
     /// above the slow baseline within a few learned readings. Called
     /// after [`Monitor::learn`]; returns the ratio when the streak
     /// exceeds patience.
-    fn variance_verdict(&mut self, cfg: &SensorHealthConfig) -> Option<f64> {
-        let baseline = self.var_slow.max(cfg.var_floor);
+    fn variance_verdict(&mut self) -> Option<f64> {
+        let baseline = self.var_slow.max(VAR_FLOOR);
         let ratio = self.var_fast / baseline;
-        if self.samples >= cfg.min_samples && ratio > cfg.var_ratio {
+        if self.samples >= MIN_SAMPLES && ratio > VAR_RATIO {
             self.var_streak += 1;
         } else {
             self.var_streak = 0;
         }
-        (self.var_streak >= cfg.var_patience).then_some(ratio)
+        (self.var_streak >= VAR_PATIENCE).then_some(ratio)
     }
 }
 
@@ -247,34 +226,15 @@ impl Monitor {
 /// with the raw reading (or `None` on dropout); act on the returned
 /// [`HealthReading::value`]. Sensors are keyed by name and monitors
 /// are created lazily; iteration order is deterministic (`BTreeMap`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SensorHealth {
-    cfg: SensorHealthConfig,
     monitors: BTreeMap<String, Monitor>,
     quarantine_events: u64,
     restore_events: u64,
     mask: InterventionMask,
 }
 
-impl Default for SensorHealth {
-    fn default() -> Self {
-        Self::new(SensorHealthConfig::default())
-    }
-}
-
 impl SensorHealth {
-    /// Creates a monitor with the given configuration.
-    #[must_use]
-    pub fn new(cfg: SensorHealthConfig) -> Self {
-        Self {
-            cfg,
-            monitors: BTreeMap::new(),
-            quarantine_events: 0,
-            restore_events: 0,
-            mask: InterventionMask::allow_all(),
-        }
-    }
-
     /// Sets the counterfactual-replay intervention mask (see
     /// [`crate::replay`]): with `SensorQuarantine` suppressed,
     /// readings pass through raw and no quarantine ever fires.
@@ -318,7 +278,6 @@ impl SensorHealth {
         now: Tick,
         log: &mut ExplanationLog,
     ) -> HealthReading {
-        let cfg = self.cfg.clone();
         // Look the key up by reference; only a sensor's first reading
         // allocates its owned name.
         let m = match self.monitors.get_mut(key) {
@@ -326,7 +285,7 @@ impl SensorHealth {
             None => self
                 .monitors
                 .entry(key.to_owned())
-                .or_insert_with(|| Monitor::new(cfg.residual_alpha)),
+                .or_insert_with(Monitor::new),
         };
 
         // Masked quarantine (counterfactual replay, see
@@ -364,17 +323,17 @@ impl SensorHealth {
                 let agrees = changed
                     && reference
                         .or_else(|| m.predicted_now())
-                        .is_none_or(|p| (x - p).abs() <= 2.0 * m.envelope(&cfg));
+                        .is_none_or(|p| (x - p).abs() <= 2.0 * m.envelope());
                 if agrees {
                     m.agree_streak += 1;
                 } else {
                     m.agree_streak = 0;
                 }
                 m.last_raw = Some(x);
-                if m.agree_streak >= cfg.recover_after {
-                    m.restore(key, now, log, cfg.residual_alpha);
+                if m.agree_streak >= RECOVER_AFTER {
+                    m.restore(key, now, log);
                     self.restore_events += 1;
-                    m.learn(x, &cfg);
+                    m.learn(x);
                     return HealthReading {
                         value: x,
                         raw,
@@ -395,12 +354,12 @@ impl SensorHealth {
             };
         }
 
-        let warm = m.samples >= cfg.min_samples;
+        let warm = m.samples >= MIN_SAMPLES;
         let Some(x) = raw else {
             m.missing_streak += 1;
             m.repeats = 0;
             m.outlier_streak = 0;
-            if warm && m.missing_streak >= cfg.outlier_patience {
+            if warm && m.missing_streak >= OUTLIER_PATIENCE {
                 m.enter_quarantine(key, now, "missing_streak", f64::from(m.missing_streak), log);
                 self.quarantine_events += 1;
             }
@@ -425,7 +384,7 @@ impl SensorHealth {
         // Stuck-at: the reading froze while the residual envelope says
         // the signal had been moving. A genuinely constant signal has
         // residual ~ 0 and is never flagged.
-        if warm && m.repeats >= cfg.stuck_after && m.residual.error() > cfg.outlier_floor {
+        if warm && m.repeats >= STUCK_AFTER && m.residual.error() > OUTLIER_FLOOR {
             m.enter_quarantine(key, now, "repeats", f64::from(m.repeats), log);
             self.quarantine_events += 1;
             let value = m.substitute();
@@ -447,10 +406,10 @@ impl SensorHealth {
         // self-reinforcing cascade of ever-worse extrapolations.
         let suspect = warm
             && m.predicted_now()
-                .is_some_and(|p| (x - p).abs() > m.envelope(&cfg) * f64::from(m.behind + 1));
+                .is_some_and(|p| (x - p).abs() > m.envelope() * f64::from(m.behind + 1));
         if suspect {
             m.outlier_streak += 1;
-            let degraded = if m.outlier_streak >= cfg.outlier_patience {
+            let degraded = if m.outlier_streak >= OUTLIER_PATIENCE {
                 m.enter_quarantine(key, now, "reading", x, log);
                 self.quarantine_events += 1;
                 true
@@ -468,13 +427,13 @@ impl SensorHealth {
         }
 
         m.outlier_streak = 0;
-        m.learn(x, &cfg);
+        m.learn(x);
 
         // Variance-ratio watchdog: a mean-reverting noise burst slips
         // past the outlier test (readings near the prediction keep
         // being learned, inflating the envelope), but its residual
         // power betrays it.
-        if let Some(ratio) = m.variance_verdict(&cfg) {
+        if let Some(ratio) = m.variance_verdict() {
             m.enter_quarantine(key, now, "variance_ratio", ratio, log);
             self.quarantine_events += 1;
             let value = m.substitute();

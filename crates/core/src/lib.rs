@@ -111,7 +111,7 @@ pub mod prelude {
     };
     pub use crate::explain::{Explanation, ExplanationLog};
     pub use crate::goals::{Direction, Goal, Objective};
-    pub use crate::health::{HealthReading, SensorHealth, SensorHealthConfig};
+    pub use crate::health::{HealthReading, SensorHealth};
     pub use crate::levels::{Level, LevelSet};
     pub use crate::meta::{ExplorationGovernor, ModelPool, ResidualTracker};
     pub use crate::models::drift::PageHinkley;
@@ -126,6 +126,6 @@ pub mod prelude {
     };
     pub use crate::runtime::{drive, ControlLoop};
     pub use crate::supervision::{
-        Anomaly, ControlSource, Evidence, SupervisionStats, Supervisor, SupervisorConfig, Verdict,
+        Anomaly, ControlSource, Evidence, SupervisionStats, Supervisor, Verdict,
     };
 }

@@ -13,8 +13,8 @@
 //! against live TCP traffic.
 //!
 //! The phases are wrapped in the standard `SAS_OBS` profiling spans
-//! (`sense` / `decide` / `act`), so a live governor shows up in
-//! perfbench phase tables exactly like a simulated substrate.
+//! (`sense` / `decide` / `act`), so a live governor shows up in the
+//! run trace's phase profile exactly like a simulated substrate.
 
 use simkernel::clock::{ClockSource, Tick};
 use simkernel::obs;

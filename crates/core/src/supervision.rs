@@ -137,76 +137,51 @@ impl Evidence {
     }
 }
 
-/// Tuning knobs for a [`Supervisor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisorConfig {
-    /// Smoothing of the fast (reactive) residual tracker.
-    pub fast_alpha: f64,
-    /// Smoothing of the slow held-out baseline tracker (only fed on
-    /// healthy ticks, so an ongoing anomaly cannot drag it along).
-    pub slow_alpha: f64,
-    /// Divergence fires when `fast > ratio · max(slow, floor)`.
-    pub divergence_ratio: f64,
-    /// Floor on the slow baseline, guarding the ratio against a
-    /// near-perfect model's ~0 error.
-    pub divergence_floor: f64,
-    /// Consecutive over-ratio ticks before divergence is declared.
-    pub patience: u32,
-    /// Finite-error samples required before any statistical watchdog
-    /// (everything but the NaN guard) may fire.
-    pub min_samples: u64,
-    /// Frozen-output ticks (under a moving input) before a stall is
-    /// declared.
-    pub stall_after: u32,
-    /// Minimum input delta that counts as "the input moved".
-    pub input_epsilon: f64,
-    /// Consecutive bit-exact A-B-A alternations before oscillation is
-    /// declared.
-    pub oscillation_flips: u32,
-    /// Checkpoint cadence in ticks (gated on a quiet streak).
-    pub checkpoint_every: u64,
-    /// Healthy ticks required to clear warnings, take a checkpoint, or
-    /// win a re-promotion probe.
-    pub quiet_ticks: u32,
-    /// Warnings tolerated before the ladder escalates past warning.
-    pub warn_limit: u32,
-    /// Initial fallback backoff (ticks until the first probe).
-    pub backoff_initial: u64,
-    /// Backoff ceiling.
-    pub backoff_max: u64,
-    /// A second escalation within this many ticks of a rollback skips
-    /// straight to baseline fallback (the rollback evidently did not
-    /// cure the fault).
-    pub relapse_window: u64,
-    /// Page–Hinkley tolerance on the normalised error stream.
-    pub ph_delta: f64,
-    /// Page–Hinkley threshold on the normalised error stream.
-    pub ph_lambda: f64,
-}
+// Watchdog and escalation-ladder tuning, shared by every supervised
+// model.
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            fast_alpha: 0.3,
-            slow_alpha: 0.02,
-            divergence_ratio: 8.0,
-            divergence_floor: 1e-3,
-            patience: 3,
-            min_samples: 24,
-            stall_after: 12,
-            input_epsilon: 1e-9,
-            oscillation_flips: 6,
-            checkpoint_every: 25,
-            quiet_ticks: 10,
-            warn_limit: 2,
-            backoff_initial: 20,
-            backoff_max: 320,
-            relapse_window: 50,
-            ph_delta: 0.5,
-            ph_lambda: 25.0,
-        }
-    }
-}
+/// Smoothing of the fast (reactive) residual tracker.
+const FAST_ALPHA: f64 = 0.3;
+/// Smoothing of the slow held-out baseline tracker (only fed on
+/// healthy ticks, so an ongoing anomaly cannot drag it along).
+const SLOW_ALPHA: f64 = 0.02;
+/// Divergence fires when `fast > ratio · max(slow, floor)`.
+const DIVERGENCE_RATIO: f64 = 8.0;
+/// Floor on the slow baseline, guarding the ratio against a
+/// near-perfect model's ~0 error.
+const DIVERGENCE_FLOOR: f64 = 1e-3;
+/// Consecutive over-ratio ticks before divergence is declared.
+const PATIENCE: u32 = 3;
+/// Finite-error samples required before any statistical watchdog
+/// (everything but the NaN guard) may fire.
+const MIN_SAMPLES: u64 = 24;
+/// Frozen-output ticks (under a moving input) before a stall is
+/// declared.
+const STALL_AFTER: u32 = 12;
+/// Minimum input delta that counts as "the input moved".
+const INPUT_EPSILON: f64 = 1e-9;
+/// Consecutive bit-exact A-B-A alternations before oscillation is
+/// declared.
+const OSCILLATION_FLIPS: u32 = 6;
+/// Checkpoint cadence in ticks (gated on a quiet streak).
+const CHECKPOINT_EVERY: u64 = 25;
+/// Healthy ticks required to clear warnings, take a checkpoint, or
+/// win a re-promotion probe.
+const QUIET_TICKS: u32 = 10;
+/// Warnings tolerated before the ladder escalates past warning.
+const WARN_LIMIT: u32 = 2;
+/// Initial fallback backoff (ticks until the first probe).
+const BACKOFF_INITIAL: u64 = 20;
+/// Backoff ceiling.
+const BACKOFF_MAX: u64 = 320;
+/// A second escalation within this many ticks of a rollback skips
+/// straight to baseline fallback (the rollback evidently did not
+/// cure the fault).
+const RELAPSE_WINDOW: u64 = 50;
+/// Page–Hinkley tolerance on the normalised error stream.
+const PH_DELTA: f64 = 0.5;
+/// Page–Hinkley threshold on the normalised error stream.
+const PH_LAMBDA: f64 = 25.0;
 
 /// Lifetime counters of supervision activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -270,7 +245,6 @@ impl SupervisionStats {
 #[derive(Debug, Clone)]
 pub struct Supervisor<C: Clone> {
     name: String,
-    cfg: SupervisorConfig,
     // Both live behind `Arc` so a checkpoint is a pointer bump, not a
     // deep copy: large controllers (Q-tables, routing tables) pay for
     // a clone only when the model is actually written *while* it
@@ -302,28 +276,17 @@ pub struct Supervisor<C: Clone> {
 }
 
 impl<C: Clone> Supervisor<C> {
-    /// Wraps `controller` with default tuning.
+    /// Wraps `controller`.
     #[must_use]
     pub fn new(name: impl Into<String>, controller: C) -> Self {
-        Self::with_config(name, controller, SupervisorConfig::default())
-    }
-
-    /// Wraps `controller` with explicit tuning.
-    #[must_use]
-    pub fn with_config(name: impl Into<String>, controller: C, cfg: SupervisorConfig) -> Self {
-        let fast = ResidualTracker::new(cfg.fast_alpha);
-        let slow = ResidualTracker::new(cfg.slow_alpha);
-        let detector = PageHinkley::new(cfg.ph_delta, cfg.ph_lambda);
-        let backoff = cfg.backoff_initial;
         Self {
             name: name.into(),
-            cfg,
             controller: Arc::new(controller),
             checkpoint: None,
             source: ControlSource::Model,
-            fast,
-            slow,
-            detector,
+            fast: ResidualTracker::new(FAST_ALPHA),
+            slow: ResidualTracker::new(SLOW_ALPHA),
+            detector: PageHinkley::new(PH_DELTA, PH_LAMBDA),
             samples: 0,
             prev_output: None,
             prev_bits: None,
@@ -337,7 +300,7 @@ impl<C: Clone> Supervisor<C> {
             last_rollback: None,
             fallback_elapsed: 0,
             probe_quiet: 0,
-            backoff,
+            backoff: BACKOFF_INITIAL,
             stats: SupervisionStats::default(),
             mask: InterventionMask::allow_all(),
         }
@@ -444,20 +407,20 @@ impl<C: Clone> Supervisor<C> {
         if !output.is_finite() || error.is_some_and(|e| !e.is_finite()) {
             return Some(Anomaly::NonFinite);
         }
-        let warmed = self.samples >= self.cfg.min_samples;
+        let warmed = self.samples >= MIN_SAMPLES;
 
         // Divergence: fast-vs-slow residual ratio with patience, plus
         // a Page–Hinkley channel on the normalised error.
         let mut diverged = false;
         if let Some(e) = error {
-            let baseline = self.slow.error().max(self.cfg.divergence_floor);
-            if warmed && self.fast.error() > self.cfg.divergence_ratio * baseline {
+            let baseline = self.slow.error().max(DIVERGENCE_FLOOR);
+            if warmed && self.fast.error() > DIVERGENCE_RATIO * baseline {
                 self.div_streak += 1;
             } else {
                 self.div_streak = 0;
             }
             let ph_fired = self.detector.observe(e / baseline);
-            diverged = self.div_streak >= self.cfg.patience || (warmed && ph_fired);
+            diverged = self.div_streak >= PATIENCE || (warmed && ph_fired);
         }
 
         // Oscillation: bit-exact A-B-A alternation of the output.
@@ -470,9 +433,7 @@ impl<C: Clone> Supervisor<C> {
 
         // Stall: frozen output bits while the input keeps moving.
         match (self.prev_input, input, self.prev_bits) {
-            (Some(pi), Some(x), Some(pb))
-                if pb == bits && (x - pi).abs() > self.cfg.input_epsilon =>
-            {
+            (Some(pi), Some(x), Some(pb)) if pb == bits && (x - pi).abs() > INPUT_EPSILON => {
                 self.stall_streak += 1;
             }
             _ => self.stall_streak = 0,
@@ -480,9 +441,9 @@ impl<C: Clone> Supervisor<C> {
 
         if warmed && diverged {
             Some(Anomaly::Divergence)
-        } else if warmed && self.osc_streak >= self.cfg.oscillation_flips {
+        } else if warmed && self.osc_streak >= OSCILLATION_FLIPS {
             Some(Anomaly::Oscillation)
-        } else if warmed && self.stall_streak >= self.cfg.stall_after {
+        } else if warmed && self.stall_streak >= STALL_AFTER {
             Some(Anomaly::Stall)
         } else {
             None
@@ -500,9 +461,9 @@ impl<C: Clone> Supervisor<C> {
     ) -> Verdict {
         let Some(a) = anomaly else {
             self.quiet += 1;
-            if self.quiet >= self.cfg.quiet_ticks {
+            if self.quiet >= QUIET_TICKS {
                 self.warns = 0;
-                if now.0.is_multiple_of(self.cfg.checkpoint_every) && output.is_finite() {
+                if now.0.is_multiple_of(CHECKPOINT_EVERY) && output.is_finite() {
                     self.checkpoint = Some(Arc::clone(&self.controller));
                     self.stats.checkpoints += 1;
                 }
@@ -512,7 +473,7 @@ impl<C: Clone> Supervisor<C> {
 
         self.quiet = 0;
         // A non-finite output is unambiguous — no warning stage.
-        if a != Anomaly::NonFinite && self.warns < self.cfg.warn_limit {
+        if a != Anomaly::NonFinite && self.warns < WARN_LIMIT {
             self.warns += 1;
             self.stats.warns += 1;
             log.record(
@@ -524,7 +485,7 @@ impl<C: Clone> Supervisor<C> {
 
         let relapse = self
             .last_rollback
-            .is_some_and(|t| now.0.saturating_sub(t) <= self.cfg.relapse_window);
+            .is_some_and(|t| now.0.saturating_sub(t) <= RELAPSE_WINDOW);
 
         if self.checkpoint.is_some()
             && !relapse
@@ -562,7 +523,7 @@ impl<C: Clone> Supervisor<C> {
             self.warns = 0;
             self.fallback_elapsed = 0;
             self.probe_quiet = 0;
-            self.backoff = self.cfg.backoff_initial;
+            self.backoff = BACKOFF_INITIAL;
             self.stats.fallbacks += 1;
             log.record(
                 Explanation::new(now, format!("supervise:{}:fallback", self.name))
@@ -587,7 +548,7 @@ impl<C: Clone> Supervisor<C> {
             Some(a) => {
                 self.probe_quiet = 0;
                 if self.fallback_elapsed >= self.backoff {
-                    self.backoff = (self.backoff * 2).min(self.cfg.backoff_max);
+                    self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
                     self.fallback_elapsed = 0;
                     self.stats.probe_failures += 1;
                     log.record(
@@ -602,7 +563,7 @@ impl<C: Clone> Supervisor<C> {
             None => {
                 self.probe_quiet += 1;
                 if self.fallback_elapsed >= self.backoff
-                    && self.probe_quiet >= self.cfg.quiet_ticks
+                    && self.probe_quiet >= QUIET_TICKS
                     && self.mask.allows(InterventionClass::SupervisorRepromote)
                 {
                     self.source = ControlSource::Model;
@@ -625,7 +586,7 @@ impl<C: Clone> Supervisor<C> {
     /// Clears watchdog state after the model's state jumped (rollback
     /// or fallback restore) — stale comparisons would be meaningless.
     fn reset_watchdogs(&mut self) {
-        self.fast = ResidualTracker::new(self.cfg.fast_alpha);
+        self.fast = ResidualTracker::new(FAST_ALPHA);
         self.detector.reset();
         self.div_streak = 0;
         self.osc_streak = 0;
@@ -851,12 +812,7 @@ mod tests {
     #[test]
     fn no_checkpoint_escalates_straight_to_fallback() {
         let mut l = log();
-        let cfg = SupervisorConfig {
-            min_samples: 4,
-            warn_limit: 1,
-            ..SupervisorConfig::default()
-        };
-        let mut sup = Supervisor::with_config("m", Holt::new(0.3, 0.1), cfg);
+        let mut sup = Supervisor::new("m", Holt::new(0.3, 0.1));
         // NaN before any checkpoint exists (checkpoints need a quiet
         // streak that never forms here).
         let mut fell = false;

@@ -3,7 +3,7 @@
 //! transition sequences recorded in the [`ExplanationLog`].
 
 use selfaware::explain::ExplanationLog;
-use selfaware::health::{SensorHealth, SensorHealthConfig};
+use selfaware::health::{SensorHealth, MIN_SAMPLES, RECOVER_AFTER};
 use simkernel::Tick;
 
 fn ramp(t: u64) -> f64 {
@@ -32,7 +32,7 @@ fn failed_recovery_probe_resets_the_agreement_streak() {
     // Agree for recover_after - 1 ticks — one short of restoration —
     // then disagree once. The probe must start over from zero, so the
     // same near-miss repeated never restores the sensor.
-    let recover_after = u64::from(SensorHealthConfig::default().recover_after);
+    let recover_after = u64::from(RECOVER_AFTER);
     for round in 0..3 {
         let base = t0 + round * recover_after;
         for i in 0..recover_after - 1 {
@@ -64,7 +64,7 @@ fn dropout_during_quarantine_resets_the_probe_and_keeps_substituting() {
     let mut log = ExplanationLog::new(64);
     let t0 = quarantine_via_bias(&mut h, &mut log, "s");
 
-    let recover_after = u64::from(SensorHealthConfig::default().recover_after);
+    let recover_after = u64::from(RECOVER_AFTER);
     // Almost recover, then go silent: the dropout must zero the
     // agreement streak and the substitute must keep flowing.
     for i in 0..recover_after - 1 {
@@ -106,7 +106,7 @@ fn quarantine_restore_requarantine_is_logged_in_exact_order() {
     let t0 = quarantine_via_bias(&mut h, &mut log, "s");
 
     // Recover fully, then hit the sensor again with a second fault.
-    let recover_after = u64::from(SensorHealthConfig::default().recover_after);
+    let recover_after = u64::from(RECOVER_AFTER);
     let mut t = t0;
     while h.is_quarantined("s") {
         h.observe("s", Some(ramp(t)), Tick(t), &mut log);
@@ -114,7 +114,7 @@ fn quarantine_restore_requarantine_is_logged_in_exact_order() {
         assert!(t < t0 + 10 * recover_after, "recovery must terminate");
     }
     // Re-warm past min_samples (restore resets the model), then fault.
-    let warm_until = t + SensorHealthConfig::default().min_samples + 8;
+    let warm_until = t + MIN_SAMPLES + 8;
     while t < warm_until {
         h.observe("s", Some(ramp(t)), Tick(t), &mut log);
         t += 1;

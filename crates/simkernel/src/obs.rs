@@ -662,9 +662,10 @@ impl PhaseProfile {
 
 /// Peak resident-set size of the current process in **bytes**, read
 /// from `/proc/self/status` (`VmHWM`). Returns `None` on platforms
-/// without procfs (or when the field is absent/unparseable), so
-/// consumers like `perfbench` can stay schema-stable cross-platform
-/// by emitting an explicit null instead of a bogus number.
+/// without procfs (or when the field is absent/unparseable), so a
+/// caller (the repository benchmark's `peak_rss_mb`) can tell a
+/// missing reading from a real one instead of reporting a bogus
+/// number.
 #[must_use]
 pub fn read_peak_rss() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -978,6 +979,15 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 3);
         assert_eq!(a.buckets().count(), 2);
+    }
+
+    #[test]
+    fn profile_reports_the_shortest_span_as_min() {
+        let mut p = PhaseProfile::default();
+        p.record("act", Duration::from_millis(3));
+        let json = parse(&p.to_json().render()).expect("profile JSON parses");
+        let min = json.get("act").and_then(|a| a.get("min_secs"));
+        assert_eq!(min.and_then(Json::as_num), Some(0.003));
     }
 
     #[test]

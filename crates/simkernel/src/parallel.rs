@@ -35,25 +35,6 @@ pub fn worker_count(cells: usize) -> usize {
     configured.min(cells.max(1))
 }
 
-/// Chunk size for claiming replication cells: coarse enough to cut
-/// work-queue contention, fine enough to keep load imbalance small.
-///
-/// Tuned from the measured per-replicate variance in the committed
-/// perf trajectory (BENCH_9.json): replicate wall-clock within an arm
-/// is tightly clustered (per-phase log₂-ns histograms span only a
-/// couple of buckets), so dynamic one-at-a-time claiming buys almost
-/// no balancing — its cost is pure claim traffic. Handing out about
-/// four chunks per worker bounds the worst-case tail imbalance near
-/// `1/(4·threads)` of the run while dividing atomic claims (and their
-/// cache-line ping-pong) by the chunk size.
-#[must_use]
-pub fn replication_chunk(cells: usize, threads: usize) -> usize {
-    if threads <= 1 {
-        return 1;
-    }
-    (cells / (threads * 4)).clamp(1, 64)
-}
-
 /// Applies `f` to every index in `0..n` on `threads` workers and
 /// returns the results **in index order** — the parallel schedule
 /// never leaks into the output.
@@ -65,21 +46,6 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    par_map_index_chunked(n, threads, 1, f)
-}
-
-/// [`par_map_index`] with workers claiming `chunk` consecutive
-/// indices per atomic operation (clamped to at least 1). Results are
-/// still reassembled in index order, so the output — including which
-/// cell panics first — is identical for every chunk size; only the
-/// scheduling granularity changes. See [`replication_chunk`] for the
-/// tuning policy the replication runner uses.
-pub fn par_map_index_chunked<U, F>(n: usize, threads: usize, chunk: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let chunk = chunk.max(1);
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
@@ -90,13 +56,11 @@ where
                 scope.spawn(|| {
                     let mut claimed = Vec::new();
                     loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
                             break;
                         }
-                        for i in start..(start + chunk).min(n) {
-                            claimed.push((i, f(i)));
-                        }
+                        claimed.push((i, f(i)));
                     }
                     claimed
                 })
@@ -187,35 +151,6 @@ mod tests {
                 sequential,
                 "threads={threads}"
             );
-        }
-    }
-
-    #[test]
-    fn chunked_matches_sequential_for_any_chunk() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let sequential: Vec<u64> = (0..101).map(f).collect();
-        for threads in [2, 4, 7] {
-            for chunk in [0, 1, 2, 13, 101, 500] {
-                assert_eq!(
-                    par_map_index_chunked(101, threads, chunk, f),
-                    sequential,
-                    "threads={threads} chunk={chunk}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn replication_chunk_policy_bounds() {
-        assert_eq!(replication_chunk(100, 1), 1, "sequential stays 1:1");
-        assert_eq!(replication_chunk(0, 4), 1);
-        assert_eq!(replication_chunk(70, 4), 4);
-        assert_eq!(replication_chunk(10_000, 4), 64, "capped");
-        for cells in [1usize, 5, 16, 70, 1000] {
-            for threads in [2usize, 4, 16] {
-                let c = replication_chunk(cells, threads);
-                assert!((1..=64).contains(&c), "cells={cells} threads={threads}");
-            }
         }
     }
 

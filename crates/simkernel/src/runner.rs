@@ -8,7 +8,7 @@
 //! the comparisons the paper's hypothesis calls for).
 
 use crate::obs::{self, Json, PhaseProfile, ReplicateObs};
-use crate::parallel::{panic_message, par_map_index_chunked, replication_chunk, worker_count};
+use crate::parallel::{panic_message, par_map_index, worker_count};
 use crate::rng::SeedTree;
 use crate::stats::OnlineStats;
 use std::borrow::Cow;
@@ -502,9 +502,7 @@ impl Replications {
         timed(
             || {
                 let n = self.count as usize;
-                let cells = par_map_index_chunked(n, threads, replication_chunk(n, threads), |k| {
-                    self.guarded_cell(k as u32, &scenario)
-                });
+                let cells = par_map_index(n, threads, |k| self.guarded_cell(k as u32, &scenario));
                 report_from(cells)
             },
             |r, secs| r.wall_secs = secs,
@@ -541,9 +539,7 @@ impl Replications {
         F: Fn(SeedTree) -> T + Sync,
     {
         let n = self.count as usize;
-        par_map_index_chunked(n, threads, replication_chunk(n, threads), |k| {
-            scenario(self.seeds_for(k as u32))
-        })
+        par_map_index(n, threads, |k| scenario(self.seeds_for(k as u32)))
     }
 
     /// Fans a whole *strategy × replicate* matrix out over the worker
@@ -582,15 +578,10 @@ impl Replications {
         let cells = arms.len() * reps;
         timed(
             || {
-                let outcomes = par_map_index_chunked(
-                    cells,
-                    threads,
-                    replication_chunk(cells, threads),
-                    |cell| {
-                        let (arm, k) = (cell / reps, cell % reps);
-                        self.guarded_cell(k as u32, &|seeds| scenario(&arms[arm], seeds))
-                    },
-                );
+                let outcomes = par_map_index(cells, threads, |cell| {
+                    let (arm, k) = (cell / reps, cell % reps);
+                    self.guarded_cell(k as u32, &|seeds| scenario(&arms[arm], seeds))
+                });
                 let mut arm_outcomes: Vec<Vec<Cell>> = Vec::with_capacity(arms.len());
                 let mut it = outcomes.into_iter();
                 for _ in 0..arms.len() {

@@ -25,7 +25,7 @@ use std::fmt;
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -193,6 +193,12 @@ impl fmt::Display for OnlineStats {
             self.min,
             self.max
         )
+    }
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -367,6 +373,15 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&before);
         assert_eq!(e, before);
+    }
+
+    #[test]
+    fn default_is_empty_like_new() {
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+        let mut s = OnlineStats::default();
+        s.push(5.0);
+        assert_eq!(s.min(), 5.0);
+        assert_eq!(s.max(), 5.0);
     }
 
     #[test]
