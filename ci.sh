@@ -29,84 +29,31 @@ SAS_THREADS=1 cargo test -q --offline -p sas-bench -p simkernel
 echo "==> cargo test -q --offline -p sas-bench -p simkernel (SAS_THREADS=4)"
 SAS_THREADS=4 cargo test -q --offline -p sas-bench -p simkernel
 
-# F8 smoke: drive the lossy-comms sweep end-to-end at reduced length
-# so a channel / retry-protocol regression surfaces here without the
-# cost of the full-length bench. The table must match its committed
-# golden byte for byte.
-echo "==> cargo bench -p sas-bench --bench f8_comms_loss (F8_STEPS=600) vs golden"
-F8_STEPS=600 cargo bench --offline -p sas-bench --bench f8_comms_loss \
-    | diff -u crates/bench/golden/f8_600.txt -
-
-# F9 smoke: the composed smart-city cascade end-to-end at reduced
-# length, observability on, and schema-validate its emitted run trace
-# — the composition layer's cross-substrate wiring and the F9 trace
-# are both gated here. The table itself must match the committed
-# golden byte for byte (crates/bench/golden/): a change that moves
-# any composed-city output fails here, not in a manual diff.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f9_smart_city (F9_STEPS=300) vs golden"
+# Experiments: every deterministic table of EXPERIMENTS.md, at the
+# scale EXPERIMENTS.md reports, must match its golden
+# (crates/bench/golden/<id>.txt) byte for byte at one and at four
+# workers, run traces on. The registry test keeps golden/ and the
+# registry in step, so this loop covers every experiment without a
+# --smoke scale. f10 exits non-zero if its intervention-regression
+# gate fails. The two wall-clock experiments run at their smoke scale,
+# which keeps every gate a short run can judge and exits non-zero if
+# one fails. Then one schema check covers every run trace emitted.
+# The release build above built the binary; calling it directly skips
+# cargo's start-up on every run.
+experiments="${CARGO_TARGET_DIR:-target}/release/experiments"
 rm -rf target/obs
-SAS_OBS=1 F9_STEPS=300 cargo bench --offline -p sas-bench --bench f9_smart_city \
-    | diff -u crates/bench/golden/f9_300.txt -
+for threads in 1 4; do
+    for golden in crates/bench/golden/*.txt; do
+        id=$(basename "$golden" .txt)
+        echo "==> SAS_OBS=1 SAS_THREADS=$threads experiments $id vs golden"
+        SAS_OBS=1 SAS_THREADS=$threads "$experiments" "$id" | diff -u "$golden" -
+    done
+done
 
-echo "==> cargo run -p sas-bench --bin obs_validate (F9 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
+echo "==> SAS_OBS=1 experiments --smoke f11 f12"
+SAS_OBS=1 "$experiments" --smoke f11 f12
 
-# F10 smoke: counterfactual replay end-to-end at reduced length. The
-# bench binary exits non-zero if the intervention-regression gate
-# fails (an intervention class with negative measured benefit on its
-# canonical campaign), the emitted trace — including the typed
-# `counterfactual` records — is schema-validated, and the table must
-# match its committed golden byte for byte.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f10_counterfactual (F10_STEPS=600) vs golden"
-rm -rf target/obs
-SAS_OBS=1 F10_STEPS=600 cargo bench --offline -p sas-bench --bench f10_counterfactual \
-    | diff -u crates/bench/golden/f10_600.txt -
-
-echo "==> cargo run -p sas-bench --bin obs_validate (F10 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
-
-# F11 smoke: the wall-clock live-traffic server end-to-end — seeded
-# chaos replayed against an ephemeral-port TCP server, governed by the
-# supervised autoscaler. The bench binary asserts the robustness gates
-# (clean shutdown, zero leaked threads, a shed→recover cycle, the
-# poisoned arrival model noticed); F11_SMOKE=1 skips only the
-# statistical CI-separation gates, which need full-length runs. The
-# emitted trace (including live:* transitions) is schema-validated.
-echo "==> SAS_OBS=1 F11_SMOKE=1 cargo bench -p sas-bench --bench f11_live_traffic (F11_TICKS=250, F11_REPS=1)"
-rm -rf target/obs
-SAS_OBS=1 F11_SMOKE=1 F11_TICKS=250 F11_REPS=1 cargo bench --offline -p sas-bench --bench f11_live_traffic
-
-echo "==> cargo run -p sas-bench --bin obs_validate (F11 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
-
-# F12 smoke: the discrete-event substrates end-to-end at reduced
-# scale. The bench binary exits non-zero if any non-timing gate fails
-# (dense-vs-sparse bit-identity, seq-vs-parallel bit-identity);
-# F12_SMOKE=1 skips only the full-scale floors and the wall-clock
-# speedup gate, which need full-scale runs. The emitted trace is
-# schema-validated.
-echo "==> SAS_OBS=1 F12_SMOKE=1 cargo bench -p sas-bench --bench f12_des_scale"
-rm -rf target/obs
-SAS_OBS=1 F12_SMOKE=1 cargo bench --offline -p sas-bench --bench f12_des_scale
-
-echo "==> cargo run -p sas-bench --bin obs_validate (F12 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
-
-# Observability smoke: one real experiment under SAS_OBS=1 must emit
-# a parseable JSONL run trace with the expected schema (provenance,
-# arm aggregates + phase profile, per-replicate records), and its
-# table must match its committed golden byte for byte. target/obs
-# is cleaned on both sides so stale artifacts can't mask a regression.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f5_camnet_outage (F5_STEPS=900, F5_REPS=2) vs golden"
-rm -rf target/obs
-SAS_OBS=1 F5_STEPS=900 F5_REPS=2 cargo bench --offline -p sas-bench --bench f5_camnet_outage \
-    | diff -u crates/bench/golden/f5_900x2.txt -
-
-echo "==> cargo run -p sas-bench --bin obs_validate"
+echo "==> cargo run -p sas-bench --bin obs_validate (every run trace)"
 cargo run --offline -p sas-bench --bin obs_validate
 rm -rf target/obs
 

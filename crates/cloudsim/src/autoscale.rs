@@ -64,6 +64,7 @@ struct SupervisedModel {
 /// assert!(core.safety() >= 1.0);
 /// ```
 pub struct AutoscaleCore {
+    name: String,
     arrival_forecast: Holt,
     work_estimate: Ewma,
     violation_ewma: Ewma,
@@ -77,8 +78,8 @@ impl AutoscaleCore {
     /// [`AutoscaleCore::supervised`] is applied.
     #[must_use]
     pub fn new(name: &str) -> Self {
-        let _ = name; // kept for symmetry; supervised() names the watchdog
         Self {
+            name: name.to_string(),
             arrival_forecast: Holt::new(0.2, 0.05),
             work_estimate: Ewma::new(0.05),
             violation_ewma: Ewma::new(0.05),
@@ -94,7 +95,7 @@ impl AutoscaleCore {
     #[must_use]
     pub fn supervised(mut self) -> Self {
         self.supervision = Some(Box::new(SupervisedModel {
-            sup: Supervisor::new("cloud-arrivals", Holt::new(0.2, 0.05)),
+            sup: Supervisor::new(self.name.clone(), Holt::new(0.2, 0.05)),
             log: ExplanationLog::new(512),
         }));
         self
@@ -117,12 +118,6 @@ impl AutoscaleCore {
     pub fn observe_outcome(&mut self, violated: bool) {
         self.violation_ewma
             .observe(if violated { 1.0 } else { 0.0 });
-    }
-
-    /// Current smoothed violation level.
-    #[must_use]
-    pub fn violation_level(&self) -> f64 {
-        self.violation_ewma.level()
     }
 
     /// Current safety margin.
@@ -268,6 +263,7 @@ impl AutoscaleCore {
 impl std::fmt::Debug for AutoscaleCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AutoscaleCore")
+            .field("name", &self.name)
             .field("safety", &self.safety)
             .field("supervised", &self.supervision.is_some())
             .finish()
@@ -310,7 +306,7 @@ mod tests {
 
     #[test]
     fn supervised_core_survives_nan_poison() {
-        let mut core = AutoscaleCore::new("t").supervised();
+        let mut core = AutoscaleCore::new("live-arrivals").supervised();
         for t in 0..50u64 {
             core.demand_rate(5.0, Tick(t));
         }
@@ -322,6 +318,15 @@ mod tests {
         assert!(rate.is_finite(), "supervised rate must recover: {rate}");
         let stats = core.supervision_stats().expect("supervised");
         assert!(stats.warns + stats.rollbacks + stats.fallbacks > 0);
+        // The supervisor explains itself under the core's name.
+        let log = core.explanations().expect("supervised");
+        let actions: Vec<&str> = log.iter().map(|e| e.action.as_str()).collect();
+        assert!(
+            actions
+                .iter()
+                .any(|a| a.starts_with("supervise:live-arrivals:")),
+            "{actions:?}"
+        );
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! be *first-class run-time objects* rather than design-time
 //! assumptions: stakeholder concerns (throughput, cost, reliability,
 //! ...) become [`Objective`]s; a [`Goal`] aggregates them into a scalar
-//! utility and tracks constraint violations; and Pareto utilities
-//! ([`dominates`], [`pareto_front`]) support reasoning about
-//! incomparable configurations.
+//! utility and tracks constraint violations.
 //!
 //! Normalisation: each objective declares a `scale` — the magnitude at
 //! which the stakeholder considers the concern "fully satisfied"
@@ -226,50 +224,6 @@ impl Goal {
     }
 }
 
-/// Whether point `a` Pareto-dominates point `b` under per-dimension
-/// directions (at least as good everywhere, strictly better somewhere).
-///
-/// # Panics
-///
-/// Panics if `a`, `b` and `dirs` differ in length.
-#[must_use]
-pub fn dominates(a: &[f64], b: &[f64], dirs: &[Direction]) -> bool {
-    assert!(
-        a.len() == b.len() && b.len() == dirs.len(),
-        "dimension mismatch"
-    );
-    let mut strictly_better = false;
-    for ((&x, &y), &d) in a.iter().zip(b).zip(dirs) {
-        let (better, worse) = match d {
-            Direction::Maximize => (x > y, x < y),
-            Direction::Minimize => (x < y, x > y),
-        };
-        if worse {
-            return false;
-        }
-        if better {
-            strictly_better = true;
-        }
-    }
-    strictly_better
-}
-
-/// Indices of the Pareto-optimal points among `points`.
-///
-/// O(n²) pairwise scan — fine for the configuration-space sizes in this
-/// workspace.
-#[must_use]
-pub fn pareto_front(points: &[Vec<f64>], dirs: &[Direction]) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| {
-            !points
-                .iter()
-                .enumerate()
-                .any(|(j, p)| j != i && dominates(p, &points[i], dirs))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,37 +296,6 @@ mod tests {
     #[test]
     fn utility_empty_goal_is_zero() {
         assert_eq!(Goal::new("empty").utility(|_| Some(1.0)), 0.0);
-    }
-
-    #[test]
-    fn dominance_basics() {
-        let dirs = [Direction::Maximize, Direction::Minimize];
-        assert!(dominates(&[2.0, 1.0], &[1.0, 2.0], &dirs));
-        assert!(!dominates(&[2.0, 3.0], &[1.0, 2.0], &dirs));
-        assert!(
-            !dominates(&[1.0, 2.0], &[1.0, 2.0], &dirs),
-            "equal points don't dominate"
-        );
-    }
-
-    #[test]
-    fn pareto_front_finds_nondominated() {
-        let dirs = [Direction::Maximize, Direction::Maximize];
-        let pts = vec![
-            vec![1.0, 5.0], // front
-            vec![5.0, 1.0], // front
-            vec![3.0, 3.0], // front
-            vec![1.0, 1.0], // dominated
-            vec![2.0, 2.0], // dominated by [3,3]
-        ];
-        assert_eq!(pareto_front(&pts, &dirs), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn pareto_front_empty_and_single() {
-        let dirs = [Direction::Maximize];
-        assert!(pareto_front(&[], &dirs).is_empty());
-        assert_eq!(pareto_front(&[vec![1.0]], &dirs), vec![0]);
     }
 
     #[test]

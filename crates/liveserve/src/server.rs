@@ -21,11 +21,11 @@
 //! (fail fast beats serving dead work).
 //!
 //! Shutdown is deadlock-proof by construction: every blocking wait has
-//! a timeout (queue condvar, socket reads/writes, non-blocking
-//! accept), and [`ServerHandle::shutdown`] joins every spawned thread
-//! through a watchdog with a hard deadline, reporting
-//! `clean_shutdown = false` instead of hanging if any thread fails to
-//! exit — the F11 harness asserts on exactly this.
+//! a timeout (queue condvar, socket reads/writes, the whole request
+//! read, non-blocking accept), and [`ServerHandle::shutdown`] joins
+//! every spawned thread through a watchdog with a hard deadline,
+//! reporting `clean_shutdown = false` instead of hanging if any thread
+//! fails to exit — the F11 harness asserts on exactly this.
 
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
@@ -412,7 +412,11 @@ fn parse_request(line: &str) -> WorkSpec {
 }
 
 fn serve(mut job: Job, shared: &Arc<Shared>) {
-    // Read the request line (bounded read with timeout already set).
+    // Read the request line. The whole read, not just each `read`,
+    // gets `IO_TIMEOUT`, counted from here rather than from accept so
+    // a queued request keeps its time: a client trickling bytes must
+    // not pin the worker.
+    let read_until = Instant::now() + IO_TIMEOUT;
     let mut buf = [0u8; 512];
     let mut line = String::new();
     loop {
@@ -428,6 +432,11 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
                 shared.io_errors.fetch_add(1, Ordering::Relaxed);
                 return;
             }
+        }
+        let left = read_until.saturating_duration_since(Instant::now());
+        if left.is_zero() || job.stream.set_read_timeout(Some(left)).is_err() {
+            shared.io_errors.fetch_add(1, Ordering::Relaxed);
+            return;
         }
     }
     if line.is_empty() {
@@ -595,6 +604,47 @@ mod tests {
         assert_eq!(report.threads_joined, report.threads_spawned);
         assert_eq!(report.panicked, 0);
         assert_eq!(report.served, 1);
+    }
+
+    #[test]
+    fn slow_client_cannot_pin_a_worker() {
+        let handle = Server::spawn(&ServerConfig {
+            max_workers: 1,
+            deadline_ms: 5_000,
+            policy: LimitPolicy::Fixed,
+            ..ServerConfig::default()
+        })
+        .expect("spawn");
+        // One byte per 100 ms, never a newline: each `read` returns
+        // within its timeout, so only a bound on the whole read frees
+        // the single worker.
+        let mut slow = TcpStream::connect(handle.addr).expect("connect");
+        slow.write_all(b"G").expect("first byte");
+        let (stop, stopped) = mpsc::channel::<()>();
+        let trickle = std::thread::spawn(move || {
+            while stopped.recv_timeout(Duration::from_millis(100))
+                == Err(mpsc::RecvTimeoutError::Timeout)
+                && slow.write_all(b"E").is_ok()
+            {}
+        });
+        // The normal request must queue behind the slow one.
+        let started = Instant::now();
+        while handle.shared.active.load(Ordering::SeqCst) == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "slow client never served"
+            );
+            std::thread::yield_now();
+        }
+        let resp = get(handle.addr, "/work?ms=1");
+        drop(stop);
+        trickle.join().expect("trickle thread");
+        assert!(resp.starts_with("HTTP/1.0 200"), "{resp:?}");
+        let report = handle.shutdown(Duration::from_secs(1));
+        assert!(report.clean_shutdown, "{report:?}");
+        assert_eq!(report.threads_joined, report.threads_spawned);
+        assert_eq!(report.served, 1);
+        assert!(report.io_errors >= 1, "{report:?}");
     }
 
     #[test]

@@ -527,21 +527,6 @@ impl Replications {
             .collect()
     }
 
-    /// [`Replications::collect`] fanned out over an explicit worker
-    /// count. Values land in replicate order regardless of which
-    /// worker produced them first, so the result is bit-identical to
-    /// the sequential [`Replications::collect`]. Panics propagate
-    /// (no per-replicate retry: replay drivers must see every
-    /// replicate or none).
-    pub fn collect_par_threads<T, F>(&self, threads: usize, scenario: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(SeedTree) -> T + Sync,
-    {
-        let n = self.count as usize;
-        par_map_index(n, threads, |k| scenario(self.seeds_for(k as u32)))
-    }
-
     /// Fans a whole *strategy × replicate* matrix out over the worker
     /// pool and returns one [`RunReport`] per arm, in arm order.
     ///

@@ -98,12 +98,6 @@ impl MmppRate {
             last_t: None,
         }
     }
-
-    /// Index of the current regime.
-    #[must_use]
-    pub fn current_level(&self) -> usize {
-        self.current
-    }
 }
 
 impl RateFn for MmppRate {

@@ -18,8 +18,9 @@
 //!
 //! Start with the `selfaware` crate docs' quickstart or
 //! `examples/cloud_autoscaler.rs`, then see `EXPERIMENTS.md` for the
-//! full evaluation and `cargo bench` to regenerate every table and
-//! figure.
+//! full evaluation and
+//! `cargo run --release -p sas-bench --bin experiments -- all` to
+//! regenerate every table and figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

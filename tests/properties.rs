@@ -2,7 +2,7 @@
 //! framework and kernel.
 
 use proptest::prelude::*;
-use selfaware::goals::{dominates, pareto_front, Direction, Goal, Objective};
+use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::levels::{Level, LevelSet};
 use selfaware::models::ewma::Ewma;
 use selfaware::models::{Forecaster, OnlineModel};
@@ -105,32 +105,6 @@ proptest! {
             .objective(Objective::new("b", Direction::Minimize, 10.0, w2));
         let u = g.utility(|k| if k == "a" { Some(v1) } else { Some(v2) });
         prop_assert!((0.0..=1.0).contains(&u), "utility {u} out of bounds");
-    }
-
-    #[test]
-    fn dominance_is_asymmetric(
-        a in proptest::collection::vec(-100.0f64..100.0, 3),
-        b in proptest::collection::vec(-100.0f64..100.0, 3),
-    ) {
-        let dirs = [Direction::Maximize, Direction::Minimize, Direction::Maximize];
-        prop_assert!(!(dominates(&a, &b, &dirs) && dominates(&b, &a, &dirs)));
-        prop_assert!(!dominates(&a, &a, &dirs), "no self-domination");
-    }
-
-    #[test]
-    fn pareto_front_is_nonempty_and_mutually_nondominated(
-        pts in proptest::collection::vec(proptest::collection::vec(-50.0f64..50.0, 2), 1..24),
-    ) {
-        let dirs = [Direction::Maximize, Direction::Maximize];
-        let front = pareto_front(&pts, &dirs);
-        prop_assert!(!front.is_empty());
-        for &i in &front {
-            for &j in &front {
-                if i != j {
-                    prop_assert!(!dominates(&pts[i], &pts[j], &dirs));
-                }
-            }
-        }
     }
 
     // ---- levels ----
