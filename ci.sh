@@ -18,6 +18,18 @@ cargo test -q --offline --workspace
 echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
+# The benchmark's own output checks: the canary digests in
+# benchmark/expected.txt, city's panic check, and live's response
+# format and clean shutdown. A failed check exits 1. One short run per
+# workload; its timings are not compared with anything.
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark="${CARGO_TARGET_DIR:-benchmark/target}/release/sas-benchmark"
+for workload in city audit des live; do
+    echo "==> sas-benchmark --workload $workload --seed 1 --seconds 1 --trace 0"
+    "$benchmark" --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
+
 # The bench crate drives every substrate through the parallel
 # replication engine; its parity and panic-isolation guarantees must
 # hold at any worker count, so run its tests single-threaded and at a

@@ -71,8 +71,7 @@ pub const POOL: usize = 8;
 /// too long still counts as late.
 pub const SLA_MS: u64 = 250;
 
-fn load_options(plan: &ChaosPlan) -> LoadOptions {
-    let _ = plan;
+fn load_options() -> LoadOptions {
     LoadOptions {
         clients: 96,
         sla_ms: SLA_MS,
@@ -87,7 +86,7 @@ fn load_options(plan: &ChaosPlan) -> LoadOptions {
 /// Propagates server socket errors.
 pub fn run_arm(arm: Arm, plan: &ChaosPlan, seeds: &SeedTree) -> std::io::Result<ArmResult> {
     let schedule = plan.schedule(seeds);
-    let opts = load_options(plan);
+    let opts = load_options();
     match arm {
         Arm::Supervised => {
             let handle = Server::spawn(&ServerConfig {

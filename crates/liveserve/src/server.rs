@@ -20,12 +20,17 @@
 //! deadline when a worker picks it up is answered `503` immediately
 //! (fail fast beats serving dead work).
 //!
-//! Shutdown is deadlock-proof by construction: every blocking wait has
-//! a timeout (queue condvar, socket reads/writes, the whole request
-//! read, non-blocking accept), and [`ServerHandle::shutdown`] joins
-//! every spawned thread through a watchdog with a hard deadline,
-//! reporting `clean_shutdown = false` instead of hanging if any thread
-//! fails to exit — the F11 harness asserts on exactly this.
+//! Shutdown is deadlock-proof by construction. Every blocking wait but
+//! one has a timeout (queue condvar, socket reads/writes, the whole
+//! request read). The listener blocks in `accept` with none, so it
+//! admits a connection the moment it arrives; [`ServerHandle::shutdown`]
+//! wakes it by connecting once to the server's own address, and the
+//! listener drops that connection uncounted. Shutdown then joins every
+//! spawned thread through a watchdog with a hard deadline: if the
+//! wake-up connect fails or any thread fails to exit, shutdown still
+//! returns within the wake-up's connect timeout plus its grace period,
+//! reporting `clean_shutdown = false` instead of hanging — the F11
+//! harness asserts on exactly this.
 
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
@@ -105,11 +110,25 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The run counters, with the thread accounting left empty.
+    fn counters(&self) -> ServerReport {
+        ServerReport {
+            accepted: self.accepted.load(Ordering::Relaxed),
+            served: self.served.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            timed_out: self.timed_out.load(Ordering::Relaxed),
+            panicked: self.panicked.load(Ordering::Relaxed),
+            io_errors: self.io_errors.load(Ordering::Relaxed),
+            ..ServerReport::default()
+        }
+    }
+
     pub(crate) fn queue_len(&self) -> usize {
         lock(&self.queue).len()
     }
 
-    /// Wakes all workers (used by the governor after raising the cap).
+    /// Wakes all workers (used by the governor after raising the cap,
+    /// and by shutdown).
     pub(crate) fn poke(&self) {
         let _q = lock(&self.queue);
         self.job_ready.notify_all();
@@ -166,7 +185,6 @@ impl Server {
     /// Returns any socket-bind error.
     pub fn spawn(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let initial_cap = match cfg.policy {
@@ -226,42 +244,44 @@ impl ServerHandle {
         Arc::clone(&self.shared)
     }
 
-    /// Snapshot of the run counters (shutdown fills in the thread
+    /// Live snapshot of the run counters (shutdown fills in the thread
     /// accounting).
     #[must_use]
     pub fn report(&self) -> ServerReport {
-        let s = &self.shared;
         ServerReport {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            served: s.served.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            timed_out: s.timed_out.load(Ordering::Relaxed),
-            panicked: s.panicked.load(Ordering::Relaxed),
-            io_errors: s.io_errors.load(Ordering::Relaxed),
             threads_spawned: self.threads.len(),
-            threads_joined: 0,
-            clean_shutdown: false,
+            ..self.shared.counters()
         }
     }
 
     /// Stops the server and joins every thread, with a hard deadline:
     /// if any thread fails to exit within `grace`, the report comes
-    /// back with `clean_shutdown = false` instead of hanging.
+    /// back with `clean_shutdown = false` instead of hanging. The
+    /// counters are read after the joins, so they include the requests
+    /// the workers drain from the queue on their way out.
     #[must_use]
     pub fn shutdown(self, grace: Duration) -> ServerReport {
-        let mut report = self.report();
-        self.shared.running.store(false, Ordering::SeqCst);
-        self.job_wakeall();
+        let Self {
+            addr,
+            shared,
+            threads,
+        } = self;
+        shared.running.store(false, Ordering::SeqCst);
+        shared.poke();
+        // The listener is blocked in `accept`: one connection wakes it
+        // to see `running` cleared. Should this connect fail, the
+        // listener stays blocked and the bounded join reports it.
+        let _ = TcpStream::connect_timeout(&addr, IO_TIMEOUT);
 
         // Joining can block forever if a thread leaked; do the joins
         // on a reaper thread and bound the wait with a channel.
-        let spawned = self.threads.len();
+        let spawned = threads.len();
         let (tx, rx) = mpsc::channel();
         let reaper = std::thread::Builder::new()
             .name("live-reaper".into())
             .spawn(move || {
                 let mut joined = 0usize;
-                for t in self.threads {
+                for t in threads {
                     if t.join().is_ok() {
                         joined += 1;
                     }
@@ -278,19 +298,18 @@ impl ServerHandle {
             },
             Err(_) => 0,
         };
-        report.threads_spawned = spawned;
-        report.threads_joined = joined;
-        report.clean_shutdown = joined == spawned;
-        report
-    }
-
-    fn job_wakeall(&self) {
-        let _q = lock(&self.shared.queue);
-        self.shared.job_ready.notify_all();
+        ServerReport {
+            threads_spawned: spawned,
+            threads_joined: joined,
+            clean_shutdown: joined == spawned,
+            ..shared.counters()
+        }
     }
 }
 
-const ACCEPT_IDLE: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept` (EMFILE, ECONNABORTED) before the
+/// next one, so an error that persists cannot spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 const IO_TIMEOUT: Duration = Duration::from_millis(200);
 const WAIT_SLICE: Duration = Duration::from_millis(25);
 /// Longest handler time (`ms + stall`) a request may ask for, in ms.
@@ -301,15 +320,18 @@ const WAIT_SLICE: Duration = Duration::from_millis(25);
 const MAX_WORK_MS: u64 = 1_000;
 
 fn listen_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while shared.running.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Shutdown clears `running` before its wake-up connect, so
+        // whatever woke this accept after that is dropped uncounted.
+        if !shared.running.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => admit(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_IDLE);
-            }
             Err(_) => {
                 shared.io_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(ACCEPT_IDLE);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }
@@ -645,6 +667,59 @@ mod tests {
         assert_eq!(report.threads_joined, report.threads_spawned);
         assert_eq!(report.served, 1);
         assert!(report.io_errors >= 1, "{report:?}");
+    }
+
+    #[test]
+    fn shutdown_counts_requests_served_while_draining() {
+        let handle = Server::spawn(&ServerConfig {
+            max_workers: 1,
+            deadline_ms: 5_000,
+            policy: LimitPolicy::Fixed,
+            ..ServerConfig::default()
+        })
+        .expect("spawn");
+        let addr = handle.addr;
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let started = Instant::now();
+            while !done() {
+                assert!(started.elapsed() < Duration::from_secs(5), "{what}");
+                std::thread::yield_now();
+            }
+        };
+        // One request in service, one queued behind it, both still in
+        // flight when shutdown starts.
+        let slow = std::thread::spawn(move || get(addr, "/work?ms=300"));
+        wait_for("slow request never served", &|| {
+            handle.shared.active.load(Ordering::SeqCst) == 1
+        });
+        let quick = std::thread::spawn(move || get(addr, "/work?ms=1"));
+        wait_for("quick request never queued", &|| {
+            handle.shared.queue_len() == 1
+        });
+        let report = handle.shutdown(Duration::from_secs(5));
+        for client in [slow, quick] {
+            let resp = client.join().expect("client thread");
+            assert!(resp.starts_with("HTTP/1.0 200"), "{resp}");
+        }
+        assert!(report.clean_shutdown, "{report:?}");
+        assert_eq!(report.accepted, 2, "{report:?}");
+        assert_eq!(report.served, 2, "{report:?}");
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_listener_uncounted() {
+        for _ in 0..200 {
+            let handle = Server::spawn(&ServerConfig::default()).expect("spawn");
+            let report = handle.shutdown(Duration::from_secs(5));
+            assert!(report.clean_shutdown, "{report:?}");
+            assert_eq!(report.threads_joined, report.threads_spawned);
+            // The wake-up connection never reached admission.
+            assert_eq!(
+                (report.accepted, report.shed, report.io_errors),
+                (0, 0, 0),
+                "{report:?}"
+            );
+        }
     }
 
     #[test]
