@@ -29,6 +29,12 @@ for workload in city audit des live; do
     echo "==> sas-benchmark --workload $workload --seed 1 --seconds 1 --trace 0"
     "$benchmark" --workload "$workload" --seed 1 --seconds 1 --trace 0
 done
+# The traced path, which every per-layer metric comes from: the span
+# and replicate sinks, under the same output checks.
+for workload in city audit; do
+    echo "==> sas-benchmark --workload $workload --seed 1 --seconds 1 --trace 1"
+    "$benchmark" --workload "$workload" --seed 1 --seconds 1 --trace 1
+done
 
 # The bench crate drives every substrate through the parallel
 # replication engine; its parity and panic-isolation guarantees must

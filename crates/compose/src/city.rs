@@ -317,6 +317,9 @@ pub fn run_city_with_clock<K: ClockSource>(
 
     let faults = cfg.campaign.faults().clone();
     let channel = cfg.campaign.channel().clone();
+    // Packets leaving a link this tick, `(from, to, packet)`; reused
+    // every tick.
+    let mut arrivals: Vec<(usize, usize, Pkt)> = Vec::new();
 
     loop {
         let now = clock.now();
@@ -557,6 +560,10 @@ pub fn run_city_with_clock<K: ClockSource>(
                     }
                     continue;
                 }
+                // Room for a shortest route across the grid, so a
+                // packet that takes one never regrows its log.
+                let mut hop_log = Vec::with_capacity(cfg.rows + cfg.cols - 1);
+                hop_log.push((src, now));
                 queues[src][k].push_back(Pkt {
                     dst,
                     zone,
@@ -566,13 +573,12 @@ pub fn run_city_with_clock<K: ClockSource>(
                     smart,
                     prev: None,
                     ttl: TTL,
-                    hop_log: vec![(src, now)],
+                    hop_log,
                 });
             }
         }
 
         // --- CPN: move packets, deliver at gateways. ---------------
-        let mut arrivals: Vec<(usize, usize, Pkt)> = Vec::new();
         for (u, links) in queues.iter_mut().enumerate() {
             for (k, q) in links.iter_mut().enumerate() {
                 let v = graph.neighbours(u)[k];
@@ -587,7 +593,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 }
             }
         }
-        for (u, v, mut pkt) in arrivals {
+        for (u, v, mut pkt) in arrivals.drain(..) {
             let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
             let hop_delay = (now.value().saturating_sub(entered.value())).max(1) as f64;
             if !frozen {
@@ -917,7 +923,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         let supervise_span = obs::span("city:decide");
         let tick_transit =
             (tick_transit_n > 0).then(|| tick_transit_sum / f64::from(tick_transit_n));
-        routing.supervise(now, tick_transit, &home_routes, &mut log);
+        routing.supervise(&graph, now, tick_transit, &home_routes, &mut log);
         drop(supervise_span);
 
         clock.wait_until(now + Tick(1));

@@ -213,6 +213,16 @@ impl Graph {
     /// `dst` (`None` for `dst` itself and unreachable nodes).
     #[must_use]
     pub fn bfs_next_hops(&self, dst: usize) -> Vec<Option<usize>> {
+        self.bfs_next_hops_over(dst, |u, v| !self.link_down(u, v))
+    }
+
+    /// [`Graph::bfs_next_hops`] over the links `up(u, v)` reports up
+    /// (for neighbours `u`, `v`) instead of the graph's current ones.
+    pub(crate) fn bfs_next_hops_over<U: Fn(usize, usize) -> bool>(
+        &self,
+        dst: usize,
+        up: U,
+    ) -> Vec<Option<usize>> {
         let n = self.adj.len();
         let mut next = vec![None; n];
         let mut dist = vec![usize::MAX; n];
@@ -221,7 +231,7 @@ impl Graph {
         queue.push_back(dst);
         while let Some(u) = queue.pop_front() {
             for &v in &self.adj[u] {
-                if !self.edge_up(u, v) {
+                if !up(u, v) {
                     continue;
                 }
                 if dist[v] == usize::MAX {
@@ -245,6 +255,21 @@ impl Graph {
         dst: usize,
         weight: W,
     ) -> Vec<Option<usize>> {
+        self.weighted_next_hops_over(dst, |u, v| !self.link_down(u, v), weight)
+    }
+
+    /// [`Graph::weighted_next_hops`] over the links `up(u, v)` reports
+    /// up (for neighbours `u`, `v`) instead of the graph's current ones.
+    pub(crate) fn weighted_next_hops_over<U, W>(
+        &self,
+        dst: usize,
+        up: U,
+        weight: W,
+    ) -> Vec<Option<usize>>
+    where
+        U: Fn(usize, usize) -> bool,
+        W: Fn(usize, usize) -> f64,
+    {
         let n = self.adj.len();
         let mut next = vec![None; n];
         let mut dist = vec![f64::INFINITY; n];
@@ -262,7 +287,7 @@ impl Graph {
             let Some(u) = u else { break };
             visited[u] = true;
             for &v in &self.adj[u] {
-                if !self.edge_up(u, v) {
+                if !up(u, v) {
                     continue;
                 }
                 let w = weight(v, u); // cost of traversing v → u

@@ -13,9 +13,10 @@ use crate::graph::Graph;
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{Evidence, SupervisionStats, Supervisor};
+use selfaware::supervision::{Evidence, SupervisionStats, Supervisor, Verdict};
 use simkernel::rng::Rng;
 use simkernel::Tick;
+use std::ops::Range;
 
 /// Routing strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,11 +85,11 @@ impl RoutingStrategy {
     /// Instantiates the runtime router for `graph`.
     #[must_use]
     pub fn build(&self, graph: &Graph) -> Router {
-        let n = graph.len();
+        let live = |u: usize, v: usize| !graph.link_down(u, v);
         match *self {
             RoutingStrategy::StaticShortest => Router {
                 kind: RouterKind::Table {
-                    next: all_bfs_tables(graph),
+                    next: bfs_tables(graph, live),
                     period: None,
                 },
             },
@@ -96,7 +97,7 @@ impl RoutingStrategy {
                 assert!(period > 0, "period must be positive");
                 Router {
                     kind: RouterKind::Table {
-                        next: all_bfs_tables(graph),
+                        next: bfs_tables(graph, live),
                         period: Some(period),
                     },
                 }
@@ -116,27 +117,24 @@ impl RoutingStrategy {
                 assert!((0.0..=1.0).contains(&epsilon), "epsilon must be in [0,1]");
                 // Optimistic init from hop counts so cold-start routes
                 // are sensible.
-                let mut q = vec![vec![Vec::new(); n]; n];
-                #[allow(clippy::needless_range_loop)] // q is indexed by two loop variables at once
+                let start = slot_starts(graph);
+                let n = graph.len();
+                let mut cells = Vec::with_capacity(n * start[n]);
                 for dst in 0..n {
                     let hops = hop_distances(graph, dst);
                     for u in 0..n {
-                        q[u][dst] = graph
-                            .neighbours(u)
-                            .iter()
-                            .map(|&v| {
-                                if hops[v] == usize::MAX {
-                                    1e6
-                                } else {
-                                    (hops[v] + 1) as f64
-                                }
-                            })
-                            .collect();
+                        cells.extend(graph.neighbours(u).iter().map(|&v| {
+                            if hops[v] == usize::MAX {
+                                1e6
+                            } else {
+                                (hops[v] + 1) as f64
+                            }
+                        }));
                     }
                 }
                 Router {
                     kind: RouterKind::Cpn {
-                        q,
+                        q: QTable { cells, start },
                         smart_ratio,
                         epsilon,
                         penalty: vec![0.0; n],
@@ -147,11 +145,39 @@ impl RoutingStrategy {
     }
 }
 
-fn all_bfs_tables(graph: &Graph) -> Vec<Vec<Option<usize>>> {
-    // next[dst][node] = next hop from node toward dst.
+/// Hop-count next-hop tables, `next[dst][node]`, over the links `up`
+/// reports up.
+fn bfs_tables<U: Fn(usize, usize) -> bool>(graph: &Graph, up: U) -> Vec<Vec<Option<usize>>> {
     (0..graph.len())
-        .map(|dst| graph.bfs_next_hops(dst))
+        .map(|dst| graph.bfs_next_hops_over(dst, &up))
         .collect()
+}
+
+/// Queue-aware next-hop tables, `next[dst][node]`, over the links `up`
+/// reports up: a hop costs 1 plus a quarter of the queue
+/// (`queue_len(u, v)`) it waits in. Periodic and fallback tables are
+/// both built here.
+fn weighted_tables<U, Q>(graph: &Graph, up: U, queue_len: Q) -> Vec<Vec<Option<usize>>>
+where
+    U: Fn(usize, usize) -> bool,
+    Q: Fn(usize, usize) -> usize,
+{
+    (0..graph.len())
+        .map(|dst| {
+            graph.weighted_next_hops_over(dst, &up, |u, v| 1.0 + queue_len(u, v) as f64 / 4.0)
+        })
+        .collect()
+}
+
+/// Node `u`'s adjacency slots are `start[u]..start[u + 1]`, in
+/// [`Graph::neighbours`] order; `start[n]` counts every slot.
+fn slot_starts(graph: &Graph) -> Vec<usize> {
+    let mut start = Vec::with_capacity(graph.len() + 1);
+    start.push(0);
+    for u in 0..graph.len() {
+        start.push(start[u] + graph.neighbours(u).len());
+    }
+    start
 }
 
 fn hop_distances(graph: &Graph, dst: usize) -> Vec<usize> {
@@ -173,6 +199,37 @@ fn hop_distances(graph: &Graph, dst: usize) -> Vec<usize> {
     dist
 }
 
+/// CPN delay estimates in one slab: the cell of `(u, dst, k)` is the
+/// estimated remaining delay from `u` to `dst` via `u`'s k-th
+/// neighbour. The rows of one destination are contiguous, in node
+/// order, so `(u, dst)`'s row starts at `dst * slots + start[u]`.
+#[derive(Clone)]
+struct QTable {
+    cells: Vec<f64>,
+    /// [`slot_starts`] of the graph the table was built for.
+    start: Vec<usize>,
+}
+
+impl QTable {
+    fn nodes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn range(&self, u: usize, dst: usize) -> Range<usize> {
+        let base = dst * self.start[self.nodes()];
+        base + self.start[u]..base + self.start[u + 1]
+    }
+
+    fn row(&self, u: usize, dst: usize) -> &[f64] {
+        &self.cells[self.range(u, dst)]
+    }
+
+    fn row_mut(&mut self, u: usize, dst: usize) -> &mut [f64] {
+        let range = self.range(u, dst);
+        &mut self.cells[range]
+    }
+}
+
 #[derive(Clone)]
 enum RouterKind {
     Table {
@@ -180,9 +237,7 @@ enum RouterKind {
         period: Option<u64>,
     },
     Cpn {
-        /// `q[u][dst][k]` — estimated remaining delay from `u` to
-        /// `dst` via the k-th neighbour of `u`.
-        q: Vec<Vec<Vec<f64>>>,
+        q: QTable,
         smart_ratio: f64,
         epsilon: f64,
         /// Transient per-router congestion penalty from the latest
@@ -194,11 +249,11 @@ enum RouterKind {
 
 /// A runtime router.
 ///
-/// `Clone` is a deep copy: the CPN state is one heap `Vec` of delay
-/// estimates per (node, destination) pair — about 600 allocations on
-/// the 4×6 grid. A supervisor therefore owns the live router (see
-/// [`Routing`]) and copies it only on the first write after a
-/// checkpoint or restore.
+/// `Clone` is a deep copy. The CPN delay estimates are one `f64` slab
+/// indexed through per-node offsets, so a copy is a few allocations
+/// and one memcpy whatever the graph's size. A supervisor owns the
+/// live router (see [`Routing`]) and copies it only on the first write
+/// after a checkpoint or restore.
 #[derive(Clone)]
 pub struct Router {
     kind: RouterKind,
@@ -232,11 +287,7 @@ impl Router {
         } = &mut self.kind
         {
             if now.value() > 0 && now.value().is_multiple_of(*p) {
-                *next = (0..graph.len())
-                    .map(|dst| {
-                        graph.weighted_next_hops(dst, |u, v| 1.0 + queue_len(u, v) as f64 / 4.0)
-                    })
-                    .collect();
+                *next = weighted_tables(graph, |u, v| !graph.link_down(u, v), queue_len);
             }
         }
     }
@@ -290,7 +341,7 @@ impl Router {
                 if up == 0 {
                     return None;
                 }
-                let row = &q[at][dst];
+                let row = q.row(at, dst);
                 if smart && rng.gen::<f64>() < *epsilon {
                     let pick = rng.gen_range(0..up);
                     return neighbours
@@ -336,7 +387,7 @@ impl Router {
         let downstream = if v == dst {
             0.0
         } else {
-            q[v][dst]
+            q.row(v, dst)
                 .iter()
                 .copied()
                 .fold(f64::INFINITY, f64::min)
@@ -344,7 +395,7 @@ impl Router {
         };
         if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
             let target = hop_delay.max(1.0) + downstream;
-            let cell = &mut q[u][dst][k];
+            let cell = &mut q.row_mut(u, dst)[k];
             *cell += ALPHA * (target - *cell);
         }
     }
@@ -365,7 +416,7 @@ impl Router {
             let (v, _) = w[1];
             let remaining = arrived.value().saturating_sub(entered_u.value()).max(1) as f64;
             if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-                let cell = &mut q[u][dst][k];
+                let cell = &mut q.row_mut(u, dst)[k];
                 *cell += ALPHA * (remaining - *cell);
             }
         }
@@ -379,7 +430,7 @@ impl Router {
         };
         const ALPHA: f64 = 0.3;
         if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-            let cell = &mut q[u][dst][k];
+            let cell = &mut q.row_mut(u, dst)[k];
             *cell += ALPHA * (DROP_PENALTY - *cell);
         }
     }
@@ -393,7 +444,7 @@ impl Router {
                 .neighbours(u)
                 .iter()
                 .position(|&x| x == v)
-                .map(|k| q[u][dst][k]),
+                .map(|k| q.row(u, dst)[k]),
             RouterKind::Table { .. } => None,
         }
     }
@@ -409,7 +460,7 @@ impl Router {
         let RouterKind::Cpn { q, .. } = &self.kind else {
             return None;
         };
-        let row = &q[src][dst];
+        let row = q.row(src, dst);
         if row.is_empty() {
             return None;
         }
@@ -427,11 +478,7 @@ impl Router {
     /// `NanPoison` model-corruption fault). No-op for table routers.
     pub fn poison_model(&mut self) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
-            for per_dst in q {
-                for row in per_dst {
-                    row.fill(f64::NAN);
-                }
-            }
+            q.cells.fill(f64::NAN);
         }
     }
 
@@ -442,9 +489,9 @@ impl Router {
     /// estimates away from measured delays. No-op for table routers.
     pub fn scramble_model(&mut self, gain: f64) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
-            for per_dst in q {
-                for row in per_dst {
-                    for (k, cell) in row.iter_mut().enumerate() {
+            for dst in 0..q.nodes() {
+                for u in 0..q.nodes() {
+                    for (k, cell) in q.row_mut(u, dst).iter_mut().enumerate() {
                         *cell = *cell * gain + (k as f64 + 1.0) * gain;
                     }
                 }
@@ -464,6 +511,10 @@ impl std::fmt::Debug for Router {
     }
 }
 
+/// Period of the fallback table: while the model is benched, routes
+/// follow the link costs of the latest multiple of this many ticks.
+const FALLBACK_PERIOD: u64 = 25;
+
 /// The router a simulation trains and routes with, alone or under
 /// meta-self-awareness.
 ///
@@ -471,8 +522,11 @@ impl std::fmt::Debug for Router {
 /// inside its [`Supervisor`]: the simulation trains it in place through
 /// [`Routing::model_mut`], so a checkpoint is an `Arc` pointer bump and
 /// the only deep copy is the first write after a checkpoint or
-/// restore. While the supervisor benches the model, a periodically
-/// recomputed table routes instead ([`Routing::in_control`]).
+/// restore. While the supervisor benches the model, a 25-tick periodic
+/// table routes instead ([`Routing::in_control`]). That table is built
+/// only when it is needed, from the link costs recorded at the latest
+/// period boundary, so a run whose supervisor never benches the model
+/// never builds it.
 #[derive(Debug)]
 pub enum Routing {
     /// An unsupervised router.
@@ -482,21 +536,100 @@ pub enum Routing {
 }
 
 /// A learned router, the supervisor that owns it, and the table that
-/// routes while the supervisor benches it.
+/// routes while the supervisor benches it. The table is built only
+/// then, from the link costs of the latest 25-tick boundary; a copy of
+/// the router is one memcpy of its delay slab.
 #[derive(Debug)]
 pub struct SupervisedRouter {
     sup: Supervisor<Router>,
+    /// The fallback table's input, as of the latest period boundary.
+    record: LinkRecord,
+    /// The fallback table. Built from `record` when the model is
+    /// benched and at each boundary while it stays benched; empty until
+    /// the first bench.
     baseline: Router,
     /// EWMA of realized delivery delay: the supervisor's ground truth
     /// for the model's delay estimates.
     realized: Option<f64>,
 }
 
+impl SupervisedRouter {
+    /// Builds the fallback table from the latest record.
+    fn build_baseline(&mut self, graph: &Graph) {
+        self.baseline.kind = RouterKind::Table {
+            next: self.record.table(graph),
+            period: Some(FALLBACK_PERIOD),
+        };
+    }
+}
+
+/// The link costs a fallback table is built from, recorded at every
+/// period boundary into one reused buffer. It reproduces the table a
+/// [`RoutingStrategy::Periodic`] router maintained every tick would
+/// hold.
+#[derive(Debug)]
+struct LinkRecord {
+    /// Whether a boundary has been recorded. Until then the table is
+    /// the hop-count one over the links up at construction.
+    weighted: bool,
+    /// [`slot_starts`] of the graph.
+    start: Vec<usize>,
+    /// Per adjacency slot: the queue feeding the link, or `None` while
+    /// the link is down.
+    links: Vec<Option<usize>>,
+}
+
+impl LinkRecord {
+    /// Records `graph`'s links as they are at construction.
+    fn new(graph: &Graph) -> Self {
+        let mut record = Self {
+            weighted: false,
+            start: slot_starts(graph),
+            links: Vec::new(),
+        };
+        record.fill(graph, |_, _| 0);
+        record
+    }
+
+    /// Records a boundary: which links are up and the queue
+    /// (`queue_len(u, v)`) feeding each.
+    fn record<Q: Fn(usize, usize) -> usize>(&mut self, graph: &Graph, queue_len: Q) {
+        self.weighted = true;
+        self.fill(graph, queue_len);
+    }
+
+    fn fill<Q: Fn(usize, usize) -> usize>(&mut self, graph: &Graph, queue_len: Q) {
+        self.links.clear();
+        for u in 0..graph.len() {
+            for &v in graph.neighbours(u) {
+                self.links
+                    .push((!graph.link_down(u, v)).then(|| queue_len(u, v)));
+            }
+        }
+    }
+
+    /// The recorded state of the link from `u` to its neighbour `v`.
+    fn link(&self, graph: &Graph, u: usize, v: usize) -> Option<usize> {
+        let k = graph.neighbours(u).iter().position(|&x| x == v)?;
+        self.links[self.start[u] + k]
+    }
+
+    /// The next-hop tables of the record.
+    fn table(&self, graph: &Graph) -> Vec<Vec<Option<usize>>> {
+        let up = |u, v| self.link(graph, u, v).is_some();
+        if self.weighted {
+            weighted_tables(graph, up, |u, v| self.link(graph, u, v).unwrap_or(0))
+        } else {
+            bfs_tables(graph, up)
+        }
+    }
+}
+
 impl Routing {
     /// Builds `strategy`'s router on `graph`. A
     /// [`RoutingStrategy::SupervisedCpn`] router goes under a supervisor
     /// named `name` with counterfactual intervention `mask`, and gets a
-    /// 25-tick periodic table as its fallback.
+    /// 25-tick periodic table as its fallback (built only when needed).
     #[must_use]
     pub fn new(
         strategy: RoutingStrategy,
@@ -508,7 +641,13 @@ impl Routing {
         if matches!(strategy, RoutingStrategy::SupervisedCpn { .. }) {
             Routing::Supervised(Box::new(SupervisedRouter {
                 sup: Supervisor::new(name, router).with_mask(mask),
-                baseline: RoutingStrategy::Periodic { period: 25 }.build(graph),
+                record: LinkRecord::new(graph),
+                baseline: Router {
+                    kind: RouterKind::Table {
+                        next: Vec::new(),
+                        period: Some(FALLBACK_PERIOD),
+                    },
+                },
                 realized: None,
             }))
         } else {
@@ -546,8 +685,10 @@ impl Routing {
         }
     }
 
-    /// Per-tick maintenance of the fallback table (a no-op
-    /// unsupervised), so it is current whenever it takes over.
+    /// Per-tick upkeep of the fallback table (a no-op unsupervised). At
+    /// each period boundary it records which links are up and the queue
+    /// (`queue_len(u, v)`) feeding each; while the model is benched it
+    /// also rebuilds the table from that record.
     pub fn maintain_baseline<Q: Fn(usize, usize) -> usize>(
         &mut self,
         graph: &Graph,
@@ -555,7 +696,12 @@ impl Routing {
         queue_len: Q,
     ) {
         if let Routing::Supervised(s) = self {
-            s.baseline.maintain(graph, now, queue_len);
+            if now.value() > 0 && now.value().is_multiple_of(FALLBACK_PERIOD) {
+                s.record.record(graph, queue_len);
+                if s.sup.is_fallback() {
+                    s.build_baseline(graph);
+                }
+            }
         }
     }
 
@@ -564,9 +710,12 @@ impl Routing {
     /// tick's mean realized delivery delay if anything was delivered,
     /// into the realized-delay EWMA, scores the model's mean best-case
     /// estimate over `routes` (`(src, dst)` pairs) against it, and lets
-    /// the supervisor checkpoint, roll back or bench the model.
+    /// the supervisor checkpoint, roll back or bench the model. A bench
+    /// builds the fallback table on `graph` from the latest boundary's
+    /// record.
     pub fn supervise(
         &mut self,
+        graph: &Graph,
         now: Tick,
         tick_delay: Option<f64>,
         routes: &[(usize, usize)],
@@ -596,11 +745,14 @@ impl Routing {
             realized
         };
         let error = (estimate - realized).abs();
-        s.sup.observe(
+        let verdict = s.sup.observe(
             now,
             Evidence::scored(estimate, error).with_input(realized),
             log,
         );
+        if matches!(verdict, Verdict::FellBack(_)) {
+            s.build_baseline(graph);
+        }
     }
 
     /// Lifetime supervision counters (all zero unsupervised).
@@ -777,14 +929,14 @@ mod tests {
         let mask = InterventionMask::allow_all();
         let mut log = ExplanationLog::new(16);
         let mut plain = Routing::new(RoutingStrategy::cpn_default(), &g, "plain", mask);
-        plain.supervise(Tick(0), Some(4.0), &[(0, 8)], &mut log);
+        plain.supervise(&g, Tick(0), Some(4.0), &[(0, 8)], &mut log);
         assert!(matches!(plain, Routing::Plain(_)));
         assert_eq!(plain.stats(), SupervisionStats::default());
 
         let mut routing = Routing::new(RoutingStrategy::supervised_cpn_default(), &g, "r", mask);
         // A NaN estimate before any checkpoint benches the model at once.
         routing.model_mut().poison_model();
-        routing.supervise(Tick(0), Some(4.0), &[(0, 8)], &mut log);
+        routing.supervise(&g, Tick(0), Some(4.0), &[(0, 8)], &mut log);
         assert_eq!(routing.stats().fallbacks, 1);
         let (mut drawn, mut fresh) = (rng(), rng());
         assert!(!routing.in_control().is_smart(&mut drawn));
@@ -803,6 +955,39 @@ mod tests {
             .in_control()
             .next_hop(&g, 0, 8, None, false, &mut drawn)
             .is_some());
+    }
+
+    #[test]
+    fn fallback_table_is_built_only_while_benched() {
+        let g = Graph::grid(3, 3);
+        let mut log = ExplanationLog::new(16);
+        let mut routing = Routing::new(
+            RoutingStrategy::supervised_cpn_default(),
+            &g,
+            "r",
+            InterventionMask::allow_all(),
+        );
+        let table_len = |routing: &Routing| match routing {
+            Routing::Supervised(s) => match &s.baseline.kind {
+                RouterKind::Table { next, .. } => next.len(),
+                RouterKind::Cpn { .. } => unreachable!("the fallback is a table"),
+            },
+            Routing::Plain(_) => unreachable!("supervised"),
+        };
+        for t in 0..100 {
+            routing.maintain_baseline(&g, Tick(t), |_, _| 0);
+            routing.supervise(&g, Tick(t), Some(4.0), &[(0, 8)], &mut log);
+        }
+        assert_eq!(routing.stats().fallbacks, 0);
+        assert_eq!(table_len(&routing), 0, "a healthy model never pays for it");
+        // A rollback cures the first poisoning; the relapse benches.
+        for t in [100, 101] {
+            routing.model_mut().poison_model();
+            routing.supervise(&g, Tick(t), Some(4.0), &[(0, 8)], &mut log);
+        }
+        assert_eq!(routing.stats().rollbacks, 1);
+        assert_eq!(routing.stats().fallbacks, 1);
+        assert_eq!(table_len(&routing), g.len(), "built at the bench");
     }
 
     #[test]

@@ -597,7 +597,13 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         // supervisor checkpoint / roll back / bench the live router.
         let _decide_span = obs::span("cpn:decide");
         let tick_delay = (tick_delay_count > 0).then(|| tick_delay_sum / tick_delay_count as f64);
-        routing.supervise(now, tick_delay, &background_routes, &mut supervision_log);
+        routing.supervise(
+            &graph,
+            now,
+            tick_delay,
+            &background_routes,
+            &mut supervision_log,
+        );
     }
 
     let mut metrics = MetricSet::new();

@@ -2,9 +2,43 @@
 //! invariants.
 
 use cpn::graph::Graph;
-use cpn::routing::RoutingStrategy;
+use cpn::routing::{Router, Routing, RoutingStrategy};
 use proptest::prelude::*;
-use simkernel::SeedTree;
+use rand::Rng as _;
+use selfaware::explain::ExplanationLog;
+use selfaware::replay::InterventionMask;
+use simkernel::{SeedTree, Tick};
+use std::collections::VecDeque;
+
+/// Ticks a fallback-table case runs: ten 25-tick periods.
+const FALLBACK_TICKS: u64 = 250;
+
+/// Asserts that the router in control picks `reference`'s next hop for
+/// every (node, destination) pair.
+fn assert_routes_like(g: &Graph, routing: &Routing, reference: &Router, t: u64) {
+    // Table routers ignore `prev` and `smart` and draw nothing.
+    let mut rng = SeedTree::new(0).rng("unused");
+    for at in 0..g.len() {
+        for dst in 0..g.len() {
+            prop_assert_eq!(
+                routing
+                    .in_control()
+                    .next_hop(g, at, dst, None, false, &mut rng),
+                reference.next_hop(g, at, dst, None, false, &mut rng),
+                "tick {}: from {} to {}",
+                t,
+                at,
+                dst
+            );
+        }
+    }
+}
+
+/// Whether the supervisor has the model benched.
+fn benched(routing: &Routing) -> bool {
+    let s = routing.stats();
+    s.fallbacks > s.repromotions
+}
 
 proptest! {
     #[test]
@@ -85,6 +119,115 @@ proptest! {
         let hop = router.next_hop(&g, at, dst, None, smart, &mut rng);
         let v = hop.expect("connected graph must route");
         prop_assert!(g.are_adjacent(at, v));
+    }
+
+    // A supervised router builds its fallback table only when the
+    // supervisor benches the model, from the link costs recorded at
+    // the latest 25-tick boundary. Whenever that table routes, it must
+    // route as a `Periodic { period: 25 }` router maintained every
+    // tick does: queues refilled and links cut or restored between the
+    // boundary and the take-over must not leak into it.
+    //
+    // Poisoning the model benches it (after a rollback when a
+    // checkpoint exists); once healed, it wins re-promotion when its
+    // backoff (20 ticks at first) runs out. Benches come before the
+    // first boundary (`early`), twice
+    // within one period (`pair_period`, the second as soon as the
+    // first is re-promoted), and at random offsets later on.
+    #[test]
+    fn on_demand_fallback_table_routes_like_a_maintained_periodic_one(
+        seed in any::<u64>(),
+        early in 1u64..25,
+        hold in 0u64..30,
+        pair_period in 4u64..6,
+        pair_offset in 0u64..3,
+        later in proptest::collection::vec(0u64..25, 0..4),
+    ) {
+        let mut g = Graph::grid(4, 6);
+        let n = g.len();
+        let mut routing = Routing::new(
+            RoutingStrategy::supervised_cpn_default(),
+            &g,
+            "r",
+            InterventionMask::allow_all(),
+        );
+        let mut reference = RoutingStrategy::Periodic { period: 25 }.build(&g);
+        let healthy = routing.model().clone();
+        let routes = [(0, n - 1), (5, n - 6)];
+        let mut log = ExplanationLog::new(64);
+        let mut rng = SeedTree::new(seed).rng("world");
+        let mut queues: Vec<Vec<usize>> =
+            (0..n).map(|u| vec![0; g.neighbours(u).len()]).collect();
+        let mut cut: Vec<(usize, usize)> = Vec::new();
+        let pair_tick = pair_period * 25 + pair_offset;
+        let mut requests: VecDeque<u64> = [early, pair_tick].into_iter().collect();
+        requests.extend(later.iter().zip(6u64..).map(|(&off, p)| p * 25 + off));
+        let (mut poison, mut pair_started, mut pair_second) = (false, false, false);
+        let mut benches: Vec<u64> = Vec::new();
+        let mut heal_at = None;
+        for t in 0..FALLBACK_TICKS {
+            let now = Tick(t);
+            let mut cut_one = |g: &mut Graph, rng: &mut simkernel::rng::Rng| {
+                let u = rng.gen_range(0..n);
+                let v = g.neighbours(u)[rng.gen_range(0..g.neighbours(u).len())];
+                if g.remove_edge(u, v) {
+                    cut.push((u, v));
+                }
+            };
+            // A due bench starts once the model is in control, with a
+            // link cut that lands after the boundary it will route on.
+            let due = requests.front().is_some_and(|&d| d <= t);
+            if !benched(&routing) && !poison && (due || pair_second) {
+                if pair_second {
+                    pair_second = false;
+                } else {
+                    pair_started = requests.pop_front() == Some(pair_tick);
+                }
+                poison = true;
+                cut_one(&mut g, &mut rng);
+            }
+            if rng.gen_bool(0.1) {
+                cut_one(&mut g, &mut rng);
+            }
+            if !cut.is_empty() && rng.gen_bool(0.1) {
+                let (u, v) = cut.swap_remove(rng.gen_range(0..cut.len()));
+                g.restore_edge(u, v);
+            }
+            for q in queues.iter_mut().flatten() {
+                *q = rng.gen_range(0..=60);
+            }
+            let qlen = |u: usize, v: usize| {
+                let k = g.neighbours(u).iter().position(|&x| x == v).expect("neighbour");
+                queues[u][k]
+            };
+            reference.maintain(&g, now, qlen);
+            routing.maintain_baseline(&g, now, qlen);
+            if benched(&routing) {
+                assert_routes_like(&g, &routing, &reference, t);
+            }
+            if poison {
+                routing.model_mut().poison_model();
+            } else if heal_at == Some(t) {
+                *routing.model_mut() = healthy.clone();
+            }
+            let was_benched = benched(&routing);
+            routing.supervise(&g, now, Some(4.0), &routes, &mut log);
+            if benched(&routing) {
+                if !was_benched {
+                    benches.push(t);
+                    poison = false;
+                    heal_at = Some(t + 1 + hold);
+                    pair_second = std::mem::take(&mut pair_started);
+                }
+                assert_routes_like(&g, &routing, &reference, t);
+            }
+        }
+        prop_assert!(benches.first().is_some_and(|&b| b < 25), "{:?}", benches);
+        prop_assert!(
+            benches.windows(2).any(|w| w[0] / 25 == w[1] / 25),
+            "no two benches in one period: {:?}",
+            benches
+        );
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! (work is time-shaped, not CPU-shaped, so a small box can host
 //! hundreds of in-flight requests) and `panic=1` makes the handler
 //! panic — caught per-request, answered `500`, worker survives. A
-//! request asking for more than `MAX_WORK_MS` of handler time is
-//! answered `400` without running. A request older than the governed
+//! request whose `ms` or `stall` is not a `u64`, or that asks for more
+//! than `MAX_WORK_MS` of handler time, is answered `400` without
+//! running; absent parameters take their defaults (`ms=1`, `stall=0`).
+//! A request older than the governed
 //! deadline when a worker picks it up is answered `503` immediately
 //! (fail fast beats serving dead work).
 //!
@@ -407,30 +409,32 @@ struct WorkSpec {
     panic: bool,
 }
 
-fn parse_request(line: &str) -> WorkSpec {
+/// Parses a request line. `None` when `ms` or `stall` is given but is
+/// not a `u64`; an absent parameter keeps its default.
+fn parse_request(line: &str) -> Option<WorkSpec> {
     let mut spec = WorkSpec {
         service_ms: 1,
         stall_ms: 0,
         panic: false,
     };
     let Some(q) = line.split_whitespace().nth(1) else {
-        return spec;
+        return Some(spec);
     };
     let Some((_, params)) = q.split_once('?') else {
-        return spec;
+        return Some(spec);
     };
     for kv in params.split('&') {
         let Some((k, v)) = kv.split_once('=') else {
             continue;
         };
         match k {
-            "ms" => spec.service_ms = v.parse().unwrap_or(1),
-            "stall" => spec.stall_ms = v.parse().unwrap_or(0),
+            "ms" => spec.service_ms = v.parse().ok()?,
+            "stall" => spec.stall_ms = v.parse().ok()?,
             "panic" => spec.panic = v == "1",
             _ => {}
         }
     }
-    spec
+    Some(spec)
 }
 
 fn serve(mut job: Job, shared: &Arc<Shared>) {
@@ -465,16 +469,15 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
         shared.io_errors.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    let spec = parse_request(&line);
-    // Both times come from the client, so their sum can overflow.
-    let Some(work_ms) = spec
-        .service_ms
-        .checked_add(spec.stall_ms)
-        .filter(|&ms| ms <= MAX_WORK_MS)
-    else {
+    // Both times come from the client: either may not parse, and
+    // their sum can overflow.
+    let Some((spec, work_ms)) = parse_request(&line).and_then(|spec| {
+        let ms = spec.service_ms.checked_add(spec.stall_ms)?;
+        (ms <= MAX_WORK_MS).then_some((spec, ms))
+    }) else {
         let _ = job
             .stream
-            .write_all(b"HTTP/1.0 400 Bad Request\r\nContent-Length: 8\r\n\r\ntoo long");
+            .write_all(b"HTTP/1.0 400 Bad Request\r\nContent-Length: 8\r\n\r\nbad work");
         return;
     };
 
@@ -618,6 +621,11 @@ mod tests {
         // `ms + stall` overflows u64.
         let resp = get(handle.addr, "/work?ms=18446744073709551615&stall=1");
         assert!(resp.starts_with("HTTP/1.0 400"), "{resp}");
+        // Work sizes that do not parse: one past u64::MAX, and no number.
+        for work in ["ms=18446744073709551616", "ms=abc", "ms=1&stall=x"] {
+            let resp = get(handle.addr, &format!("/work?{work}"));
+            assert!(resp.starts_with("HTTP/1.0 400"), "{work}: {resp}");
+        }
         // The single worker must still be alive to serve this.
         let resp = get(handle.addr, "/work?ms=1");
         assert!(resp.starts_with("HTTP/1.0 200"), "{resp}");
@@ -724,12 +732,14 @@ mod tests {
 
     #[test]
     fn parse_request_extracts_params() {
-        let s = parse_request("GET /work?ms=12&stall=5&panic=1 HTTP/1.0");
+        let s = parse_request("GET /work?ms=12&stall=5&panic=1 HTTP/1.0").expect("parses");
         assert_eq!(s.service_ms, 12);
         assert_eq!(s.stall_ms, 5);
         assert!(s.panic);
-        let s = parse_request("GET / HTTP/1.0");
-        assert_eq!(s.service_ms, 1);
+        let s = parse_request("GET / HTTP/1.0").expect("defaults");
+        assert_eq!((s.service_ms, s.stall_ms), (1, 0));
         assert!(!s.panic);
+        assert!(parse_request("GET /work?ms=-1 HTTP/1.0").is_none());
+        assert!(parse_request("GET /work?stall= HTTP/1.0").is_none());
     }
 }
