@@ -87,6 +87,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
+# API docs build clean: a broken or redundant intra-doc link (one the
+# compiler does not check, such as the replay closure contract's link
+# to the explanation ledger) fails the gate.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # No panic paths in shipped library code: every first-party lib carries
 # #![warn(clippy::unwrap_used, clippy::panic)], promoted to errors here
 # (tests are exempted via clippy.toml allow-*-in-tests).

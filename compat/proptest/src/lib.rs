@@ -1,10 +1,10 @@
 //! Offline property-testing harness.
 //!
 //! Implements the subset of the `proptest` API this workspace's test
-//! suites use: the [`proptest!`] macro, [`Strategy`] with `prop_map`,
-//! numeric-range / tuple / `Just` / regex-lite string strategies,
-//! [`collection::vec`], [`prop_oneof!`], and the `prop_assert*` /
-//! `prop_assume!` macros. Each property runs a fixed number of cases
+//! suites use: the [`proptest!`] macro,
+//! [`Strategy`](strategy::Strategy) with `prop_map`, numeric-range /
+//! tuple / `Just` / regex-lite string strategies, [`collection::vec`],
+//! [`prop_oneof!`], and the `prop_assert*` / `prop_assume!` macros. Each property runs a fixed number of cases
 //! from a deterministic per-test PRNG (seeded from the test name), so
 //! failures are reproducible run to run. Shrinking is not implemented;
 //! the failing case's inputs appear in the panic message instead.

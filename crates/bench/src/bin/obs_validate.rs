@@ -100,6 +100,7 @@ fn validate(path: &Path) -> Result<String, String> {
                         "factual",
                         "counterfactual",
                         "benefit",
+                        "fires",
                         "events",
                         "anchor_tick",
                         "anchor_action",

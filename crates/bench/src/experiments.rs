@@ -2562,8 +2562,8 @@ pub fn f10_city(
 }
 
 /// One replicate's full counterfactual probe: the factual run plus one
-/// single-flip masked re-execution per intervention class, under
-/// common random numbers.
+/// single-flip masked re-execution per intervention class that fired,
+/// under common random numbers.
 #[must_use]
 pub fn f10_probe(campaign: F10Campaign, seeds: &SeedTree, steps: u64) -> CounterfactualReport {
     let (metric, direction) = campaign.metric();

@@ -26,6 +26,21 @@ fn assert_bitwise_equal(a: &Aggregate, b: &Aggregate, what: &str) {
     }
 }
 
+/// The aggregate [`Replications::run`] would fold from these runs.
+fn aggregate(runs: &[compose::CityResult]) -> Aggregate {
+    let mut agg = Aggregate::default();
+    for r in runs {
+        agg.absorb(&r.metrics);
+    }
+    agg
+}
+
+/// A metric set as `(name, bits)` pairs, so NaNs compare equal to
+/// themselves.
+fn metric_bits(m: &simkernel::MetricSet) -> Vec<(String, u64)> {
+    m.iter().map(|(k, v)| (k.to_owned(), v.to_bits())).collect()
+}
+
 /// An arbitrary fail/recover pair on one camera of the 4×4 grid.
 fn camera_outage() -> impl Strategy<Value = [FaultEvent; 2]> {
     (0usize..16, 0u64..STEPS, 1u64..STEPS / 2).prop_map(|(cam, at, down)| {
@@ -370,8 +385,11 @@ proptest! {
         // (a) bit-identical between the sequential engine and the
         // parallel engine at 1 and 4 threads — masked branches consume
         // no RNG, so masking cannot perturb replicate seed streams —
-        // and (b) the factual (all-bits-off) mask must reproduce the
-        // unmasked original run bit-exactly.
+        // (b) the factual (all-bits-off) mask must reproduce the
+        // unmasked original run bit-exactly, and (c) the replay skip
+        // must be exact: a masked run's ledger never counts its
+        // suppressed class, and where the factual ledger shows the
+        // class never fired, the masked run equals the factual one.
         use selfaware::replay::{InterventionClass, InterventionMask};
         let plan = FaultPlan::new(
             zones
@@ -395,18 +413,36 @@ proptest! {
                 campaign = campaign.with_mask(m);
             }
             cfg.campaign = campaign;
-            compose::run_city(&cfg, &city_seeds).metrics
+            compose::run_city(&cfg, &city_seeds)
         };
 
-        let flipped = InterventionMask::suppressing(InterventionClass::ALL[class_idx]);
+        let class = InterventionClass::ALL[class_idx];
+        let flipped = InterventionMask::suppressing(class);
         let reps = Replications::new(0x9AB, REPS);
-        let masked = |seeds: SeedTree| run(seeds, Some(flipped));
-        let seq = reps.run(&masked);
+        let masked_runs = reps.collect(|seeds| run(seeds, Some(flipped)));
+        let seq = aggregate(&masked_runs);
+        let masked = |seeds: SeedTree| run(seeds, Some(flipped)).metrics;
         assert_bitwise_equal(&reps.run_par_threads(1, masked), &seq, "proptest/mask/par1");
         assert_bitwise_equal(&reps.run_par_threads(4, masked), &seq, "proptest/mask/par4");
 
-        let factual = reps.run(|seeds| run(seeds, Some(InterventionMask::allow_all())));
-        let original = reps.run(|seeds| run(seeds, None));
-        assert_bitwise_equal(&factual, &original, "proptest/mask/factual-identity");
+        let factual_runs = reps.collect(|seeds| run(seeds, Some(InterventionMask::allow_all())));
+        let original = reps.run(|seeds| run(seeds, None).metrics);
+        assert_bitwise_equal(&aggregate(&factual_runs), &original, "proptest/mask/factual-identity");
+
+        for (k, (factual, masked)) in factual_runs.iter().zip(&masked_runs).enumerate() {
+            let what = format!("proptest/mask/skip {} replicate {k}", class.label());
+            assert_eq!(masked.log.fires(class), 0, "{what}: suppressed class counted a fire");
+            if factual.log.fires(class) == 0 {
+                assert_eq!(
+                    metric_bits(&masked.metrics),
+                    metric_bits(&factual.metrics),
+                    "{what}: a never-fired class changed the metrics"
+                );
+                assert_eq!(
+                    masked.comms_stats, factual.comms_stats,
+                    "{what}: a never-fired class changed the comms counters"
+                );
+            }
+        }
     }
 }

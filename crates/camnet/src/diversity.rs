@@ -3,9 +3,9 @@
 //! Lewis et al. \[12, 13\] quantify emergent behavioural heterogeneity
 //! by comparing the learned policies of the network's entities. Here a
 //! camera's policy is its ask-preference distribution
-//! ([`crate::camera::Camera::preference`]); network heterogeneity is
-//! the mean pairwise Jensen–Shannon divergence between those
-//! distributions. Homogeneous networks (everyone broadcasts, or
+//! ([`crate::affinity::AffinityTable::preference`]); network
+//! heterogeneity is the mean pairwise Jensen–Shannon divergence
+//! between those distributions. Homogeneous networks (everyone broadcasts, or
 //! everyone uses the same prior) score 0; networks whose members have
 //! specialised score high.
 

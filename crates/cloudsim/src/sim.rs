@@ -218,6 +218,7 @@ impl ZonedPlane {
                     && now.0.saturating_sub(self.issued_at[z]) >= REISSUE_INTERVAL;
                 if changed || overdue {
                     if !changed {
+                        log.fired(InterventionClass::CommsReissue);
                         log.record_with(|| {
                             Explanation::new(now, format!("comms:reissue:{ctrl}->{z}"))
                                 .because("target", target as f64)

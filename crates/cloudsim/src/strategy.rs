@@ -54,10 +54,10 @@ pub enum Strategy {
         levels: LevelSet,
     },
     /// The self-aware controller with a meta-self-aware
-    /// [`Supervisor`] watchdogging its arrival model: non-finite /
-    /// divergence / oscillation / stall detection, checkpoint
-    /// rollback, and a reactive-dispatch fallback while the model is
-    /// benched.
+    /// [`Supervisor`](selfaware::supervision::Supervisor) watchdogging
+    /// its arrival model: non-finite / divergence / oscillation / stall
+    /// detection, checkpoint rollback, and a reactive-dispatch fallback
+    /// while the model is benched.
     SupervisedSelfAware {
         /// Possessed self-awareness levels.
         levels: LevelSet,

@@ -80,7 +80,9 @@ pub struct CityResult {
     /// Command-plane comms statistics, including the per-link expiry
     /// and retry-budget-exhaustion maps for the degradation report.
     pub comms_stats: CommsStats,
-    /// Explanation log of command-plane and supervision decisions.
+    /// Explanation log of command-plane and supervision decisions,
+    /// with the ledger of every intervention fired
+    /// ([`ExplanationLog::fires`]).
     pub log: ExplanationLog,
 }
 
@@ -769,6 +771,9 @@ pub fn run_city_with_clock<K: ClockSource>(
             } else {
                 u8::from(pressure_total >= SHED1)
             };
+            if shed > 0 {
+                log.fired(InterventionClass::ComposeShed);
+            }
             let aware = !cfg.policy.comms.is_naive();
             // Re-homing needs corroboration beyond command-plane
             // staleness (F10 measured −0.041 on-time when loss alone
@@ -786,6 +791,9 @@ pub fn run_city_with_clock<K: ClockSource>(
                         probe_fail_streak[z] = 0;
                         continue;
                     }
+                    // A stale zone is probed or re-homed: both change
+                    // the run, where the masked ladder does nothing.
+                    log.fired(InterventionClass::ComposeRehome);
                     if !rehome_latched[z] {
                         if comms.fire_once(plane, ctrl, z, now, &mut log) {
                             probe_fail_streak[z] = 0;
@@ -854,6 +862,14 @@ pub fn run_city_with_clock<K: ClockSource>(
                 // change-triggered sends.
                 let refresh = mask.allows(InterventionClass::CommsReissue)
                     && t % THROTTLE_REFRESH == z as u64 % THROTTLE_REFRESH;
+                if want {
+                    log.fired(InterventionClass::ComposeThrottle);
+                }
+                // A refresh is a re-issue only when it is not a change,
+                // which would be sent anyway.
+                if refresh && want == ctrl_throttle[z] {
+                    log.fired(InterventionClass::CommsReissue);
+                }
                 if want != ctrl_throttle[z] {
                     log.record_with(|| {
                         Explanation::new(now, "ladder:throttle")

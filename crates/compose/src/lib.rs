@@ -2,7 +2,7 @@
 //!
 //! The paper's collective-self-awareness claim (Section IV) says
 //! awareness spans a *collective*, not a single node: "the network
-//! of [systems] as a whole can be described as having a collective
+//! of \[systems\] as a whole can be described as having a collective
 //! form of self-awareness, even though this is not the case for any
 //! individual node." The four substrate simulators (camnet, cpn,
 //! cloudsim, multicore) each exercise one self-awareness level in

@@ -647,7 +647,9 @@ impl<M: Clone> CommsNetwork<M> {
     /// messages still age, back off and expire on exactly the factual
     /// schedule — only the retransmission itself (and its stats/log
     /// footprint) is withheld. The network consumes no randomness
-    /// either way.
+    /// either way. Each retransmission launched counts one
+    /// `CommsRetry` fire in the ledger of the log handed to
+    /// [`CommsNetwork::step`].
     pub fn set_mask(&mut self, mask: InterventionMask) {
         self.mask = mask;
     }
@@ -979,6 +981,7 @@ impl<M: Clone> CommsNetwork<M> {
                     continue;
                 }
                 self.stats.retries += 1;
+                log.fired(InterventionClass::CommsRetry);
                 log.record_with(|| {
                     Explanation::new(now, format!("comms:retry:{src}->{dst}"))
                         .because("seq", seq as f64)

@@ -11,8 +11,10 @@
 //! An [`Explanation`] captures the decision, the evidence (factor
 //! values the agent believed at decision time), the expected utility,
 //! and the rejected alternatives; the [`ExplanationLog`] retains a
-//! bounded history an operator can query.
+//! bounded history an operator can query, and keeps the exact count
+//! of interventions fired per class that a bounded history cannot.
 
+use crate::replay::InterventionClass;
 use serde::{Deserialize, Serialize};
 use simkernel::obs::Json;
 use simkernel::Tick;
@@ -187,13 +189,21 @@ fn trim_float(v: f64) -> String {
 /// Default retention when a log is built via [`Default`].
 pub const DEFAULT_LOG_CAPACITY: usize = 1024;
 
-/// A bounded ring buffer of explanations.
+/// A bounded ring buffer of explanations, plus an exact intervention
+/// ledger.
 ///
 /// Heavy producers (retry storms in the comms layer, quarantine churn
 /// in sensor health) can record far more entries than an operator will
 /// ever read back; the ring keeps the most recent `capacity` entries
 /// and counts what it had to evict, so memory stays bounded on long
 /// lossy runs without losing track of *how much* history is gone.
+///
+/// The ledger sits outside the ring: one counter per
+/// [`InterventionClass`], bumped by [`ExplanationLog::fired`] wherever
+/// an intervention changes what the system does. It never evicts,
+/// counts while recording is disabled, and allocates nothing, so it
+/// is the exact record of what fired that the ring's anchors are not
+/// (see [`crate::replay`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExplanationLog {
     entries: VecDeque<Explanation>,
@@ -201,6 +211,7 @@ pub struct ExplanationLog {
     recorded: u64,
     dropped: u64,
     enabled: bool,
+    fires: [u64; InterventionClass::ALL.len()],
 }
 
 impl Default for ExplanationLog {
@@ -224,7 +235,22 @@ impl ExplanationLog {
             recorded: 0,
             dropped: 0,
             enabled: true,
+            fires: [0; InterventionClass::ALL.len()],
         }
+    }
+
+    /// Counts one fire of intervention `class` in the ledger. Call it
+    /// exactly where the intervention changes the run: where the
+    /// allowed branch does something the suppressed branch would not.
+    /// Counts whether or not recording is enabled.
+    pub fn fired(&mut self, class: InterventionClass) {
+        self.fires[class.index()] += 1;
+    }
+
+    /// Lifetime count of `class` fires (see [`ExplanationLog::fired`]).
+    #[must_use]
+    pub fn fires(&self, class: InterventionClass) -> u64 {
+        self.fires[class.index()]
     }
 
     /// Appends an explanation, evicting the oldest retained entry (and
@@ -256,7 +282,8 @@ impl ExplanationLog {
 
     /// Turns recording on or off (on by default). While disabled,
     /// [`ExplanationLog::record`] and [`ExplanationLog::record_with`]
-    /// do nothing; retained entries and counters are left untouched.
+    /// do nothing; retained entries and counters are left untouched,
+    /// and the ledger keeps counting.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
@@ -333,16 +360,21 @@ impl ExplanationLog {
     }
 
     /// Structured export for run traces (see [`simkernel::obs`]):
-    /// `{recorded, dropped, entries: […]}` with entries oldest first.
-    /// Everything the ring retains, plus the counters that say how
-    /// much lifetime history the bounded buffer evicted — so an
-    /// artifact reader knows whether it is looking at the whole story
-    /// or its tail.
+    /// `{recorded, dropped, fires: {<class>: n…}, entries: […]}` with
+    /// entries oldest first. Everything the ring retains, plus the
+    /// counters that say how much lifetime history the bounded buffer
+    /// evicted — so an artifact reader knows whether it is looking at
+    /// the whole story or its tail — and the exact ledger, keyed by
+    /// class label.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("recorded", Json::from(self.recorded)),
             ("dropped", Json::from(self.dropped)),
+            (
+                "fires",
+                Json::obj(InterventionClass::ALL.map(|c| (c.label(), Json::from(self.fires(c))))),
+            ),
             (
                 "entries",
                 Json::Arr(self.entries.iter().map(Explanation::to_json).collect()),
@@ -457,10 +489,35 @@ mod tests {
         assert!(!built, "record_with must not build while disabled");
         assert_eq!(log.len(), 1);
         assert_eq!(log.recorded_count(), 1);
+        // The ledger counts while recording is off.
+        log.fired(InterventionClass::CommsRetry);
+        assert_eq!(log.fires(InterventionClass::CommsRetry), 1);
         log.set_enabled(true);
         log.record_with(|| sample(3, "kept-lazy"));
         assert_eq!(log.len(), 2);
         assert_eq!(log.latest().unwrap().action, "kept-lazy");
+    }
+
+    #[test]
+    fn ledger_counts_per_class_past_eviction_and_exports() {
+        let mut log = ExplanationLog::new(1);
+        for t in 0..5 {
+            log.fired(InterventionClass::SupervisorRollback);
+            log.record(sample(t, "supervise:m:rollback"));
+        }
+        assert_eq!(log.dropped_count(), 4);
+        assert_eq!(log.fires(InterventionClass::SupervisorRollback), 5);
+        assert_eq!(log.fires(InterventionClass::ComposeShed), 0);
+        let fires = log.to_json();
+        let fires = fires.get("fires").expect("ledger exported");
+        for c in InterventionClass::ALL {
+            let want = if c == InterventionClass::SupervisorRollback {
+                5.0
+            } else {
+                0.0
+            };
+            assert_eq!(fires.get(c.label()).and_then(Json::as_num), Some(want));
+        }
     }
 
     #[test]

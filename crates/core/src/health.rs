@@ -6,7 +6,7 @@
 //! when its own sensors mislead it, and degrade gracefully rather than
 //! act on corrupt data. [`SensorHealth`] watches each scalar sensor
 //! through a per-sensor [`Holt`] self-model and a
-//! [`ResidualTracker`](crate::meta::ResidualTracker), detects four
+//! [`ResidualTracker`], detects four
 //! fault signatures — *stuck-at* (identical readings while the model
 //! expected movement), *outlier runs* (readings far outside the
 //! residual envelope, which also catches bias shifts), *dropout*
@@ -270,7 +270,26 @@ impl SensorHealth {
     /// self-model's forecast degrades over a long quarantine, so
     /// without a reference a sensor whose signal is not
     /// locally-linear may never be declared healthy again.
+    ///
+    /// A reading returned substituted or degraded counts one
+    /// `SensorQuarantine` fire in `log`'s ledger: every other reading
+    /// is the raw value the masked path would pass through.
     pub fn observe_with_reference(
+        &mut self,
+        key: &str,
+        raw: Option<f64>,
+        reference: Option<f64>,
+        now: Tick,
+        log: &mut ExplanationLog,
+    ) -> HealthReading {
+        let reading = self.assess(key, raw, reference, now, log);
+        if reading.substituted || reading.degraded {
+            log.fired(InterventionClass::SensorQuarantine);
+        }
+        reading
+    }
+
+    fn assess(
         &mut self,
         key: &str,
         raw: Option<f64>,

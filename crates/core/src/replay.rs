@@ -19,12 +19,22 @@
 //! originating [`ExplanationLog`] entry ("rolling back at tick 812
 //! avoided 47.9 regret").
 //!
+//! Every mask site also counts a fire in the run's
+//! [`ExplanationLog`] ledger ([`ExplanationLog::fired`]) exactly
+//! where the allowed branch does something the suppressed branch
+//! would not, so a masked run's ledger reads 0 for its suppressed
+//! class, and until a class's first fire its masked run takes the
+//! factual run's steps.
+//!
 //! Masking invariants (enforced by the proptest suite in `sas-bench`):
 //!
 //! * the all-bits-off mask ([`InterventionMask::allow_all`])
 //!   reproduces the original run bit-exactly;
 //! * any masked run is itself parity-clean (bit-identical seq-vs-par),
-//!   because masking only gates deterministic state transitions.
+//!   because masking only gates deterministic state transitions;
+//! * suppressing a class whose factual ledger reads 0 reproduces the
+//!   factual run bit-exactly, so [`CounterfactualRun`] reuses the
+//!   factual outcome instead of re-executing it.
 
 use crate::explain::{Explanation, ExplanationLog};
 use crate::goals::Direction;
@@ -85,13 +95,15 @@ impl InterventionClass {
         InterventionClass::ComposeThrottle,
     ];
 
+    /// The class's position in [`InterventionClass::ALL`].
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
+
     /// The class's bit position in an [`InterventionMask`].
     #[must_use]
     pub fn bit(self) -> u16 {
-        1 << (Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .unwrap_or_default() as u16)
+        1 << self.index()
     }
 
     /// Stable table/trace label.
@@ -235,7 +247,12 @@ pub struct CounterfactualDelta {
     /// Direction-signed benefit of the intervention: positive means
     /// the factual run (intervention active) beat the counterfactual.
     pub benefit: f64,
-    /// Factual-run explanation entries attributed to this class.
+    /// Exact count of this class's fires in the factual run, from the
+    /// log's ledger ([`ExplanationLog::fires`]); zero means the class
+    /// was not re-executed.
+    pub fires: u64,
+    /// Factual-run explanation entries attributed to this class (the
+    /// anchors the bounded log retained).
     pub events: u64,
     /// Tick of the first anchoring explanation entry, if any.
     pub anchor_tick: Option<u64>,
@@ -254,12 +271,18 @@ impl CounterfactualDelta {
     }
 
     /// One-line operator rendering: "`supervisor-rollback` at tick 812
-    /// avoided 47.9 utility regret (3 events)".
+    /// avoided 47.9 utility regret (3 events)". A class that fired but
+    /// whose anchors the bounded log evicted reads "(fired 2 times,
+    /// anchors evicted)"; only a class the ledger never saw fire reads
+    /// "(never fired)".
     #[must_use]
     pub fn headline(&self, metric: &str) -> String {
-        let at = self
-            .anchor_tick
-            .map_or_else(|| "(never fired)".into(), |t| format!("at tick {t}"));
+        let at = match (self.anchor_tick, self.fires) {
+            (Some(t), _) => format!("at tick {t}"),
+            (None, 0) => "(never fired)".into(),
+            (None, 1) => "(fired 1 time, anchors evicted)".into(),
+            (None, n) => format!("(fired {n} times, anchors evicted)"),
+        };
         let verb = if self.benefit >= 0.0 {
             "avoided"
         } else {
@@ -286,6 +309,7 @@ impl CounterfactualDelta {
             ("factual", Json::from(self.factual)),
             ("counterfactual", Json::from(self.counterfactual)),
             ("benefit", Json::from(self.benefit)),
+            ("fires", Json::from(self.fires)),
             ("events", Json::from(self.events)),
             (
                 "anchor_tick",
@@ -340,6 +364,20 @@ impl CounterfactualReport {
 /// seed-stream material, the factual/counterfactual pair is a
 /// common-random-number pair and the delta is exact, not statistical.
 ///
+/// # The closure contract
+///
+/// The returned log must count every intervention the run takes in
+/// its ledger, through [`ExplanationLog::fired`], at each point where
+/// the allowed branch's outcome differs from the suppressed one.
+/// [`crate::health::SensorHealth`], [`crate::supervision::Supervisor`]
+/// and [`crate::comms::CommsNetwork`] count for their callers, into
+/// the log they are handed; a scenario counts its own mask sites.
+/// [`CounterfactualRun::probe`] re-executes only the classes whose
+/// factual ledger is non-zero. For a class that never fired it reports
+/// the factual value as the counterfactual and a benefit of `0.0`, the
+/// bits a re-run would yield. A closure that masks a class without counting
+/// its fires reads as "never fired" and is never re-executed for it.
+///
 /// # Example
 ///
 /// ```
@@ -354,6 +392,7 @@ impl CounterfactualReport {
 ///     let mut log = ExplanationLog::new(8);
 ///     let retried = mask.allows(InterventionClass::CommsRetry);
 ///     if retried {
+///         log.fired(InterventionClass::CommsRetry);
 ///         log.record(Explanation::new(Tick(7), "comms:retry:0->1"));
 ///     }
 ///     ReplayOutcome { metric: if retried { 10.0 } else { 8.0 }, log }
@@ -362,6 +401,7 @@ impl CounterfactualReport {
 ///     .probe(&[InterventionClass::CommsRetry]);
 /// let d = report.delta(InterventionClass::CommsRetry).unwrap();
 /// assert_eq!(d.benefit, 2.0);
+/// assert_eq!(d.fires, 1);
 /// assert_eq!(d.anchor_tick, Some(7));
 /// ```
 pub struct CounterfactualRun<'a, F> {
@@ -385,23 +425,31 @@ where
     }
 
     /// Runs the factual replicate once, then one masked re-execution
-    /// per class in `classes`, and returns the measured report.
+    /// per class in `classes` that the factual ledger shows fired, and
+    /// returns the measured report. A class that never fired keeps the
+    /// factual value as its counterfactual (see the closure contract).
     pub fn probe(mut self, classes: &[InterventionClass]) -> CounterfactualReport {
         let factual = (self.run)(InterventionMask::allow_all());
         let deltas = classes
             .iter()
             .map(|&class| {
-                let masked = (self.run)(InterventionMask::suppressing(class));
+                let fires = factual.log.fires(class);
+                let counterfactual = if fires > 0 {
+                    (self.run)(InterventionMask::suppressing(class)).metric
+                } else {
+                    factual.metric
+                };
                 let benefit = match self.direction {
-                    Direction::Maximize => factual.metric - masked.metric,
-                    Direction::Minimize => masked.metric - factual.metric,
+                    Direction::Maximize => factual.metric - counterfactual,
+                    Direction::Minimize => counterfactual - factual.metric,
                 };
                 let anchors = anchors_of(&factual.log, class);
                 CounterfactualDelta {
                     class,
                     factual: factual.metric,
-                    counterfactual: masked.metric,
+                    counterfactual,
                     benefit,
+                    fires,
                     events: anchors.len() as u64,
                     anchor_tick: anchors.first().map(|e| e.at.value()),
                     anchor_action: anchors.first().map(|e| e.action.clone()),
@@ -438,7 +486,8 @@ mod tests {
     #[test]
     fn bits_are_distinct_and_stable() {
         let mut seen = 0u16;
-        for c in InterventionClass::ALL {
+        for (i, c) in InterventionClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?} is out of order in ALL");
             assert_eq!(seen & c.bit(), 0, "bit collision for {c:?}");
             seen |= c.bit();
         }
@@ -499,17 +548,21 @@ mod tests {
 
     fn toy_outcome(mask: InterventionMask) -> ReplayOutcome {
         // Two interventions with separable effects: rollback is worth
-        // +3 utility, retry is worth +2; the log anchors both.
+        // +3 utility, retry is worth +2; the ledger counts both and the
+        // log anchors both.
         let mut log = ExplanationLog::new(4);
         let mut metric = 5.0;
         if mask.allows(InterventionClass::SupervisorRollback) {
             metric += 3.0;
+            log.fired(InterventionClass::SupervisorRollback);
             log.record(Explanation::new(Tick(812), "supervise:demo:rollback"));
         }
         if mask.allows(InterventionClass::CommsRetry) {
             metric += 2.0;
-            log.record(Explanation::new(Tick(40), "comms:retry:1->2"));
-            log.record(Explanation::new(Tick(41), "comms:retry:1->2"));
+            for t in [40, 41] {
+                log.fired(InterventionClass::CommsRetry);
+                log.record(Explanation::new(Tick(t), "comms:retry:1->2"));
+            }
         }
         ReplayOutcome { metric, log }
     }
@@ -544,16 +597,71 @@ mod tests {
     }
 
     #[test]
+    fn probe_re_executes_only_the_classes_that_fired() {
+        // The toy fires rollback and retry: one factual call plus one
+        // masked call each, whatever else is probed.
+        let mut calls = 0u32;
+        let report = CounterfactualRun::new("utility", Direction::Maximize, |mask| {
+            calls += 1;
+            toy_outcome(mask)
+        })
+        .probe(&InterventionClass::ALL);
+        assert_eq!(calls, 1 + 2);
+        for d in &report.deltas {
+            let fired = matches!(
+                d.class,
+                InterventionClass::SupervisorRollback | InterventionClass::CommsRetry
+            );
+            assert_eq!(d.fires > 0, fired, "{:?}", d.class);
+            if !fired {
+                assert_eq!(d.counterfactual.to_bits(), d.factual.to_bits());
+                assert_eq!(d.benefit.to_bits(), 0.0f64.to_bits());
+            }
+        }
+        assert_eq!(
+            report.delta(InterventionClass::CommsRetry).map(|d| d.fires),
+            Some(2)
+        );
+
+        // A disabled log records nothing but still counts fires, so
+        // the intervention is still re-executed and measured.
+        let mut calls = 0u32;
+        let report = CounterfactualRun::new("utility", Direction::Maximize, |mask| {
+            calls += 1;
+            let mut out = ExplanationLog::new(4);
+            out.set_enabled(false);
+            let allowed = mask.allows(InterventionClass::ComposeShed);
+            if allowed {
+                out.fired(InterventionClass::ComposeShed);
+                out.record(Explanation::new(Tick(3), "ladder:shed"));
+            }
+            ReplayOutcome {
+                metric: if allowed { 2.0 } else { 1.5 },
+                log: out,
+            }
+        })
+        .probe(&[InterventionClass::ComposeShed]);
+        assert_eq!(calls, 2);
+        let d = report
+            .delta(InterventionClass::ComposeShed)
+            .expect("probed");
+        assert_eq!((d.fires, d.events, d.benefit), (1, 0, 0.5));
+    }
+
+    #[test]
     fn minimize_direction_flips_the_sign() {
         // For a minimized metric (regret, error), an intervention that
         // *lowers* it has positive benefit.
-        let run = |mask: InterventionMask| ReplayOutcome {
-            metric: if mask.allows(InterventionClass::SensorQuarantine) {
-                1.0
-            } else {
-                4.0
-            },
-            log: ExplanationLog::new(2),
+        let run = |mask: InterventionMask| {
+            let mut log = ExplanationLog::new(2);
+            let quarantined = mask.allows(InterventionClass::SensorQuarantine);
+            if quarantined {
+                log.fired(InterventionClass::SensorQuarantine);
+            }
+            ReplayOutcome {
+                metric: if quarantined { 1.0 } else { 4.0 },
+                log,
+            }
         };
         let report = CounterfactualRun::new("tracking_error", Direction::Minimize, run)
             .probe(&[InterventionClass::SensorQuarantine]);
@@ -571,8 +679,10 @@ mod tests {
         let run = |mask: InterventionMask| {
             let mut log = ExplanationLog::new(1);
             if mask.allows(InterventionClass::CommsRetry) {
-                log.record(Explanation::new(Tick(1), "comms:retry:0->1"));
-                log.record(Explanation::new(Tick(2), "comms:retry:0->1"));
+                for t in [1, 2] {
+                    log.fired(InterventionClass::CommsRetry);
+                    log.record(Explanation::new(Tick(t), "comms:retry:0->1"));
+                }
             }
             ReplayOutcome { metric: 1.0, log }
         };
@@ -582,8 +692,10 @@ mod tests {
         let d = report.delta(InterventionClass::CommsRetry).expect("probed");
         assert!(d.truncated());
         assert_eq!(d.log_dropped, 1);
-        // Only the retained entry is countable — the flag says so.
+        // Only the retained entry is an anchor — the flag says so —
+        // while the ledger still counts both fires.
         assert_eq!(d.events, 1);
+        assert_eq!(d.fires, 2);
     }
 
     #[test]
@@ -597,6 +709,36 @@ mod tests {
         assert!(line.contains("supervisor-rollback"), "{line}");
         assert!(line.contains("at tick 812"), "{line}");
         assert!(line.contains("avoided 3.000 utility"), "{line}");
+
+        // A rollback whose anchor a later entry evicted still fired:
+        // the headline gives the ledger's count, not "never fired".
+        let evicted = |mask: InterventionMask| {
+            let mut log = ExplanationLog::new(1);
+            let mut metric = 5.0;
+            if mask.allows(InterventionClass::SupervisorRollback) {
+                metric += 3.0;
+                log.fired(InterventionClass::SupervisorRollback);
+                log.record(Explanation::new(Tick(812), "supervise:demo:rollback"));
+            }
+            log.record(Explanation::new(Tick(900), "supervise:demo:warn"));
+            ReplayOutcome { metric, log }
+        };
+        let report = CounterfactualRun::new("utility", Direction::Maximize, evicted).probe(&[
+            InterventionClass::SupervisorRollback,
+            InterventionClass::ComposeShed,
+        ]);
+        let rb = report
+            .delta(InterventionClass::SupervisorRollback)
+            .expect("probed");
+        assert_eq!((rb.fires, rb.events, rb.benefit), (1, 0, 3.0));
+        let line = rb.headline(&report.metric);
+        assert!(line.contains("(fired 1 time, anchors evicted)"), "{line}");
+        assert!(!line.contains("never fired"), "{line}");
+        let shed = report
+            .delta(InterventionClass::ComposeShed)
+            .expect("probed");
+        let line = shed.headline(&report.metric);
+        assert!(line.contains("(never fired)"), "{line}");
     }
 
     #[test]
@@ -611,6 +753,7 @@ mod tests {
             "factual",
             "counterfactual",
             "benefit",
+            "fires",
             "events",
             "anchor_tick",
             "anchor_action",
@@ -620,5 +763,6 @@ mod tests {
             assert!(j.get(key).is_some(), "missing key {key}");
         }
         assert_eq!(j.get("class").and_then(Json::as_str), Some("comms-retry"));
+        assert_eq!(j.get("fires").and_then(Json::as_num), Some(2.0));
     }
 }

@@ -366,7 +366,9 @@ impl<C: Clone> Supervisor<C> {
 
     /// Feeds one tick of evidence and walks the escalation ladder.
     /// Every transition is recorded in `log` under the action
-    /// `"supervise:{name}:{step}"`.
+    /// `"supervise:{name}:{step}"`; each rollback, fallback and
+    /// re-promotion taken also counts a fire of its class in `log`'s
+    /// ledger.
     pub fn observe(&mut self, now: Tick, evidence: Evidence, log: &mut ExplanationLog) -> Verdict {
         let output = evidence.output;
         let error = evidence
@@ -500,6 +502,7 @@ impl<C: Clone> Supervisor<C> {
             self.warns = 0;
             self.last_rollback = Some(now.0);
             self.stats.rollbacks += 1;
+            log.fired(InterventionClass::SupervisorRollback);
             log.record(
                 Explanation::new(now, format!("supervise:{}:rollback", self.name))
                     .because(a.label(), error.unwrap_or(output)),
@@ -525,6 +528,7 @@ impl<C: Clone> Supervisor<C> {
             self.probe_quiet = 0;
             self.backoff = BACKOFF_INITIAL;
             self.stats.fallbacks += 1;
+            log.fired(InterventionClass::SupervisorFallback);
             log.record(
                 Explanation::new(now, format!("supervise:{}:fallback", self.name))
                     .because(a.label(), error.unwrap_or(output)),
@@ -572,6 +576,7 @@ impl<C: Clone> Supervisor<C> {
                     self.stats.repromotions += 1;
                     self.fallback_elapsed = 0;
                     self.quiet = 0;
+                    log.fired(InterventionClass::SupervisorRepromote);
                     log.record(
                         Explanation::new(now, format!("supervise:{}:repromote", self.name))
                             .because("quiet-ticks", f64::from(self.probe_quiet)),
