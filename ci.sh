@@ -13,6 +13,12 @@ export PROPTEST_CASES="${PROPTEST_CASES:-64}"
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The scheduler's release path: the benchmark and F12 run in release,
+# where an overflowing same-tick budget sheds instead of panicking, and
+# the tests of that path compile only without debug assertions.
+echo "==> cargo test --release -q --offline -p simkernel"
+cargo test --release -q --offline -p simkernel
+
 # The repo benchmark (BENCHMARK.json) is its own package with an empty
 # [workspace], so the workspace steps above and below never reach it.
 echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"

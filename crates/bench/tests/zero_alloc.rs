@@ -1,7 +1,7 @@
 //! Counting-allocator proofs of allocation contracts: the comms
-//! layer's zero-allocation steady state, a per-tick allocation bound
-//! on a supervised composed-city replicate, and a CPN router copy whose
-//! cost does not grow with the grid.
+//! layer's and the DES scheduler's zero-allocation steady states, a
+//! per-tick allocation bound on a supervised composed-city replicate,
+//! and a CPN router copy whose cost does not grow with the grid.
 //!
 //! `selfaware::comms` promises that the steady-state reliable
 //! send/deliver/ack cycle performs no heap allocation per message
@@ -19,7 +19,7 @@
 
 use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsPolicy, IdealChannel};
 use selfaware::explain::ExplanationLog;
-use simkernel::{obs, SeedTree, Tick};
+use simkernel::{obs, SeedTree, SimScheduler, Tick};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -210,4 +210,63 @@ fn cpn_router_clone_allocations_do_not_grow_with_the_grid() {
     let small = clone_allocs(4, 6);
     assert_eq!(small, clone_allocs(8, 8), "clone cost grew with the grid");
     assert!(small <= 3, "{small} allocations per clone");
+}
+
+/// Same-tick wakes per tick in the scheduler cycle below.
+const BURST: usize = 2_000;
+/// Entities that keep one churn wake pending at all times.
+const CHURNERS: usize = 512;
+/// Ticks per cycle: longer than the longest churn gap.
+const SCHED_CYCLE: u64 = 6_400;
+
+/// Ticks until churner `k`'s next transition after tick `t`: 200 to
+/// 6,199, so about a third land beyond the scheduler's 4,096-tick
+/// wheel.
+fn churn_gap(k: usize, t: u64) -> u64 {
+    200 + (k as u64 * 7_919 + t * 31) % 6_000
+}
+
+/// Runs `ticks` ticks shaped like the `des` worlds and returns how many
+/// allocations they performed: churn wakes (class 0) re-arm a few
+/// hundred to a few thousand ticks ahead, a same-tick burst of
+/// dirty-input wakes (class 1) drains in its tick, and every eighth
+/// woken entity stays busy and re-wakes at `t + 1`.
+fn run_sched_ticks(s: &mut SimScheduler<usize>, start: u64, ticks: u64) -> u64 {
+    let before = allocations();
+    for t in start..start + ticks {
+        let now = Tick(t);
+        s.advance(now);
+        while s.peek().is_some_and(|(at, class)| at <= now && class == 0) {
+            if let Some((_, _, k)) = s.pop_due(now) {
+                s.wake_at(Tick(t + churn_gap(k, t)), 0, k);
+            }
+        }
+        for k in 0..BURST {
+            s.wake_on_input(1, 2 * k);
+        }
+        // Odd keys are re-wakes, which do not re-wake again.
+        while let Some((_, _, k)) = s.pop_due(now) {
+            if k % 16 == 0 {
+                s.wake_at(Tick(t + 1), 1, k + 1);
+            }
+        }
+    }
+    allocations() - before
+}
+
+#[test]
+fn steady_state_scheduler_cycle_is_allocation_free() {
+    let mut s: SimScheduler<usize> = SimScheduler::new();
+    for k in 0..CHURNERS {
+        s.wake_at(Tick(churn_gap(k, 0)), 0, k);
+    }
+    let warmup = run_sched_ticks(&mut s, 0, SCHED_CYCLE);
+    assert!(warmup > 0, "warmup should grow the scheduler's storage");
+    let steady = run_sched_ticks(&mut s, SCHED_CYCLE, SCHED_CYCLE);
+    assert_eq!(steady, 0, "the scheduler's steady state must not allocate");
+    assert_eq!(
+        s.len(),
+        CHURNERS + BURST / 8,
+        "one churn wake per churner plus the re-wakes"
+    );
 }

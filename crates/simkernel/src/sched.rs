@@ -19,10 +19,48 @@
 //! byte is a *priority class* (lower fires first within a tick) so a
 //! simulator can pin, e.g., fault application before entity visits;
 //! the FIFO sequence makes simultaneous same-class wakes fire in
-//! scheduling order regardless of heap internals. Because the delivery
-//! order is a pure function of the schedule calls — never of worker
-//! count or timing — sparse runs preserve the workspace's
-//! seq-vs-parallel bit-identity contract.
+//! scheduling order. Because the delivery order is a pure function of
+//! the schedule calls — never of worker count or timing — sparse runs
+//! preserve the workspace's seq-vs-parallel bit-identity contract.
+//!
+//! ## Timing wheel
+//!
+//! The scheduler keeps a tick `cur` at which every pending wake is due
+//! or later, and holds each wake in one of three tiers:
+//!
+//! 1. **Due**: wakes at `cur`, one FIFO per priority class. A 256-bit
+//!    mask finds the lowest non-empty class, so a pop is O(1).
+//! 2. **Wheel**: wakes in the next `WINDOW - 1` ticks (4,095), one FIFO
+//!    per tick in a ring indexed by `tick % WINDOW`. A 64-word
+//!    occupancy bitmap finds the next tick that has wakes; the
+//!    earliest such tick and each tick's lowest class are kept, so
+//!    [`SimScheduler::peek`] and [`SimScheduler::next_wake`] never
+//!    walk a list or scan the ring.
+//! 3. **Far**: wakes `WINDOW` or more ticks ahead wait in a
+//!    `BinaryHeap` ordered by `(tick, class, seq)`.
+//!
+//! `cur` moves only when nothing is due at it, to the earliest pending
+//! tick or to the time the caller reached, whichever comes first. A
+//! move empties the new tick's wheel list into the due FIFOs (stably,
+//! by class) and hands every far wake whose tick has entered the
+//! window to the wheel, in heap order. So a drain that jumps past
+//! undrained ticks still delivers their wakes first, each with its own
+//! tick.
+//!
+//! Why the order holds: a far wake's tick was outside the window when
+//! it was scheduled, so it was scheduled before any wake that went
+//! straight to that tick's wheel list — those can only be scheduled
+//! once the window covers the tick, and the hand-over happens at the
+//! very move that makes it so. Each tick's list therefore receives the
+//! heap's wakes in `(class, seq)` order first and direct pushes after,
+//! which leaves every class's wakes in `seq` order; splitting the list
+//! by class keeps that order, and pushes at `cur` append behind it.
+//!
+//! All due and wheel wakes live in one arena of nodes linked by `u32`
+//! indices, with freed nodes reused; a tick or a class keeps only a
+//! head/tail pair. Per-tick vectors would each keep their capacity
+//! (or reallocate every tick), and the arena's steady state allocates
+//! nothing.
 //!
 //! ## Same-tick budget
 //!
@@ -39,10 +77,10 @@
 //!
 //! Like `DeliveryQueue`'s pool-exclusive equality, `SimScheduler`'s
 //! [`PartialEq`] compares *delivery order* — the `(tick, class, key)`
-//! sequence the heap would drain — while ignoring the absolute values
-//! of the internal FIFO counter, so two schedulers that went through
-//! different scheduling histories but will behave identically compare
-//! equal.
+//! sequence the scheduler would drain — while ignoring how the wakes
+//! are laid out in the tiers and the absolute values of the internal
+//! FIFO counter, so two schedulers that went through different
+//! scheduling histories but will behave identically compare equal.
 //!
 //! # Example
 //!
@@ -72,6 +110,41 @@ use std::collections::BinaryHeap;
 /// bounding a same-tick re-schedule loop to one tick's worth of work.
 pub const DEFAULT_SAME_TICK_BUDGET: u64 = 1 << 20;
 
+/// Ticks the wheel spans, `cur` included: a wake less than `WINDOW`
+/// ticks ahead of `cur` waits in the due FIFOs or the wheel, a later
+/// one in the far heap. Sized to the DES worlds' traffic: all but
+/// ~0.03 % of cloud churn's offline gaps (mean 500 ticks) and 56 % of
+/// its online gaps (mean 5,000) fit.
+const WINDOW: u64 = 4096;
+const SLOTS: usize = WINDOW as usize;
+/// Priority classes: the class byte's range.
+const CLASSES: usize = 256;
+/// End-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// A FIFO of arena nodes linked through [`Node::next`].
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+#[derive(Debug, Clone)]
+struct Node<K> {
+    /// `None` while the node is on the free list.
+    key: Option<K>,
+    next: u32,
+    class: u8,
+}
+
+/// A far-tier wake; the heap orders these by `(at, class, seq)`.
 #[derive(Debug, Clone)]
 struct Wake<K> {
     at: Tick,
@@ -105,10 +178,44 @@ impl<K> PartialOrd for Wake<K> {
     }
 }
 
+/// Sets bit `i` of a bitmap.
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Clears bit `i` of a bitmap.
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1 << (i % 64));
+}
+
+/// The wheel slot holding tick `at`.
+fn slot(at: Tick) -> usize {
+    (at.value() % WINDOW) as usize
+}
+
 /// A deterministic sparse-activation wake queue (see module docs).
 #[derive(Debug, Clone)]
 pub struct SimScheduler<K> {
-    heap: BinaryHeap<Wake<K>>,
+    /// Arena of the due and wheel tiers' wakes; freed nodes are chained
+    /// from `free` and reused.
+    nodes: Vec<Node<K>>,
+    free: u32,
+    /// Wakes held in the arena.
+    held: usize,
+    /// The tick the due tier holds; no pending wake is earlier.
+    cur: Tick,
+    /// Tier 1: one FIFO per class, and which are non-empty.
+    due: Box<[Fifo]>,
+    due_classes: [u64; CLASSES / 64],
+    /// Tier 2: one FIFO per tick in `cur + 1 .. cur + WINDOW`, at
+    /// [`slot`]; which slots are occupied, each occupied slot's lowest
+    /// class, and the earliest occupied tick.
+    wheel: Box<[Fifo]>,
+    occupied: Box<[u64]>,
+    wheel_class: Box<[u8]>,
+    wheel_next: Option<Tick>,
+    /// Tier 3: wakes at `cur + WINDOW` or later.
+    far: BinaryHeap<Wake<K>>,
     next_seq: u64,
     now: Tick,
     fired_at: Tick,
@@ -123,7 +230,17 @@ impl<K> SimScheduler<K> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            held: 0,
+            cur: Tick::ZERO,
+            due: vec![Fifo::EMPTY; CLASSES].into_boxed_slice(),
+            due_classes: [0; CLASSES / 64],
+            wheel: vec![Fifo::EMPTY; SLOTS].into_boxed_slice(),
+            occupied: vec![0; SLOTS / 64].into_boxed_slice(),
+            wheel_class: vec![0; SLOTS].into_boxed_slice(),
+            wheel_next: None,
+            far: BinaryHeap::new(),
             next_seq: 0,
             now: Tick::ZERO,
             fired_at: Tick::ZERO,
@@ -152,6 +269,7 @@ impl<K> SimScheduler<K> {
     pub fn advance(&mut self, to: Tick) {
         if to > self.now {
             self.now = to;
+            self.roll(to);
         }
     }
 
@@ -160,14 +278,18 @@ impl<K> SimScheduler<K> {
     /// past is clamped to `now`.
     pub fn wake_at(&mut self, at: Tick, class: u8, key: K) {
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Wake {
-            at,
-            class,
-            seq,
-            key,
-        });
+        if at.value() - self.cur.value() < WINDOW {
+            self.hold(at, class, key);
+        } else {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.far.push(Wake {
+                at,
+                class,
+                seq,
+                key,
+            });
+        }
     }
 
     /// Schedules a wake for entity `key` at the current tick — the
@@ -180,7 +302,7 @@ impl<K> SimScheduler<K> {
     /// Time of the earliest pending wake, if any.
     #[must_use]
     pub fn next_wake(&self) -> Option<Tick> {
-        self.heap.peek().map(|w| w.at)
+        self.peek().map(|(at, _)| at)
     }
 
     /// Time and priority class of the earliest pending wake, if any.
@@ -189,7 +311,13 @@ impl<K> SimScheduler<K> {
     /// come back for the entity-class wakes.
     #[must_use]
     pub fn peek(&self) -> Option<(Tick, u8)> {
-        self.heap.peek().map(|w| (w.at, w.class))
+        if let Some(class) = self.due_class() {
+            return Some((self.cur, class));
+        }
+        if let Some(at) = self.wheel_next {
+            return Some((at, self.wheel_class[slot(at)]));
+        }
+        self.far.peek().map(|w| (w.at, w.class))
     }
 
     /// Delivers the next wake due at or before `now`, advancing
@@ -201,11 +329,13 @@ impl<K> SimScheduler<K> {
     /// `sched_shed` observability record for the tick, and return
     /// `None`.
     pub fn pop_due(&mut self, now: Tick) -> Option<(Tick, u8, K)> {
-        self.advance(now);
-        if self.heap.peek().is_none_or(|w| w.at > now) {
+        self.now = self.now.max(now);
+        self.roll(now);
+        if self.cur > now {
             return None;
         }
-        let w = self.heap.pop()?;
+        let class = self.due_class()?;
+        let key = self.pop_class(class);
         if self.fired_at != now {
             self.fired_at = now;
             self.fired = 0;
@@ -227,7 +357,7 @@ impl<K> SimScheduler<K> {
             ]));
             return None;
         }
-        Some((w.at, w.class, w.key))
+        Some((self.cur, class, key))
     }
 
     /// Wakes shed by the same-tick budget (always 0 in debug builds,
@@ -240,19 +370,184 @@ impl<K> SimScheduler<K> {
     /// Number of pending wakes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.held + self.far.len()
     }
 
     /// Whether no wakes are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
-    /// Drops all pending wakes.
-    pub fn clear(&mut self) {
-        self.heap.clear();
+    /// The lowest class with a wake due at `cur`.
+    fn due_class(&self) -> Option<u8> {
+        let (i, word) = self
+            .due_classes
+            .iter()
+            .enumerate()
+            .find(|(_, w)| **w != 0)?;
+        u8::try_from(i * 64 + word.trailing_zeros() as usize).ok()
     }
+
+    /// If nothing is due at `cur`, moves it forward to the earliest
+    /// pending tick or to `to`, whichever comes first: the new tick's
+    /// wheel list becomes its due FIFOs, and far wakes whose tick the
+    /// window now covers join the wheel (see module docs).
+    fn roll(&mut self, to: Tick) {
+        if self.due_classes != [0; CLASSES / 64] {
+            return;
+        }
+        let earliest = self.wheel_next.or_else(|| self.far.peek().map(|w| w.at));
+        let target = earliest.map_or(to, |at| at.min(to));
+        if target <= self.cur {
+            return;
+        }
+        self.cur = target;
+        if self.wheel_next == Some(target) {
+            let s = slot(target);
+            clear_bit(&mut self.occupied, s);
+            let mut i = std::mem::replace(&mut self.wheel[s], Fifo::EMPTY).head;
+            while i != NIL {
+                let node = &mut self.nodes[i as usize];
+                let (next, class) = (node.next, node.class);
+                node.next = NIL;
+                self.push_due(class, i);
+                i = next;
+            }
+            self.wheel_next = self.scan_wheel();
+        }
+        while self
+            .far
+            .peek()
+            .is_some_and(|w| w.at.value() - target.value() < WINDOW)
+        {
+            if let Some(w) = self.far.pop() {
+                self.hold(w.at, w.class, w.key);
+            }
+        }
+    }
+
+    /// The earliest occupied wheel tick, found from the bitmap. The
+    /// wheel holds ticks `cur + 1 .. cur + WINDOW` only, so `cur`'s own
+    /// slot is empty and the circular scan starting there meets them in
+    /// tick order.
+    fn scan_wheel(&self) -> Option<Tick> {
+        let start = slot(self.cur);
+        let words = self.occupied.len();
+        (0..=words).find_map(|i| {
+            let w = (start / 64 + i) % words;
+            let mut bits = self.occupied[w];
+            if i == 0 {
+                bits &= !0 << (start % 64);
+            }
+            (bits != 0).then(|| {
+                let s = w * 64 + bits.trailing_zeros() as usize;
+                Tick(self.cur.value() + ((s + SLOTS - start) % SLOTS) as u64)
+            })
+        })
+    }
+
+    /// Stores a wake due less than `WINDOW` ticks after `cur` in the
+    /// arena and queues it in its tier.
+    fn hold(&mut self, at: Tick, class: u8, key: K) {
+        let node = Node {
+            key: Some(key),
+            next: NIL,
+            class,
+        };
+        let i = if self.free == NIL {
+            let i = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("SimScheduler: more than u32::MAX - 1 wakes within the window");
+            self.nodes.push(node);
+            i
+        } else {
+            let i = self.free;
+            self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+            i
+        };
+        self.held += 1;
+        if at == self.cur {
+            self.push_due(class, i);
+            return;
+        }
+        let s = slot(at);
+        if append(&mut self.nodes, &mut self.wheel[s], i) {
+            set_bit(&mut self.occupied, s);
+            self.wheel_class[s] = class;
+        } else {
+            self.wheel_class[s] = self.wheel_class[s].min(class);
+        }
+        if self.wheel_next.is_none_or(|next| at < next) {
+            self.wheel_next = Some(at);
+        }
+    }
+
+    fn push_due(&mut self, class: u8, i: u32) {
+        if append(&mut self.nodes, &mut self.due[usize::from(class)], i) {
+            set_bit(&mut self.due_classes, usize::from(class));
+        }
+    }
+
+    /// Unlinks the head of class `class`'s due FIFO (which must be
+    /// non-empty), frees its node and returns its key.
+    fn pop_class(&mut self, class: u8) -> K {
+        let fifo = &mut self.due[usize::from(class)];
+        let i = fifo.head;
+        let node = &mut self.nodes[i as usize];
+        fifo.head = node.next;
+        if fifo.head == NIL {
+            fifo.tail = NIL;
+            clear_bit(&mut self.due_classes, usize::from(class));
+        }
+        node.next = self.free;
+        self.free = i;
+        self.held -= 1;
+        node.key.take().expect("a queued node holds a key")
+    }
+
+    /// Every pending wake as `(tick, class, key)`, in delivery order.
+    fn delivery_order(&self) -> Vec<(Tick, u8, &K)> {
+        let mut order = Vec::with_capacity(self.len());
+        let mut walk = |at: Tick, mut i: u32| {
+            while i != NIL {
+                let node = &self.nodes[i as usize];
+                if let Some(key) = &node.key {
+                    order.push((at, node.class, key));
+                }
+                i = node.next;
+            }
+        };
+        for fifo in self.due.iter() {
+            walk(self.cur, fifo.head);
+        }
+        let start = slot(self.cur);
+        for (s, fifo) in self.wheel.iter().enumerate() {
+            if fifo.head != NIL {
+                let ahead = (s + SLOTS - start) % SLOTS;
+                walk(Tick(self.cur.value() + ahead as u64), fifo.head);
+            }
+        }
+        let mut far: Vec<&Wake<K>> = self.far.iter().collect();
+        far.sort_unstable_by_key(|w| (w.at, w.class, w.seq));
+        order.extend(far.into_iter().map(|w| (w.at, w.class, &w.key)));
+        // Stable: each (tick, class) keeps its FIFO order.
+        order.sort_by_key(|&(at, class, _)| (at, class));
+        order
+    }
+}
+
+/// Appends node `i` to `fifo`; returns whether the FIFO was empty.
+fn append<K>(nodes: &mut [Node<K>], fifo: &mut Fifo, i: u32) -> bool {
+    let was_empty = fifo.tail == NIL;
+    if was_empty {
+        fifo.head = i;
+    } else {
+        nodes[fifo.tail as usize].next = i;
+    }
+    fifo.tail = i;
+    was_empty
 }
 
 impl<K> Default for SimScheduler<K> {
@@ -261,24 +556,16 @@ impl<K> Default for SimScheduler<K> {
     }
 }
 
-/// Seq-counter-exclusive equality: two schedulers are equal when they
-/// are at the same time and would deliver the same `(tick, class,
-/// key)` sequence, regardless of absolute FIFO counter values (the
-/// same idiom as `DeliveryQueue`'s pool-exclusive equality).
+/// Layout- and seq-counter-exclusive equality: two schedulers are equal
+/// when they are at the same time and would deliver the same `(tick,
+/// class, key)` sequence, regardless of which tier holds a wake or of
+/// absolute FIFO counter values (the same idiom as `DeliveryQueue`'s
+/// pool-exclusive equality).
 impl<K: PartialEq> PartialEq for SimScheduler<K> {
     fn eq(&self, other: &Self) -> bool {
-        if self.now != other.now || self.heap.len() != other.heap.len() {
-            return false;
-        }
-        let order =
-            |a: &&Wake<K>, b: &&Wake<K>| (a.at, a.class, a.seq).cmp(&(b.at, b.class, b.seq));
-        let mut mine: Vec<&Wake<K>> = self.heap.iter().collect();
-        let mut theirs: Vec<&Wake<K>> = other.heap.iter().collect();
-        mine.sort_unstable_by(order);
-        theirs.sort_unstable_by(order);
-        mine.iter()
-            .zip(&theirs)
-            .all(|(a, b)| a.at == b.at && a.class == b.class && a.key == b.key)
+        self.now == other.now
+            && self.len() == other.len()
+            && self.delivery_order() == other.delivery_order()
     }
 }
 
@@ -472,6 +759,7 @@ mod tests {
     fn same_tick_reschedule_sheds_in_release() {
         let mut s = SimScheduler::new().with_same_tick_budget(16);
         s.wake_at(Tick(1), 0, 0usize);
+        s.wake_at(Tick(2), 0, 1usize);
         let mut delivered = 0u64;
         while let Some((_, _, k)) = s.pop_due(Tick(1)) {
             delivered += 1;
@@ -479,8 +767,10 @@ mod tests {
         }
         assert_eq!(delivered, 16);
         assert_eq!(s.shed_count(), 1);
-        // The next tick proceeds normally.
-        assert!(s.pop_due(Tick(2)).is_some());
+        // The shed wake is dropped; the next tick proceeds normally.
+        assert_eq!(s.pop_due(Tick(2)), Some((Tick(2), 0, 1)));
+        assert_eq!(s.shed_count(), 1);
+        assert!(s.is_empty());
     }
 
     #[test]
