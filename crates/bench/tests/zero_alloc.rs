@@ -1,7 +1,8 @@
 //! Counting-allocator proofs of allocation contracts: the comms
-//! layer's and the DES scheduler's zero-allocation steady states, a
-//! per-tick allocation bound on a supervised composed-city replicate,
-//! and a CPN router copy whose cost does not grow with the grid.
+//! layer's and the DES scheduler's zero-allocation steady states,
+//! per-tick allocation bounds on a supervised composed-city replicate
+//! and on a `cpn::run_cpn` world, and a CPN router copy whose cost does
+//! not grow with the grid.
 //!
 //! `selfaware::comms` promises that the steady-state reliable
 //! send/deliver/ack cycle performs no heap allocation per message
@@ -161,7 +162,7 @@ fn steady_state_comms_cycle_is_allocation_free() {
 /// this many times per tick, set-up included: 27.2 measured, plus a
 /// quarter for headroom. The router's fallback table is built only
 /// while the supervisor benches the model, a copy of the router is a
-/// few allocations (see the clone test below), the transit loop reuses
+/// few allocations (see the clone test below), the packet plane reuses
 /// its arrivals buffer, and each packet's hop log is sized for a
 /// shortest route across the grid when the packet is created.
 const CITY_ALLOCS_PER_TICK: u64 = 34;
@@ -190,6 +191,38 @@ fn supervised_city_replicate_stays_under_its_allocation_bound() {
     assert!(
         allocs <= CITY_ALLOCS_PER_TICK * steps,
         "{allocs} allocations over {steps} ticks ({} per tick) exceed the bound of {CITY_ALLOCS_PER_TICK} per tick",
+        allocs / steps
+    );
+}
+
+/// A 3000-tick run of F2's standard world under the CPN router
+/// allocates at most this many times per tick, set-up included: 56.0
+/// measured, plus a quarter for headroom. The packet plane reuses its
+/// arrivals buffer, each hop log is sized for a shortest route across
+/// the grid when its packet is created, and routing reads the believed
+/// queue reports in place unless a lossy channel discounts them.
+const CPN_ALLOCS_PER_TICK: u64 = 70;
+
+#[test]
+fn cpn_run_stays_under_its_allocation_bound() {
+    let _obs = OBS_OFF
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    obs::set_override(Some(false));
+    let steps = 3000;
+    let cfg = cpn::CpnConfig::standard(cpn::RoutingStrategy::cpn_default(), steps);
+    let before = allocations();
+    let r = cpn::run_cpn(&cfg, &SeedTree::new(0xF2));
+    let allocs = allocations() - before;
+    obs::set_override(None);
+    assert!(
+        r.metrics.get("delivered").unwrap_or(0.0) > 0.0,
+        "the run must carry traffic: {:?}",
+        r.metrics
+    );
+    assert!(
+        allocs <= CPN_ALLOCS_PER_TICK * steps,
+        "{allocs} allocations over {steps} ticks ({} per tick) exceed the bound of {CPN_ALLOCS_PER_TICK} per tick",
         allocs / steps
     );
 }

@@ -2,6 +2,9 @@
 //! backend, coordinated over one command plane, under one
 //! [`workloads::FaultCampaign`].
 //!
+//! Detections cross the grid on the [`cpn::net`] packet plane, as in
+//! `cpn::sim`; the city's delivery hook bounces them at a dead gateway.
+//!
 //! Cascade semantics (the headline F9 scenario): a `ZoneOutage` kills
 //! a zone's backend machines *and* silences its zone agent. A naive
 //! stack keeps streaming detections at the dead zone's gateway, where
@@ -16,6 +19,7 @@
 use crate::world::{CityConfig, CityEvent};
 use camnet::Camera;
 use cpn::graph::Graph;
+use cpn::net::{Arrival, Env, Net, Packet, Policy, BANDWIDTH};
 use cpn::routing::Routing;
 use multicore::{Core, CoreSpec};
 use rand::Rng as _;
@@ -28,18 +32,21 @@ use selfaware::replay::InterventionClass;
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{Clock, ClockSource, MetricSet, Tick};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use workloads::faults::{FaultKind, ModelCorruptionKind};
 use workloads::rates::{DiurnalRate, RateFn};
 use workloads::tasks::{Task, TaskClass};
 use workloads::trajectories::{Point, Wanderer};
 
-/// Per-link packet queue capacity.
-const QUEUE_CAP: usize = 60;
-/// Packets a link moves per tick.
-const BANDWIDTH: usize = 3;
-/// Hop budget per packet.
-const TTL: u32 = 48;
+/// The city's packet plane: hop logs of at most 48 entries and 60-packet
+/// link queues. Delivery reinforcement stops at the last queue a packet
+/// entered, so the final hop into a gateway is never reinforced; logging
+/// the gateway too moves F9 and F10 (DESIGN.md, "Packet plane").
+const PLANE: Policy = Policy {
+    ttl: 48,
+    queue_cap: 60,
+    log_destination: false,
+};
 /// Believed gateway pressure at which the controller sheds camera
 /// rate (level 1) and additionally resolution (level 2).
 const SHED1: u64 = 18;
@@ -113,9 +120,8 @@ pub fn city_goal() -> Goal {
 }
 
 /// A detection in flight over the CPN.
-struct Pkt {
-    /// Destination gateway node.
-    dst: usize,
+#[derive(Debug, Clone, Copy)]
+struct Detection {
     /// Destination zone (after any re-homing at emission).
     zone: usize,
     /// Reported quality (post sensor fault / health substitution /
@@ -123,13 +129,6 @@ struct Pkt {
     quality: f64,
     /// Ground-truth quality at the owning camera.
     q_true: f64,
-    created: Tick,
-    smart: bool,
-    prev: Option<usize>,
-    ttl: u32,
-    /// `(node, tick entered that node's queue)` per hop, for
-    /// delivery reinforcement.
-    hop_log: Vec<(usize, Tick)>,
 }
 
 /// Runs one composed city scenario. Metric keys:
@@ -263,14 +262,9 @@ pub fn run_city_with_clock<K: ClockSource>(
     let mut zone_dead = vec![false; cfg.zones];
     let mut throttled = vec![false; cfg.zones];
 
-    // Per-link queues: queues[u][k] feeds u's k-th neighbour.
-    let mut queues: Vec<Vec<VecDeque<Pkt>>> = (0..n)
-        .map(|u| {
-            (0..graph.neighbours(u).len())
-                .map(|_| VecDeque::new())
-                .collect()
-        })
-        .collect();
+    // Each hop log has room for a shortest route across the grid, so
+    // a packet that takes one never regrows its log.
+    let mut net: Net<Detection> = Net::new(&graph, PLANE, cfg.rows + cfg.cols - 1);
 
     // Command plane: agents 0..zones, controller, camera head.
     let ctrl = cfg.zones;
@@ -319,9 +313,6 @@ pub fn run_city_with_clock<K: ClockSource>(
 
     let faults = cfg.campaign.faults().clone();
     let channel = cfg.campaign.channel().clone();
-    // Packets leaving a link this tick, `(from, to, packet)`; reused
-    // every tick.
-    let mut arrivals: Vec<(usize, usize, Pkt)> = Vec::new();
 
     loop {
         let now = clock.now();
@@ -391,20 +382,14 @@ pub fn run_city_with_clock<K: ClockSource>(
 
         // --- Routing decisions from live local queue sensing. ------
         let decide_span = obs::span("city:decide");
-        let qlen = |u: usize, v: usize| {
-            graph
-                .neighbours(u)
-                .iter()
-                .position(|&x| x == v)
-                .map_or(0, |k| queues[u][k].len())
-        };
+        let qlen = |u: usize, v: usize| net.queue_len(&graph, u, v);
         if !frozen {
             routing.model_mut().maintain(&graph, now, qlen);
         }
         routing.maintain_baseline(&graph, now, qlen);
-        let cutoff = QUEUE_CAP / 2;
+        let cutoff = PLANE.queue_cap / 2;
         let congestion: Vec<f64> = (0..n)
-            .map(|u| queues[u].iter().map(VecDeque::len).max().unwrap_or(0))
+            .map(|u| net.queue_lens(u).max().unwrap_or(0))
             .map(|c| if c >= cutoff { c as f64 } else { 0.0 })
             .collect();
         routing.model_mut().set_congestion(&congestion);
@@ -483,6 +468,13 @@ pub fn run_city_with_clock<K: ClockSource>(
                 (k > 0).then(|| s / f64::from(k))
             })
             .collect();
+        let mut env = Env {
+            graph: &graph,
+            routing: &mut routing,
+            rng: &mut route_rng,
+            frozen,
+            now,
+        };
         // Pass 2 — health monitoring and detection emission. The
         // camera-level mean is the monitored signal; a quarantined or
         // dropped-out camera's detections carry the consensus (else
@@ -545,65 +537,19 @@ pub fn run_city_with_clock<K: ClockSource>(
                 }
                 // While the model is benched its fallback table routes:
                 // no smart packets, and no draw from `route_rng`.
-                let hops = routing.in_control();
-                let smart = hops.is_smart(&mut route_rng);
-                let Some(v) = hops.next_hop(&graph, src, dst, None, smart, &mut route_rng) else {
-                    net_dropped += 1;
-                    continue;
-                };
-                let Some(k) = graph.neighbours(src).iter().position(|&x| x == v) else {
-                    net_dropped += 1;
-                    continue;
-                };
-                if queues[src][k].len() >= QUEUE_CAP {
-                    net_dropped += 1;
-                    if !frozen {
-                        routing.model_mut().reinforce_drop(&graph, src, v, dst);
-                    }
-                    continue;
-                }
-                // Room for a shortest route across the grid, so a
-                // packet that takes one never regrows its log.
-                let mut hop_log = Vec::with_capacity(cfg.rows + cfg.cols - 1);
-                hop_log.push((src, now));
-                queues[src][k].push_back(Pkt {
-                    dst,
+                let detection = Detection {
                     zone,
                     quality: q_used,
                     q_true: q_true_shed,
-                    created: now,
-                    smart,
-                    prev: None,
-                    ttl: TTL,
-                    hop_log,
-                });
+                };
+                net.inject(&mut env, src, dst, detection, |_| net_dropped += 1);
             }
         }
 
         // --- CPN: move packets, deliver at gateways. ---------------
-        for (u, links) in queues.iter_mut().enumerate() {
-            for (k, q) in links.iter_mut().enumerate() {
-                let v = graph.neighbours(u)[k];
-                if graph.link_down(u, v) {
-                    continue;
-                }
-                for _ in 0..BANDWIDTH {
-                    match q.pop_front() {
-                        Some(p) => arrivals.push((u, v, p)),
-                        None => break,
-                    }
-                }
-            }
-        }
-        for (u, v, mut pkt) in arrivals.drain(..) {
-            let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
-            let hop_delay = (now.value().saturating_sub(entered.value())).max(1) as f64;
-            if !frozen {
-                routing
-                    .model_mut()
-                    .reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
-            }
-            if v == pkt.dst && zone_dead[pkt.zone] {
+        let arrive = |pkt: &Packet<Detection>| {
+            let d = pkt.payload;
+            if zone_dead[d.zone] {
                 // Nobody home: a dead backend cannot consume the
                 // packet, so it bounces back into the mesh and
                 // wanders until its TTL burns out. Undeliverable
@@ -613,92 +559,31 @@ pub fn run_city_with_clock<K: ClockSource>(
                 // bounce itself is observable mesh telemetry (like the
                 // queue lengths the router senses) and feeds the
                 // controller's dark-zone evidence.
-                bounce_now[pkt.zone] += 1;
-                pkt.ttl = pkt.ttl.saturating_sub(1);
-                if pkt.ttl == 0 {
-                    net_dropped += 1;
-                    if !frozen {
-                        routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
-                    }
-                    continue;
-                }
-                let back = (0..queues[v].len()).min_by_key(|&k| (queues[v][k].len(), k));
-                match back {
-                    Some(k) if queues[v][k].len() < QUEUE_CAP => {
-                        pkt.prev = Some(u);
-                        pkt.hop_log.push((v, now));
-                        queues[v][k].push_back(pkt);
-                    }
-                    _ => {
-                        net_dropped += 1;
-                    }
-                }
-                continue;
+                bounce_now[d.zone] += 1;
+                return Arrival::Bounce;
             }
-            if v == pkt.dst {
-                delivered_net += 1;
-                tick_transit_sum += now.value().saturating_sub(pkt.created.value()) as f64;
-                tick_transit_n += 1;
-                if !frozen {
-                    routing
-                        .model_mut()
-                        .reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
-                }
-                admit(
-                    cfg,
-                    &mut cores,
-                    &zone_dead,
-                    &throttled,
-                    pkt.zone,
-                    pkt.quality,
-                    pkt.q_true,
-                    pkt.created,
-                    &mut work_rng,
-                    &mut next_task_id,
-                    &mut task_quality,
-                    &mut rejected,
-                    pkt.ttl as usize,
-                );
-                continue;
-            }
-            pkt.ttl -= 1;
-            if pkt.ttl == 0 {
-                net_dropped += 1;
-                if !frozen {
-                    routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
-                }
-                continue;
-            }
-            let hop = routing.in_control().next_hop(
-                &graph,
-                v,
-                pkt.dst,
-                Some(u),
-                pkt.smart,
-                &mut route_rng,
+            delivered_net += 1;
+            tick_transit_sum += now.value().saturating_sub(pkt.created.value()) as f64;
+            tick_transit_n += 1;
+            // The class salt is the hops the packet had left.
+            admit(
+                cfg,
+                &mut cores,
+                &zone_dead,
+                &throttled,
+                d.zone,
+                d.quality,
+                d.q_true,
+                pkt.created,
+                &mut work_rng,
+                &mut next_task_id,
+                &mut task_quality,
+                &mut rejected,
+                PLANE.ttl + 1 - pkt.hop_log.len(),
             );
-            let Some(w) = hop else {
-                net_dropped += 1;
-                if !frozen {
-                    routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
-                }
-                continue;
-            };
-            let Some(k) = graph.neighbours(v).iter().position(|&x| x == w) else {
-                net_dropped += 1;
-                continue;
-            };
-            if queues[v][k].len() >= QUEUE_CAP {
-                net_dropped += 1;
-                if !frozen {
-                    routing.model_mut().reinforce_drop(&graph, v, w, pkt.dst);
-                }
-                continue;
-            }
-            pkt.prev = Some(u);
-            pkt.hop_log.push((v, now));
-            queues[v][k].push_back(pkt);
-        }
+            Arrival::Deliver
+        };
+        net.step(&mut env, |_, _| BANDWIDTH, arrive, |_| net_dropped += 1);
 
         // --- Backend: service detections. --------------------------
         for zone_cores in cores.iter_mut() {
@@ -738,15 +623,7 @@ pub fn run_city_with_clock<K: ClockSource>(
             }
             let backlog: u64 = cores[z].iter().map(|c| c.queue_len() as u64).sum();
             let gw = cfg.gateway(z);
-            let pressure: u64 = (0..n)
-                .map(|u| {
-                    graph
-                        .neighbours(u)
-                        .iter()
-                        .position(|&x| x == gw)
-                        .map_or(0, |k| queues[u][k].len() as u64)
-                })
-                .sum();
+            let pressure: u64 = (0..n).map(|u| net.queue_len(&graph, u, gw) as u64).sum();
             let event = CityEvent::Report {
                 backlog,
                 gateway_pressure: pressure,

@@ -13,14 +13,18 @@
 //! * [`routing`] — routers: frozen shortest-path, periodic re-route,
 //!   and CPN reinforcement routing with smart (exploring) packets,
 //!   optionally under a meta-self-aware supervisor;
-//! * [`sim`] — packet-level simulation with per-link queues, drops,
-//!   TTLs, attack surges, and the F2 delay series.
+//! * [`net`] — the packet plane: per-link queues, serving, forwarding
+//!   with a TTL, drops and reinforcement, shared by [`sim`] and the
+//!   composed city;
+//! * [`sim`] — packet-level simulation: flows, attack surges, hostile
+//!   traffic, and the F2 delay series.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod graph;
+pub mod net;
 pub mod routing;
 pub mod sim;
 

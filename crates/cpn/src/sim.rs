@@ -1,7 +1,8 @@
-//! Packet-level simulation: per-link queues, drops, TTLs, attack
-//! surges — and the F2 adapt-around-the-attack experiment.
+//! Packet-level simulation over the [`crate::net`] plane: flows, attack
+//! surges, hostile traffic — and the F2 adapt-around-the-attack experiment.
 
 use crate::graph::Graph;
+use crate::net::{self, Arrival, Env, Net, Policy};
 use crate::routing::{Routing, RoutingStrategy};
 use selfaware::comms::{CommsNetwork, CommsPolicy};
 use selfaware::explain::ExplanationLog;
@@ -12,12 +13,14 @@ use simkernel::{MetricSet, Tick, TimeSeries};
 use workloads::faults::{ChannelPlan, FaultKind, FaultPlan, ModelCorruptionKind};
 use workloads::rates::poisson;
 
-/// Maximum hops before a packet is discarded.
-pub const TTL: usize = 64;
-/// Per-link queue capacity, packets.
-pub const QUEUE_CAP: usize = 120;
-/// Per-link service rate, packets per tick.
-pub const BANDWIDTH: usize = 3;
+/// This world's packet plane: hop logs of at most 64 entries,
+/// 120-packet link queues, and delivery reinforcement that covers the
+/// final hop.
+const PLANE: Policy = Policy {
+    ttl: 64,
+    queue_cap: 120,
+    log_destination: true,
+};
 
 /// A flow of traffic, optionally time-windowed (attack flows).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,15 +232,6 @@ pub struct CpnResult {
     pub comms_log: ExplanationLog,
 }
 
-#[derive(Debug, Clone)]
-struct Packet {
-    dst: usize,
-    smart: bool,
-    hostile: bool,
-    created: Tick,
-    hop_log: Vec<(usize, Tick)>,
-}
-
 /// Runs a scenario. Metric keys:
 ///
 /// * `injected`, `delivered`, `dropped` — background packet counts;
@@ -265,16 +259,8 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     let mut inject_rng = seeds.rng("inject");
     let mut route_rng = seeds.rng("route");
     let mut frozen_until: Option<Tick> = None;
-
-    // queues[u][k] = packets waiting at u for the link to its k-th
-    // neighbour.
-    let mut queues: Vec<Vec<std::collections::VecDeque<Packet>>> = (0..graph.len())
-        .map(|u| {
-            (0..graph.neighbours(u).len())
-                .map(|_| Default::default())
-                .collect()
-        })
-        .collect();
+    // A packet's payload marks hostile traffic.
+    let mut net: Net<bool> = Net::new(&graph, PLANE, cfg.rows + cfg.cols - 1);
 
     // Control plane: every router reports its per-link queue lengths
     // to the routing controller (comms id `graph.len()`) each tick,
@@ -292,7 +278,9 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     let mut comms_log = ExplanationLog::new(2048);
     let ideal = cfg.channel.is_ideal();
     let aware = !cfg.comms.is_naive();
-    let mut believed: Vec<Vec<usize>> = queues.iter().map(|qs| vec![0; qs.len()]).collect();
+    let mut believed: Vec<Vec<usize>> = (0..graph.len())
+        .map(|u| vec![0; graph.neighbours(u).len()])
+        .collect();
     let mut last_report_seq: Vec<Option<u64>> = vec![None; graph.len()];
 
     let (attack_from, attack_to) = CpnConfig::attack_window(cfg.steps);
@@ -303,31 +291,6 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     let mut phase_sum = [0.0; 3];
     let mut phase_count = [0u64; 3];
     let mut delay_series = TimeSeries::new(cfg.strategy.label());
-
-    let enqueue = |graph: &Graph,
-                   queues: &mut Vec<Vec<std::collections::VecDeque<Packet>>>,
-                   routing: &mut Routing,
-                   frozen: bool,
-                   u: usize,
-                   v: usize,
-                   pkt: Packet,
-                   dropped: &mut u64| {
-        let k = graph
-            .neighbours(u)
-            .iter()
-            .position(|&x| x == v)
-            .expect("v is a neighbour of u");
-        if queues[u][k].len() >= QUEUE_CAP {
-            if !pkt.hostile {
-                *dropped += 1;
-            }
-            if !frozen {
-                routing.model_mut().reinforce_drop(graph, u, v, pkt.dst);
-            }
-        } else {
-            queues[u][k].push_back(pkt);
-        }
-    };
 
     for t in 0..cfg.steps {
         let now = Tick(t);
@@ -363,23 +326,23 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
 
         // The queue state routing sees: believed reports, with the
         // staleness-aware policy discounting silent routers toward
-        // congestion (`QUEUE_CAP`) — a router it cannot hear from is
-        // assumed jammed and routed around, rather than trusted to
+        // congestion (the queue cap) — a router it cannot hear from
+        // is assumed jammed and routed around, rather than trusted to
         // still be as empty as its last report claimed.
-        let effective: Vec<Vec<usize>> = if ideal || !aware {
-            believed.clone()
-        } else {
+        let cap = PLANE.queue_cap;
+        let discounted: Option<Vec<Vec<usize>>> = (!ideal && aware).then(|| {
             believed
                 .iter()
                 .enumerate()
                 .map(|(u, row)| {
                     let w = comms_net.freshness(ctrl, u, now);
                     row.iter()
-                        .map(|&q| (w * q as f64 + (1.0 - w) * QUEUE_CAP as f64).round() as usize)
+                        .map(|&q| (w * q as f64 + (1.0 - w) * cap as f64).round() as usize)
                         .collect()
                 })
                 .collect()
-        };
+        });
+        let effective = discounted.as_ref().unwrap_or(&believed);
         let qlen = |u: usize, v: usize| {
             graph
                 .neighbours(u)
@@ -396,7 +359,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         // decision-time penalty: a hop into a router whose queues are
         // believed `c` deep costs `c` extra ticks. Under the
         // staleness-aware policy a silent router's believed queues
-        // drift toward `QUEUE_CAP`, so it is routed around rather
+        // drift toward the queue cap, so it is routed around rather
         // than trusted; the naive policy keeps trusting the last
         // report it happened to receive. Gated off on the ideal
         // channel, where smart-packet measurement alone reproduces
@@ -407,7 +370,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
             // globally. Only a router that looks genuinely jammed —
             // real congestion, or silence long enough for the
             // discount to dominate — is penalized.
-            let cutoff = QUEUE_CAP / 2;
+            let cutoff = cap / 2;
             let congestion: Vec<f64> = effective
                 .iter()
                 .map(|row| row.iter().copied().max().unwrap_or(0))
@@ -420,6 +383,14 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         let act_span = obs::span("cpn:act");
 
         // Inject new packets.
+        let mut env = Env {
+            graph: &graph,
+            routing: &mut routing,
+            rng: &mut route_rng,
+            frozen,
+            now,
+        };
+        let mut count_drop = |&hostile: &bool| dropped += u64::from(!hostile);
         for flow in &cfg.flows {
             let rate = flow.rate_at(now);
             if rate <= 0.0 {
@@ -427,149 +398,37 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
             }
             let count = poisson(rate, &mut inject_rng);
             for _ in 0..count {
-                if !flow.hostile {
-                    injected += 1;
-                }
-                let smart = routing.in_control().is_smart(&mut route_rng);
-                let pkt = Packet {
-                    dst: flow.dst,
-                    smart,
-                    hostile: flow.hostile,
-                    created: now,
-                    hop_log: vec![(flow.src, now)],
-                };
-                let hop = routing.in_control().next_hop(
-                    &graph,
-                    flow.src,
-                    flow.dst,
-                    None,
-                    smart,
-                    &mut route_rng,
-                );
-                match hop {
-                    Some(v) => {
-                        enqueue(
-                            &graph,
-                            &mut queues,
-                            &mut routing,
-                            frozen,
-                            flow.src,
-                            v,
-                            pkt,
-                            &mut dropped,
-                        );
-                    }
-                    None => {
-                        if !flow.hostile {
-                            dropped += 1;
-                        }
-                    }
-                }
+                injected += u64::from(!flow.hostile);
+                net.inject(&mut env, flow.src, flow.dst, flow.hostile, &mut count_drop);
             }
         }
-
-        // Phase A: dequeue up to the link's current service rate.
-        let mut arrivals: Vec<(usize, usize, Packet)> = Vec::new(); // (from, to, pkt)
-        #[allow(clippy::needless_range_loop)] // u indexes both graph and queues
-        for u in 0..graph.len() {
-            for k in 0..queues[u].len() {
-                let v = graph.neighbours(u)[k];
-                // A cut link serves nothing: queued packets stall in
-                // place until the link is restored (or TTL out once
-                // the queue drains afterwards).
-                let bw = if graph.link_down(u, v) {
-                    0
-                } else {
-                    match &cfg.degradation {
-                        Some(d) if d.affects(u, v, now) => d.bandwidth,
-                        _ => BANDWIDTH,
-                    }
-                };
-                for _ in 0..bw {
-                    match queues[u][k].pop_front() {
-                        Some(p) => arrivals.push((u, v, p)),
-                        None => break,
-                    }
-                }
-            }
-        }
-
-        // Phase B: deliver or forward.
+        let rate = |u, v| match &cfg.degradation {
+            Some(d) if d.affects(u, v, now) => d.bandwidth,
+            _ => net::BANDWIDTH,
+        };
         let mut tick_delay_sum = 0.0;
         let mut tick_delay_count = 0u64;
-        for (u, v, mut pkt) in arrivals {
-            // TD-style per-hop update from the measured hop delay
-            // (queueing + service on the u→v link).
-            if let Some(&(log_u, entered_u)) = pkt.hop_log.last() {
-                debug_assert_eq!(log_u, u);
-                let hop_delay = now.value().saturating_sub(entered_u.value()) as f64;
-                if !frozen {
-                    routing
-                        .model_mut()
-                        .reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
-                }
+        let deliver = |pkt: &net::Packet<bool>| {
+            if !pkt.payload {
+                delivered += 1;
+                let d = now.value().saturating_sub(pkt.created.value()).max(1) as f64;
+                delay_sum += d;
+                tick_delay_sum += d;
+                tick_delay_count += 1;
+                delay_series.push(now, d);
+                let phase = if now < attack_from {
+                    0
+                } else if now < attack_to {
+                    1
+                } else {
+                    2
+                };
+                phase_sum[phase] += d;
+                phase_count[phase] += 1;
             }
-            pkt.hop_log.push((v, now));
-            if v == pkt.dst {
-                if !frozen {
-                    routing
-                        .model_mut()
-                        .reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
-                }
-                if !pkt.hostile {
-                    delivered += 1;
-                    let d = now.value().saturating_sub(pkt.created.value()).max(1) as f64;
-                    delay_sum += d;
-                    tick_delay_sum += d;
-                    tick_delay_count += 1;
-                    delay_series.push(now, d);
-                    let phase = if now < attack_from {
-                        0
-                    } else if now < attack_to {
-                        1
-                    } else {
-                        2
-                    };
-                    phase_sum[phase] += d;
-                    phase_count[phase] += 1;
-                }
-                continue;
-            }
-            if pkt.hop_log.len() > TTL {
-                if !pkt.hostile {
-                    dropped += 1;
-                }
-                if !frozen {
-                    routing.model_mut().reinforce_drop(&graph, u, v, pkt.dst);
-                }
-                continue;
-            }
-            let hop = routing.in_control().next_hop(
-                &graph,
-                v,
-                pkt.dst,
-                Some(u),
-                pkt.smart,
-                &mut route_rng,
-            );
-            match hop {
-                Some(w) => enqueue(
-                    &graph,
-                    &mut queues,
-                    &mut routing,
-                    frozen,
-                    v,
-                    w,
-                    pkt,
-                    &mut dropped,
-                ),
-                None => {
-                    if !pkt.hostile {
-                        dropped += 1;
-                    }
-                }
-            }
-        }
+            Arrival::Deliver
+        };
+        net.step(&mut env, rate, deliver, count_drop);
 
         drop(act_span);
 
@@ -578,8 +437,8 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         // whatever the channel let through (deduped and monotone —
         // a delayed old report never overwrites a newer one).
         if now.value().is_multiple_of(cfg.report_every) {
-            for (u, qs) in queues.iter().enumerate() {
-                let report: Vec<usize> = qs.iter().map(std::collections::VecDeque::len).collect();
+            for u in 0..graph.len() {
+                let report: Vec<usize> = net.queue_lens(u).collect();
                 comms_net.send(&cfg.channel, u, ctrl, report, now, &mut comms_log);
             }
         }

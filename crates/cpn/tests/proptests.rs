@@ -1,7 +1,8 @@
-//! Property-based tests for the network simulator's graph and routing
-//! invariants.
+//! Property-based tests for the network simulator's graph, routing and
+//! packet-plane invariants.
 
 use cpn::graph::Graph;
+use cpn::net::{self, Arrival, Env, Net, Policy};
 use cpn::routing::{Router, Routing, RoutingStrategy};
 use proptest::prelude::*;
 use rand::Rng as _;
@@ -12,6 +13,30 @@ use std::collections::VecDeque;
 
 /// Ticks a fallback-table case runs: ten 25-tick periods.
 const FALLBACK_TICKS: u64 = 250;
+
+/// Ticks a packet-plane case runs: long enough for a packet bouncing
+/// at a dead destination to burn through either world's TTL.
+const NET_TICKS: u64 = 150;
+
+/// Plane values: `cpn::sim`'s, the city's, and a tight set under which
+/// every bound bites within a few ticks.
+const POLICIES: [Policy; 3] = [
+    Policy {
+        ttl: 64,
+        queue_cap: 120,
+        log_destination: true,
+    },
+    Policy {
+        ttl: 48,
+        queue_cap: 60,
+        log_destination: false,
+    },
+    Policy {
+        ttl: 6,
+        queue_cap: 4,
+        log_destination: true,
+    },
+];
 
 /// Asserts that the router in control picks `reference`'s next hop for
 /// every (node, destination) pair.
@@ -228,6 +253,93 @@ proptest! {
             "no two benches in one period: {:?}",
             benches
         );
+    }
+
+    // The packet plane loses no packet and breaks no bound under either
+    // world's values or a tight set: after every tick each injected
+    // packet is delivered, dropped or queued, no queue holds more than
+    // its cap, and no queued or delivered packet's hop log is longer
+    // than the TTL. Flows (some from a node to itself) run over random
+    // link cuts and restores, and each directed link serves at a random
+    // rate up to the full bandwidth, as an attack degrades it. The first
+    // flow's destination is dead and bounces everything; the second
+    // flow starts there, so its queues fill and bounces are dropped
+    // too. A periodic table can lose its route across a partition, so
+    // the no-next-hop drop runs as well.
+    #[test]
+    fn packet_plane_conserves_packets_and_keeps_its_bounds(
+        seed in any::<u64>(),
+        rows in 2usize..=5,
+        cols in 2usize..=5,
+        flows in proptest::collection::vec((any::<usize>(), any::<usize>(), 0.2f64..10.0), 2..6),
+        faults in proptest::collection::vec((0u64..NET_TICKS, any::<usize>(), any::<bool>()), 0..10),
+        rates in proptest::collection::vec(0usize..=net::BANDWIDTH, 64),
+        policy in 0usize..3,
+        strategy in 0usize..3,
+    ) {
+        let mut g = Graph::grid(rows, cols);
+        let n = g.len();
+        let policy = POLICIES[policy];
+        let strategy = [
+            RoutingStrategy::StaticShortest,
+            RoutingStrategy::Periodic { period: 10 },
+            RoutingStrategy::cpn_default(),
+        ][strategy];
+        let mut routing = Routing::new(strategy, &g, "net", InterventionMask::allow_all());
+        let mut net: Net<()> = Net::new(&g, policy, rows + cols - 1);
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| g.neighbours(u).iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+            .collect();
+        let dead = flows[0].1 % n;
+        let flows: Vec<(usize, usize, f64)> = flows
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst, rate))| (if i == 1 { dead } else { src % n }, dst % n, rate))
+            .collect();
+        let seeds = SeedTree::new(seed);
+        let (mut inject_rng, mut route_rng) = (seeds.rng("inject"), seeds.rng("route"));
+        let (mut injected, mut delivered, mut dropped) = (0usize, 0usize, 0usize);
+        for t in 0..NET_TICKS {
+            let now = Tick(t);
+            for &(at, e, cut) in &faults {
+                let (a, b) = edges[e % edges.len()];
+                if at == t && cut {
+                    g.remove_edge(a, b);
+                } else if at == t {
+                    g.restore_edge(a, b);
+                }
+            }
+            routing.model_mut().maintain(&g, now, |u, v| net.queue_len(&g, u, v));
+            let mut env = Env {
+                graph: &g,
+                routing: &mut routing,
+                rng: &mut route_rng,
+                frozen: false,
+                now,
+            };
+            for &(src, dst, rate) in &flows {
+                for _ in 0..workloads::rates::poisson(rate, &mut inject_rng) {
+                    injected += 1;
+                    net.inject(&mut env, src, dst, (), |()| dropped += 1);
+                }
+            }
+            let arrive = |pkt: &net::Packet<()>| {
+                prop_assert!(pkt.hop_log.len() <= policy.ttl, "tick {}: {:?}", t, pkt);
+                if pkt.dst == dead {
+                    return Arrival::Bounce;
+                }
+                delivered += 1;
+                Arrival::Deliver
+            };
+            let rate = |u, v| rates[(u * n + v) % rates.len()];
+            net.step(&mut env, rate, arrive, |()| dropped += 1);
+            let queued = net.packets().count();
+            prop_assert_eq!(injected, delivered + dropped + queued, "tick {}", t);
+            for u in 0..n {
+                prop_assert!(net.queue_lens(u).all(|len| len <= policy.queue_cap), "tick {}", t);
+            }
+            prop_assert!(net.packets().all(|p| p.hop_log.len() <= policy.ttl), "tick {}", t);
+        }
     }
 
     #[test]

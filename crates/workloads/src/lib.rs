@@ -6,8 +6,8 @@
 //! external factors" (Section II). This crate provides the synthetic
 //! environments every experiment runs against:
 //!
-//! * [`rates`] — time-varying demand intensities (constant, diurnal,
-//!   Markov-modulated, drifting) and Poisson sampling on top of them;
+//! * [`rates`] — time-varying demand intensities (diurnal, drifting)
+//!   and Poisson sampling;
 //! * [`disturbance`] — scheduled step/ramp/spike/regime events to
 //!   inject into any scalar signal;
 //! * [`faults`] — scheduled *component* faults (camera/core/link
@@ -41,7 +41,7 @@ pub use faults::{
     ChannelPlan, FaultCampaign, FaultEvent, FaultKind, FaultPlan, LinkModel, NetPartition,
     SensorFaultKind,
 };
-pub use rates::{DiurnalRate, DriftingRate, MmppRate, PoissonArrivals, RateFn};
+pub use rates::{DiurnalRate, DriftingRate, RateFn};
 pub use signal::{SignalGen, SignalSpec};
 pub use tasks::{TaskClass, TaskMix, TaskStream};
 pub use traffic::{FlowSpec, TrafficMatrix};

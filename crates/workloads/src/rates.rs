@@ -7,20 +7,10 @@ use simkernel::Tick;
 /// A deterministic-in-expectation demand intensity over time.
 ///
 /// Implementations give the *expected* arrivals per tick; actual
-/// arrivals are sampled by [`PoissonArrivals`].
+/// arrivals are drawn with [`poisson`].
 pub trait RateFn {
     /// Expected arrivals per tick at time `t`.
     fn rate(&mut self, t: Tick) -> f64;
-}
-
-/// Constant rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantRate(pub f64);
-
-impl RateFn for ConstantRate {
-    fn rate(&mut self, _t: Tick) -> f64 {
-        self.0
-    }
 }
 
 /// Diurnal (sinusoidal) rate: `base + amplitude · sin(2π t / period)`,
@@ -57,59 +47,6 @@ impl RateFn for DiurnalRate {
     fn rate(&mut self, t: Tick) -> f64 {
         let phase = 2.0 * std::f64::consts::PI * t.as_f64() / self.period;
         (self.base + self.amplitude * phase.sin()).max(0.0)
-    }
-}
-
-/// Markov-modulated rate: jumps between `levels` with switch
-/// probability `p_switch` per tick. Produces the bursty, regime-y
-/// demand the self-aware strategies must chase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MmppRate {
-    levels: Vec<f64>,
-    p_switch: f64,
-    current: usize,
-    rng: Rng,
-    last_t: Option<Tick>,
-}
-
-impl MmppRate {
-    /// Creates a Markov-modulated rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty, any level is negative, or
-    /// `p_switch ∉ [0, 1]`.
-    #[must_use]
-    pub fn new(levels: Vec<f64>, p_switch: f64, rng: Rng) -> Self {
-        assert!(!levels.is_empty(), "need at least one level");
-        assert!(
-            levels.iter().all(|&l| l >= 0.0),
-            "levels must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&p_switch),
-            "switch probability must be in [0,1]"
-        );
-        Self {
-            levels,
-            p_switch,
-            current: 0,
-            rng,
-            last_t: None,
-        }
-    }
-}
-
-impl RateFn for MmppRate {
-    fn rate(&mut self, t: Tick) -> f64 {
-        // Advance the modulating chain once per new tick.
-        if self.last_t != Some(t) {
-            self.last_t = Some(t);
-            if self.rng.gen::<f64>() < self.p_switch {
-                self.current = self.rng.gen_range(0..self.levels.len());
-            }
-        }
-        self.levels[self.current]
     }
 }
 
@@ -160,50 +97,20 @@ impl RateFn for DriftingRate {
     }
 }
 
-/// Samples per-tick arrival counts from any [`RateFn`] via the Poisson
-/// distribution (inverse-CDF sampling; rates here are modest).
+/// Samples a Poisson(λ) variate. Uses Knuth's product method for
+/// λ ≤ 30 and a normal approximation above.
 ///
 /// # Example
 ///
 /// ```
-/// use workloads::rates::{ConstantRate, PoissonArrivals};
-/// use simkernel::{SeedTree, Tick};
+/// use simkernel::SeedTree;
+/// use workloads::rates::poisson;
 ///
-/// let mut arr = PoissonArrivals::new(ConstantRate(3.0), SeedTree::new(1).rng("arr"));
-/// let mut total = 0u64;
-/// for t in 0..1000u64 {
-///     total += arr.sample(Tick(t)) as u64;
-/// }
-/// let mean = total as f64 / 1000.0;
+/// let mut rng = SeedTree::new(1).rng("arr");
+/// let total: u32 = (0..1000).map(|_| poisson(3.0, &mut rng)).sum();
+/// let mean = f64::from(total) / 1000.0;
 /// assert!((mean - 3.0).abs() < 0.3);
 /// ```
-#[derive(Debug, Clone)]
-pub struct PoissonArrivals<R: RateFn> {
-    rate: R,
-    rng: Rng,
-}
-
-impl<R: RateFn> PoissonArrivals<R> {
-    /// Wraps a rate function with a Poisson sampler.
-    #[must_use]
-    pub fn new(rate: R, rng: Rng) -> Self {
-        Self { rate, rng }
-    }
-
-    /// Expected rate at `t` (delegates to the rate function).
-    pub fn expected(&mut self, t: Tick) -> f64 {
-        self.rate.rate(t)
-    }
-
-    /// Samples the arrival count for tick `t`.
-    pub fn sample(&mut self, t: Tick) -> u32 {
-        let lambda = self.rate.rate(t);
-        poisson(lambda, &mut self.rng)
-    }
-}
-
-/// Samples a Poisson(λ) variate. Uses Knuth's product method for
-/// λ ≤ 30 and a normal approximation above.
 pub fn poisson(lambda: f64, rng: &mut Rng) -> u32 {
     if lambda <= 0.0 {
         return 0;
@@ -243,13 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_rate_is_constant() {
-        let mut r = ConstantRate(2.5);
-        assert_eq!(r.rate(Tick(0)), 2.5);
-        assert_eq!(r.rate(Tick(999)), 2.5);
-    }
-
-    #[test]
     fn diurnal_oscillates_and_floors() {
         let mut r = DiurnalRate::new(1.0, 2.0, 100.0);
         let peak = r.rate(Tick(25));
@@ -258,24 +158,6 @@ mod tests {
         assert_eq!(trough, 0.0, "negative rates floor at zero");
         // Periodicity.
         assert!((r.rate(Tick(10)) - r.rate(Tick(110))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mmpp_visits_multiple_levels() {
-        let mut r = MmppRate::new(vec![1.0, 10.0, 100.0], 0.05, rng("mmpp"));
-        let mut seen = std::collections::HashSet::new();
-        for t in 0..2000u64 {
-            seen.insert(r.rate(Tick(t)) as u64);
-        }
-        assert!(seen.len() >= 2, "should visit multiple regimes");
-    }
-
-    #[test]
-    fn mmpp_rate_stable_within_tick() {
-        let mut r = MmppRate::new(vec![1.0, 10.0], 0.9, rng("mmpp2"));
-        let a = r.rate(Tick(5));
-        let b = r.rate(Tick(5));
-        assert_eq!(a, b, "same tick must report the same rate");
     }
 
     #[test]
@@ -334,8 +216,8 @@ mod tests {
     #[test]
     fn arrivals_deterministic_per_seed() {
         let sample = |seed: u64| {
-            let mut a = PoissonArrivals::new(ConstantRate(5.0), SeedTree::new(seed).rng("a"));
-            (0..50u64).map(|t| a.sample(Tick(t))).collect::<Vec<_>>()
+            let mut a = SeedTree::new(seed).rng("a");
+            (0..50).map(|_| poisson(5.0, &mut a)).collect::<Vec<_>>()
         };
         assert_eq!(sample(7), sample(7));
         assert_ne!(sample(7), sample(8));

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use simkernel::{SeedTree, Tick};
 use workloads::disturbance::{Disturbance, DisturbanceKind, Schedule};
-use workloads::rates::{poisson, DiurnalRate, DriftingRate, MmppRate, RateFn};
+use workloads::rates::{poisson, DiurnalRate, DriftingRate, RateFn};
 use workloads::signal::{SignalGen, SignalSpec};
 use workloads::tasks::{TaskMix, TaskStream};
 use workloads::trajectories::Wanderer;
@@ -56,20 +56,6 @@ proptest! {
         let next_cycle = t + period.round() as u64;
         if (period - period.round()).abs() < 1e-9 {
             prop_assert!((r.rate(Tick(next_cycle)) - v).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn mmpp_always_reports_a_configured_level(
-        levels in proptest::collection::vec(0.0f64..100.0, 1..6),
-        p in 0.0f64..1.0,
-        seed in any::<u64>(),
-        n in 1u64..200,
-    ) {
-        let mut r = MmppRate::new(levels.clone(), p, SeedTree::new(seed).rng("m"));
-        for t in 0..n {
-            let v = r.rate(Tick(t));
-            prop_assert!(levels.iter().any(|&l| (l - v).abs() < 1e-12));
         }
     }
 
