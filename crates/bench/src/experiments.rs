@@ -1302,8 +1302,8 @@ pub fn f6_scenario(guarded: bool, seeds: SeedTree, steps: u64) -> MetricSet {
     let variance_quarantines = log
         .iter()
         .filter(|e| {
-            e.action.starts_with("quarantine:")
-                && e.factors.iter().any(|f| f.name == "variance_ratio")
+            e.class == Some(InterventionClass::SensorQuarantine)
+                && e.factors().iter().any(|f| f.0 == "variance_ratio")
         })
         .count();
     m.set("variance_quarantines", variance_quarantines as f64);
@@ -2135,7 +2135,7 @@ mod f8_tests {
         let cloud_seeds = seeds.child("probe").child("cloud");
         let r = cloudsim::run_scenario(&f8_cloud_cfg(arm, &cloud_seeds, 1500), &cloud_seeds);
         assert!(
-            !r.comms_log.find_by_action("comms:retry").is_empty(),
+            r.comms_log.iter().any(|e| e.kind == "comms:retry"),
             "retries must be explained"
         );
     }
@@ -2594,7 +2594,8 @@ fn counterfactual_record(campaign: &str, metric: &str, d: &CounterfactualDelta) 
 
 /// One F10 replicate, flattened for the replication harness: the
 /// factual headline metric, the factual log's eviction count, and one
-/// `benefit:<class>` / `events:<class>` pair per intervention class.
+/// `benefit:<class>` / `fires:<class>` / `events:<class>` triple per
+/// intervention class.
 /// Also emits one typed `counterfactual` record per class into the
 /// run trace.
 #[must_use]
@@ -2607,6 +2608,7 @@ pub fn f10_scenario(campaign: F10Campaign, seeds: SeedTree, steps: u64) -> Metri
     for d in &report.deltas {
         obs::emit(counterfactual_record(campaign.label(), metric, d));
         m.set(format!("benefit:{}", d.class.label()), d.benefit);
+        m.set(format!("fires:{}", d.class.label()), d.fires as f64);
         m.set(format!("events:{}", d.class.label()), d.events as f64);
     }
     m
@@ -2639,7 +2641,7 @@ pub fn f10_canonical(class: InterventionClass) -> F10Campaign {
 }
 
 /// One aggregated gate cell: a class's mean measured benefit (and
-/// mean anchored event count) on its canonical campaign.
+/// mean fire count) on its canonical campaign.
 #[derive(Debug, Clone)]
 pub struct F10Cell {
     /// The intervention class under test.
@@ -2648,9 +2650,9 @@ pub struct F10Cell {
     pub campaign: &'static str,
     /// Mean direction-signed benefit over replicates.
     pub benefit: f64,
-    /// Mean anchored explanation-entry count over replicates.
-    pub events: f64,
-    /// Whether zero anchored events is itself a failure. Canonical
+    /// Mean ledger fire count over replicates.
+    pub fires: f64,
+    /// Whether zero fires is itself a failure. Canonical
     /// cells require firing (a gate that cannot observe its subject is
     /// not green); *restraint* cells set this false — they pin a
     /// campaign where the class historically misfired, so not firing
@@ -2669,16 +2671,16 @@ pub struct F10Cell {
 /// class fails when its campaign mean benefit is below
 /// `-`[`F10_EPSILON`] — the explanation machinery claims an
 /// intervention helped while the measured counterfactual says it
-/// hurt. A `require_fire` class that never fired (zero anchored
-/// events) fails too: a gate that cannot observe its subject is not
+/// hurt. A `require_fire` class that never fired (zero fires in the
+/// ledger) fails too: a gate that cannot observe its subject is not
 /// green.
 #[must_use]
 pub fn f10_gate_failures(cells: &[F10Cell]) -> Vec<String> {
     let mut failures = Vec::new();
     for cell in cells {
-        if cell.events <= 0.0 && cell.require_fire {
+        if cell.fires <= 0.0 && cell.require_fire {
             failures.push(format!(
-                "{} never fired on canonical campaign `{}` (0 anchored events)",
+                "{} never fired on canonical campaign `{}` (0 fires)",
                 cell.class.label(),
                 cell.campaign
             ));
@@ -2835,7 +2837,7 @@ pub fn run_f10(reps: u32, steps: u64) -> F10Report {
                 class,
                 campaign: canonical.label(),
                 benefit: aggs[idx].mean(&format!("benefit:{}", class.label())),
-                events: aggs[idx].mean(&format!("events:{}", class.label())),
+                fires: aggs[idx].mean(&format!("fires:{}", class.label())),
                 require_fire: true,
                 // The brownout exists so throttle pays (ROADMAP item
                 // 5); its cell must show a strictly positive delta.
@@ -2854,7 +2856,7 @@ pub fn run_f10(reps: u32, steps: u64) -> F10Report {
             class: InterventionClass::ComposeRehome,
             campaign: F10Campaign::Loss.label(),
             benefit: aggs[idx].mean(&format!("benefit:{label}")),
-            events: aggs[idx].mean(&format!("events:{label}")),
+            fires: aggs[idx].mean(&format!("fires:{label}")),
             require_fire: false,
             require_positive: false,
         });
@@ -2870,7 +2872,7 @@ pub fn run_f10(reps: u32, steps: u64) -> F10Report {
             class: InterventionClass::ComposeThrottle,
             campaign: F10Campaign::Cascade.label(),
             benefit: aggs[idx].mean(&format!("benefit:{label}")),
-            events: aggs[idx].mean(&format!("events:{label}")),
+            fires: aggs[idx].mean(&format!("fires:{label}")),
             require_fire: false,
             require_positive: false,
         });
@@ -2978,7 +2980,7 @@ mod f10_tests {
                 class: InterventionClass::SupervisorRollback,
                 campaign: "corruption",
                 benefit: 0.5,
-                events: 2.0,
+                fires: 2.0,
                 require_fire: true,
                 require_positive: false,
             },
@@ -2986,7 +2988,7 @@ mod f10_tests {
                 class: InterventionClass::CommsRetry,
                 campaign: "loss",
                 benefit: -0.5,
-                events: 3.0,
+                fires: 3.0,
                 require_fire: true,
                 require_positive: false,
             },
@@ -2994,7 +2996,17 @@ mod f10_tests {
                 class: InterventionClass::ComposeShed,
                 campaign: "cascade",
                 benefit: 0.0,
-                events: 0.0,
+                fires: 0.0,
+                require_fire: true,
+                require_positive: false,
+            },
+            // Fired, though the ring evicted every anchor: the ledger's
+            // count passes the fire check.
+            F10Cell {
+                class: InterventionClass::SupervisorFallback,
+                campaign: "corruption",
+                benefit: 0.1,
+                fires: 1.0,
                 require_fire: true,
                 require_positive: false,
             },
@@ -3002,14 +3014,16 @@ mod f10_tests {
         let failures = f10_gate_failures(&cells);
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures.iter().any(|f| f.contains("comms-retry")));
-        assert!(failures.iter().any(|f| f.contains("compose-shed")));
+        assert!(failures
+            .iter()
+            .any(|f| f.contains("compose-shed") && f.contains("(0 fires)")));
         // Within tolerance: a small negative mean is noise, not a
         // regression.
         let ok = f10_gate_failures(&[F10Cell {
             class: InterventionClass::CommsRetry,
             campaign: "loss",
             benefit: -F10_EPSILON / 2.0,
-            events: 1.0,
+            fires: 1.0,
             require_fire: true,
             require_positive: false,
         }]);
@@ -3024,7 +3038,7 @@ mod f10_tests {
             class: InterventionClass::ComposeRehome,
             campaign: "loss",
             benefit: 0.0,
-            events: 0.0,
+            fires: 0.0,
             require_fire: false,
             require_positive: false,
         };
@@ -3034,7 +3048,7 @@ mod f10_tests {
             class: InterventionClass::ComposeRehome,
             campaign: "loss",
             benefit: -0.4,
-            events: 2.0,
+            fires: 2.0,
             require_fire: false,
             require_positive: false,
         };
@@ -3053,7 +3067,7 @@ mod f10_tests {
             class: InterventionClass::ComposeThrottle,
             campaign: "brownout",
             benefit: 0.0,
-            events: 40.0,
+            fires: 40.0,
             require_fire: true,
             require_positive: true,
         };
@@ -3069,7 +3083,7 @@ mod f10_tests {
         // …and silence still trips the require_fire arm first.
         let silent = F10Cell {
             benefit: 0.0,
-            events: 0.0,
+            fires: 0.0,
             ..flat
         };
         let failures = f10_gate_failures(&[silent]);

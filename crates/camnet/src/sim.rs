@@ -767,7 +767,7 @@ mod tests {
             "boundary links must hit the partition window"
         );
         assert!(
-            !r.comms_log.find_by_action("comms:partition").is_empty(),
+            r.comms_log.iter().any(|e| e.kind == "comms:partition"),
             "partition onset must be explained"
         );
     }

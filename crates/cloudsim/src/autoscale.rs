@@ -320,7 +320,7 @@ mod tests {
         assert!(stats.warns + stats.rollbacks + stats.fallbacks > 0);
         // The supervisor explains itself under the core's name.
         let log = core.explanations().expect("supervised");
-        let actions: Vec<&str> = log.iter().map(|e| e.action.as_str()).collect();
+        let actions: Vec<String> = log.iter().map(|e| e.action()).collect();
         assert!(
             actions
                 .iter()

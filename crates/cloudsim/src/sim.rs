@@ -219,11 +219,13 @@ impl ZonedPlane {
                 if changed || overdue {
                     if !changed {
                         log.fired(InterventionClass::CommsReissue);
-                        log.record_with(|| {
-                            Explanation::new(now, format!("comms:reissue:{ctrl}->{z}"))
+                        log.record(
+                            Explanation::new(now, "comms:reissue")
+                                .anchoring(InterventionClass::CommsReissue)
+                                .link(ctrl, z)
                                 .because("target", target as f64)
-                                .because("believed", self.believed[z] as f64)
-                        });
+                                .because("believed", self.believed[z] as f64),
+                        );
                     }
                     self.net.send(channel, ctrl, z, target, now, log);
                     self.issued[z] = Some(target);
@@ -813,7 +815,7 @@ mod tests {
             a.metrics
         );
         assert!(
-            !a.comms_log.find_by_action("comms:retry").is_empty(),
+            a.comms_log.iter().any(|e| e.kind == "comms:retry"),
             "retries must be explained in the comms log"
         );
     }
@@ -845,7 +847,7 @@ mod tests {
                 // entry itself is checked in the short test below,
                 // where later traffic cannot evict it from the ring.
                 assert!(
-                    !aware.comms_log.find_by_action("comms:expire").is_empty(),
+                    aware.comms_log.iter().any(|e| e.kind == "comms:expire"),
                     "abandoned sends must be explained"
                 );
             }
@@ -864,7 +866,7 @@ mod tests {
         let r = run_scenario(&cfg, &seeds);
         assert!(r.metrics.get("comms_partition_hits").unwrap() > 0.0);
         assert!(
-            !r.comms_log.find_by_action("comms:partition").is_empty(),
+            r.comms_log.iter().any(|e| e.kind == "comms:partition"),
             "partition onset must be explained"
         );
     }

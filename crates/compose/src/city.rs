@@ -682,12 +682,12 @@ pub fn run_city_with_clock<K: ClockSource>(
                         if !dark {
                             continue;
                         }
-                        log.record_with(|| {
+                        log.record(
                             Explanation::new(now, "ladder:zone-dark")
                                 .because("zone", z as f64)
                                 .because("probe_failures", probe_fail_streak[z] as f64)
-                                .because("bounce_evidence", dark_evidence[z])
-                        });
+                                .because("bounce_evidence", dark_evidence[z]),
+                        );
                         rehome_latched[z] = true;
                     }
                     // Nearest zone the controller still hears from.
@@ -703,17 +703,19 @@ pub fn run_city_with_clock<K: ClockSource>(
                 // deltas can point at the tick a rung engaged.
                 let prev = sent_directive.as_ref();
                 if prev.map_or(shed > 0, |(s, _)| *s != shed) {
-                    log.record_with(|| {
+                    log.record(
                         Explanation::new(now, "ladder:shed")
+                            .anchoring(InterventionClass::ComposeShed)
                             .because("level", f64::from(shed))
-                            .because("pressure", pressure_total as f64)
-                    });
+                            .because("pressure", pressure_total as f64),
+                    );
                 }
                 if prev.map_or(rehome.iter().any(Option::is_some), |(_, r)| *r != rehome) {
-                    log.record_with(|| {
+                    log.record(
                         Explanation::new(now, "ladder:rehome")
-                            .because("zones", rehome.iter().flatten().count() as f64)
-                    });
+                            .anchoring(InterventionClass::ComposeRehome)
+                            .because("zones", rehome.iter().flatten().count() as f64),
+                    );
                 }
                 let event = CityEvent::Directive { shed, rehome };
                 comms.send(plane, ctrl, cam_head, event, now, &mut log);
@@ -748,21 +750,24 @@ pub fn run_city_with_clock<K: ClockSource>(
                     log.fired(InterventionClass::CommsReissue);
                 }
                 if want != ctrl_throttle[z] {
-                    log.record_with(|| {
+                    log.record(
                         Explanation::new(now, "ladder:throttle")
+                            .anchoring(InterventionClass::ComposeThrottle)
                             .because("zone", z as f64)
                             .because("on", f64::from(u8::from(want)))
                             .because("believed_backlog", believed_backlog[z] as f64)
-                            .because("backlog_slope", throttle_gates[z].slope())
-                    });
+                            .because("backlog_slope", throttle_gates[z].slope()),
+                    );
                 } else if refresh && want {
                     // Anchor only the re-issues that keep an *active*
                     // throttle alive — the consequential ones — so the
                     // shared ring is not flooded in benign stretches.
-                    log.record_with(|| {
-                        Explanation::new(now, format!("comms:reissue:{ctrl}->{z}"))
-                            .because("on", 1.0)
-                    });
+                    log.record(
+                        Explanation::new(now, "comms:reissue")
+                            .anchoring(InterventionClass::CommsReissue)
+                            .link(ctrl, z)
+                            .because("on", 1.0),
+                    );
                 }
                 if want != ctrl_throttle[z] || refresh {
                     ctrl_throttle[z] = want;

@@ -708,18 +708,20 @@ impl<M: Clone> CommsNetwork<M> {
         if o.partitioned {
             self.stats.partition_hits += 1;
             if self.partitioned_links.insert((src, dst)) {
-                log.record_with(|| {
-                    Explanation::new(now, format!("comms:partition:{src}->{dst}"))
+                log.record(
+                    Explanation::new(now, "comms:partition")
+                        .link(src, dst)
                         .because("src", src as f64)
-                        .because("dst", dst as f64)
-                });
+                        .because("dst", dst as f64),
+                );
             }
         } else if self.partitioned_links.remove(&(src, dst)) {
-            log.record_with(|| {
-                Explanation::new(now, format!("comms:heal:{src}->{dst}"))
+            log.record(
+                Explanation::new(now, "comms:heal")
+                    .link(src, dst)
                     .because("src", src as f64)
-                    .because("dst", dst as f64)
-            });
+                    .because("dst", dst as f64),
+            );
         }
         o
     }
@@ -964,13 +966,14 @@ impl<M: Clone> CommsNetwork<M> {
                             .or_insert(0) += 1;
                     }
                     self.payloads.decref(p.slot);
-                    log.record_with(|| {
-                        Explanation::new(now, format!("comms:expire:{src}->{dst}"))
+                    log.record(
+                        Explanation::new(now, "comms:expire")
+                            .link(src, dst)
                             .because("seq", seq as f64)
                             .because("attempts", f64::from(p.attempts))
                             .because("age", now.0.saturating_sub(p.sent_at) as f64)
-                            .because("out_of_budget", f64::from(u8::from(out_of_budget)))
-                    });
+                            .because("out_of_budget", f64::from(u8::from(out_of_budget))),
+                    );
                 }
             } else if let Some((slot, attempt, backoff)) = info {
                 // Masked retry (counterfactual replay): the pending
@@ -982,12 +985,14 @@ impl<M: Clone> CommsNetwork<M> {
                 }
                 self.stats.retries += 1;
                 log.fired(InterventionClass::CommsRetry);
-                log.record_with(|| {
-                    Explanation::new(now, format!("comms:retry:{src}->{dst}"))
+                log.record(
+                    Explanation::new(now, "comms:retry")
+                        .anchoring(InterventionClass::CommsRetry)
+                        .link(src, dst)
                         .because("seq", seq as f64)
                         .because("attempt", f64::from(attempt))
-                        .because("backoff", backoff as f64)
-                });
+                        .because("backoff", backoff as f64),
+                );
                 // Retransmits straight out of the slab: no payload
                 // clone, however many attempts the budget allows.
                 self.launch(ch, src, dst, seq, attempt, slot, now, log);
@@ -1197,7 +1202,7 @@ mod tests {
         assert_eq!(got[0].payload, 7);
         assert_eq!(net.stats().retries, 1);
         assert_eq!(net.unacked(), 0);
-        assert!(!l.find_by_action("comms:retry").is_empty());
+        assert!(l.iter().any(|e| e.kind == "comms:retry"));
     }
 
     #[test]
@@ -1259,8 +1264,9 @@ mod tests {
         assert_eq!(net.stats().expired, 1);
         assert_eq!(net.unacked(), 0);
         assert!(net.stats().partition_hits >= 3);
-        assert_eq!(l.find_by_action("comms:partition:2->3").len(), 1);
-        assert!(!l.find_by_action("comms:expire").is_empty());
+        let partitions = l.iter().filter(|e| e.action() == "comms:partition:2->3");
+        assert_eq!(partitions.count(), 1);
+        assert!(l.iter().any(|e| e.kind == "comms:expire"));
         // A 3-retry budget runs out long before the 100-tick timeout,
         // and the loss is attributed to the 2→3 link.
         assert_eq!(net.stats().budget_exhausted, 1);
@@ -1271,7 +1277,8 @@ mod tests {
         // Healing is logged once the link carries a frame again.
         ch.partition_all = false;
         net.send(&ch, 2, 3, 2, Tick(50), &mut l);
-        assert_eq!(l.find_by_action("comms:heal:2->3").len(), 1);
+        let heals = l.iter().filter(|e| e.action() == "comms:heal:2->3");
+        assert_eq!(heals.count(), 1);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::models::holt::Holt;
 use crate::models::{Forecaster, OnlineModel};
 use crate::replay::{InterventionClass, InterventionMask};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use simkernel::obs::Json;
 use simkernel::Tick;
@@ -85,6 +86,8 @@ pub struct HealthReading {
 /// Per-sensor state: self-model, residual envelope and fault streaks.
 #[derive(Debug, Clone)]
 struct Monitor {
+    /// Shared with the map and every explanation this monitor records.
+    key: Arc<str>,
     model: Holt,
     residual: ResidualTracker,
     last_raw: Option<f64>,
@@ -109,8 +112,9 @@ struct Monitor {
 }
 
 impl Monitor {
-    fn new() -> Self {
+    fn new(key: Arc<str>) -> Self {
         Self {
+            key,
             model: Holt::new(0.4, 0.2),
             residual: ResidualTracker::new(RESIDUAL_ALPHA),
             last_raw: None,
@@ -146,15 +150,16 @@ impl Monitor {
 
     fn enter_quarantine(
         &mut self,
-        key: &str,
         now: Tick,
-        reason: &str,
+        reason: &'static str,
         detail: f64,
         log: &mut ExplanationLog,
     ) {
         self.quarantined = true;
         self.agree_streak = 0;
-        let mut e = Explanation::new(now, format!("quarantine:{key}"))
+        let mut e = Explanation::new(now, "quarantine")
+            .anchoring(InterventionClass::SensorQuarantine)
+            .named(&self.key)
             .because(reason, detail)
             .because("residual", self.residual.error());
         if let Some(p) = self.model.forecast() {
@@ -163,7 +168,7 @@ impl Monitor {
         log.record(e);
     }
 
-    fn restore(&mut self, key: &str, now: Tick, log: &mut ExplanationLog) {
+    fn restore(&mut self, now: Tick, log: &mut ExplanationLog) {
         self.quarantined = false;
         self.outlier_streak = 0;
         self.missing_streak = 0;
@@ -179,7 +184,8 @@ impl Monitor {
         self.var_slow = 0.0;
         self.var_streak = 0;
         log.record(
-            Explanation::new(now, format!("restore:{key}"))
+            Explanation::new(now, "restore")
+                .named(&self.key)
                 .because("agree_streak", f64::from(self.agree_streak)),
         );
         self.agree_streak = 0;
@@ -228,7 +234,7 @@ impl Monitor {
 /// are created lazily; iteration order is deterministic (`BTreeMap`).
 #[derive(Debug, Clone, Default)]
 pub struct SensorHealth {
-    monitors: BTreeMap<String, Monitor>,
+    monitors: BTreeMap<Arc<str>, Monitor>,
     quarantine_events: u64,
     restore_events: u64,
     mask: InterventionMask,
@@ -298,13 +304,13 @@ impl SensorHealth {
         log: &mut ExplanationLog,
     ) -> HealthReading {
         // Look the key up by reference; only a sensor's first reading
-        // allocates its owned name.
+        // allocates its shared name.
         let m = match self.monitors.get_mut(key) {
             Some(m) => m,
             None => self
                 .monitors
-                .entry(key.to_owned())
-                .or_insert_with(Monitor::new),
+                .entry(Arc::from(key))
+                .or_insert_with_key(|k| Monitor::new(Arc::clone(k))),
         };
 
         // Masked quarantine (counterfactual replay, see
@@ -350,7 +356,7 @@ impl SensorHealth {
                 }
                 m.last_raw = Some(x);
                 if m.agree_streak >= RECOVER_AFTER {
-                    m.restore(key, now, log);
+                    m.restore(now, log);
                     self.restore_events += 1;
                     m.learn(x);
                     return HealthReading {
@@ -379,7 +385,7 @@ impl SensorHealth {
             m.repeats = 0;
             m.outlier_streak = 0;
             if warm && m.missing_streak >= OUTLIER_PATIENCE {
-                m.enter_quarantine(key, now, "missing_streak", f64::from(m.missing_streak), log);
+                m.enter_quarantine(now, "missing_streak", f64::from(m.missing_streak), log);
                 self.quarantine_events += 1;
             }
             let value = m.substitute();
@@ -404,7 +410,7 @@ impl SensorHealth {
         // the signal had been moving. A genuinely constant signal has
         // residual ~ 0 and is never flagged.
         if warm && m.repeats >= STUCK_AFTER && m.residual.error() > OUTLIER_FLOOR {
-            m.enter_quarantine(key, now, "repeats", f64::from(m.repeats), log);
+            m.enter_quarantine(now, "repeats", f64::from(m.repeats), log);
             self.quarantine_events += 1;
             let value = m.substitute();
             m.behind = m.behind.saturating_add(1);
@@ -429,7 +435,7 @@ impl SensorHealth {
         if suspect {
             m.outlier_streak += 1;
             let degraded = if m.outlier_streak >= OUTLIER_PATIENCE {
-                m.enter_quarantine(key, now, "reading", x, log);
+                m.enter_quarantine(now, "reading", x, log);
                 self.quarantine_events += 1;
                 true
             } else {
@@ -453,7 +459,7 @@ impl SensorHealth {
         // being learned, inflating the envelope), but its residual
         // power betrays it.
         if let Some(ratio) = m.variance_verdict() {
-            m.enter_quarantine(key, now, "variance_ratio", ratio, log);
+            m.enter_quarantine(now, "variance_ratio", ratio, log);
             self.quarantine_events += 1;
             let value = m.substitute();
             m.behind = m.behind.saturating_add(1);
@@ -563,7 +569,7 @@ mod tests {
         }
         assert!(degraded_seen, "stuck sensor should be quarantined");
         assert!(h.is_quarantined("s"));
-        assert!(!log.find_by_action("quarantine:s").is_empty());
+        assert!(log.iter().any(|e| e.action() == "quarantine:s"));
     }
 
     #[test]
@@ -631,7 +637,7 @@ mod tests {
         }
         assert!(!h.is_quarantined("s"), "agreeing sensor must be restored");
         assert_eq!(h.restore_events(), 1);
-        assert!(!log.find_by_action("restore:s").is_empty());
+        assert!(log.iter().any(|e| e.action() == "restore:s"));
         let r = h.observe("s", Some(ramp(70)), Tick(70), &mut log);
         assert!(!r.substituted);
     }
@@ -703,8 +709,8 @@ mod tests {
         let variance_entries: Vec<_> = log
             .iter()
             .filter(|e| {
-                e.action.starts_with("quarantine:")
-                    && e.factors.iter().any(|f| f.name == "variance_ratio")
+                e.class == Some(InterventionClass::SensorQuarantine)
+                    && e.factors().iter().any(|f| f.0 == "variance_ratio")
             })
             .collect();
         assert!(

@@ -121,25 +121,6 @@ impl InterventionClass {
             InterventionClass::ComposeThrottle => "compose-throttle",
         }
     }
-
-    /// Action-label substrings that anchor this class's explanation
-    /// entries (matched with
-    /// [`ExplanationLog::find_by_action`]): the logged actions a
-    /// counterfactual delta is attributed to.
-    #[must_use]
-    pub fn anchor_patterns(self) -> &'static [&'static str] {
-        match self {
-            InterventionClass::SensorQuarantine => &["quarantine:"],
-            InterventionClass::SupervisorRollback => &[":rollback"],
-            InterventionClass::SupervisorFallback => &[":fallback"],
-            InterventionClass::SupervisorRepromote => &[":repromote"],
-            InterventionClass::CommsRetry => &["comms:retry"],
-            InterventionClass::CommsReissue => &["comms:reissue"],
-            InterventionClass::ComposeShed => &["ladder:shed"],
-            InterventionClass::ComposeRehome => &["ladder:rehome"],
-            InterventionClass::ComposeThrottle => &["ladder:throttle"],
-        }
-    }
 }
 
 /// A bitset of *suppressed* intervention classes.
@@ -163,12 +144,6 @@ impl InterventionMask {
     #[must_use]
     pub fn suppressing(class: InterventionClass) -> Self {
         Self(class.bit())
-    }
-
-    /// Returns the mask with `class` additionally suppressed.
-    #[must_use]
-    pub fn and_suppressing(self, class: InterventionClass) -> Self {
-        Self(self.0 | class.bit())
     }
 
     /// Whether `class` is suppressed (the intervention must not fire).
@@ -251,7 +226,7 @@ pub struct CounterfactualDelta {
     /// log's ledger ([`ExplanationLog::fires`]); zero means the class
     /// was not re-executed.
     pub fires: u64,
-    /// Factual-run explanation entries attributed to this class (the
+    /// Factual-run explanation entries tagged with this class (the
     /// anchors the bounded log retained).
     pub events: u64,
     /// Tick of the first anchoring explanation entry, if any.
@@ -393,7 +368,11 @@ impl CounterfactualReport {
 ///     let retried = mask.allows(InterventionClass::CommsRetry);
 ///     if retried {
 ///         log.fired(InterventionClass::CommsRetry);
-///         log.record(Explanation::new(Tick(7), "comms:retry:0->1"));
+///         log.record(
+///             Explanation::new(Tick(7), "comms:retry")
+///                 .anchoring(InterventionClass::CommsRetry)
+///                 .link(0, 1),
+///         );
 ///     }
 ///     ReplayOutcome { metric: if retried { 10.0 } else { 8.0 }, log }
 /// };
@@ -403,6 +382,7 @@ impl CounterfactualReport {
 /// assert_eq!(d.benefit, 2.0);
 /// assert_eq!(d.fires, 1);
 /// assert_eq!(d.anchor_tick, Some(7));
+/// assert_eq!(d.anchor_action.as_deref(), Some("comms:retry:0->1"));
 /// ```
 pub struct CounterfactualRun<'a, F> {
     metric: &'a str,
@@ -443,16 +423,17 @@ where
                     Direction::Maximize => factual.metric - counterfactual,
                     Direction::Minimize => counterfactual - factual.metric,
                 };
-                let anchors = anchors_of(&factual.log, class);
+                let anchors = || factual.log.iter().filter(|e| e.class == Some(class));
+                let first = anchors().next();
                 CounterfactualDelta {
                     class,
                     factual: factual.metric,
                     counterfactual,
                     benefit,
                     fires,
-                    events: anchors.len() as u64,
-                    anchor_tick: anchors.first().map(|e| e.at.value()),
-                    anchor_action: anchors.first().map(|e| e.action.clone()),
+                    events: anchors().count() as u64,
+                    anchor_tick: first.map(|e| e.at.value()),
+                    anchor_action: first.map(Explanation::action),
                     log_dropped: factual.log.dropped_count(),
                 }
             })
@@ -466,22 +447,11 @@ where
     }
 }
 
-/// The factual log's entries attributed to `class`, oldest first.
-fn anchors_of(log: &ExplanationLog, class: InterventionClass) -> Vec<&Explanation> {
-    let mut out: Vec<&Explanation> = class
-        .anchor_patterns()
-        .iter()
-        .flat_map(|p| log.find_by_action(p))
-        .collect();
-    out.sort_by_key(|e| e.at);
-    out.dedup_by(|a, b| std::ptr::eq(*a, *b));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simkernel::Tick;
+    use std::sync::Arc;
 
     #[test]
     fn bits_are_distinct_and_stable() {
@@ -527,9 +497,9 @@ mod tests {
 
     #[test]
     fn masks_compose() {
-        let m = InterventionMask::allow_all()
-            .and_suppressing(InterventionClass::ComposeShed)
-            .and_suppressing(InterventionClass::CommsRetry);
+        let m = InterventionMask(
+            InterventionClass::ComposeShed.bit() | InterventionClass::CommsRetry.bit(),
+        );
         assert!(m.suppresses(InterventionClass::ComposeShed));
         assert!(m.suppresses(InterventionClass::CommsRetry));
         assert!(m.allows(InterventionClass::SensorQuarantine));
@@ -549,22 +519,36 @@ mod tests {
     fn toy_outcome(mask: InterventionMask) -> ReplayOutcome {
         // Two interventions with separable effects: rollback is worth
         // +3 utility, retry is worth +2; the ledger counts both and the
-        // log anchors both.
+        // log anchors both. An untagged entry of the retry kind anchors
+        // nothing.
         let mut log = ExplanationLog::new(4);
         let mut metric = 5.0;
         if mask.allows(InterventionClass::SupervisorRollback) {
             metric += 3.0;
             log.fired(InterventionClass::SupervisorRollback);
-            log.record(Explanation::new(Tick(812), "supervise:demo:rollback"));
+            log.record(rollback(812));
         }
+        log.record(Explanation::new(Tick(39), "comms:retry").link(1, 2));
         if mask.allows(InterventionClass::CommsRetry) {
             metric += 2.0;
             for t in [40, 41] {
                 log.fired(InterventionClass::CommsRetry);
-                log.record(Explanation::new(Tick(t), "comms:retry:1->2"));
+                log.record(retry(t));
             }
         }
         ReplayOutcome { metric, log }
+    }
+
+    fn rollback(t: u64) -> Explanation {
+        Explanation::new(Tick(t), "supervise:rollback")
+            .anchoring(InterventionClass::SupervisorRollback)
+            .named(&Arc::from("demo"))
+    }
+
+    fn retry(t: u64) -> Explanation {
+        Explanation::new(Tick(t), "comms:retry")
+            .anchoring(InterventionClass::CommsRetry)
+            .link(1, 2)
     }
 
     #[test]
@@ -583,6 +567,8 @@ mod tests {
         assert_eq!(rb.events, 1);
         assert_eq!(rb.anchor_tick, Some(812));
         assert_eq!(rb.anchor_action.as_deref(), Some("supervise:demo:rollback"));
+        // The untagged retry-kind entry at tick 39 is neither counted
+        // nor the first anchor.
         let rt = report.delta(InterventionClass::CommsRetry).expect("probed");
         assert_eq!(rt.benefit, 2.0);
         assert_eq!(rt.events, 2);
@@ -623,17 +609,15 @@ mod tests {
             Some(2)
         );
 
-        // A disabled log records nothing but still counts fires, so
-        // the intervention is still re-executed and measured.
+        // A fire that records nothing is still re-executed and
+        // measured: the ledger, not the ring, decides what fired.
         let mut calls = 0u32;
         let report = CounterfactualRun::new("utility", Direction::Maximize, |mask| {
             calls += 1;
             let mut out = ExplanationLog::new(4);
-            out.set_enabled(false);
             let allowed = mask.allows(InterventionClass::ComposeShed);
             if allowed {
                 out.fired(InterventionClass::ComposeShed);
-                out.record(Explanation::new(Tick(3), "ladder:shed"));
             }
             ReplayOutcome {
                 metric: if allowed { 2.0 } else { 1.5 },
@@ -681,7 +665,7 @@ mod tests {
             if mask.allows(InterventionClass::CommsRetry) {
                 for t in [1, 2] {
                     log.fired(InterventionClass::CommsRetry);
-                    log.record(Explanation::new(Tick(t), "comms:retry:0->1"));
+                    log.record(retry(t));
                 }
             }
             ReplayOutcome { metric: 1.0, log }
@@ -718,9 +702,9 @@ mod tests {
             if mask.allows(InterventionClass::SupervisorRollback) {
                 metric += 3.0;
                 log.fired(InterventionClass::SupervisorRollback);
-                log.record(Explanation::new(Tick(812), "supervise:demo:rollback"));
+                log.record(rollback(812));
             }
-            log.record(Explanation::new(Tick(900), "supervise:demo:warn"));
+            log.record(Explanation::new(Tick(900), "supervise:warn").named(&Arc::from("demo")));
             ReplayOutcome { metric, log }
         };
         let report = CounterfactualRun::new("utility", Direction::Maximize, evicted).probe(&[

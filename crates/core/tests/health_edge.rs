@@ -2,7 +2,7 @@
 //! dropout while quarantined, and the exact quarantine/restore
 //! transition sequences recorded in the [`ExplanationLog`].
 
-use selfaware::explain::ExplanationLog;
+use selfaware::explain::{Explanation, ExplanationLog};
 use selfaware::health::{SensorHealth, MIN_SAMPLES, RECOVER_AFTER};
 use simkernel::Tick;
 
@@ -129,14 +129,14 @@ fn quarantine_restore_requarantine_is_logged_in_exact_order() {
 
     // The log tells exactly that story, in order, with timestamps
     // strictly increasing.
-    let actions: Vec<&str> = log.iter().map(|e| e.action.as_str()).collect();
+    let actions: Vec<String> = log.iter().map(Explanation::action).collect();
     assert_eq!(actions, ["quarantine:s", "restore:s", "quarantine:s"]);
     let times: Vec<u64> = log.iter().map(|e| e.at.value()).collect();
     assert!(times.windows(2).all(|w| w[0] < w[1]), "times {times:?}");
     // Each quarantine entry carries the evidence it acted on.
-    for e in log.find_by_action("quarantine:s") {
+    for e in log.iter().filter(|e| e.kind == "quarantine") {
         assert!(
-            e.factors.iter().any(|f| f.name == "residual"),
+            e.factors().iter().any(|&(name, _)| name == "residual"),
             "quarantine must cite the residual envelope"
         );
     }

@@ -89,16 +89,4 @@ proptest! {
         prop_assert_eq!(uniq.len(), picked.len());
         prop_assert!(picked.iter().all(|&i| i < n));
     }
-
-    #[test]
-    fn explanation_roundtrips_through_display(
-        action in "[a-z]{1,10}",
-        utility in -10.0f64..10.0,
-    ) {
-        use selfaware::explain::Explanation;
-        let e = Explanation::new(Tick(1), action.clone()).expecting(utility);
-        let s = e.to_string();
-        prop_assert!(s.contains(&action));
-        prop_assert!(s.contains("chose"));
-    }
 }

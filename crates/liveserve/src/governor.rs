@@ -249,11 +249,11 @@ impl ControlLoop for Governor {
                 _ => "live:repromote",
             };
             self.record_transition(t, event);
-            self.log.record_with(|| {
+            self.log.record(
                 Explanation::new(now, event)
                     .because("tick", t as f64)
-                    .because("cap", cap as f64)
-            });
+                    .because("cap", cap as f64),
+            );
         }
 
         // Backpressure: slope-tilted hysteresis on believed queue
@@ -278,13 +278,13 @@ impl ControlLoop for Governor {
         if shed != was_shedding {
             let event = if shed { "live:shed" } else { "live:recover" };
             self.record_transition(t, event);
-            self.log.record_with(|| {
+            self.log.record(
                 Explanation::new(now, event)
                     .because("queue", backlog)
                     .because("queue_slope", self.gate.slope())
                     .because("cap", cap as f64)
-                    .because("retry_after_ms", drain_ms)
-            });
+                    .because("retry_after_ms", drain_ms),
+            );
         }
 
         self.trace.push((t, cap, frame.queue_len, shed));
