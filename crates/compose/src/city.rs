@@ -32,7 +32,7 @@ use selfaware::replay::InterventionClass;
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{Clock, ClockSource, MetricSet, Tick};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use workloads::faults::{FaultKind, ModelCorruptionKind};
 use workloads::rates::{DiurnalRate, RateFn};
 use workloads::tasks::{Task, TaskClass};
@@ -281,9 +281,8 @@ pub fn run_city_with_clock<K: ClockSource>(
     let mut head_shed: u8 = 0;
     let mut head_rehome: Vec<Option<u8>> = vec![None; cfg.zones];
 
-    // In-flight detections' qualities, keyed by task id.
-    let mut task_quality: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
-    let mut next_task_id: u64 = 0;
+    // In-flight detections' qualities, by task id.
+    let mut task_quality = TaskQualities::default();
 
     // Counters.
     let (mut detections, mut serviced, mut violations) = (0u64, 0u64, 0u64);
@@ -314,6 +313,15 @@ pub fn run_city_with_clock<K: ClockSource>(
     let faults = cfg.campaign.faults().clone();
     let channel = cfg.campaign.channel().clone();
 
+    // Per-tick buffers, reused every tick.
+    let mut positions: Vec<Point> = Vec::with_capacity(total_pop);
+    let mut congestion: Vec<f64> = Vec::with_capacity(n);
+    let mut owned: Vec<Vec<(usize, f64)>> = vec![Vec::new(); cfg.cameras];
+    let mut cam_readings: Vec<Option<(f64, Option<f64>)>> = vec![None; cfg.cameras];
+    let mut consensus: Vec<Option<f64>> = Vec::with_capacity(cfg.cameras);
+    let mut completed: Vec<(Task, u64)> = Vec::new();
+    let mut rehome: Vec<Option<u8>> = vec![None; cfg.zones];
+
     loop {
         let now = clock.now();
         if now.value() >= cfg.steps {
@@ -331,7 +339,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 if down && !machine_down[m] {
                     let orphans = cores[z][k].fail();
                     for task in &orphans {
-                        task_quality.remove(&task.id);
+                        task_quality.remove(task.id);
                         tasks_lost += 1;
                     }
                 } else if !down && machine_down[m] {
@@ -373,10 +381,8 @@ pub fn run_city_with_clock<K: ClockSource>(
         // --- Population: diurnal activity plus the flash crowd. ----
         let in_crowd = t >= cfg.crowd_window.0 && t < cfg.crowd_window.1;
         let n_active = (diurnal.rate(now).round() as usize).clamp(1, cfg.wanderers);
-        let mut positions: Vec<Point> = Vec::with_capacity(total_pop);
-        for w in &mut wanderers {
-            positions.push(w.step(&mut wander_rng));
-        }
+        positions.clear();
+        positions.extend(wanderers.iter_mut().map(|w| w.step(&mut wander_rng)));
         let active = |i: usize| i < n_active || (in_crowd && i >= cfg.wanderers);
         drop(sense_span);
 
@@ -388,10 +394,12 @@ pub fn run_city_with_clock<K: ClockSource>(
         }
         routing.maintain_baseline(&graph, now, qlen);
         let cutoff = PLANE.queue_cap / 2;
-        let congestion: Vec<f64> = (0..n)
-            .map(|u| net.queue_lens(u).max().unwrap_or(0))
-            .map(|c| if c >= cutoff { c as f64 } else { 0.0 })
-            .collect();
+        congestion.clear();
+        congestion.extend(
+            (0..n)
+                .map(|u| net.queue_lens(u).max().unwrap_or(0))
+                .map(|c| if c >= cutoff { c as f64 } else { 0.0 }),
+        );
         routing.model_mut().set_congestion(&congestion);
         drop(decide_span);
 
@@ -408,7 +416,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         let qmul = if head_shed >= 2 { 0.8 } else { 1.0 };
         // Ownership: each active wanderer is owned by the best-quality
         // live, shuttered camera that sees it.
-        let mut owned: Vec<Vec<(usize, f64)>> = vec![Vec::new(); cfg.cameras];
+        owned.iter_mut().for_each(Vec::clear);
         for (i, &pos) in positions.iter().enumerate() {
             if !active(i) {
                 continue;
@@ -433,7 +441,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         // Pass 1 — per-camera mean quality readings, with any sensor
         // fault applied. `held` is the last clean mean (StuckAt holds
         // it; it also stands in when a naive stack gets a dropout).
-        let mut cam_readings: Vec<Option<(f64, Option<f64>)>> = vec![None; cfg.cameras];
+        cam_readings.fill(None);
         for (c, dets) in owned.iter().enumerate() {
             if dets.is_empty() {
                 continue;
@@ -456,18 +464,17 @@ pub fn run_city_with_clock<K: ClockSource>(
             .filter(|&c| !cam_degraded[c])
             .filter_map(|c| cam_readings[c].and_then(|(_, cor)| cor.map(|v| (c, v))))
             .fold((0.0f64, 0u32), |(s, k), (_, v)| (s + v, k + 1));
-        let consensus: Vec<Option<f64>> = (0..cfg.cameras)
-            .map(|c| {
-                let own = (!cam_degraded[c])
-                    .then(|| cam_readings[c].and_then(|(_, cor)| cor))
-                    .flatten();
-                let (s, k) = match own {
-                    Some(v) => (cons_sum - v, cons_n - 1),
-                    None => (cons_sum, cons_n),
-                };
-                (k > 0).then(|| s / f64::from(k))
-            })
-            .collect();
+        consensus.clear();
+        consensus.extend((0..cfg.cameras).map(|c| {
+            let own = (!cam_degraded[c])
+                .then(|| cam_readings[c].and_then(|(_, cor)| cor))
+                .flatten();
+            let (s, k) = match own {
+                Some(v) => (cons_sum - v, cons_n - 1),
+                None => (cons_sum, cons_n),
+            };
+            (k > 0).then(|| s / f64::from(k))
+        }));
         let mut env = Env {
             graph: &graph,
             routing: &mut routing,
@@ -528,7 +535,6 @@ pub fn run_city_with_clock<K: ClockSource>(
                         q_true_shed,
                         now,
                         &mut work_rng,
-                        &mut next_task_id,
                         &mut task_quality,
                         &mut rejected,
                         i,
@@ -576,7 +582,6 @@ pub fn run_city_with_clock<K: ClockSource>(
                 d.q_true,
                 pkt.created,
                 &mut work_rng,
-                &mut next_task_id,
                 &mut task_quality,
                 &mut rejected,
                 PLANE.ttl + 1 - pkt.hop_log.len(),
@@ -586,20 +591,20 @@ pub fn run_city_with_clock<K: ClockSource>(
         net.step(&mut env, |_, _| BANDWIDTH, arrive, |_| net_dropped += 1);
 
         // --- Backend: service detections. --------------------------
-        for zone_cores in cores.iter_mut() {
-            for core in zone_cores.iter_mut() {
-                for (task, latency) in core.step(now) {
-                    let Some((q_used, q_true)) = task_quality.remove(&task.id) else {
-                        continue;
-                    };
-                    serviced += 1;
-                    lat_sum += latency as f64;
-                    qual_sum += q_true;
-                    err_sum += (q_used - q_true).abs();
-                    if latency > cfg.deadline {
-                        violations += 1;
-                    }
-                }
+        completed.clear();
+        for core in cores.iter_mut().flatten() {
+            core.step(now, &mut completed);
+        }
+        for &(ref task, latency) in &completed {
+            let Some((q_used, q_true)) = task_quality.remove(task.id) else {
+                continue;
+            };
+            serviced += 1;
+            lat_sum += latency as f64;
+            qual_sum += q_true;
+            err_sum += (q_used - q_true).abs();
+            if latency > cfg.deadline {
+                violations += 1;
             }
         }
 
@@ -622,8 +627,13 @@ pub fn run_city_with_clock<K: ClockSource>(
                 continue;
             }
             let backlog: u64 = cores[z].iter().map(|c| c.queue_len() as u64).sum();
+            // Only the gateway's neighbours queue packets for it.
             let gw = cfg.gateway(z);
-            let pressure: u64 = (0..n).map(|u| net.queue_len(&graph, u, gw) as u64).sum();
+            let pressure: u64 = graph
+                .neighbours(gw)
+                .iter()
+                .map(|&u| net.queue_len(&graph, u, gw) as u64)
+                .sum();
             let event = CityEvent::Report {
                 backlog,
                 gateway_pressure: pressure,
@@ -660,7 +670,7 @@ pub fn run_city_with_clock<K: ClockSource>(
             // Once latched, a re-home holds until the agent is heard
             // from again, so decaying bounce telemetry (traffic has
             // been re-homed away) cannot flap the directive.
-            let mut rehome: Vec<Option<u8>> = vec![None; cfg.zones];
+            rehome.fill(None);
             if aware && !mask.suppresses(InterventionClass::ComposeRehome) {
                 for z in 0..cfg.zones {
                     if comms.freshness(ctrl, z, now) >= REHOME_FRESH {
@@ -697,8 +707,10 @@ pub fn run_city_with_clock<K: ClockSource>(
                         .map(|o| o as u8);
                 }
             }
-            let directive = (shed, rehome.clone());
-            if sent_directive.as_ref() != Some(&directive) {
+            if sent_directive
+                .as_ref()
+                .is_none_or(|(s, r)| (*s, r) != (shed, &rehome))
+            {
                 // Anchor the ladder transitions so counterfactual
                 // deltas can point at the tick a rung engaged.
                 let prev = sent_directive.as_ref();
@@ -717,9 +729,12 @@ pub fn run_city_with_clock<K: ClockSource>(
                             .because("zones", rehome.iter().flatten().count() as f64),
                     );
                 }
-                let event = CityEvent::Directive { shed, rehome };
+                let event = CityEvent::Directive {
+                    shed,
+                    rehome: rehome.clone(),
+                };
                 comms.send(plane, ctrl, cam_head, event, now, &mut log);
-                sent_directive = Some(directive);
+                sent_directive = Some((shed, rehome.clone()));
             }
             // Admission throttling is controller-commanded from the
             // *believed* backlog through a pressure-proportional
@@ -904,8 +919,7 @@ fn admit(
     q_true: f64,
     created: Tick,
     work_rng: &mut simkernel::rng::Rng,
-    next_task_id: &mut u64,
-    task_quality: &mut BTreeMap<u64, (f64, f64)>,
+    task_quality: &mut TaskQualities,
     rejected: &mut u64,
     class_salt: usize,
 ) {
@@ -922,11 +936,8 @@ fn admit(
         .iter()
         .enumerate()
         .filter(|(_, c)| c.is_online())
-        .min_by(|(_, a), (_, b)| {
-            a.backlog()
-                .partial_cmp(&b.backlog())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        .map(|(k, c)| (k, c.backlog()))
+        .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(k, _)| k);
     let Some(k) = target else {
         *rejected += 1;
@@ -937,10 +948,8 @@ fn admit(
         1 => TaskClass::Memory,
         _ => TaskClass::Interactive,
     };
-    let id = *next_task_id;
-    *next_task_id += 1;
     let work = cfg.mean_work * -(u.max(1e-12)).ln();
-    task_quality.insert(id, (q_used, q_true));
+    let id = task_quality.insert((q_used, q_true));
     cores[zone][k].enqueue(Task {
         id,
         class,
@@ -949,11 +958,47 @@ fn admit(
     });
 }
 
+/// In-flight detections' `(reported, true)` qualities by task id.
+///
+/// Ids are issued in order, so the qualities sit in a window from the
+/// oldest task still in flight to the newest; a task that completes or
+/// is orphaned leaves a hole until every older one has gone too. It
+/// answers as a map from id to qualities would.
+#[derive(Debug, Default)]
+struct TaskQualities {
+    /// The id of `window[0]`; the next id to issue while it is empty.
+    first: u64,
+    window: VecDeque<Option<(f64, f64)>>,
+}
+
+impl TaskQualities {
+    /// Records a new task's qualities and returns its id, one past the
+    /// last issued.
+    fn insert(&mut self, qualities: (f64, f64)) -> u64 {
+        self.window.push_back(Some(qualities));
+        self.first + self.window.len() as u64 - 1
+    }
+
+    /// Removes and returns task `id`'s qualities; `None` if it is not in
+    /// flight.
+    fn remove(&mut self, id: u64) -> Option<(f64, f64)> {
+        let k = usize::try_from(id.checked_sub(self.first)?).ok()?;
+        let qualities = self.window.get_mut(k)?.take();
+        while self.window.front().is_some_and(Option::is_none) {
+            self.window.pop_front();
+            self.first += 1;
+        }
+        qualities
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::world::CityPolicy;
+    use proptest::prelude::*;
     use simkernel::Tick;
+    use std::collections::BTreeMap;
     use workloads::faults::SensorFaultKind;
     use workloads::FaultCampaign;
 
@@ -1082,5 +1127,44 @@ mod tests {
             healed.metrics,
             raw.metrics
         );
+    }
+
+    proptest! {
+        // The window answers as the map it replaced. Ids are issued in
+        // order; tasks complete one at a time and are orphaned a few at
+        // a time, in any order, some twice; and ids never issued are
+        // asked for too.
+        #[test]
+        fn task_quality_window_answers_like_a_map(
+            ops in proptest::collection::vec((0u8..5, any::<u64>(), -1.0f64..1.0), 0..400),
+        ) {
+            let mut window = TaskQualities::default();
+            let mut map = BTreeMap::new();
+            let mut next = 0u64;
+            for (op, pick, q) in ops {
+                match op {
+                    0..=2 => {
+                        prop_assert_eq!(window.insert((q, -q)), next);
+                        map.insert(next, (q, -q));
+                        next += 1;
+                    }
+                    3 => {
+                        let id = pick % (next + 2);
+                        prop_assert_eq!(window.remove(id), map.remove(&id));
+                    }
+                    _ => {
+                        for k in 0..pick % 6 {
+                            let id = (pick >> 8).wrapping_add(3 * k) % (next + 2);
+                            prop_assert_eq!(window.remove(id), map.remove(&id));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(window.remove(u64::MAX), None);
+            for id in 0..next + 2 {
+                prop_assert_eq!(window.remove(id), map.remove(&id));
+            }
+            prop_assert!(window.window.is_empty());
+        }
     }
 }

@@ -163,39 +163,6 @@ impl InterventionMask {
     pub fn is_factual(self) -> bool {
         self.0 == 0
     }
-
-    /// The suppressed classes, in bit order.
-    #[must_use]
-    pub fn suppressed(self) -> Vec<InterventionClass> {
-        InterventionClass::ALL
-            .into_iter()
-            .filter(|&c| self.suppresses(c))
-            .collect()
-    }
-
-    /// Stable label: `factual`, or `-`-joined suppressed-class labels.
-    #[must_use]
-    pub fn label(self) -> String {
-        if self.is_factual() {
-            return "factual".into();
-        }
-        self.suppressed()
-            .iter()
-            .map(|c| c.label())
-            .collect::<Vec<_>>()
-            .join("+")
-    }
-
-    /// Structured export: the suppressed-class labels.
-    #[must_use]
-    pub fn to_json(self) -> Json {
-        Json::Arr(
-            self.suppressed()
-                .iter()
-                .map(|c| Json::str(c.label()))
-                .collect(),
-        )
-    }
 }
 
 /// What one (masked) re-execution reports back to the driver: the
@@ -475,8 +442,6 @@ mod tests {
             assert!(m.allows(c));
             assert!(!m.suppresses(c));
         }
-        assert_eq!(m.label(), "factual");
-        assert!(m.suppressed().is_empty());
     }
 
     #[test]
@@ -490,22 +455,7 @@ mod tests {
                     assert!(m.allows(other), "{c:?} mask leaked onto {other:?}");
                 }
             }
-            assert_eq!(m.suppressed(), vec![c]);
-            assert_eq!(m.label(), c.label());
         }
-    }
-
-    #[test]
-    fn masks_compose() {
-        let m = InterventionMask(
-            InterventionClass::ComposeShed.bit() | InterventionClass::CommsRetry.bit(),
-        );
-        assert!(m.suppresses(InterventionClass::ComposeShed));
-        assert!(m.suppresses(InterventionClass::CommsRetry));
-        assert!(m.allows(InterventionClass::SensorQuarantine));
-        assert_eq!(m.label(), "comms-retry+compose-shed");
-        let arr = m.to_json();
-        assert_eq!(arr.as_arr().map(<[Json]>::len), Some(2));
     }
 
     #[test]

@@ -75,32 +75,6 @@ impl Graph {
         g
     }
 
-    /// Builds a ring of `n` nodes with chords every `skip` nodes — a
-    /// small-world-ish topology with shorter diameter than the plain
-    /// ring, useful for routing experiments beyond grids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 3` or `skip < 2`.
-    #[must_use]
-    pub fn ring_with_chords(n: usize, skip: usize) -> Self {
-        assert!(n >= 3, "ring needs at least 3 nodes");
-        assert!(skip >= 2, "chord skip must be at least 2");
-        let mut g = Self::new(n);
-        for u in 0..n {
-            g.add_edge(u, (u + 1) % n);
-        }
-        if skip < n {
-            for u in (0..n).step_by(skip) {
-                let v = (u + skip) % n;
-                if v != u {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -374,57 +348,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_with_chords_shape() {
-        let g = Graph::ring_with_chords(12, 3);
-        assert_eq!(g.len(), 12);
-        // Ring edges + chords every 3: 12 + 4 = 16.
-        assert_eq!(g.edge_count(), 16);
-        assert!(g.are_adjacent(0, 1));
-        assert!(g.are_adjacent(0, 3), "chord present");
-        assert!(g.are_adjacent(11, 0), "ring wraps");
-    }
-
-    #[test]
-    fn chords_shorten_paths() {
-        let ring = {
-            let mut g = Graph::new(12);
-            for u in 0..12 {
-                g.add_edge(u, (u + 1) % 12);
-            }
-            g
-        };
-        let chorded = Graph::ring_with_chords(12, 3);
-        let hops = |g: &Graph, from: usize, to: usize| {
-            let next = g.bfs_next_hops(to);
-            let mut at = from;
-            let mut n = 0;
-            while at != to {
-                at = next[at].expect("connected");
-                n += 1;
-            }
-            n
-        };
-        assert_eq!(hops(&ring, 0, 6), 6);
-        assert!(hops(&chorded, 0, 6) <= 3, "chords halve the diameter");
-    }
-
-    #[test]
-    fn cpn_routes_on_ring_topology() {
+    fn cpn_routes_on_grid_topology() {
         use crate::routing::RoutingStrategy;
-        let g = Graph::ring_with_chords(10, 2);
+        // 3×4 grid: node 11 is five hops from node 0.
+        let g = Graph::grid(3, 4);
         let r = RoutingStrategy::cpn_default().build(&g);
-        let mut rng = simkernel::SeedTree::new(4).rng("ring");
+        let mut rng = simkernel::SeedTree::new(4).rng("grid");
         let mut at = 0;
         let mut prev = None;
-        for _ in 0..10 {
-            if at == 5 {
-                break;
-            }
-            let nxt = r.next_hop(&g, at, 5, prev, false, &mut rng).unwrap();
+        for _ in 0..5 {
+            let nxt = r.next_hop(&g, at, 11, prev, false, &mut rng).unwrap();
             prev = Some(at);
             at = nxt;
         }
-        assert_eq!(at, 5, "greedy CPN init should reach the target");
+        assert_eq!(at, 11, "greedy CPN init should take a shortest path");
     }
 
     #[test]
@@ -526,12 +463,6 @@ mod tests {
         g.add_edge(0, 1);
         assert!(g.edge_up(0, 1));
         assert_eq!(g.bfs_next_hops(2)[0], Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "ring needs at least 3 nodes")]
-    fn tiny_ring_panics() {
-        let _ = Graph::ring_with_chords(2, 2);
     }
 
     #[test]

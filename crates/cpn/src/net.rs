@@ -8,7 +8,7 @@
 //! order, arrivals forwarded in the order they left their links.
 
 use crate::graph::Graph;
-use crate::routing::Routing;
+use crate::routing::{Router, Routing};
 use simkernel::rng::Rng;
 use simkernel::Tick;
 use std::collections::VecDeque;
@@ -69,39 +69,33 @@ pub struct Env<'a> {
     pub now: Tick,
 }
 
-impl Env<'_> {
-    /// Punishes the hop `u → v` that lost a packet bound for `dst`.
-    fn punish(&mut self, u: usize, v: usize, dst: usize) {
-        if !self.frozen {
-            self.routing
-                .model_mut()
-                .reinforce_drop(self.graph, u, v, dst);
-        }
-    }
-}
-
 /// Per-link packet queues over a [`Graph`].
+///
+/// Packets live in a slab and wait in the queues as `u32` handles, so a
+/// hop moves a handle, not a packet. A delivered or dropped packet's
+/// slot is reused by a later injection, and its hop log is cleared and
+/// pooled for one.
 #[derive(Debug, Clone)]
 pub struct Net<P> {
     policy: Policy,
-    /// Room each hop log is created with.
-    log_capacity: usize,
-    /// `queues[u][k]` holds the packets waiting at `u` for the link to
-    /// its `k`-th neighbour.
-    queues: Vec<Vec<VecDeque<Packet<P>>>>,
-    /// Packets that left a link this tick, `(from, to, packet)`; reused
-    /// every tick.
-    arrivals: Vec<(usize, usize, Packet<P>)>,
+    /// `queues[u][k]` holds the handles of the packets waiting at `u` for
+    /// the link to its `k`-th neighbour.
+    queues: Vec<Vec<VecDeque<u32>>>,
+    /// Handles of the packets that left a link this tick,
+    /// `(from, to, handle)`; reused every tick.
+    arrivals: Vec<(usize, usize, u32)>,
+    /// The packets in flight.
+    slab: Slab<P>,
 }
 
 impl<P> Net<P> {
-    /// Empty queues on every link of `graph`. Each packet's hop log is
-    /// created with room for `log_capacity` entries.
+    /// Empty queues on every link of `graph`. Each hop log is created
+    /// with room for `log_capacity` entries; one that outgrows it is
+    /// dropped, not pooled, when its packet leaves the plane.
     #[must_use]
     pub fn new(graph: &Graph, policy: Policy, log_capacity: usize) -> Self {
         Self {
             policy,
-            log_capacity,
             queues: (0..graph.len())
                 .map(|u| {
                     graph
@@ -112,6 +106,12 @@ impl<P> Net<P> {
                 })
                 .collect(),
             arrivals: Vec::new(),
+            slab: Slab {
+                slots: Vec::new(),
+                free: Vec::new(),
+                logs: Vec::new(),
+                log_capacity,
+            },
         }
     }
 
@@ -128,9 +128,11 @@ impl<P> Net<P> {
         k.map_or(0, |k| self.queues[u][k].len())
     }
 
-    /// Every queued packet.
+    /// Every queued packet, link by link in `(u, k)` order, each queue
+    /// front to back.
     pub fn packets(&self) -> impl Iterator<Item = &Packet<P>> {
-        self.queues.iter().flatten().flatten()
+        let packets = self.queues.iter().flatten().flatten();
+        packets.map(|&h| self.slab.get(h))
     }
 
     /// Injects a packet at `src` for `dst`: draws whether it is smart,
@@ -148,19 +150,29 @@ impl<P> Net<P> {
         let router = env.routing.in_control();
         let smart = router.is_smart(env.rng);
         let hop = router.next_hop(env.graph, src, dst, None, smart, env.rng);
-        let Some(k) = hop.and_then(|v| self.room(env, src, v, dst)) else {
+        let Some(v) = hop else {
             dropped(&payload);
             return;
         };
-        let mut hop_log = Vec::with_capacity(self.log_capacity);
+        let cap = self.policy.queue_cap;
+        let Some(k) = room(&self.queues[src], env.graph, src, v, cap) else {
+            if !env.frozen {
+                let model = env.routing.model_mut();
+                model.reinforce_drop(env.graph, src, v, dst);
+            }
+            dropped(&payload);
+            return;
+        };
+        let mut hop_log = self.slab.log();
         hop_log.push((src, env.now));
-        self.queues[src][k].push_back(Packet {
+        let h = self.slab.insert(Packet {
             dst,
             smart,
             created: env.now,
             hop_log,
             payload,
         });
+        self.queues[src][k].push_back(h);
     }
 
     /// One tick of transit. Every link that is up moves up to
@@ -171,6 +183,9 @@ impl<P> Net<P> {
     /// take its log past the TTL (punishing the hop that brought it),
     /// when its router finds no next hop, or when its next queue is
     /// full (punishing that hop, unless the packet was bounced).
+    ///
+    /// A tick with arrivals borrows the live model for writing once,
+    /// unless it is frozen.
     pub fn step(
         &mut self,
         env: &mut Env<'_>,
@@ -179,78 +194,198 @@ impl<P> Net<P> {
         mut dropped: impl FnMut(&P),
     ) {
         let (graph, now) = (env.graph, env.now);
-        for (u, links) in self.queues.iter_mut().enumerate() {
+        let Self {
+            policy,
+            queues,
+            arrivals,
+            slab,
+        } = self;
+        for (u, links) in queues.iter_mut().enumerate() {
             for (k, q) in links.iter_mut().enumerate() {
                 let v = graph.neighbours(u)[k];
                 if q.is_empty() || graph.link_down(u, v) {
                     continue;
                 }
-                let moved = std::iter::from_fn(|| q.pop_front()).take(rate(u, v));
-                self.arrivals.extend(moved.map(|p| (u, v, p)));
+                let moved = q.drain(..rate(u, v).min(q.len()));
+                arrivals.extend(moved.map(|h| (u, v, h)));
             }
         }
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        for (u, v, mut pkt) in arrivals.drain(..) {
-            let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
-            if !env.frozen {
+        if arrivals.is_empty() {
+            return;
+        }
+        let mut routers = Routers::borrow(env.routing, env.frozen);
+        for (u, v, h) in arrivals.drain(..) {
+            let pkt = slab.get_mut(h);
+            let dst = pkt.dst;
+            if let Some(model) = routers.model() {
+                let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
                 let hop_delay = now.value().saturating_sub(entered.value()) as f64;
-                env.routing
-                    .model_mut()
-                    .reinforce_hop(graph, u, v, pkt.dst, hop_delay);
+                model.reinforce_hop(graph, u, v, dst, hop_delay);
             }
-            let at_dst = v == pkt.dst;
-            if at_dst && arrive(&pkt) == Arrival::Deliver {
-                if self.policy.log_destination {
+            let at_dst = v == dst;
+            if at_dst && arrive(pkt) == Arrival::Deliver {
+                if policy.log_destination {
                     pkt.hop_log.push((v, now));
                 }
-                if !env.frozen {
-                    env.routing
-                        .model_mut()
-                        .reinforce_delivery(graph, pkt.dst, &pkt.hop_log);
+                if let Some(model) = routers.model() {
+                    model.reinforce_delivery(graph, dst, &pkt.hop_log);
                 }
+                slab.remove(h);
                 continue;
             }
-            if pkt.hop_log.len() >= self.policy.ttl {
-                env.punish(u, v, pkt.dst);
-                dropped(&pkt.payload);
+            if pkt.hop_log.len() >= policy.ttl {
+                if let Some(model) = routers.model() {
+                    model.reinforce_drop(graph, u, v, dst);
+                }
+                dropped(&slab.remove(h));
                 continue;
             }
             let slot = if at_dst {
-                self.shortest_queue(v)
+                shortest_queue(&queues[v], policy.queue_cap)
             } else {
-                let router = env.routing.in_control();
-                let hop = router.next_hop(graph, v, pkt.dst, Some(u), pkt.smart, env.rng);
-                hop.and_then(|w| self.room(env, v, w, pkt.dst))
+                let router = routers.in_control();
+                let hop = router.next_hop(graph, v, dst, Some(u), pkt.smart, env.rng);
+                hop.and_then(|w| {
+                    let k = room(&queues[v], graph, v, w, policy.queue_cap);
+                    if let (None, Some(model)) = (k, routers.model()) {
+                        model.reinforce_drop(graph, v, w, dst);
+                    }
+                    k
+                })
             };
             let Some(k) = slot else {
-                dropped(&pkt.payload);
+                dropped(&slab.remove(h));
                 continue;
             };
             pkt.hop_log.push((v, now));
-            self.queues[v][k].push_back(pkt);
+            queues[v][k].push_back(h);
         }
-        self.arrivals = arrivals;
     }
+}
 
-    /// The index of `u`'s link to its neighbour `v` if that queue has
-    /// room; `None`, punishing the hop, if it is full.
-    fn room(&self, env: &mut Env<'_>, u: usize, v: usize, dst: usize) -> Option<usize> {
-        let k = env.graph.neighbours(u).iter().position(|&x| x == v);
-        let k = k.expect("a next hop is a neighbour");
-        if self.queues[u][k].len() < self.policy.queue_cap {
-            Some(k)
+/// The index of `u`'s link to its neighbour `v` if that link's queue,
+/// among `u`'s `links`, holds fewer than `cap` packets.
+fn room(links: &[VecDeque<u32>], graph: &Graph, u: usize, v: usize, cap: usize) -> Option<usize> {
+    let k = graph.neighbours(u).iter().position(|&x| x == v);
+    let k = k.expect("a next hop is a neighbour");
+    (links[k].len() < cap).then_some(k)
+}
+
+/// The first of a node's shortest link queues, if it holds fewer than
+/// `cap` packets.
+fn shortest_queue(links: &[VecDeque<u32>], cap: usize) -> Option<usize> {
+    links
+        .iter()
+        .map(VecDeque::len)
+        .enumerate()
+        .min_by_key(|&(k, len)| (len, k))
+        .filter(|&(_, len)| len < cap)
+        .map(|(k, _)| k)
+}
+
+/// The routers one [`Net::step`] works with, borrowed once a tick.
+enum Routers<'r> {
+    /// The model is frozen: nothing is reinforced, and the router in
+    /// control picks the hops.
+    Frozen(&'r Router),
+    /// The live model, reinforced, which picks the hops itself unless
+    /// the supervisor has benched it onto its `fallback` table.
+    Live {
+        model: &'r mut Router,
+        fallback: Option<&'r Router>,
+    },
+}
+
+impl<'r> Routers<'r> {
+    fn borrow(routing: &'r mut Routing, frozen: bool) -> Self {
+        if frozen {
+            Routers::Frozen(routing.in_control())
         } else {
-            env.punish(u, v, dst);
-            None
+            let (model, fallback) = routing.model_mut_with_fallback();
+            Routers::Live { model, fallback }
         }
     }
 
-    /// The first of `v`'s shortest queues, if it has room.
-    fn shortest_queue(&self, v: usize) -> Option<usize> {
-        self.queue_lens(v)
-            .enumerate()
-            .min_by_key(|&(k, len)| (len, k))
-            .filter(|&(_, len)| len < self.policy.queue_cap)
-            .map(|(k, _)| k)
+    /// The router that picks this tick's hops.
+    fn in_control(&self) -> &Router {
+        match self {
+            Routers::Frozen(router)
+            | Routers::Live {
+                fallback: Some(router),
+                ..
+            } => router,
+            Routers::Live { model, .. } => model,
+        }
+    }
+
+    /// The model to reinforce; `None` while it is frozen.
+    fn model(&mut self) -> Option<&mut Router> {
+        match self {
+            Routers::Frozen(_) => None,
+            Routers::Live { model, .. } => Some(model),
+        }
+    }
+}
+
+/// The packets in flight by handle, the free list of their slots, and a
+/// pool of cleared hop logs.
+#[derive(Debug, Clone)]
+struct Slab<P> {
+    slots: Vec<Option<Packet<P>>>,
+    /// Handles of the empty slots.
+    free: Vec<u32>,
+    /// Cleared hop logs, none with more room than `log_capacity`.
+    logs: Vec<Vec<(usize, Tick)>>,
+    /// Room a new hop log is created with.
+    log_capacity: usize,
+}
+
+impl<P> Slab<P> {
+    /// An empty hop log: a pooled one, else a new one with room for
+    /// `log_capacity` entries.
+    fn log(&mut self) -> Vec<(usize, Tick)> {
+        let capacity = self.log_capacity;
+        self.logs
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(capacity))
+    }
+
+    /// Stores `pkt` in a free slot and returns its handle.
+    fn insert(&mut self, pkt: Packet<P>) -> u32 {
+        if let Some(h) = self.free.pop() {
+            self.slots[h as usize] = Some(pkt);
+            return h;
+        }
+        let h = u32::try_from(self.slots.len()).expect("fewer than 2^32 packets in flight");
+        self.slots.push(Some(pkt));
+        h
+    }
+
+    fn get(&self, h: u32) -> &Packet<P> {
+        self.slots[h as usize]
+            .as_ref()
+            .expect("a queued handle holds a packet")
+    }
+
+    fn get_mut(&mut self, h: u32) -> &mut Packet<P> {
+        self.slots[h as usize]
+            .as_mut()
+            .expect("a queued handle holds a packet")
+    }
+
+    /// Frees `h`'s slot and returns its packet's payload. The hop log is
+    /// pooled unless it grew past `log_capacity`, as a bounced packet's
+    /// may; such a log is dropped.
+    fn remove(&mut self, h: u32) -> P {
+        let pkt = self.slots[h as usize]
+            .take()
+            .expect("a queued handle holds a packet");
+        self.free.push(h);
+        let mut log = pkt.hop_log;
+        if log.capacity() <= self.log_capacity {
+            log.clear();
+            self.logs.push(log);
+        }
+        pkt.payload
     }
 }

@@ -401,8 +401,12 @@ impl Router {
     }
 
     /// Reinforces from a delivered packet: `hop_log` holds
-    /// `(node, entered_at)` for every node on the path (destination
-    /// last).
+    /// `(node, entered_at)` per node on the path, source first, and each
+    /// consecutive pair is a hop pulled toward the time from entering
+    /// its first node to the log's last entry. The log ends with the
+    /// destination only under [`crate::net::Policy::log_destination`];
+    /// without it, as in the composed city, it ends at the last queue
+    /// the packet entered, and the final hop is not reinforced.
     pub fn reinforce_delivery(&mut self, graph: &Graph, dst: usize, hop_log: &[(usize, Tick)]) {
         let RouterKind::Cpn { q, .. } = &mut self.kind else {
             return;
@@ -682,6 +686,21 @@ impl Routing {
         match self {
             Routing::Supervised(s) if s.sup.is_fallback() => &s.baseline,
             _ => self.model(),
+        }
+    }
+
+    /// [`Routing::model_mut`] together with the fallback table while the
+    /// supervisor benches the model, `None` otherwise: the router in
+    /// control is the table if there is one and the model if not. A
+    /// caller that trains and routes in one pass borrows both at once.
+    pub(crate) fn model_mut_with_fallback(&mut self) -> (&mut Router, Option<&Router>) {
+        match self {
+            Routing::Plain(r) => (r, None),
+            Routing::Supervised(s) => {
+                let s = &mut **s;
+                let fallback = s.sup.is_fallback().then_some(&s.baseline);
+                (s.sup.model_mut(), fallback)
+            }
         }
     }
 

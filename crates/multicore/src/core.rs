@@ -245,21 +245,20 @@ impl Core {
     }
 
     /// Advances one tick: executes queued work, meters power, updates
-    /// temperature, applies thermal throttling. Returns tasks that
-    /// completed this tick (with their total work as scheduled).
-    pub fn step(&mut self, now: simkernel::Tick) -> Vec<(Task, u64)> {
+    /// temperature, applies thermal throttling. Appends the tasks that
+    /// completed this tick to `done`, each with its latency in ticks.
+    pub fn step(&mut self, now: simkernel::Tick, done: &mut Vec<(Task, u64)>) {
         // An offline core executes nothing and draws no power; the die
         // cools toward ambient.
         if !self.online {
             self.temp += (T_AMBIENT - self.temp) / self.spec.tau;
-            return Vec::new();
+            return;
         }
         // Thermal throttle: at or over cap, force lowest frequency.
         if self.temp >= T_CAP {
             self.dvfs = DvfsLevel::Low;
             self.throttled_ticks += 1;
         }
-        let mut done = Vec::new();
         let mut remaining_tick = 1.0; // fraction of the tick left
         let mut utilisation = 0.0;
         while remaining_tick > 1e-9 {
@@ -288,7 +287,6 @@ impl Core {
         let power = self.spec.power_idle + utilisation.min(1.0) * self.spec.power_dyn * f * f * f;
         self.energy += power;
         self.temp += (power * self.spec.r_th + T_AMBIENT - self.temp) / self.spec.tau;
-        done
     }
 }
 
@@ -342,8 +340,10 @@ mod tests {
     fn executes_and_reports_latency() {
         let mut c = Core::new(CoreSpec::big());
         c.enqueue(task(0, TaskClass::Compute, 6.0, 0));
-        assert!(c.step(Tick(1)).is_empty()); // 3 of 6 done
-        let done = c.step(Tick(2));
+        let mut done = Vec::new();
+        c.step(Tick(1), &mut done);
+        assert!(done.is_empty()); // 3 of 6 done
+        c.step(Tick(2), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, 2);
         assert_eq!(c.completed_count(), 1);
@@ -355,8 +355,9 @@ mod tests {
         for i in 0..3 {
             c.enqueue(task(i, TaskClass::Compute, 1.0, 0));
         }
-        let done = c.step(Tick(1));
-        assert_eq!(done.len(), 3);
+        let mut done = vec![(task(9, TaskClass::Memory, 1.0, 0), 1)];
+        c.step(Tick(1), &mut done);
+        assert_eq!(done.len(), 4, "appends after what the buffer held");
     }
 
     #[test]
@@ -366,8 +367,9 @@ mod tests {
             c.enqueue(task(i, TaskClass::Compute, 3.0, 0));
         }
         let mut peak: f64 = 0.0;
+        let mut done = Vec::new();
         for t in 1..=200u64 {
-            c.step(Tick(t));
+            c.step(Tick(t), &mut done);
             peak = peak.max(c.temperature());
         }
         assert!(peak > 60.0, "sustained load should heat the core: {peak}");
@@ -375,7 +377,7 @@ mod tests {
         let mut c2 = c.clone();
         c2.queue.clear();
         for t in 201..=600u64 {
-            c2.step(Tick(t));
+            c2.step(Tick(t), &mut done);
         }
         assert!(c2.temperature() < peak - 10.0, "idle core should cool");
     }
@@ -387,8 +389,9 @@ mod tests {
             c.enqueue(task(i, TaskClass::Compute, 3.0, 0));
         }
         let mut throttled = false;
+        let mut done = Vec::new();
         for t in 1..=2000u64 {
-            c.step(Tick(t));
+            c.step(Tick(t), &mut done);
             throttled |= c.throttled_ticks() > 0;
         }
         assert!(
@@ -408,9 +411,10 @@ mod tests {
             big.enqueue(task(i, TaskClass::Compute, 1.0, 0));
             little.enqueue(task(i, TaskClass::Compute, 1.0, 0));
         }
+        let mut done = Vec::new();
         for t in 1..=300u64 {
-            big.step(Tick(t));
-            little.step(Tick(t));
+            big.step(Tick(t), &mut done);
+            little.step(Tick(t), &mut done);
         }
         assert!(little.temperature() < big.temperature());
         assert!(little.energy() < big.energy());
@@ -421,7 +425,8 @@ mod tests {
         let mut c = Core::new(CoreSpec::big());
         c.enqueue(task(0, TaskClass::Compute, 6.0, 0));
         c.enqueue(task(1, TaskClass::Compute, 2.0, 0));
-        c.step(Tick(1)); // partially executes task 0
+        let mut done = Vec::new();
+        c.step(Tick(1), &mut done); // partially executes task 0
         assert!(c.is_online());
         let orphans = c.fail();
         assert!(!c.is_online());
@@ -431,12 +436,13 @@ mod tests {
         // Offline: no execution, no energy, cools toward ambient.
         let e = c.energy();
         c.enqueue(task(2, TaskClass::Compute, 1.0, 0));
-        assert!(c.step(Tick(2)).is_empty());
+        c.step(Tick(2), &mut done);
+        assert!(done.is_empty());
         assert_eq!(c.energy(), e);
         c.recover();
         assert!(c.is_online());
         assert_eq!(c.dvfs(), DvfsLevel::High);
-        let done = c.step(Tick(3));
+        c.step(Tick(3), &mut done);
         assert_eq!(done.len(), 1, "queued work runs after recovery");
     }
 
@@ -446,13 +452,14 @@ mod tests {
         for i in 0..1000 {
             c.enqueue(task(i, TaskClass::Compute, 3.0, 0));
         }
+        let mut done = Vec::new();
         for t in 1..=100u64 {
-            c.step(Tick(t));
+            c.step(Tick(t), &mut done);
         }
         let hot = c.temperature();
         c.fail();
         for t in 101..=400u64 {
-            c.step(Tick(t));
+            c.step(Tick(t), &mut done);
         }
         assert!(c.temperature() < hot - 10.0);
         assert!((c.temperature() - T_AMBIENT).abs() < 5.0);
@@ -461,8 +468,9 @@ mod tests {
     #[test]
     fn energy_accrues_even_idle() {
         let mut c = Core::new(CoreSpec::little());
+        let mut done = Vec::new();
         for t in 1..=10u64 {
-            c.step(Tick(t));
+            c.step(Tick(t), &mut done);
         }
         assert!((c.energy() - 10.0 * 0.15).abs() < 1e-9);
         assert_eq!(c.queue_len(), 0);

@@ -138,6 +138,8 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
     let mut interactive_late = 0u64;
     let mut peak_temp_overall: f64 = 0.0;
     let mut peak_series = TimeSeries::new(cfg.scheduler.label());
+    // Each core's completions this tick; reused every tick.
+    let mut done = Vec::new();
 
     for t in 0..cfg.steps {
         let now = Tick(t);
@@ -178,24 +180,21 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
         }
         drop(decide_span);
         let _act_span = obs::span("multicore:act");
-        #[allow(clippy::needless_range_loop)]
-        // index needed: controller.feedback borrows alongside cores[i]
-        for i in 0..cores.len() {
-            for (task, latency) in cores[i].step(now) {
+        for (i, core) in cores.iter_mut().enumerate() {
+            done.clear();
+            core.step(now, &mut done);
+            for (task, latency) in &done {
                 completed += 1;
-                latency_sum += latency as f64;
+                latency_sum += *latency as f64;
                 if task.class == workloads::tasks::TaskClass::Interactive {
                     interactive_done += 1;
-                    if latency > cfg.interactive_deadline {
+                    if *latency > cfg.interactive_deadline {
                         interactive_late += 1;
                     }
                 }
-                // Split borrow: clone the core's lightweight view for
-                // feedback (spec + kind are all it reads).
-                let core_view = cores[i].clone();
-                controller.feedback(&task, &core_view, i, latency);
+                controller.feedback(task, core, i, *latency);
             }
-            peak_temp_overall = peak_temp_overall.max(cores[i].temperature());
+            peak_temp_overall = peak_temp_overall.max(core.temperature());
         }
         if t % 25 == 0 {
             let mx = cores

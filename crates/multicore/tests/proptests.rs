@@ -35,12 +35,12 @@ proptest! {
         for (i, &w) in works.iter().enumerate() {
             core.enqueue(task(i as u64, TaskClass::Compute, w));
         }
-        let mut done = 0u64;
+        let mut done = Vec::new();
         for t in 1..=ticks {
-            done += core.step(Tick(t)).len() as u64;
+            core.step(Tick(t), &mut done);
         }
         // Completed + remaining backlog accounts for all queued work.
-        prop_assert_eq!(done + core.queue_len() as u64, works.len() as u64);
+        prop_assert_eq!(done.len() + core.queue_len(), works.len());
         // The core can never complete more work than capacity allows.
         let max_speed = spec.speed; // effective speed never exceeds peak
         let completed_work: f64 = total_work - core.backlog();
@@ -61,8 +61,9 @@ proptest! {
         // Physical ceiling: steady state at max power.
         let p_max = spec.power_idle + spec.power_dyn;
         let t_max = T_AMBIENT + p_max * spec.r_th;
+        let mut done = Vec::new();
         for t in 1..=ticks {
-            core.step(Tick(t));
+            core.step(Tick(t), &mut done);
             prop_assert!(core.temperature() >= T_AMBIENT - 1e-9);
             prop_assert!(core.temperature() <= t_max + 1e-6);
         }
@@ -78,8 +79,9 @@ proptest! {
             core.enqueue(task(i as u64, TaskClass::Memory, 2.0));
         }
         let mut prev = 0.0;
+        let mut done = Vec::new();
         for t in 1..=ticks {
-            core.step(Tick(t));
+            core.step(Tick(t), &mut done);
             prop_assert!(core.energy() > prev);
             prev = core.energy();
         }
@@ -108,8 +110,11 @@ proptest! {
         for (i, &w) in works.iter().enumerate() {
             core.enqueue(task(i as u64, TaskClass::Interactive, w));
         }
+        let mut done = Vec::new();
         for t in 1..=100u64 {
-            for (_, latency) in core.step(Tick(t)) {
+            done.clear();
+            core.step(Tick(t), &mut done);
+            for &(_, latency) in &done {
                 prop_assert!(latency >= 1);
                 prop_assert!(latency <= t);
             }
@@ -121,8 +126,9 @@ proptest! {
         let mut core = Core::new(CoreSpec::little());
         // A little core at low utilisation can never approach the cap.
         core.enqueue(task(0, TaskClass::Memory, 1.0));
+        let mut done = Vec::new();
         for t in 1..=ticks {
-            core.step(Tick(t));
+            core.step(Tick(t), &mut done);
         }
         prop_assert!(core.temperature() < T_CAP);
         prop_assert_eq!(core.throttled_ticks(), 0);
