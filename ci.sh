@@ -13,11 +13,13 @@ export PROPTEST_CASES="${PROPTEST_CASES:-64}"
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-# The scheduler's release path: the benchmark and F12 run in release,
-# where an overflowing same-tick budget sheds instead of panicking, and
-# the tests of that path compile only without debug assertions.
-echo "==> cargo test --release -q --offline -p simkernel"
-cargo test --release -q --offline -p simkernel
+# The DES kernels in the build that the benchmark and F12 run: the
+# scheduler's release path, where an overflowing same-tick budget sheds
+# instead of panicking (the tests of that path compile only without
+# debug assertions), the grid query, and both worlds' dense-vs-sparse
+# parity proptests.
+echo "==> cargo test --release -q --offline -p simkernel -p camnet -p cloudsim"
+cargo test --release -q --offline -p simkernel -p camnet -p cloudsim
 
 # The repo benchmark (BENCHMARK.json) is its own package with an empty
 # [workspace], so the workspace steps above and below never reach it.

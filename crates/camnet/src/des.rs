@@ -153,11 +153,12 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
         })
         .collect();
     // The camera layout is static: build its index once. Objects move,
-    // so (in sparse mode) their index is rebuilt each tick.
+    // so (in sparse mode) their index is rebuilt in place each tick.
     let camera_grid = GridIndex::build(
         &cameras.iter().map(Camera::position).collect::<Vec<_>>(),
         cfg.fov_radius,
     );
+    let mut object_grid = GridIndex::build(&[], cfg.fov_radius);
 
     let mut obj_rng = seeds.rng("objects");
     let mut objects: Vec<Wanderer> = (0..cfg.objects)
@@ -251,7 +252,9 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
 
         // 3. Per-object seer resolution, object-major, seers in
         // ascending camera id — identical iteration order either way.
-        let object_grid = sparse.then(|| GridIndex::build(&positions, cfg.fov_radius));
+        if sparse {
+            object_grid.rebuild(&positions);
+        }
         for (o, &pos) in positions.iter().enumerate() {
             let mut best: Option<(usize, f64)> = None;
             let mut seen = 0u64;
@@ -310,16 +313,15 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
                 woken.push(cam);
             }
             woken.sort_unstable();
-            if let Some(grid) = &object_grid {
-                for &cam in &woken {
-                    perf.visits += 1;
-                    grid.query_circle_into(cameras[cam].position(), cfg.fov_radius, &mut seers);
-                    let load = seers
-                        .iter()
-                        .filter(|&&o| cameras[cam].sees(positions[o]))
-                        .count();
-                    debug_assert!(load > 0, "woken camera must have a nearby object");
-                }
+            for &cam in &woken {
+                perf.visits += 1;
+                let position = cameras[cam].position();
+                object_grid.query_circle_into(position, cfg.fov_radius, &mut seers);
+                let load = seers
+                    .iter()
+                    .filter(|&&o| cameras[cam].sees(positions[o]))
+                    .count();
+                debug_assert!(load > 0, "woken camera must have a nearby object");
             }
         } else {
             for cam in 0..n {

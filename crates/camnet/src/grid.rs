@@ -8,15 +8,33 @@
 //! centre: O(points in the neighbourhood), independent of the network
 //! size.
 //!
+//! The index is a counting sort of the points by cell, in CSR form:
+//! cell `c`'s points are `ids[starts[c] .. starts[c + 1]]`, and their
+//! coordinates sit at the same positions of a second array, so the
+//! cells of one grid row are one contiguous slice of both. A query
+//! scans three such row slices, reading coordinates in sequence rather
+//! than gathering them by id.
+//!
 //! Determinism contract: [`GridIndex::query_circle_into`] returns hits
 //! in **ascending id order** and filters by *exact* Euclidean distance
 //! (`d ≤ r`), so iterating the result set is bit-identical to the
 //! dense scan `(0..n).filter(|i| dist(i) <= r)` — the property the
-//! dense-vs-sparse parity proptests pin down. The index is cheap to
-//! rebuild (counting sort, O(points + cells)) so per-tick rebuilds
-//! over moving objects are fine.
+//! dense-vs-sparse parity proptests pin down. [`GridIndex::rebuild`]
+//! re-sorts new points into the index's own buffers (O(points +
+//! cells), no allocation once they are large enough), so per-tick
+//! rebuilds over moving objects are cheap.
 
 use workloads::trajectories::Point;
+
+/// Columns (and rows) of a grid with cells of edge `cell`. Rounded
+/// DOWN so each actual cell is at least `cell` wide — a query with
+/// radius ≤ the requested edge must stay exact. At least one cell per
+/// axis; capped so degenerate tiny cells cannot blow up memory (beyond
+/// 4096² the 3×3 block is already far below one point per cell for any
+/// realistic n).
+fn columns(cell: f64) -> usize {
+    (((1.0 / cell) + 1e-9).floor() as usize).clamp(1, 4096)
+}
 
 /// A rebuildable uniform grid over points in `[0, 1] × [0, 1]`.
 #[derive(Debug, Clone)]
@@ -24,10 +42,11 @@ pub struct GridIndex {
     cell: f64,
     cols: usize,
     // CSR layout: ids of the points in cell c are
-    // `ids[starts[c] .. starts[c + 1]]`, ascending within each cell.
+    // `ids[starts[c] .. starts[c + 1]]`, ascending within each cell,
+    // and `coords[j]` is the position of point `ids[j]`.
     starts: Vec<u32>,
     ids: Vec<u32>,
-    points: Vec<Point>,
+    coords: Vec<Point>,
 }
 
 impl GridIndex {
@@ -43,55 +62,74 @@ impl GridIndex {
     #[must_use]
     pub fn build(points: &[Point], cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell edge must be positive");
-        // Round the cell count DOWN so each actual cell is at least
-        // `cell` wide — a query with radius ≤ the requested edge must
-        // stay exact. At least one cell per axis; cap the grid so
-        // degenerate tiny cells cannot blow up memory (beyond 4096²
-        // the 3×3 block is already far below one point per cell for
-        // any realistic n).
-        let cols = (((1.0 / cell) + 1e-9).floor() as usize).clamp(1, 4096);
-        let ncells = cols * cols;
-        let mut counts = vec![0u32; ncells + 1];
-        let cell_of = |p: &Point| -> usize {
-            let cx = ((p.x * cols as f64) as usize).min(cols - 1);
-            let cy = ((p.y * cols as f64) as usize).min(cols - 1);
-            cy * cols + cx
-        };
-        for p in points {
-            counts[cell_of(p) + 1] += 1;
-        }
-        for c in 0..ncells {
-            counts[c + 1] += counts[c];
-        }
-        let starts = counts;
-        let mut cursor = starts.clone();
-        let mut ids = vec![0u32; points.len()];
-        // Points are inserted in id order, so ids ascend within each
-        // cell — the property the ordered query below relies on.
-        for (i, p) in points.iter().enumerate() {
-            let c = cell_of(p);
-            ids[cursor[c] as usize] = i as u32;
-            cursor[c] += 1;
-        }
-        Self {
+        let cols = columns(cell);
+        let mut grid = Self {
             cell: 1.0 / cols as f64,
             cols,
-            starts,
-            ids,
-            points: points.to_vec(),
+            starts: Vec::new(),
+            ids: Vec::new(),
+            coords: Vec::new(),
+        };
+        grid.rebuild(points);
+        grid
+    }
+
+    /// Re-indexes the grid over `points`, keeping its cell edge and
+    /// reusing its buffers: once they have held as many points, a
+    /// rebuild allocates nothing.
+    pub fn rebuild(&mut self, points: &[Point]) {
+        let ncells = self.cols * self.cols;
+        self.starts.clear();
+        self.starts.resize(ncells + 1, 0);
+        for &p in points {
+            let c = self.cell_of(p);
+            self.starts[c] += 1;
         }
+        // Inclusive prefix sums: `starts[c]` is the end of cell c ...
+        let mut end = 0;
+        for s in &mut self.starts[..ncells] {
+            end += *s;
+            *s = end;
+        }
+        self.starts[ncells] = end;
+        self.ids.clear();
+        self.ids.resize(points.len(), 0);
+        self.coords.clear();
+        self.coords.resize(points.len(), Point::default());
+        // ... and filling each cell from its end in descending id
+        // order leaves `starts[c]` at its start with the ids ascending
+        // within the cell — the property the ordered query relies on.
+        for (i, &p) in points.iter().enumerate().rev() {
+            let c = self.cell_of(p);
+            self.starts[c] -= 1;
+            let j = self.starts[c] as usize;
+            self.ids[j] = i as u32;
+            self.coords[j] = p;
+        }
+    }
+
+    /// The cell holding `p`.
+    fn cell_of(&self, p: Point) -> usize {
+        self.axis(p.y) * self.cols + self.axis(p.x)
+    }
+
+    /// The column (or row) holding coordinate `v`: points on the
+    /// square's far edges belong to its last one, and anything left of
+    /// it to its first.
+    fn axis(&self, v: f64) -> usize {
+        ((v * self.cols as f64) as usize).min(self.cols - 1)
     }
 
     /// Number of indexed points.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.ids.len()
     }
 
     /// Whether the index holds no points.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.ids.is_empty()
     }
 
     /// Collects into `out` the ids of all indexed points within exact
@@ -109,33 +147,23 @@ impl GridIndex {
             self.cell
         );
         out.clear();
-        let cx = ((center.x * self.cols as f64) as isize).clamp(0, self.cols as isize - 1);
-        let cy = ((center.y * self.cols as f64) as isize).clamp(0, self.cols as isize - 1);
-        for dy in -1..=1isize {
-            let y = cy + dy;
-            if y < 0 || y >= self.cols as isize {
-                continue;
-            }
-            for dx in -1..=1isize {
-                let x = cx + dx;
-                if x < 0 || x >= self.cols as isize {
-                    continue;
-                }
-                let c = y as usize * self.cols + x as usize;
-                let lo = self.starts[c] as usize;
-                let hi = self.starts[c + 1] as usize;
-                for &id in &self.ids[lo..hi] {
-                    let id = id as usize;
-                    if self.points[id].distance(center) <= r {
-                        out.push(id);
-                    }
+        let last = self.cols - 1;
+        let (cx, cy) = (self.axis(center.x), self.axis(center.y));
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(last));
+        for y in cy.saturating_sub(1)..=(cy + 1).min(last) {
+            // Cells (y, x0..=x1) are adjacent in the CSR layout: one
+            // slice of ids and coordinates covers the block's row.
+            let lo = self.starts[y * self.cols + x0] as usize;
+            let hi = self.starts[y * self.cols + x1 + 1] as usize;
+            for (&id, p) in self.ids[lo..hi].iter().zip(&self.coords[lo..hi]) {
+                if p.distance(center) <= r {
+                    out.push(id as usize);
                 }
             }
         }
-        // Cells are visited in row-major order, ids ascend only within
-        // a cell; one sort restores the global id order the parity
-        // contract requires. The result set is a handful of
-        // neighbours, so this is cheap.
+        // Ids ascend only within a cell; one sort restores the global
+        // id order the parity contract requires. The result set is a
+        // handful of neighbours, so this is cheap.
         out.sort_unstable();
     }
 }
@@ -143,6 +171,8 @@ impl GridIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use rand::Rng as _;
     use simkernel::SeedTree;
 
@@ -152,17 +182,111 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_dense_scan_on_random_points() {
-        let mut rng = SeedTree::new(7).rng("grid");
-        let points: Vec<Point> = (0..500).map(|_| Point::random(&mut rng)).collect();
-        let r = 0.05;
-        let grid = GridIndex::build(&points, r);
-        let mut out = Vec::new();
-        for _ in 0..200 {
-            let c = Point::random(&mut rng);
-            grid.query_circle_into(c, r, &mut out);
-            assert_eq!(out, dense_query(&points, c, r));
+    /// Points and radius queries for a grid of requested cell edge
+    /// `cell`.
+    #[derive(Debug)]
+    struct Scenario {
+        cell: f64,
+        points: Vec<Point>,
+        queries: Vec<(Point, f64)>,
+    }
+
+    /// Draws [`Scenario`]s:
+    ///
+    /// * the cell edge is 1/4,096, 0.5, or log-uniform between 1/4,200
+    ///   (past the 4,096-column cap) and 0.6;
+    /// * each of up to 300 points has coordinates uniform in `[0, 1)`,
+    ///   on one of the grid's cell boundaries `k / cols`, or on the
+    ///   square's edges 0.0 and 1.0;
+    /// * each of up to 40 queries has a centre drawn the same way and a
+    ///   radius of exactly `cell` or uniform in `(0, cell]`.
+    struct Scenarios;
+
+    impl Scenarios {
+        fn coord(rng: &mut TestRng, cols: usize) -> f64 {
+            match rng.below(8) {
+                0 => 0.0,
+                1 => 1.0,
+                2 | 3 => rng.below(cols as u64 + 1) as f64 / cols as f64,
+                _ => rng.unit_f64(),
+            }
+        }
+
+        fn point(rng: &mut TestRng, cols: usize) -> Point {
+            let x = Self::coord(rng, cols);
+            Point::new(x, Self::coord(rng, cols))
+        }
+
+        fn points(rng: &mut TestRng, cols: usize) -> Vec<Point> {
+            let n = rng.below(301) as usize;
+            (0..n).map(|_| Self::point(rng, cols)).collect()
+        }
+    }
+
+    impl Strategy for Scenarios {
+        type Value = Scenario;
+
+        fn generate(&self, rng: &mut TestRng) -> Scenario {
+            let (lo, hi) = ((1.0f64 / 4_200.0).ln(), 0.6f64.ln());
+            let cell = match rng.below(16) {
+                0 => 1.0 / 4_096.0,
+                1 | 2 => 0.5,
+                _ => (lo + rng.unit_f64() * (hi - lo)).exp(),
+            };
+            let cols = columns(cell);
+            let points = Self::points(rng, cols);
+            let queries = (0..1 + rng.below(40))
+                .map(|_| {
+                    let center = Self::point(rng, cols);
+                    let r = if rng.below(4) == 0 {
+                        cell
+                    } else {
+                        cell * (1.0 - rng.unit_f64())
+                    };
+                    (center, r)
+                })
+                .collect();
+            Scenario {
+                cell,
+                points,
+                queries,
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn queries_match_the_dense_scan(s in Scenarios) {
+            let grid = GridIndex::build(&s.points, s.cell);
+            prop_assert_eq!(grid.len(), s.points.len());
+            let mut out = vec![usize::MAX]; // stale content must be cleared
+            for &(center, r) in &s.queries {
+                grid.query_circle_into(center, r, &mut out);
+                prop_assert_eq!(
+                    &out,
+                    &dense_query(&s.points, center, r),
+                    "cell {}, centre {:?}, r {}, points {:?}",
+                    s.cell,
+                    center,
+                    r,
+                    s.points
+                );
+            }
+        }
+
+        #[test]
+        fn a_rebuilt_index_answers_as_a_fresh_build(s in Scenarios, before in Scenarios) {
+            prop_assume!(before.points.len() != s.points.len());
+            let mut grid = GridIndex::build(&before.points, s.cell);
+            grid.rebuild(&s.points);
+            let fresh = GridIndex::build(&s.points, s.cell);
+            prop_assert_eq!(grid.len(), s.points.len());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for &(center, r) in &s.queries {
+                grid.query_circle_into(center, r, &mut got);
+                fresh.query_circle_into(center, r, &mut want);
+                prop_assert_eq!(&got, &want, "cell {}, centre {:?}, r {}", s.cell, center, r);
+            }
         }
     }
 
@@ -211,13 +335,14 @@ mod tests {
         let mut rng = SeedTree::new(9).rng("move");
         let mut points: Vec<Point> = (0..100).map(|_| Point::random(&mut rng)).collect();
         let r = 0.08;
+        let mut grid = GridIndex::build(&points, r);
         let mut out = Vec::new();
         for _ in 0..20 {
             for p in &mut points {
                 p.x = (p.x + rng.gen::<f64>() * 0.02).min(1.0);
                 p.y = (p.y + rng.gen::<f64>() * 0.02).min(1.0);
             }
-            let grid = GridIndex::build(&points, r);
+            grid.rebuild(&points);
             let c = Point::random(&mut rng);
             grid.query_circle_into(c, r, &mut out);
             assert_eq!(out, dense_query(&points, c, r));

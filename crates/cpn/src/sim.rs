@@ -22,6 +22,15 @@ const PLANE: Policy = Policy {
     log_destination: true,
 };
 
+/// The largest degree of the grid `run_cpn` routes over: a router
+/// reports one queue length per link.
+const MAX_DEGREE: usize = 4;
+
+/// A router's control-plane report: its per-link queue lengths in
+/// neighbour order, zero past its degree. It is `Copy`, so sending it
+/// and handing the controller its copy allocate nothing.
+type QueueReport = [usize; MAX_DEGREE];
+
 /// A flow of traffic, optionally time-windowed (attack flows).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flow {
@@ -244,6 +253,10 @@ pub struct CpnResult {
 #[must_use]
 pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     let mut graph = Graph::grid(cfg.rows, cfg.cols);
+    assert!(
+        (0..graph.len()).all(|u| graph.neighbours(u).len() <= MAX_DEGREE),
+        "a grid router has at most {MAX_DEGREE} links"
+    );
     // `SupervisedCpn`: the supervisor owns the live router, scores its
     // best-case delay estimates against realized deliveries, and —
     // while the model is benched — routes over a periodically
@@ -272,9 +285,9 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     // unchanged bit for bit. On a lossy channel the believed state
     // goes stale, and the comms policy decides how routing copes.
     let ctrl = graph.len();
-    let mut comms_net: CommsNetwork<Vec<usize>> = CommsNetwork::new(cfg.comms).with_mask(cfg.mask);
+    let mut comms_net: CommsNetwork<QueueReport> = CommsNetwork::new(cfg.comms).with_mask(cfg.mask);
     // Delivery buffer reused every tick (no per-tick allocation).
-    let mut comms_inbox: Vec<selfaware::comms::Delivered<Vec<usize>>> = Vec::new();
+    let mut comms_inbox: Vec<selfaware::comms::Delivered<QueueReport>> = Vec::new();
     let mut comms_log = ExplanationLog::new(2048);
     let ideal = cfg.channel.is_ideal();
     let aware = !cfg.comms.is_naive();
@@ -438,7 +451,10 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         // a delayed old report never overwrites a newer one).
         if now.value().is_multiple_of(cfg.report_every) {
             for u in 0..graph.len() {
-                let report: Vec<usize> = net.queue_lens(u).collect();
+                let mut report: QueueReport = [0; MAX_DEGREE];
+                for (entry, len) in report.iter_mut().zip(net.queue_lens(u)) {
+                    *entry = len;
+                }
                 comms_net.send(&cfg.channel, u, ctrl, report, now, &mut comms_log);
             }
         }
@@ -447,7 +463,9 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         for d in comms_inbox.drain(..) {
             if d.dst == ctrl && last_report_seq[d.src].is_none_or(|s| d.seq > s) {
                 last_report_seq[d.src] = Some(d.seq);
-                believed[d.src] = d.payload;
+                let row = &mut believed[d.src];
+                let degree = row.len();
+                row.copy_from_slice(&d.payload[..degree]);
             }
         }
 

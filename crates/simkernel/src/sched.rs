@@ -30,8 +30,8 @@
 //!
 //! 1. **Due**: wakes at `cur`, one FIFO per priority class. A 256-bit
 //!    mask finds the lowest non-empty class, so a pop is O(1).
-//! 2. **Wheel**: wakes in the next `WINDOW - 1` ticks (4,095), one FIFO
-//!    per tick in a ring indexed by `tick % WINDOW`. A 64-word
+//! 2. **Wheel**: wakes in the next `WINDOW - 1` ticks (32,767), one
+//!    FIFO per tick in a ring indexed by `tick % WINDOW`. A 512-word
 //!    occupancy bitmap finds the next tick that has wakes; the
 //!    earliest such tick and each tick's lowest class are kept, so
 //!    [`SimScheduler::peek`] and [`SimScheduler::next_wake`] never
@@ -112,10 +112,12 @@ pub const DEFAULT_SAME_TICK_BUDGET: u64 = 1 << 20;
 
 /// Ticks the wheel spans, `cur` included: a wake less than `WINDOW`
 /// ticks ahead of `cur` waits in the due FIFOs or the wheel, a later
-/// one in the far heap. Sized to the DES worlds' traffic: all but
-/// ~0.03 % of cloud churn's offline gaps (mean 500 ticks) and 56 % of
-/// its online gaps (mean 5,000) fit.
-const WINDOW: u64 = 4096;
+/// one in the far heap. Sized to the DES worlds' traffic: cloud
+/// churn's gaps are geometric, and all but 0.14 % of its online gaps
+/// (mean 5,000 ticks) and every offline gap (mean 500) fit, so the
+/// far heap is off the common path. The wheel's arrays take ≈290 KiB
+/// per scheduler.
+const WINDOW: u64 = 1 << 15;
 const SLOTS: usize = WINDOW as usize;
 /// Priority classes: the class byte's range.
 const CLASSES: usize = 256;

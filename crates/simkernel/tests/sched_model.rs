@@ -14,8 +14,9 @@ use simkernel::Tick;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The wheel's span in ticks (a private constant of the scheduler).
-const WINDOW: i64 = 4096;
+/// The wheel's span in ticks: a copy of the scheduler's private
+/// constant, so the offsets and jumps below straddle its edges.
+const WINDOW: i64 = 1 << 15;
 
 /// The reference: every pending wake in one heap.
 struct Model {
