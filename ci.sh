@@ -16,8 +16,11 @@ cargo test -q --offline --workspace
 # The DES kernels in the build that the benchmark and F12 run: the
 # scheduler's release path, where an overflowing same-tick budget sheds
 # instead of panicking (the tests of that path compile only without
-# debug assertions), the grid query, and both worlds' dense-vs-sparse
-# parity proptests.
+# debug assertions), the grid query, the camera world's unit tests
+# (one seeded sparse world pinned), and both worlds' dense-vs-sparse
+# parity proptests. The check that each camera visit's tally counts
+# the objects it sees is a debug assertion, so only the workspace run
+# above makes it.
 echo "==> cargo test --release -q --offline -p simkernel -p camnet -p cloudsim"
 cargo test --release -q --offline -p simkernel -p camnet -p cloudsim
 

@@ -3433,12 +3433,13 @@ pub struct DesMeasurement {
 }
 
 /// The F12 scale matrix. Dense arms run only at *reduced* scale — at
-/// full scale the dense camnet loop alone is ~5×10¹⁰ distance tests —
-/// and the per-entity-tick comparison leans on the dense loop's cost
-/// being linear in the population: per tick it does O(objects) work
-/// per camera and O(1) work per node, both independent of how many
-/// other entities exist, so ns-per-entity-tick measured at reduced
-/// scale transfers to full scale (the extrapolation EXPERIMENTS.md
+/// full scale the dense camnet sweep alone is 19,881 cameras × 256
+/// objects × 2,000 ticks ≈ 1.0×10¹⁰ distance tests — and the
+/// per-entity-tick comparison leans on the dense loop's cost being
+/// linear in the population: per tick it does O(objects) work per
+/// camera and O(1) work per node, both independent of how many other
+/// entities exist, so ns-per-entity-tick measured at reduced scale
+/// transfers to full scale (the extrapolation EXPERIMENTS.md
 /// documents).
 struct F12Scales {
     cam_side_full: usize,

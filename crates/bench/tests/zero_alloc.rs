@@ -250,13 +250,13 @@ fn sparse_camnet_allocations(steps: u64) -> u64 {
 }
 
 /// A longer sparse camnet run may allocate at most this many times more
-/// than a shorter one: the scheduler's arena and the visit buffers
+/// than a shorter one: the scheduler's arena and the seer buffer can
 /// reach a new high-water mark now and then. 0 measured over 1,800
 /// extra ticks.
 const CAMNET_EXTRA_ALLOCS: u64 = 8;
 
 /// Once its buffers have grown, a sparse camnet tick allocates nothing:
-/// the object grid is rebuilt in place, and every query and wake reuses
+/// the seer query, the per-camera tallies and every wake reuse
 /// storage.
 #[test]
 fn sparse_camnet_tick_is_allocation_free() {

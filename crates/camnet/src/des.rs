@@ -6,10 +6,12 @@
 //! visited only when an object is inside its neighbourhood (a
 //! dirty-input wake) or a scheduled fault falls due (a `wake_at`
 //! planted when the run starts — fault plans schedule wake events,
-//! they are never polled). Object→camera visibility queries go through
-//! the [`crate::grid::GridIndex`], so one camera visit costs
-//! O(objects nearby), not O(objects), and one tick costs O(active
-//! neighbourhoods), not O(cameras × objects).
+//! they are never polled). Each object asks the cameras'
+//! [`crate::grid::GridIndex`] once a tick which cameras see it, so one
+//! tick costs O(active neighbourhoods), not O(cameras × objects). That
+//! seer pass also adds one to a per-camera tally for every live camera
+//! that sees the object; a camera visit takes its tally, so it costs
+//! O(1) and enumerates no camera–object pair a second time.
 //!
 //! ## Dense-vs-sparse equivalence
 //!
@@ -42,7 +44,7 @@ pub struct DesCamnetConfig {
     pub side: usize,
     /// Field-of-view radius. [`DesCamnetConfig::at_scale`] picks
     /// `2.5 / side`, keeping the *neighbourhood population* — and so
-    /// the per-visit cost — independent of network size.
+    /// the per-object query cost — independent of network size.
     pub fov_radius: f64,
     /// Number of wandering objects.
     pub objects: usize,
@@ -93,47 +95,6 @@ pub struct DesCamnetResult {
     pub perf: ActivationStats,
 }
 
-/// Per-camera fault timeline: `(tick, alive_after)` edges in tick
-/// order, consumed by a cursor when the fault wake fires.
-struct FaultEdges {
-    edges: Vec<Vec<(u64, bool)>>,
-    cursor: Vec<usize>,
-}
-
-impl FaultEdges {
-    fn build(plan: &FaultPlan, n: usize) -> Self {
-        let mut edges = vec![Vec::new(); n];
-        for ev in plan.events() {
-            match ev.kind {
-                FaultKind::CameraFail { camera } if camera < n => {
-                    edges[camera].push((ev.at.value(), false));
-                }
-                FaultKind::CameraRecover { camera } if camera < n => {
-                    edges[camera].push((ev.at.value(), true));
-                }
-                _ => {}
-            }
-        }
-        Self {
-            edges,
-            cursor: vec![0; n],
-        }
-    }
-
-    /// Applies every edge for `cam` due at or before `now`; returns
-    /// the final liveness if any edge fired.
-    fn apply(&mut self, cam: usize, now: Tick) -> Option<bool> {
-        let mut state = None;
-        let evs = &self.edges[cam];
-        let c = &mut self.cursor[cam];
-        while *c < evs.len() && evs[*c].0 <= now.value() {
-            state = Some(evs[*c].1);
-            *c += 1;
-        }
-        state
-    }
-}
-
 /// Runs an F12 tracking scenario (see [`DesCamnetResult`] for metric
 /// keys).
 ///
@@ -152,13 +113,11 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
             Camera::new(i, Point::new(x, y), cfg.fov_radius, n)
         })
         .collect();
-    // The camera layout is static: build its index once. Objects move,
-    // so (in sparse mode) their index is rebuilt in place each tick.
+    // The camera layout is static: build its index once.
     let camera_grid = GridIndex::build(
         &cameras.iter().map(Camera::position).collect::<Vec<_>>(),
         cfg.fov_radius,
     );
-    let mut object_grid = GridIndex::build(&[], cfg.fov_radius);
 
     let mut obj_rng = seeds.rng("objects");
     let mut objects: Vec<Wanderer> = (0..cfg.objects)
@@ -180,7 +139,20 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
 
     let mut alive = vec![true; n];
     let mut dead_count = 0u64;
-    let mut edges = FaultEdges::build(&cfg.faults, n);
+    // Camera fault edges `(tick, camera, alive_after)` in onset order.
+    // Each has a fault wake at its tick, so the tick's first fault wake
+    // applies every edge due.
+    let edges: Vec<(Tick, usize, bool)> = cfg
+        .faults
+        .events()
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            FaultKind::CameraFail { camera } if camera < n => Some((ev.at, camera, false)),
+            FaultKind::CameraRecover { camera } if camera < n => Some((ev.at, camera, true)),
+            _ => None,
+        })
+        .collect();
+    let mut next_edge = 0;
     // Both modes drive faults through the scheduler: the plan plants
     // its wakes up front and is never polled per tick.
     let mut sched: SimScheduler<usize> = SimScheduler::new();
@@ -206,10 +178,10 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
         entity_ticks: (n as u64 + cfg.objects as u64) * cfg.steps,
         ..ActivationStats::default()
     };
-    // Reused scratch: seer candidates for one object; woken cameras
-    // for one tick.
-    let mut seers: Vec<usize> = Vec::with_capacity(64);
-    let mut woken: Vec<usize> = Vec::with_capacity(256);
+    // Reused scratch: one object's seers with their distances; per
+    // camera, the objects it sees this tick, taken by its visit.
+    let mut seers: Vec<(usize, f64)> = Vec::with_capacity(64);
+    let mut tally = vec![0u32; n];
 
     for t in 0..cfg.steps {
         let now = Tick(t);
@@ -222,22 +194,16 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
             .peek()
             .is_some_and(|(at, c)| at <= now && c == CLASS_FAULT)
         {
-            let Some((_, _, cam)) = sched.pop_due(now) else {
+            if sched.pop_due(now).is_none() {
                 break;
-            };
+            }
             perf.wakes += 1;
-            if let Some(state) = edges.apply(cam, now) {
-                if alive[cam] != state {
-                    alive[cam] = state;
-                    if state {
-                        dead_count -= 1;
-                    } else {
-                        dead_count += 1;
-                        // A dying camera loses its objects; ownership
-                        // is re-derived below from live seers only, so
-                        // clearing is implicit.
-                    }
-                }
+            while let Some(&(_, cam, state)) = edges.get(next_edge).filter(|e| e.0 <= now) {
+                next_edge += 1;
+                // A dying camera loses its objects implicitly: ownership
+                // is re-derived below from live seers only.
+                dead_count = dead_count + u64::from(!state) - u64::from(!alive[cam]);
+                alive[cam] = state;
             }
         }
         downtime_ticks += dead_count;
@@ -252,37 +218,35 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
 
         // 3. Per-object seer resolution, object-major, seers in
         // ascending camera id — identical iteration order either way.
-        if sparse {
-            object_grid.rebuild(&positions);
-        }
+        // Each camera–object distance is measured once, as
+        // `camera.distance(object)` (what `Camera::sees` and
+        // `Camera::quality` measure), by the grid query or the sweep.
         for (o, &pos) in positions.iter().enumerate() {
-            let mut best: Option<(usize, f64)> = None;
-            let mut seen = 0u64;
-            let mut consider = |cam: usize, q_best: &mut Option<(usize, f64)>| {
-                if alive[cam] && cameras[cam].sees(pos) {
-                    seen += 1;
-                    let q = cameras[cam].quality(pos);
-                    if q_best.is_none_or(|(_, b)| q > b) {
-                        *q_best = Some((cam, q));
-                    }
-                }
-            };
             if sparse {
                 camera_grid.query_circle_into(pos, cfg.fov_radius, &mut seers);
-                for &cam in &seers {
-                    consider(cam, &mut best);
-                    // Dirty input: this camera has an object in its
-                    // neighbourhood and must be visited this tick.
-                    if alive[cam] && dedup.mark(cam, now) {
-                        sched.wake_on_input(CLASS_CAMERA, cam);
-                    }
-                }
             } else {
-                for cam in 0..n {
-                    consider(cam, &mut best);
+                seers.clear();
+                seers.extend(
+                    cameras
+                        .iter()
+                        .map(|c| (c.id(), c.position().distance(pos)))
+                        .filter(|&(_, d)| d <= cfg.fov_radius),
+                );
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for &(cam, d) in seers.iter().filter(|&&(cam, _)| alive[cam]) {
+                detections += 1;
+                tally[cam] += 1;
+                let q = (1.0 - d / cfg.fov_radius).max(0.0);
+                if best.is_none_or(|(_, b)| q > b) {
+                    best = Some((cam, q));
+                }
+                // Dirty input: this camera sees an object and must be
+                // visited this tick.
+                if sparse && dedup.mark(cam, now) {
+                    sched.wake_on_input(CLASS_CAMERA, cam);
                 }
             }
-            detections += seen;
             match best {
                 Some((cam, q)) => {
                     quality_sum += q;
@@ -298,40 +262,46 @@ pub fn run_des_camnet(cfg: &DesCamnetConfig, seeds: &SeedTree) -> DesCamnetResul
             }
         }
 
-        // 4. Camera visits. Dense scans every camera against every
-        // object (the honest O(n·m) baseline); sparse visits only the
-        // cameras woken above, each answering from the object grid.
-        // The per-camera observation (how many objects it can see) is
-        // an integer, so visit *order* cannot perturb metrics; both
-        // modes still produce identical per-camera counts because an
-        // unwoken camera provably sees nothing.
+        // 4. Camera visits. A visit takes its camera's tally — how
+        // many objects it sees, counted by the seer pass above — and
+        // leaves it zero for the next tick. Dense visits every camera;
+        // sparse only those woken above, in drain order: the tally is
+        // an integer, so visit order cannot perturb metrics, and an
+        // unwoken camera's tally is provably zero.
+        let mut visit = |cam: usize| {
+            let load = std::mem::take(&mut tally[cam]);
+            debug_assert_eq!(
+                load as usize,
+                positions
+                    .iter()
+                    .filter(|&&p| alive[cam] && cameras[cam].sees(p))
+                    .count(),
+                "camera {cam}'s tally must count the objects it sees"
+            );
+            load
+        };
         if sparse {
-            woken.clear();
+            let shed = sched.shed_count();
             while let Some((_, class, cam)) = sched.pop_due(now) {
                 debug_assert_eq!(class, CLASS_CAMERA);
                 perf.wakes += 1;
-                woken.push(cam);
-            }
-            woken.sort_unstable();
-            for &cam in &woken {
                 perf.visits += 1;
-                let position = cameras[cam].position();
-                object_grid.query_circle_into(position, cfg.fov_radius, &mut seers);
-                let load = seers
-                    .iter()
-                    .filter(|&&o| cameras[cam].sees(positions[o]))
-                    .count();
+                let load = visit(cam);
                 debug_assert!(load > 0, "woken camera must have a nearby object");
+            }
+            // A shed wake (release builds only) ends the drain with
+            // cameras unvisited: drop their tallies so none carries
+            // into the next tick.
+            if sched.shed_count() > shed {
+                tally.fill(0);
             }
         } else {
             for cam in 0..n {
                 perf.visits += 1;
-                if !alive[cam] {
-                    continue;
-                }
-                let _load = positions.iter().filter(|&&p| cameras[cam].sees(p)).count();
+                visit(cam);
             }
         }
+        debug_assert!(tally.iter().all(|&t| t == 0), "a tally outlived its tick");
     }
     perf.shed = sched.shed_count();
 
@@ -423,12 +393,39 @@ mod tests {
         }
     }
 
+    /// One seeded sparse world with faults, run twice and pinned: a
+    /// change in which cameras are woken or visited moves `perf`, and
+    /// a change in what they see moves the metrics.
     #[test]
     fn deterministic_per_seed() {
-        let cfg = DesCamnetConfig::at_scale(12, 10, 300);
-        let a = run(&cfg, 42);
-        let b = run(&cfg, 42);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.perf, b.perf);
+        let mut cfg = DesCamnetConfig::at_scale(24, 30, 400);
+        cfg.home_bias = true;
+        cfg.faults = FaultPlan::none()
+            .and(FaultEvent::camera_fail(Tick(100), 150))
+            .and(FaultEvent::camera_fail(Tick(200), 450))
+            .and(FaultEvent::camera_recover(Tick(300), 150));
+        let mut metrics = MetricSet::new();
+        for (key, value) in [
+            ("camera_downtime_ticks", 400.0),
+            ("detections_per_object_tick", 19.38275),
+            ("fault_wakes_scheduled", 3.0),
+            ("handovers", 1436.0),
+            ("track_quality", 0.847875134143064),
+            ("untracked_ratio", 0.0),
+            ("utility", 0.847875134143064),
+        ] {
+            metrics.set(key, value);
+        }
+        let (visits, wakes, entity_ticks) = (146_872, 134_875, 242_400);
+        let perf = ActivationStats {
+            visits,
+            wakes,
+            entity_ticks,
+            shed: 0,
+        };
+        for r in [run(&cfg, 2024), run(&cfg, 2024)] {
+            assert_eq!(r.metrics, metrics);
+            assert_eq!(r.perf, perf);
+        }
     }
 }

@@ -16,13 +16,13 @@
 //! than gathering them by id.
 //!
 //! Determinism contract: [`GridIndex::query_circle_into`] returns hits
-//! in **ascending id order** and filters by *exact* Euclidean distance
-//! (`d ≤ r`), so iterating the result set is bit-identical to the
-//! dense scan `(0..n).filter(|i| dist(i) <= r)` — the property the
-//! dense-vs-sparse parity proptests pin down. [`GridIndex::rebuild`]
-//! re-sorts new points into the index's own buffers (O(points +
-//! cells), no allocation once they are large enough), so per-tick
-//! rebuilds over moving objects are cheap.
+//! in **ascending id order**, each with the distance it was filtered
+//! by, and filters by *exact* Euclidean distance (`d ≤ r`), so
+//! iterating the result set is bit-identical to the dense scan
+//! `(0..n).filter(|i| dist(i) <= r)` — the property the
+//! dense-vs-sparse parity proptests pin down. The F12 world indexes
+//! its static cameras once and queries them once per object per tick;
+//! nothing is re-indexed while a run goes on.
 
 use workloads::trajectories::Point;
 
@@ -36,7 +36,7 @@ fn columns(cell: f64) -> usize {
     (((1.0 / cell) + 1e-9).floor() as usize).clamp(1, 4096)
 }
 
-/// A rebuildable uniform grid over points in `[0, 1] × [0, 1]`.
+/// A uniform grid over points in `[0, 1] × [0, 1]`.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell: f64,
@@ -63,49 +63,36 @@ impl GridIndex {
     pub fn build(points: &[Point], cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell edge must be positive");
         let cols = columns(cell);
+        let ncells = cols * cols;
         let mut grid = Self {
             cell: 1.0 / cols as f64,
             cols,
-            starts: Vec::new(),
-            ids: Vec::new(),
-            coords: Vec::new(),
+            starts: vec![0; ncells + 1],
+            ids: vec![0; points.len()],
+            coords: vec![Point::default(); points.len()],
         };
-        grid.rebuild(points);
-        grid
-    }
-
-    /// Re-indexes the grid over `points`, keeping its cell edge and
-    /// reusing its buffers: once they have held as many points, a
-    /// rebuild allocates nothing.
-    pub fn rebuild(&mut self, points: &[Point]) {
-        let ncells = self.cols * self.cols;
-        self.starts.clear();
-        self.starts.resize(ncells + 1, 0);
         for &p in points {
-            let c = self.cell_of(p);
-            self.starts[c] += 1;
+            let c = grid.cell_of(p);
+            grid.starts[c] += 1;
         }
         // Inclusive prefix sums: `starts[c]` is the end of cell c ...
         let mut end = 0;
-        for s in &mut self.starts[..ncells] {
+        for s in &mut grid.starts[..ncells] {
             end += *s;
             *s = end;
         }
-        self.starts[ncells] = end;
-        self.ids.clear();
-        self.ids.resize(points.len(), 0);
-        self.coords.clear();
-        self.coords.resize(points.len(), Point::default());
+        grid.starts[ncells] = end;
         // ... and filling each cell from its end in descending id
         // order leaves `starts[c]` at its start with the ids ascending
         // within the cell — the property the ordered query relies on.
         for (i, &p) in points.iter().enumerate().rev() {
-            let c = self.cell_of(p);
-            self.starts[c] -= 1;
-            let j = self.starts[c] as usize;
-            self.ids[j] = i as u32;
-            self.coords[j] = p;
+            let c = grid.cell_of(p);
+            grid.starts[c] -= 1;
+            let j = grid.starts[c] as usize;
+            grid.ids[j] = i as u32;
+            grid.coords[j] = p;
         }
+        grid
     }
 
     /// The cell holding `p`.
@@ -120,27 +107,16 @@ impl GridIndex {
         ((v * self.cols as f64) as usize).min(self.cols - 1)
     }
 
-    /// Number of indexed points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the index holds no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Collects into `out` the ids of all indexed points within exact
-    /// Euclidean distance `r` of `center`, in ascending id order.
-    /// `out` is cleared first; the caller reuses one buffer across
-    /// queries to keep the hot loop allocation-free.
+    /// Collects into `out` every indexed point within exact Euclidean
+    /// distance `r` of `center` as `(id, distance)`, in ascending id
+    /// order; `distance` is `point.distance(center)`, the value the
+    /// `≤ r` test read. `out` is cleared first; the caller reuses one
+    /// buffer across queries to keep the hot loop allocation-free.
     ///
     /// Exact only for `r ≤ cell` (see [`GridIndex::build`]); a larger
     /// radius silently misses points outside the 3×3 block, so debug
     /// builds assert against it.
-    pub fn query_circle_into(&self, center: Point, r: f64, out: &mut Vec<usize>) {
+    pub fn query_circle_into(&self, center: Point, r: f64, out: &mut Vec<(usize, f64)>) {
         debug_assert!(
             r <= self.cell * (1.0 + 1e-9),
             "query radius {r} exceeds cell edge {}",
@@ -156,15 +132,16 @@ impl GridIndex {
             let lo = self.starts[y * self.cols + x0] as usize;
             let hi = self.starts[y * self.cols + x1 + 1] as usize;
             for (&id, p) in self.ids[lo..hi].iter().zip(&self.coords[lo..hi]) {
-                if p.distance(center) <= r {
-                    out.push(id as usize);
+                let d = p.distance(center);
+                if d <= r {
+                    out.push((id as usize, d));
                 }
             }
         }
         // Ids ascend only within a cell; one sort restores the global
         // id order the parity contract requires. The result set is a
         // handful of neighbours, so this is cheap.
-        out.sort_unstable();
+        out.sort_unstable_by_key(|&(id, _)| id);
     }
 }
 
@@ -173,12 +150,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
-    use rand::Rng as _;
-    use simkernel::SeedTree;
 
-    fn dense_query(points: &[Point], center: Point, r: f64) -> Vec<usize> {
+    /// Hits as `(id, distance bits)`, so equal results are
+    /// bit-identical.
+    fn bits(hits: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        hits.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+    }
+
+    fn dense_query(points: &[Point], center: Point, r: f64) -> Vec<(usize, f64)> {
         (0..points.len())
-            .filter(|&i| points[i].distance(center) <= r)
+            .map(|i| (i, points[i].distance(center)))
+            .filter(|&(_, d)| d <= r)
             .collect()
     }
 
@@ -258,34 +240,19 @@ mod tests {
         #[test]
         fn queries_match_the_dense_scan(s in Scenarios) {
             let grid = GridIndex::build(&s.points, s.cell);
-            prop_assert_eq!(grid.len(), s.points.len());
-            let mut out = vec![usize::MAX]; // stale content must be cleared
+            prop_assert_eq!(grid.ids.len(), s.points.len());
+            let mut out = vec![(usize::MAX, 0.0)]; // stale content must be cleared
             for &(center, r) in &s.queries {
                 grid.query_circle_into(center, r, &mut out);
                 prop_assert_eq!(
-                    &out,
-                    &dense_query(&s.points, center, r),
+                    bits(&out),
+                    bits(&dense_query(&s.points, center, r)),
                     "cell {}, centre {:?}, r {}, points {:?}",
                     s.cell,
                     center,
                     r,
                     s.points
                 );
-            }
-        }
-
-        #[test]
-        fn a_rebuilt_index_answers_as_a_fresh_build(s in Scenarios, before in Scenarios) {
-            prop_assume!(before.points.len() != s.points.len());
-            let mut grid = GridIndex::build(&before.points, s.cell);
-            grid.rebuild(&s.points);
-            let fresh = GridIndex::build(&s.points, s.cell);
-            prop_assert_eq!(grid.len(), s.points.len());
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            for &(center, r) in &s.queries {
-                grid.query_circle_into(center, r, &mut got);
-                fresh.query_circle_into(center, r, &mut want);
-                prop_assert_eq!(&got, &want, "cell {}, centre {:?}, r {}", s.cell, center, r);
             }
         }
     }
@@ -299,9 +266,10 @@ mod tests {
             Point::new(0.9, 0.9),
         ];
         let grid = GridIndex::build(&points, 0.1);
-        let mut out = vec![999]; // stale content must be cleared
+        let mut out = vec![(999, 0.0)]; // stale content must be cleared
         grid.query_circle_into(Point::new(0.5, 0.5), 0.1, &mut out);
-        assert_eq!(out, vec![0, 1, 2]);
+        let ids: Vec<usize> = out.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
     }
 
     #[test]
@@ -313,40 +281,21 @@ mod tests {
             Point::new(0.0, 1.0),
         ];
         let grid = GridIndex::build(&points, 0.25);
-        assert_eq!(grid.len(), 4);
+        assert_eq!(grid.ids.len(), 4);
         let mut out = Vec::new();
         grid.query_circle_into(Point::new(1.0, 1.0), 0.2, &mut out);
-        assert_eq!(out, vec![1]);
+        assert_eq!(out, vec![(1, 0.0)]);
         grid.query_circle_into(Point::new(0.0, 0.0), 0.2, &mut out);
-        assert_eq!(out, vec![0]);
+        assert_eq!(out, vec![(0, 0.0)]);
     }
 
     #[test]
     fn empty_index_answers_empty() {
         let grid = GridIndex::build(&[], 0.1);
-        assert!(grid.is_empty());
+        assert!(grid.ids.is_empty());
         let mut out = Vec::new();
         grid.query_circle_into(Point::new(0.5, 0.5), 0.1, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn rebuild_tracks_moving_points() {
-        let mut rng = SeedTree::new(9).rng("move");
-        let mut points: Vec<Point> = (0..100).map(|_| Point::random(&mut rng)).collect();
-        let r = 0.08;
-        let mut grid = GridIndex::build(&points, r);
-        let mut out = Vec::new();
-        for _ in 0..20 {
-            for p in &mut points {
-                p.x = (p.x + rng.gen::<f64>() * 0.02).min(1.0);
-                p.y = (p.y + rng.gen::<f64>() * 0.02).min(1.0);
-            }
-            grid.rebuild(&points);
-            let c = Point::random(&mut rng);
-            grid.query_circle_into(c, r, &mut out);
-            assert_eq!(out, dense_query(&points, c, r));
-        }
     }
 
     #[test]

@@ -824,24 +824,3 @@ mod home_bias_tests {
         assert!(r.metrics.get("untracked_ratio").unwrap() < 0.1);
     }
 }
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_strategy_metrics() {
-        for strat in [
-            HandoverStrategy::Broadcast,
-            HandoverStrategy::self_aware_default(),
-            HandoverStrategy::Smooth { k: 3 },
-        ] {
-            let r = run_camnet(&CamnetConfig::standard(strat, 4000), &SeedTree::new(0));
-            println!("--- {}", strat.label());
-            for (k, v) in r.metrics.iter() {
-                println!("{k} = {v:.4}");
-            }
-        }
-    }
-}

@@ -1054,32 +1054,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore]
-    fn probe_zoned_arms() {
-        let steps = 3000;
-        let partition = Some((2150, 850));
-        for seed in [5u64, 6, 7] {
-            for (name, policy) in [
-                ("aware", CommsPolicy::default()),
-                ("naive", CommsPolicy::Naive),
-            ] {
-                let (cfg, seeds) = zoned_cfg(policy, 0.25, partition, seed, steps);
-                let m = run_scenario(&cfg, &seeds).metrics;
-                println!(
-                    "seed {seed} {name}: util {:.4} compl {:.4} viol {:.4} cost {:.4} retries {} expired {} part {}",
-                    m.get("utility").unwrap(),
-                    m.get("completion_ratio").unwrap(),
-                    m.get("violation_rate").unwrap(),
-                    m.get("cost_ratio").unwrap(),
-                    m.get("comms_retries").unwrap(),
-                    m.get("comms_expired").unwrap(),
-                    m.get("comms_partition_hits").unwrap(),
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cloud_goal_prefers_good_outcomes() {
         let g = cloud_goal();
         let good = g.utility(|k| match k {
@@ -1095,83 +1069,5 @@ mod tests {
             _ => None,
         });
         assert!(good > bad);
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use selfaware::levels::LevelSet;
-
-    #[test]
-    #[ignore]
-    fn print_t1_metrics() {
-        for strategy in [
-            Strategy::Random,
-            Strategy::RoundRobin,
-            Strategy::LeastLoaded,
-            Strategy::SelfAware {
-                levels: LevelSet::full(),
-            },
-        ] {
-            let mut u = 0.0;
-            let mut v = 0.0;
-            let mut c = 0.0;
-            let mut comp = 0.0;
-            for seed in 0..3u64 {
-                let seeds = SeedTree::new(seed);
-                let cfg = ScenarioConfig::standard(strategy.clone(), 6000, &seeds);
-                let m = run_scenario(&cfg, &seeds).metrics;
-                u += m.get("utility").unwrap() / 3.0;
-                v += m.get("violation_rate").unwrap() / 3.0;
-                c += m.get("cost_ratio").unwrap() / 3.0;
-                comp += m.get("completion_ratio").unwrap() / 3.0;
-            }
-            println!(
-                "{:<14} util {u:.3} viol {v:.3} cost {c:.3} compl {comp:.3}",
-                strategy.label()
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod probe_ablation {
-    use super::*;
-    use selfaware::levels::{Level, LevelSet};
-
-    #[test]
-    #[ignore]
-    fn print_t2_ladder() {
-        let ladder = [
-            ("none", LevelSet::new()),
-            ("+stimulus", LevelSet::new().with(Level::Stimulus)),
-            (
-                "+time",
-                LevelSet::new().with(Level::Stimulus).with(Level::Time),
-            ),
-            (
-                "+goal",
-                LevelSet::new()
-                    .with(Level::Stimulus)
-                    .with(Level::Time)
-                    .with(Level::Goal),
-            ),
-            ("full(+meta)", LevelSet::full()),
-        ];
-        for (name, levels) in ladder {
-            let mut u = 0.0;
-            let mut v = 0.0;
-            let mut c = 0.0;
-            for seed in 0..3u64 {
-                let seeds = SeedTree::new(seed);
-                let cfg = ScenarioConfig::standard(Strategy::SelfAware { levels }, 6000, &seeds);
-                let m = run_scenario(&cfg, &seeds).metrics;
-                u += m.get("utility").unwrap() / 3.0;
-                v += m.get("violation_rate").unwrap() / 3.0;
-                c += m.get("cost_ratio").unwrap() / 3.0;
-            }
-            println!("{name:<12} util {u:.3} viol {v:.3} cost {c:.3}");
-        }
     }
 }

@@ -794,24 +794,3 @@ mod tests {
         assert_eq!(sup.metrics, again.metrics, "supervised runs deterministic");
     }
 }
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_routing_metrics() {
-        for s in [
-            RoutingStrategy::StaticShortest,
-            RoutingStrategy::Periodic { period: 50 },
-            RoutingStrategy::cpn_default(),
-        ] {
-            let r = run_cpn(&CpnConfig::standard(s, 3000), &SeedTree::new(0));
-            println!("--- {}", s.label());
-            for (k, v) in r.metrics.iter() {
-                println!("{k} = {v:.4}");
-            }
-        }
-    }
-}

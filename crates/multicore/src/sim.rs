@@ -431,24 +431,3 @@ mod tests {
         assert!(good > bad);
     }
 }
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_scheduler_metrics() {
-        for s in [
-            Scheduler::StaticPin,
-            Scheduler::Greedy,
-            Scheduler::SelfAware,
-        ] {
-            let r = run_multicore(&MulticoreConfig::standard(s, 3000), &SeedTree::new(0));
-            println!("--- {}", s.label());
-            for (k, v) in r.metrics.iter() {
-                println!("{k} = {v:.4}");
-            }
-        }
-    }
-}
