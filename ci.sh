@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build, test, format, lint. Run from the repo root.
+#
+# Every cargo build, test, run, clippy and doc call passes --locked:
+# a change that adds or drops a crate dependency must update
+# Cargo.lock and benchmark/Cargo.lock itself, and fails here instead
+# of rewriting them.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release --offline"
-cargo build --release --offline
+echo "==> cargo build --locked --release --offline"
+cargo build --locked --release --offline
 
 # Pin property-test case counts so the gate's coverage is the same on
 # every machine (the vendored proptest reads PROPTEST_CASES).
 export PROPTEST_CASES="${PROPTEST_CASES:-64}"
 
-echo "==> cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+echo "==> cargo test --locked -q --offline --workspace"
+cargo test --locked -q --offline --workspace
 
 # The DES kernels in the build that the benchmark and F12 run: the
 # scheduler's release path, where an overflowing same-tick budget sheds
@@ -21,20 +26,20 @@ cargo test -q --offline --workspace
 # parity proptests. The check that each camera visit's tally counts
 # the objects it sees is a debug assertion, so only the workspace run
 # above makes it.
-echo "==> cargo test --release -q --offline -p simkernel -p camnet -p cloudsim"
-cargo test --release -q --offline -p simkernel -p camnet -p cloudsim
+echo "==> cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim"
+cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim
 
 # The repo benchmark (BENCHMARK.json) is its own package with an empty
 # [workspace], so the workspace steps above and below never reach it.
-echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
-cargo test --offline --manifest-path benchmark/Cargo.toml
+echo "==> cargo test --locked --offline --manifest-path benchmark/Cargo.toml"
+cargo test --locked --offline --manifest-path benchmark/Cargo.toml
 
 # The benchmark's own output checks: the canary digests in
 # benchmark/expected.txt, city's panic check, and live's response
 # format and clean shutdown. A failed check exits 1. One short run per
 # workload; its timings are not compared with anything.
-echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+echo "==> cargo build --locked --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --locked --release --offline --manifest-path benchmark/Cargo.toml
 benchmark="${CARGO_TARGET_DIR:-benchmark/target}/release/sas-benchmark"
 for workload in city audit des live; do
     echo "==> sas-benchmark --workload $workload --seed 1 --seconds 1 --trace 0"
@@ -52,11 +57,11 @@ done
 # hold at any worker count, so run its tests single-threaded and at a
 # fixed multi-thread count too (the workspace run above used the
 # machine default).
-echo "==> cargo test -q --offline -p sas-bench -p simkernel (SAS_THREADS=1)"
-SAS_THREADS=1 cargo test -q --offline -p sas-bench -p simkernel
+echo "==> cargo test --locked -q --offline -p sas-bench -p simkernel (SAS_THREADS=1)"
+SAS_THREADS=1 cargo test --locked -q --offline -p sas-bench -p simkernel
 
-echo "==> cargo test -q --offline -p sas-bench -p simkernel (SAS_THREADS=4)"
-SAS_THREADS=4 cargo test -q --offline -p sas-bench -p simkernel
+echo "==> cargo test --locked -q --offline -p sas-bench -p simkernel (SAS_THREADS=4)"
+SAS_THREADS=4 cargo test --locked -q --offline -p sas-bench -p simkernel
 
 # Experiments: every deterministic table of EXPERIMENTS.md, at the
 # scale EXPERIMENTS.md reports, must match its golden
@@ -82,8 +87,8 @@ done
 echo "==> SAS_OBS=1 experiments --smoke f11 f12"
 SAS_OBS=1 "$experiments" --smoke f11 f12
 
-echo "==> cargo run -p sas-bench --bin obs_validate (every run trace)"
-cargo run --offline -p sas-bench --bin obs_validate
+echo "==> cargo run --locked -p sas-bench --bin obs_validate (every run trace)"
+cargo run --locked --offline -p sas-bench --bin obs_validate
 rm -rf target/obs
 
 echo "==> cargo fmt --check"
@@ -92,24 +97,24 @@ cargo fmt --check
 echo "==> cargo fmt --check --manifest-path benchmark/Cargo.toml"
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --locked --offline --workspace --all-targets -- -D warnings"
+cargo clippy --locked --offline --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
-cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+echo "==> cargo clippy --locked --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --locked --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 # API docs build clean: a broken or redundant intra-doc link (one the
 # compiler does not check, such as the replay closure contract's link
 # to the explanation ledger) fails the gate.
-echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --locked --no-deps --workspace --offline"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace --offline
 
 # No panic paths in shipped library code: every first-party lib carries
 # #![warn(clippy::unwrap_used, clippy::panic)], promoted to errors here
 # (tests are exempted via clippy.toml allow-*-in-tests).
 FIRST_PARTY="-p simkernel -p selfaware -p workloads -p camnet -p cloudsim -p multicore -p cpn -p compose -p liveserve -p sas-bench"
-echo "==> cargo clippy --offline \$FIRST_PARTY --lib -- -D warnings"
+echo "==> cargo clippy --locked --offline \$FIRST_PARTY --lib -- -D warnings"
 # shellcheck disable=SC2086
-cargo clippy --offline $FIRST_PARTY --lib -- -D warnings
+cargo clippy --locked --offline $FIRST_PARTY --lib -- -D warnings
 
 echo "==> ci.sh: all green"

@@ -1538,8 +1538,8 @@ pub fn f7_scenario(
     steps: u64,
 ) -> MetricSet {
     use selfaware::explain::ExplanationLog;
-    use selfaware::supervision::{ControlSource, Evidence, Supervisor};
-    use workloads::faults::{FaultKind, ModelCorruptionKind};
+    use selfaware::supervision::{Evidence, SelfModel};
+    use workloads::faults::FaultKind;
     use workloads::signal::{SignalGen, SignalSpec};
 
     // Drifting demand with regime changes: enough structure that a
@@ -1564,11 +1564,9 @@ pub fn f7_scenario(
     ];
     let mut gen = SignalGen::new(regimes, 0.8, seeds.rng("demand"));
 
-    let mut model = Holt::new(0.3, 0.1);
-    let mut sup =
-        (arm == F7Arm::Supervised).then(|| Supervisor::new("f7-demand", Holt::new(0.3, 0.1)));
+    // The baseline arm never consults the model.
+    let mut slot = SelfModel::new("f7-demand", Holt::new(0.3, 0.1), arm == F7Arm::Supervised);
     let mut log = ExplanationLog::new(1024);
-    let mut frozen_until: Option<Tick> = None;
     let mut control: Option<f64> = None;
     let mut regret = Vec::with_capacity(steps as usize);
     let mut onsets: Vec<u64> = Vec::new();
@@ -1583,27 +1581,9 @@ pub fn f7_scenario(
         for ev in plan.events_at(now) {
             if let FaultKind::ModelCorruption { kind, .. } = ev.kind {
                 onsets.push(t);
-                let target = match (&mut sup, arm) {
-                    (Some(s), _) => Some(s.model_mut()),
-                    (None, F7Arm::Unsupervised) => Some(&mut model),
-                    _ => None,
-                };
-                match (kind, target) {
-                    (ModelCorruptionKind::NanPoison, Some(m)) => {
-                        m.set_state(f64::NAN, f64::NAN);
-                    }
-                    (ModelCorruptionKind::WeightScramble { gain }, Some(m)) => {
-                        let (level, trend) = (m.level(), m.trend());
-                        m.set_state(level * gain, -trend * gain - gain);
-                    }
-                    (ModelCorruptionKind::StateFreeze { duration }, _) => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                    _ => {}
-                }
+                kind.apply(&mut slot, now);
             }
         }
-        let frozen = frozen_until.is_some_and(|until| now < until);
         drop(sense_span);
         let _decide_span = obs::span("f7:decide");
 
@@ -1620,27 +1600,21 @@ pub fn f7_scenario(
         }
 
         // Update the model and choose control for the next tick.
-        control = Some(match (&mut sup, arm) {
-            (Some(s), _) => {
-                if !frozen {
-                    s.model_mut().observe(x);
-                }
-                let out = s.model().forecast_h(1).unwrap_or(x);
-                let _ = s.observe(now, Evidence::forecast(x, out), &mut log);
-                if s.source() == ControlSource::Model && out.is_finite() {
-                    out
-                } else {
-                    x // reactive fallback while benched / non-finite
-                }
+        control = Some(if arm == F7Arm::Baseline {
+            x
+        } else {
+            if !slot.frozen(now) {
+                slot.model_mut().observe(x);
             }
-            (None, F7Arm::Unsupervised) => {
-                if !frozen {
-                    model.observe(x);
-                }
-                // Honest degradation: whatever the model says, flows.
-                model.forecast_h(1).unwrap_or(x)
+            let out = slot.model().forecast_h(1).unwrap_or(x);
+            slot.observe(now, Evidence::forecast(x, out), &mut log);
+            // The bare model's answer flows whatever it is; the
+            // supervised arm reacts to `x` while benched or non-finite.
+            if slot.trusts(out) {
+                out
+            } else {
+                x
             }
-            _ => x,
         });
     }
 
@@ -1677,7 +1651,7 @@ pub fn f7_scenario(
         recovery_sum += recovered as f64;
     }
 
-    let stats = sup.as_ref().map(Supervisor::stats).unwrap_or_default();
+    let stats = slot.stats();
     let mut m = MetricSet::new();
     m.set(
         "mean_regret",
@@ -3182,9 +3156,10 @@ pub fn f11_scenario(arm: liveserve::Arm, seeds: SeedTree, ticks: u64) -> MetricS
             .threads_spawned
             .saturating_sub(r.server.threads_joined) as f64,
     );
-    let count = |ev: &str| r.transitions.iter().filter(|t| t.event == ev).count() as f64;
+    let count = |kind: &str| r.log.iter().filter(|e| e.kind == kind).count() as f64;
     m.set("shed_engagements", count("live:shed"));
     m.set("recoveries", count("live:recover"));
+    m.set("log_dropped", r.log.dropped_count() as f64);
     m.set(
         "watchdog_reactions",
         f64::from(r.supervision.warns + r.supervision.rollbacks + r.supervision.fallbacks),
@@ -3196,12 +3171,12 @@ pub fn f11_scenario(arm: liveserve::Arm, seeds: SeedTree, ticks: u64) -> MetricS
         (
             "transitions",
             obs::Json::Arr(
-                r.transitions
+                r.log
                     .iter()
-                    .map(|t| {
+                    .map(|e| {
                         obs::Json::obj([
-                            ("tick", obs::Json::from(t.tick)),
-                            ("event", obs::Json::str(t.event.clone())),
+                            ("tick", obs::Json::from(e.at.value())),
+                            ("event", obs::Json::str(e.kind)),
                         ])
                     })
                     .collect(),
@@ -3221,7 +3196,8 @@ pub struct F11Report {
     pub transitions: Vec<String>,
     /// Harness-asserted acceptance failures (empty == pass): clean
     /// shutdown and zero thread leaks on every arm and replicate,
-    /// shed *and* recover observed, the poisoned model noticed, and
+    /// shed *and* recover observed with no transition evicted from the
+    /// governor's log, the poisoned model noticed, and
     /// supervised beating naive on goodput and p99 with
     /// non-overlapping 95% CIs.
     pub failures: Vec<String>,
@@ -3311,6 +3287,12 @@ pub fn run_f11(reps: u32, ticks: u64, strict: bool) -> F11Report {
     if sup.mean("watchdog_reactions") <= 0.0 {
         failures.push("supervised arm: poisoned arrival model went unnoticed".to_string());
     }
+    if sup.mean("log_dropped") > 0.0 {
+        failures.push(format!(
+            "supervised arm: the governor's log evicted transitions (mean {:.1} dropped), so shed and recover counts are short",
+            sup.mean("log_dropped")
+        ));
+    }
     if strict {
         let (gs, gsc) = (sup.mean("goodput"), sup.ci95("goodput"));
         let (gn, gnc) = (naive.mean("goodput"), naive.ci95("goodput"));
@@ -3373,6 +3355,7 @@ mod f11_tests {
             "threads_leaked",
             "shed_engagements",
             "recoveries",
+            "log_dropped",
             "watchdog_reactions",
         ] {
             assert!(m.get(key).is_some(), "missing metric {key}");

@@ -15,6 +15,8 @@
 //! checkpoint is one flat copy. The invite counts record what the
 //! network actually did, so a rollback never rewrites them.
 
+use selfaware::supervision::Corruptible;
+
 /// Row-major `n × n` learned affinity scores for the whole camera
 /// network: `affinity[me * n + other]` is camera `me`'s learned
 /// affinity toward camera `other`.
@@ -105,13 +107,13 @@ impl AffinityTable {
         v
     }
 
-    /// Overwrites every affinity score (fault injection).
-    pub fn fill(&mut self, value: f64) {
+    /// Overwrites every affinity score.
+    fn fill(&mut self, value: f64) {
         self.affinity.fill(value);
     }
 
-    /// Applies `f` to every affinity score in place (fault injection).
-    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
+    /// Applies `f` to every affinity score in place.
+    fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
         for a in &mut self.affinity {
             *a = f(*a);
         }
@@ -122,6 +124,18 @@ impl AffinityTable {
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.affinity.iter().sum::<f64>() / self.affinity.len().max(1) as f64
+    }
+}
+
+impl Corruptible for AffinityTable {
+    fn poison(&mut self) {
+        self.fill(f64::NAN);
+    }
+
+    /// Pushes every learned score far below any invitation threshold:
+    /// the network forgets who its useful neighbours are.
+    fn scramble(&mut self, gain: f64) {
+        self.map_in_place(|a| (a - 1.0) * gain);
     }
 }
 

@@ -89,6 +89,7 @@ pub struct DesCamnetResult {
     /// * `detections_per_object_tick` — mean live seers per object-tick;
     /// * `handovers` — best-seer ownership changes;
     /// * `camera_downtime_ticks` — Σ over ticks of dead cameras;
+    /// * `fault_wakes_scheduled` — fault wakes the plan scheduled;
     /// * `utility` — `track_quality − 0.5 × untracked_ratio`.
     pub metrics: MetricSet,
     /// Activation accounting (differs across modes by design).
@@ -390,6 +391,26 @@ mod tests {
                 "{drive:?} must apply the corner camera's fault edges"
             );
             assert_eq!(r.metrics.get("fault_wakes_scheduled"), Some(2.0));
+        }
+    }
+
+    /// Sides 1 and 2 build a one-column camera grid whose cell is
+    /// narrower than the FOV radius. The query is still exact there, so
+    /// in a debug build both drives run with every assertion on, and
+    /// agree.
+    #[test]
+    fn one_and_two_camera_sides_run_in_both_drives() {
+        for side in [1, 2] {
+            let mut cfg = DesCamnetConfig::at_scale(side, 4, 200);
+            cfg.faults = FaultPlan::none()
+                .and(FaultEvent::camera_fail(Tick(50), 0))
+                .and(FaultEvent::camera_recover(Tick(120), 0));
+            cfg.drive = DriveMode::Dense;
+            let dense = run(&cfg, 13);
+            cfg.drive = DriveMode::Sparse;
+            let sparse = run(&cfg, 13);
+            assert_eq!(dense.metrics, sparse.metrics, "side {side}");
+            assert_eq!(dense.metrics.get("camera_downtime_ticks"), Some(70.0));
         }
     }
 

@@ -54,7 +54,8 @@ impl GridIndex {
     ///
     /// Radius queries are exact for any radius `r ≤ cell`; larger
     /// radii would need a wider cell block than the 3×3 the query
-    /// visits.
+    /// visits, unless the grid has at most two columns, where that
+    /// block covers every cell and any radius is exact.
     ///
     /// # Panics
     ///
@@ -113,14 +114,15 @@ impl GridIndex {
     /// `≤ r` test read. `out` is cleared first; the caller reuses one
     /// buffer across queries to keep the hot loop allocation-free.
     ///
-    /// Exact only for `r ≤ cell` (see [`GridIndex::build`]); a larger
-    /// radius silently misses points outside the 3×3 block, so debug
-    /// builds assert against it.
+    /// Exact only for `r ≤ cell` or a grid of at most two columns (see
+    /// [`GridIndex::build`]); otherwise a larger radius silently misses
+    /// points outside the 3×3 block, so debug builds assert against it.
     pub fn query_circle_into(&self, center: Point, r: f64, out: &mut Vec<(usize, f64)>) {
         debug_assert!(
-            r <= self.cell * (1.0 + 1e-9),
-            "query radius {r} exceeds cell edge {}",
-            self.cell
+            self.cols <= 2 || r <= self.cell * (1.0 + 1e-9),
+            "query radius {r} exceeds cell edge {} of a {}-column grid",
+            self.cell,
+            self.cols
         );
         out.clear();
         let last = self.cols - 1;
@@ -175,13 +177,16 @@ mod tests {
 
     /// Draws [`Scenario`]s:
     ///
-    /// * the cell edge is 1/4,096, 0.5, or log-uniform between 1/4,200
-    ///   (past the 4,096-column cap) and 0.6;
+    /// * the cell edge is 1/4,096, 0.5, uniform in `[0.5, 2.5)` (a grid
+    ///   of one or two columns, as a world of side 1 or 2 builds), or
+    ///   log-uniform between 1/4,200 (past the 4,096-column cap) and
+    ///   0.6;
     /// * each of up to 300 points has coordinates uniform in `[0, 1)`,
     ///   on one of the grid's cell boundaries `k / cols`, or on the
     ///   square's edges 0.0 and 1.0;
     /// * each of up to 40 queries has a centre drawn the same way and a
-    ///   radius of exactly `cell` or uniform in `(0, cell]`.
+    ///   radius of exactly `cell` or uniform in `(0, cell]`, or, on a
+    ///   grid of at most two columns, uniform in `[cell, cell + 2)`.
     struct Scenarios;
 
     impl Scenarios {
@@ -213,6 +218,7 @@ mod tests {
             let cell = match rng.below(16) {
                 0 => 1.0 / 4_096.0,
                 1 | 2 => 0.5,
+                3 | 4 => 0.5 + 2.0 * rng.unit_f64(),
                 _ => (lo + rng.unit_f64() * (hi - lo)).exp(),
             };
             let cols = columns(cell);
@@ -220,10 +226,10 @@ mod tests {
             let queries = (0..1 + rng.below(40))
                 .map(|_| {
                     let center = Self::point(rng, cols);
-                    let r = if rng.below(4) == 0 {
-                        cell
-                    } else {
-                        cell * (1.0 - rng.unit_f64())
+                    let r = match rng.below(4) {
+                        0 => cell,
+                        1 if cols <= 2 => cell + 2.0 * rng.unit_f64(),
+                        _ => cell * (1.0 - rng.unit_f64()),
                     };
                     (center, r)
                 })

@@ -9,11 +9,11 @@ use selfaware::comms::{CommsNetwork, CommsPolicy};
 use selfaware::explain::ExplanationLog;
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{Evidence, SupervisionStats, Supervisor};
+use selfaware::supervision::{Evidence, SelfModel};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
-use workloads::faults::{ChannelPlan, FaultKind, FaultPlan, ModelCorruptionKind};
+use workloads::faults::{ChannelPlan, FaultKind, FaultPlan};
 use workloads::trajectories::{Point, Wanderer};
 
 /// Configuration of a camera-network scenario.
@@ -48,7 +48,7 @@ pub struct CamnetConfig {
     pub faults: FaultPlan,
     /// Handover strategy used by every camera.
     pub strategy: HandoverStrategy,
-    /// If true, a meta-level [`Supervisor`] watchdogs the learned
+    /// If true, a meta-level supervisor watchdogs the learned
     /// affinity matrix: checkpoints it, rolls it back when corrupted,
     /// and benches the network onto broadcast invitations while the
     /// model is untrusted.
@@ -166,21 +166,19 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
     // affinity slab and one invite-count slab instead of per-camera
     // heap rows (see `crate::affinity`). The auction hot loop reads
     // and updates them without allocating.
-    let mut affinities = if cfg.supervise {
-        Affinities::Supervised(Box::new(AffinitySupervision {
-            sup: Supervisor::new("camera-affinities", AffinityTable::new(n)).with_mask(cfg.mask),
-            log: ExplanationLog::new(512),
-        }))
-    } else {
-        Affinities::Plain(AffinityTable::new(n))
-    };
+    // Supervised, the supervisor owns the table: the auctions train it
+    // in place, a checkpoint is an `Arc` pointer bump, and the table is
+    // deep-copied only on the first write after a checkpoint or restore.
+    // While the model is benched, auctions fall back to broadcast.
+    let mut affinities = SelfModel::new("camera-affinities", AffinityTable::new(n), cfg.supervise)
+        .with_mask(cfg.mask);
+    let mut supervision_log = ExplanationLog::new(512);
     let mut invites = InviteCounts::new(n);
     // Initial ownership: best-quality seer, if any.
     let mut owner: Vec<Option<usize>> = objects
         .iter()
         .map(|o| best_seer(&cameras, &alive, o.position()))
         .collect();
-    let mut frozen_until: Option<Tick> = None;
 
     // The comms layer carries every auction ask/bid round trip and
     // every transfer message. It consumes no randomness: frame fates
@@ -231,25 +229,12 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                 FaultKind::CameraRecover { camera } if camera < n => {
                     alive[camera] = true;
                 }
-                FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => {
-                        affinities.model_mut().fill(f64::NAN);
-                    }
-                    ModelCorruptionKind::WeightScramble { gain } => {
-                        // Push every learned score far below any
-                        // invitation threshold: the network forgets
-                        // who its useful neighbours are.
-                        affinities.model_mut().map_in_place(|a| (a - 1.0) * gain);
-                    }
-                    ModelCorruptionKind::StateFreeze { duration } => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                },
+                FaultKind::ModelCorruption { kind, .. } => kind.apply(&mut affinities, now),
                 _ => {}
             }
         }
-        let frozen = frozen_until.is_some_and(|until| now < until);
-        let benched = affinities.benched();
+        let frozen = affinities.frozen(now);
+        let benched = affinities.is_fallback();
 
         for o in &mut objects {
             o.step(&mut obj_rng);
@@ -393,13 +378,13 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         // fraction of objects left untracked this tick (a corrupted
         // ask-policy loses objects). The strictly advancing input
         // lets the stall detector catch frozen state.
-        if let Affinities::Supervised(s) = &mut affinities {
-            let mean_affinity = s.sup.model().mean();
+        if affinities.is_supervised() {
+            let mean_affinity = affinities.model().mean();
             let error = tick_untracked as f64 / cfg.objects.max(1) as f64;
-            s.sup.observe(
+            affinities.observe(
                 now,
                 Evidence::scored(mean_affinity, error).with_input(t as f64),
-                &mut s.log,
+                &mut supervision_log,
             );
         }
 
@@ -452,50 +437,6 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         heterogeneity,
         quality: quality_series,
         comms_log,
-    }
-}
-
-/// The network's affinity model, alone or under meta-self-awareness.
-/// Supervised, the [`Supervisor`] owns the table: the auctions train it
-/// in place, a checkpoint is an `Arc` pointer bump, and the table is
-/// deep-copied only on the first write after a checkpoint or restore.
-enum Affinities {
-    Plain(AffinityTable),
-    Supervised(Box<AffinitySupervision>),
-}
-
-/// The supervisor watches a tracking-loss error signal and benches the
-/// network onto broadcast invitations while the model is corrupt.
-struct AffinitySupervision {
-    sup: Supervisor<AffinityTable>,
-    log: ExplanationLog,
-}
-
-impl Affinities {
-    fn model(&self) -> &AffinityTable {
-        match self {
-            Affinities::Plain(t) => t,
-            Affinities::Supervised(s) => s.sup.model(),
-        }
-    }
-
-    fn model_mut(&mut self) -> &mut AffinityTable {
-        match self {
-            Affinities::Plain(t) => t,
-            Affinities::Supervised(s) => s.sup.model_mut(),
-        }
-    }
-
-    /// Whether the supervisor has benched the model this tick.
-    fn benched(&self) -> bool {
-        matches!(self, Affinities::Supervised(s) if s.sup.is_fallback())
-    }
-
-    fn stats(&self) -> SupervisionStats {
-        match self {
-            Affinities::Plain(_) => SupervisionStats::default(),
-            Affinities::Supervised(s) => s.sup.stats(),
-        }
     }
 }
 

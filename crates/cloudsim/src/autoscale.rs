@@ -4,7 +4,7 @@
 //! [`AutoscaleCore`] is the demand-side half of the self-aware
 //! controller in [`crate::strategy`]: a Holt double-exponential
 //! arrival forecast (optionally watchdogged by a
-//! [`Supervisor`]), an EWMA per-item work estimate, a violation EWMA,
+//! [`Supervisor`](selfaware::supervision::Supervisor)), an EWMA per-item work estimate, a violation EWMA,
 //! and the goal-aware asymmetric safety-margin adaptation. Pool sizing
 //! is the classic `ceil(rate · mean_work · safety / capacity)`
 //! formula. It is deliberately unit-agnostic: in `cloudsim` a "tick"
@@ -22,10 +22,8 @@ use selfaware::explain::ExplanationLog;
 use selfaware::models::ewma::Ewma;
 use selfaware::models::holt::Holt;
 use selfaware::models::{Forecaster, OnlineModel};
-use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, Evidence, SupervisionStats, Supervisor};
+use selfaware::supervision::{Evidence, SelfModel};
 use simkernel::Tick;
-use workloads::faults::ModelCorruptionKind;
 
 /// Default autoscaling safety margin (headroom multiplier).
 pub const SAFETY_DEFAULT: f64 = 1.3;
@@ -36,14 +34,6 @@ pub const VIOLATION_HIGH: f64 = 0.05;
 /// Violation level below which the margin decays toward the floor.
 pub const VIOLATION_LOW: f64 = 0.01;
 
-/// Watchdog wrapper around the arrival model: the supervised variant
-/// learns through `sup.model_mut()`, so checkpoint/rollback and
-/// fallback decisions apply to the live model.
-struct SupervisedModel {
-    sup: Supervisor<Holt>,
-    log: ExplanationLog,
-}
-
 /// Demand forecasting + safety adaptation + pool sizing, decoupled
 /// from what is being scaled.
 ///
@@ -53,7 +43,7 @@ struct SupervisedModel {
 /// use cloudsim::autoscale::AutoscaleCore;
 /// use simkernel::Tick;
 ///
-/// let mut core = AutoscaleCore::new("demo").supervised();
+/// let mut core = AutoscaleCore::new("demo", true);
 /// for t in 0..50u64 {
 ///     core.observe_work(2.0);
 ///     // 6 arrivals/tick, each needing 2 work units, capacity 1 per
@@ -63,50 +53,43 @@ struct SupervisedModel {
 /// }
 /// assert!(core.safety() >= 1.0);
 /// ```
+#[derive(Debug)]
 pub struct AutoscaleCore {
-    name: String,
-    arrival_forecast: Holt,
+    /// The Holt arrival forecast, bare or under its supervisor.
+    arrival: SelfModel<Holt>,
+    /// Where the arrival model's supervisor explains itself.
+    log: ExplanationLog,
     work_estimate: Ewma,
     violation_ewma: Ewma,
     safety: f64,
-    supervision: Option<Box<SupervisedModel>>,
-    frozen_until: Option<Tick>,
 }
 
 impl AutoscaleCore {
-    /// Creates an unsupervised core; `name` labels the supervisor if
-    /// [`AutoscaleCore::supervised`] is applied.
+    /// Creates a core whose arrival model runs under a meta-self-aware
+    /// supervisor named `name` if `supervised` (NaN / divergence /
+    /// oscillation / stall watchdog with a checkpoint → rollback →
+    /// reactive-fallback ladder).
     #[must_use]
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &str, supervised: bool) -> Self {
         Self {
-            name: name.to_string(),
-            arrival_forecast: Holt::new(0.2, 0.05),
+            arrival: SelfModel::new(name, Holt::new(0.2, 0.05), supervised),
+            log: ExplanationLog::new(512),
             work_estimate: Ewma::new(0.05),
             violation_ewma: Ewma::new(0.05),
             safety: SAFETY_DEFAULT,
-            supervision: None,
-            frozen_until: None,
         }
     }
 
-    /// Wraps the arrival model in a meta-self-aware [`Supervisor`]
-    /// (NaN/divergence/oscillation/stall watchdog with checkpoint →
-    /// rollback → reactive-fallback ladder).
+    /// The arrival model's slot: its supervision counters and control
+    /// source, its intervention mask, and where model corruptions land.
     #[must_use]
-    pub fn supervised(mut self) -> Self {
-        self.supervision = Some(Box::new(SupervisedModel {
-            sup: Supervisor::new(self.name.clone(), Holt::new(0.2, 0.05)),
-            log: ExplanationLog::new(512),
-        }));
-        self
+    pub fn arrival_model(&self) -> &SelfModel<Holt> {
+        &self.arrival
     }
 
-    /// Applies a counterfactual intervention mask to the supervisor
-    /// (no-op when unsupervised). Masked paths consume no randomness.
-    pub fn set_mask(&mut self, mask: InterventionMask) {
-        if let Some(svc) = &mut self.supervision {
-            svc.sup.set_mask(mask);
-        }
+    /// Mutable [`AutoscaleCore::arrival_model`].
+    pub fn arrival_model_mut(&mut self) -> &mut SelfModel<Holt> {
+        &mut self.arrival
     }
 
     /// Feeds one item's work size into the per-item work estimate.
@@ -132,36 +115,6 @@ impl AutoscaleCore {
         self.safety = self.safety.max(floor).min(SAFETY_MAX);
     }
 
-    /// Freezes the arrival model until `until` (the `StateFreeze`
-    /// model-corruption fault).
-    pub fn freeze_until(&mut self, until: Tick) {
-        self.frozen_until = Some(until);
-    }
-
-    /// Corrupts the learned arrival model in place — the injection
-    /// point for [`ModelCorruptionKind`] faults.
-    pub fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        match kind {
-            ModelCorruptionKind::StateFreeze { duration } => {
-                self.frozen_until = Some(Tick(now.0 + duration));
-            }
-            _ => {
-                let model = match &mut self.supervision {
-                    Some(svc) => svc.sup.model_mut(),
-                    None => &mut self.arrival_forecast,
-                };
-                match kind {
-                    ModelCorruptionKind::NanPoison => model.set_state(f64::NAN, f64::NAN),
-                    ModelCorruptionKind::WeightScramble { gain } => {
-                        let (level, trend) = (model.level(), model.trend());
-                        model.set_state(level * gain, -trend * gain - gain);
-                    }
-                    ModelCorruptionKind::StateFreeze { .. } => unreachable!("handled above"),
-                }
-            }
-        }
-    }
-
     /// Observes the tick's arrivals into the (possibly supervised)
     /// model and returns the demand-rate estimate to autoscale on.
     ///
@@ -169,30 +122,21 @@ impl AutoscaleCore {
     /// provision reactively on the raw arrival stimulus instead of the
     /// diverged forecast.
     pub fn demand_rate(&mut self, arrivals: f64, now: Tick) -> f64 {
-        let frozen = self.frozen_until.is_some_and(|until| now.0 < until.0);
-        match &mut self.supervision {
-            Some(svc) => {
-                if !frozen {
-                    svc.sup.model_mut().observe(arrivals);
-                }
-                let out = svc.sup.model().forecast_h(1).unwrap_or(arrivals);
-                svc.sup
-                    .observe(now, Evidence::forecast(arrivals, out), &mut svc.log);
-                let forecast = svc.sup.model().forecast_h(5).unwrap_or(arrivals);
-                if svc.sup.source() == ControlSource::Model && forecast.is_finite() {
-                    forecast
-                } else {
-                    // Benched: fall back to reactive provisioning on
-                    // the raw arrival stimulus.
-                    arrivals
-                }
-            }
-            None => {
-                if !frozen {
-                    self.arrival_forecast.observe(arrivals);
-                }
-                self.arrival_forecast.forecast_h(5).unwrap_or(arrivals)
-            }
+        if !self.arrival.frozen(now) {
+            self.arrival.model_mut().observe(arrivals);
+        }
+        if self.arrival.is_supervised() {
+            let out = self.arrival.model().forecast_h(1).unwrap_or(arrivals);
+            self.arrival
+                .observe(now, Evidence::forecast(arrivals, out), &mut self.log);
+        }
+        let forecast = self.arrival.model().forecast_h(5).unwrap_or(arrivals);
+        if self.arrival.trusts(forecast) {
+            forecast
+        } else {
+            // Benched: fall back to reactive provisioning on the raw
+            // arrival stimulus.
+            arrivals
         }
     }
 
@@ -240,43 +184,16 @@ impl AutoscaleCore {
         };
         needed.clamp(min, max)
     }
-
-    /// Watchdog counters, if supervised.
-    #[must_use]
-    pub fn supervision_stats(&self) -> Option<SupervisionStats> {
-        self.supervision.as_ref().map(|svc| svc.sup.stats())
-    }
-
-    /// The supervisor's explanation log, if supervised.
-    #[must_use]
-    pub fn explanations(&self) -> Option<&ExplanationLog> {
-        self.supervision.as_deref().map(|svc| &svc.log)
-    }
-
-    /// Which model currently drives autoscaling, if supervised.
-    #[must_use]
-    pub fn control_source(&self) -> Option<ControlSource> {
-        self.supervision.as_ref().map(|svc| svc.sup.source())
-    }
-}
-
-impl std::fmt::Debug for AutoscaleCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AutoscaleCore")
-            .field("name", &self.name)
-            .field("safety", &self.safety)
-            .field("supervised", &self.supervision.is_some())
-            .finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::faults::ModelCorruptionKind;
 
     #[test]
     fn pool_tracks_demand() {
-        let mut core = AutoscaleCore::new("t");
+        let mut core = AutoscaleCore::new("t", false);
         for _ in 0..100 {
             core.observe_work(2.0);
         }
@@ -290,7 +207,7 @@ mod tests {
 
     #[test]
     fn safety_rises_under_violations_and_floors_at_default() {
-        let mut core = AutoscaleCore::new("t");
+        let mut core = AutoscaleCore::new("t", false);
         for _ in 0..200 {
             core.observe_outcome(true);
             core.adapt_safety();
@@ -306,21 +223,20 @@ mod tests {
 
     #[test]
     fn supervised_core_survives_nan_poison() {
-        let mut core = AutoscaleCore::new("live-arrivals").supervised();
+        let mut core = AutoscaleCore::new("live-arrivals", true);
         for t in 0..50u64 {
             core.demand_rate(5.0, Tick(t));
         }
-        core.inject_model_corruption(ModelCorruptionKind::NanPoison, Tick(50));
+        ModelCorruptionKind::NanPoison.apply(core.arrival_model_mut(), Tick(50));
         let mut rate = f64::NAN;
         for t in 50..120u64 {
             rate = core.demand_rate(5.0, Tick(t));
         }
         assert!(rate.is_finite(), "supervised rate must recover: {rate}");
-        let stats = core.supervision_stats().expect("supervised");
+        let stats = core.arrival_model().stats();
         assert!(stats.warns + stats.rollbacks + stats.fallbacks > 0);
         // The supervisor explains itself under the core's name.
-        let log = core.explanations().expect("supervised");
-        let actions: Vec<String> = log.iter().map(|e| e.action()).collect();
+        let actions: Vec<String> = core.log.iter().map(|e| e.action()).collect();
         assert!(
             actions
                 .iter()
@@ -331,12 +247,12 @@ mod tests {
 
     #[test]
     fn unsupervised_freeze_holds_model() {
-        let mut core = AutoscaleCore::new("t");
+        let mut core = AutoscaleCore::new("t", false);
         for t in 0..30u64 {
             core.demand_rate(4.0, Tick(t));
         }
         let before = core.demand_rate(4.0, Tick(30));
-        core.freeze_until(Tick(100));
+        core.arrival_model_mut().freeze_until(Tick(100));
         for t in 31..60u64 {
             core.demand_rate(40.0, Tick(t)); // ignored while frozen
         }
@@ -346,7 +262,7 @@ mod tests {
 
     #[test]
     fn degenerate_pool_inputs_clamp() {
-        let mut core = AutoscaleCore::new("t");
+        let mut core = AutoscaleCore::new("t", false);
         let p = core.desired_pool(f64::INFINITY, Tick(0), 1.0, 2, 8);
         assert!((2..=8).contains(&p));
         let p = core.desired_pool(0.0, Tick(1), 0.0, 2, 8);

@@ -418,7 +418,9 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
     let n = cfg.specs.len();
     let mut cluster = Cluster::new(cfg.specs.clone(), seeds);
     let mut controller = cfg.strategy.build(n);
-    controller.set_mask(cfg.mask);
+    if let Some(model) = controller.arrival_model() {
+        model.set_mask(cfg.mask);
+    }
     let mut rate_fn = DiurnalRate::new(cfg.base_rate, cfg.amplitude, cfg.period);
     let mut arrivals_rng = seeds.rng("arrivals");
     let mut work_rng = seeds.rng("work");
@@ -462,7 +464,9 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
                     tick_outcomes.extend(cluster.force_outage(first, count, until, now));
                 }
                 FaultKind::ModelCorruption { kind, .. } => {
-                    controller.inject_model_corruption(kind, now);
+                    if let Some(model) = controller.arrival_model() {
+                        kind.apply(model, now);
+                    }
                 }
                 _ => {}
             }
@@ -554,7 +558,10 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
         cluster.rented_node_ticks() as f64 / (cfg.steps.max(1) * n as u64) as f64,
     );
     metrics.set("drift_events", f64::from(controller.drift_events()));
-    let sup = controller.supervision_stats().unwrap_or_default();
+    let sup = controller
+        .arrival_model()
+        .map(|model| model.stats())
+        .unwrap_or_default();
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));

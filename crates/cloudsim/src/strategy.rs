@@ -19,16 +19,14 @@ use crate::autoscale::AutoscaleCore;
 use crate::cluster::Cluster;
 use crate::request::{Request, RequestOutcome};
 use rand::Rng as _;
-use selfaware::explain::ExplanationLog;
 use selfaware::levels::{Level, LevelSet};
 use selfaware::models::drift::PageHinkley;
 use selfaware::models::ewma::Ewma;
+use selfaware::models::holt::Holt;
 use selfaware::models::OnlineModel;
-use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, SupervisionStats};
+use selfaware::supervision::SelfModel;
 use simkernel::rng::Rng;
 use simkernel::Tick;
-use workloads::faults::ModelCorruptionKind;
 
 /// Strategy selector for scenario configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,10 +95,10 @@ impl Strategy {
                 }
             }
             Strategy::SelfAware { levels } => {
-                Kind::SelfAware(Box::new(SelfAwareState::new(*levels, n)))
+                Kind::SelfAware(Box::new(SelfAwareState::new(*levels, n, false)))
             }
             Strategy::SupervisedSelfAware { levels } => {
-                Kind::SelfAware(Box::new(SelfAwareState::new(*levels, n).supervised()))
+                Kind::SelfAware(Box::new(SelfAwareState::new(*levels, n, true)))
             }
         };
         Controller { kind }
@@ -126,12 +124,14 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Applies a counterfactual intervention mask to the arrival-model
-    /// supervisor (no-op for unsupervised strategies). Masked paths
-    /// consume no randomness, so this never perturbs seed streams.
-    pub fn set_mask(&mut self, mask: InterventionMask) {
-        if let Kind::SelfAware(state) = &mut self.kind {
-            state.core.set_mask(mask);
+    /// The self-aware controller's arrival-model slot (`None` for the
+    /// model-free baselines): its supervision counters, its
+    /// counterfactual intervention mask, and where model corruptions
+    /// land.
+    pub(crate) fn arrival_model(&mut self) -> Option<&mut SelfModel<Holt>> {
+        match &mut self.kind {
+            Kind::SelfAware(state) => Some(state.core.arrival_model_mut()),
+            _ => None,
         }
     }
 
@@ -242,44 +242,6 @@ impl Controller {
             _ => 0,
         }
     }
-
-    /// Corrupts the controller's learned arrival model in place —
-    /// the injection point for [`ModelCorruptionKind`] faults. A
-    /// no-op for model-free baselines (they have no state to poison).
-    pub fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        if let Kind::SelfAware(state) = &mut self.kind {
-            state.inject_model_corruption(kind, now);
-        }
-    }
-
-    /// Watchdog counters, if this controller is supervised.
-    #[must_use]
-    pub fn supervision_stats(&self) -> Option<SupervisionStats> {
-        match &self.kind {
-            Kind::SelfAware(s) => s.core.supervision_stats(),
-            _ => None,
-        }
-    }
-
-    /// The supervisor's explanation log, if this controller is
-    /// supervised.
-    #[must_use]
-    pub fn explanations(&self) -> Option<&ExplanationLog> {
-        match &self.kind {
-            Kind::SelfAware(s) => s.core.explanations(),
-            _ => None,
-        }
-    }
-
-    /// Which model currently drives autoscaling (supervised
-    /// controllers only).
-    #[must_use]
-    pub fn control_source(&self) -> Option<ControlSource> {
-        match &self.kind {
-            Kind::SelfAware(s) => s.core.control_source(),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Debug for Controller {
@@ -318,12 +280,12 @@ const RISK_PENALTY: f64 = 25.0;
 const SUCCESS_PRIOR: f64 = 0.9;
 
 impl SelfAwareState {
-    fn new(levels: LevelSet, n: usize) -> Self {
+    fn new(levels: LevelSet, n: usize, supervised: bool) -> Self {
         Self {
             levels,
             n,
             round_robin_next: 0,
-            core: AutoscaleCore::new("cloud-arrivals"),
+            core: AutoscaleCore::new("cloud-arrivals", supervised),
             success: (0..n)
                 .map(|_| {
                     let mut e = Ewma::new(0.08);
@@ -335,15 +297,6 @@ impl SelfAwareState {
             epsilon: 0.05,
             drift_events: 0,
         }
-    }
-
-    fn supervised(mut self) -> Self {
-        self.core = self.core.supervised();
-        self
-    }
-
-    fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        self.core.inject_model_corruption(kind, now);
     }
 
     /// Observes the tick's arrivals and returns the pool size the

@@ -31,9 +31,9 @@ use selfaware::pressure::{HysteresisGate, HysteresisGateConfig};
 use selfaware::replay::InterventionClass;
 use simkernel::obs;
 use simkernel::rng::SeedTree;
-use simkernel::{Clock, ClockSource, MetricSet, Tick};
+use simkernel::{MetricSet, Tick};
 use std::collections::VecDeque;
-use workloads::faults::{FaultKind, ModelCorruptionKind};
+use workloads::faults::FaultKind;
 use workloads::rates::{DiurnalRate, RateFn};
 use workloads::tasks::{Task, TaskClass};
 use workloads::trajectories::{Point, Wanderer};
@@ -151,25 +151,8 @@ struct Detection {
 /// * `energy` — backend energy;
 /// * `utility` — [`city_goal`] scalarisation.
 #[must_use]
-pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
-    run_city_with_clock(cfg, seeds, &mut Clock::new())
-}
-
-/// [`run_city`] against an explicit [`ClockSource`].
-///
-/// With the simulated [`Clock`] this is bit-identical to the
-/// `for t in 0..steps` loop it replaced (every parity suite runs
-/// through this path); with a [`simkernel::WallClock`] each tick is
-/// pinned to a real-time quantum and overrun ticks are skipped rather
-/// than replayed, so the same composed world can be driven in live
-/// time.
-#[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn run_city_with_clock<K: ClockSource>(
-    cfg: &CityConfig,
-    seeds: &SeedTree,
-    clock: &mut K,
-) -> CityResult {
+pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
     assert!(cfg.zones >= 2, "need at least two zones to re-home");
     assert!(cfg.rows >= 2 && cfg.cols >= cfg.zones, "grid too small");
     let mut graph = Graph::grid(cfg.rows, cfg.cols);
@@ -180,7 +163,6 @@ pub fn run_city_with_clock<K: ClockSource>(
     // route-delay estimates against realized transit delays, and
     // benches it onto a periodic table when it misbehaves.
     let mut routing = Routing::new(cfg.policy.router, &graph, "city-routing", mask);
-    let mut frozen_until: Option<Tick> = None;
 
     let mut wander_rng = seeds.rng("wander");
     let mut work_rng = seeds.rng("work");
@@ -322,12 +304,8 @@ pub fn run_city_with_clock<K: ClockSource>(
     let mut completed: Vec<(Task, u64)> = Vec::new();
     let mut rehome: Vec<Option<u8>> = vec![None; cfg.zones];
 
-    loop {
-        let now = clock.now();
-        if now.value() >= cfg.steps {
-            break;
-        }
-        let t = now.value();
+    for t in 0..cfg.steps {
+        let now = Tick(t);
         let sense_span = obs::span("city:sense");
 
         // --- Faults: machines, cameras, links, models. -------------
@@ -364,19 +342,11 @@ pub fn run_city_with_clock<K: ClockSource>(
                 FaultKind::LinkRestore { a, b } => {
                     graph.restore_edge(a, b);
                 }
-                FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => routing.model_mut().poison_model(),
-                    ModelCorruptionKind::WeightScramble { gain } => {
-                        routing.model_mut().scramble_model(gain);
-                    }
-                    ModelCorruptionKind::StateFreeze { duration } => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                },
+                FaultKind::ModelCorruption { kind, .. } => kind.apply(routing.slot_mut(), now),
                 _ => {}
             }
         }
-        let frozen = frozen_until.is_some_and(|until| now.value() < until.value());
+        let frozen = routing.slot().frozen(now);
 
         // --- Population: diurnal activity plus the flash crowd. ----
         let in_crowd = t >= cfg.crowd_window.0 && t < cfg.crowd_window.1;
@@ -838,8 +808,6 @@ pub fn run_city_with_clock<K: ClockSource>(
             (tick_transit_n > 0).then(|| tick_transit_sum / f64::from(tick_transit_n));
         routing.supervise(&graph, now, tick_transit, &home_routes, &mut log);
         drop(supervise_span);
-
-        clock.wait_until(now + Tick(1));
     }
 
     // --- Metrics. ----------------------------------------------------
@@ -880,7 +848,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         .map(|z| stats.link_expired(ctrl, z) + stats.link_expired(z, ctrl))
         .sum();
     metrics.set("comms_dead_zone_expired", dead_zone_expired as f64);
-    let sup_stats = routing.stats();
+    let sup_stats = routing.slot().stats();
     metrics.set("model_rollbacks", f64::from(sup_stats.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup_stats.fallbacks));
     metrics.set(

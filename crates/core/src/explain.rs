@@ -350,7 +350,7 @@ mod tests {
         assert_eq!(s, "t0: chose `hold`");
     }
 
-    /// One record of each of the 20 kinds the workspace writes, with the
+    /// One record of each of the 21 kinds the workspace writes, with the
     /// exact `Display` and `to_json` text the run traces depend on.
     #[test]
     fn every_kind_renders_its_action_label_and_factors() {
@@ -420,6 +420,9 @@ mod tests {
             (e(900, "live:repromote").because("tick", 900.0).because("cap", 12.0),
              "t900: chose `live:repromote` because tick=900, cap=12",
              r#"{"tick":900,"action":"live:repromote","factors":[["tick",900],["cap",12]]}"#),
+            (e(50, "live:poison").because("tick", 50.0),
+             "t50: chose `live:poison` because tick=50",
+             r#"{"tick":50,"action":"live:poison","factors":[["tick",50]]}"#),
         ];
         for (e, text, json) in cases {
             assert_eq!(e.to_string(), text);

@@ -3,6 +3,7 @@
 //! is going* rather than where it is.
 
 use super::{Forecaster, OnlineModel};
+use crate::supervision::Corruptible;
 use serde::{Deserialize, Serialize};
 
 /// Holt linear-trend forecaster.
@@ -108,6 +109,18 @@ impl Forecaster for Holt {
 
     fn forecast_h(&self, h: u32) -> Option<f64> {
         (self.n >= 2).then(|| self.level + f64::from(h) * self.trend)
+    }
+}
+
+impl Corruptible for Holt {
+    fn poison(&mut self) {
+        self.set_state(f64::NAN, f64::NAN);
+    }
+
+    /// Scales the level by `gain` and turns the trend around, inflated
+    /// by `gain`, so forecasts run off the rails the other way.
+    fn scramble(&mut self, gain: f64) {
+        self.set_state(self.level * gain, -self.trend * gain - gain);
     }
 }
 

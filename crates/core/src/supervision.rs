@@ -26,6 +26,11 @@
 //! controller, with exponential-backoff re-promotion probes. Every
 //! transition is recorded in the [`ExplanationLog`] — self-explanation
 //! of self-repair.
+//!
+//! Every substrate keeps its learned model in a [`SelfModel`] slot,
+//! bare or supervised, which also holds the end of any state freeze.
+//! What a model-corruption fault does to the model in a slot is its
+//! [`Corruptible`] impl.
 
 use crate::explain::{Explanation, ExplanationLog};
 use crate::meta::ResidualTracker;
@@ -612,6 +617,133 @@ impl<C: Clone> Supervisor<C> {
     }
 }
 
+/// A learned model that a model-corruption fault can damage in place.
+pub trait Corruptible {
+    /// Overwrites the learned state with NaN (the NaN-poison fault).
+    fn poison(&mut self);
+    /// Blows the learned state up by `gain` (the weight-scramble
+    /// fault).
+    fn scramble(&mut self, gain: f64);
+}
+
+/// A bank of models is corrupted model by model, in order.
+impl<M: Corruptible> Corruptible for Vec<M> {
+    fn poison(&mut self) {
+        for m in self {
+            m.poison();
+        }
+    }
+
+    fn scramble(&mut self, gain: f64) {
+        for m in self {
+            m.scramble(gain);
+        }
+    }
+}
+
+/// The slot a substrate keeps its learned self-model in: bare, or
+/// under a [`Supervisor`], together with the end of any state freeze.
+///
+/// Both kinds hold the model in a [`Supervisor`]. A bare slot ignores
+/// [`SelfModel::observe`], so it never checkpoints, benches or records:
+/// its [`SelfModel::stats`] stay zero, its model stays in control, and
+/// every answer is the bare model's own.
+#[derive(Debug, Clone)]
+pub struct SelfModel<M: Clone> {
+    sup: Supervisor<M>,
+    supervised: bool,
+    frozen_until: Option<Tick>,
+}
+
+impl<M: Clone> SelfModel<M> {
+    /// Puts `model` in a slot, under a supervisor named `name` if
+    /// `supervised`.
+    #[must_use]
+    pub fn new(name: impl Into<Arc<str>>, model: M, supervised: bool) -> Self {
+        Self {
+            sup: Supervisor::new(name, model),
+            supervised,
+            frozen_until: None,
+        }
+    }
+
+    /// Sets the supervisor's counterfactual-replay intervention mask
+    /// (see [`Supervisor::set_mask`]).
+    pub fn set_mask(&mut self, mask: InterventionMask) {
+        self.sup.set_mask(mask);
+    }
+
+    /// Builder-style [`SelfModel::set_mask`].
+    #[must_use]
+    pub fn with_mask(mut self, mask: InterventionMask) -> Self {
+        self.set_mask(mask);
+        self
+    }
+
+    /// Whether a supervisor watches the model.
+    #[must_use]
+    pub fn is_supervised(&self) -> bool {
+        self.supervised
+    }
+
+    /// The model.
+    #[must_use]
+    pub fn model(&self) -> &M {
+        self.sup.model()
+    }
+
+    /// Mutable access to the model, for training and fault injection
+    /// (see [`Supervisor::model_mut`]).
+    pub fn model_mut(&mut self) -> &mut M {
+        self.sup.model_mut()
+    }
+
+    /// Feeds the supervisor one tick of evidence (see
+    /// [`Supervisor::observe`]). A bare slot ignores it and answers
+    /// [`Verdict::Healthy`].
+    pub fn observe(&mut self, now: Tick, evidence: Evidence, log: &mut ExplanationLog) -> Verdict {
+        if self.supervised {
+            self.sup.observe(now, evidence, log)
+        } else {
+            Verdict::Healthy
+        }
+    }
+
+    /// Whether the supervisor has benched the model (never in a bare
+    /// slot).
+    #[must_use]
+    pub fn is_fallback(&self) -> bool {
+        self.sup.is_fallback()
+    }
+
+    /// Whether the substrate should act on `output`, the model's
+    /// answer. A bare model's answer always flows, whatever it is; a
+    /// supervised one's only while the model holds control and the
+    /// answer is finite.
+    #[must_use]
+    pub fn trusts(&self, output: f64) -> bool {
+        !self.supervised || (!self.is_fallback() && output.is_finite())
+    }
+
+    /// Lifetime supervision counters (all zero in a bare slot).
+    #[must_use]
+    pub fn stats(&self) -> SupervisionStats {
+        self.sup.stats()
+    }
+
+    /// Freezes the model's training until `until` (the state-freeze
+    /// fault), replacing any earlier deadline.
+    pub fn freeze_until(&mut self, until: Tick) {
+        self.frozen_until = Some(until);
+    }
+
+    /// Whether a state freeze holds the model's training at `now`.
+    #[must_use]
+    pub fn frozen(&self, now: Tick) -> bool {
+        self.frozen_until.is_some_and(|until| now < until)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,7 +795,7 @@ mod tests {
         let mut sup = Supervisor::new("m", Holt::new(0.3, 0.1));
         warm_up(&mut sup, &mut l, 0, 100);
         let good_level = sup.model().level();
-        sup.model_mut().set_state(f64::NAN, f64::NAN);
+        sup.model_mut().poison();
         let out = sup.model().forecast().unwrap_or(f64::NAN);
         let v = sup.observe(Tick(100), Evidence::forecast(100.0, out), &mut l);
         assert_eq!(v, Verdict::RolledBack(Anomaly::NonFinite));
@@ -958,7 +1090,7 @@ mod tests {
             for t in 150..400u64 {
                 let x = t as f64;
                 if t == 200 {
-                    sup.model_mut().set_state(f64::NAN, f64::NAN);
+                    sup.model_mut().poison();
                 }
                 sup.model_mut().observe(x);
                 let out = sup.model().forecast().unwrap_or(x);
@@ -985,6 +1117,59 @@ mod tests {
             logged(&l, "supervise:m:rollback"),
             logged(&replica_log, "supervise:m:rollback")
         );
+    }
+
+    /// Through random training, poison, scramble and freezes, a bare
+    /// slot answers exactly like the bare model beside it: the same
+    /// forecast bits every tick, zero counters and an empty log,
+    /// whatever evidence it is fed.
+    #[test]
+    fn bare_slot_answers_like_the_bare_model() {
+        use rand::Rng as _;
+        for seed in 0..16 {
+            let mut rng = simkernel::SeedTree::new(seed).rng("bare-slot");
+            let mut l = log();
+            let mut model = Holt::new(0.3, 0.1);
+            let mut thaw_at = 0;
+            let mut slot = SelfModel::new("bare", Holt::new(0.3, 0.1), false);
+            for t in 0..400u64 {
+                match rng.gen_range(0..150) {
+                    0 => {
+                        model.poison();
+                        slot.model_mut().poison();
+                    }
+                    1..=4 => {
+                        let gain = rng.gen_range(2.0..60.0);
+                        model.scramble(gain);
+                        slot.model_mut().scramble(gain);
+                    }
+                    5..=8 => {
+                        thaw_at = t + rng.gen_range(1..40);
+                        slot.freeze_until(Tick(thaw_at));
+                    }
+                    _ => {}
+                }
+                let x = rng.gen_range(0.0..100.0);
+                assert_eq!(slot.frozen(Tick(t)), t < thaw_at);
+                if t >= thaw_at {
+                    model.observe(x);
+                }
+                if !slot.frozen(Tick(t)) {
+                    slot.model_mut().observe(x);
+                }
+                let out = slot.model().forecast().unwrap_or(x);
+                let verdict = slot.observe(Tick(t), Evidence::forecast(x, out), &mut l);
+                assert_eq!(verdict, Verdict::Healthy);
+                assert!(slot.trusts(out) && !slot.is_fallback());
+                assert_eq!(
+                    slot.model().forecast().map(f64::to_bits),
+                    model.forecast().map(f64::to_bits),
+                    "seed {seed}, t={t}"
+                );
+            }
+            assert_eq!(slot.stats(), SupervisionStats::default());
+            assert!(l.is_empty());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::graph::Graph;
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{Evidence, SupervisionStats, Supervisor, Verdict};
+use selfaware::supervision::{Corruptible, Evidence, SelfModel, Verdict};
 use simkernel::rng::Rng;
 use simkernel::Tick;
 use std::ops::Range;
@@ -477,21 +477,23 @@ impl Router {
         }
         Some(best)
     }
+}
 
-    /// Overwrites every learned delay estimate with NaN (the
-    /// `NanPoison` model-corruption fault). No-op for table routers.
-    pub fn poison_model(&mut self) {
+/// Table routers hold no learned model: both faults leave them as
+/// they are.
+impl Corruptible for Router {
+    /// Overwrites every learned delay estimate with NaN.
+    fn poison(&mut self) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
             q.cells.fill(f64::NAN);
         }
     }
 
-    /// Scrambles the learned delay estimates (the `WeightScramble`
-    /// fault): every cell is inflated by `gain` plus a
+    /// Inflates every learned delay estimate by `gain` plus a
     /// neighbour-index-dependent offset, which both perturbs the
-    /// relative ordering the routing relies on and blows the
-    /// estimates away from measured delays. No-op for table routers.
-    pub fn scramble_model(&mut self, gain: f64) {
+    /// relative ordering the routing relies on and blows the estimates
+    /// away from measured delays.
+    fn scramble(&mut self, gain: f64) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
             for dst in 0..q.nodes() {
                 for u in 0..q.nodes() {
@@ -522,30 +524,18 @@ const FALLBACK_PERIOD: u64 = 25;
 /// The router a simulation trains and routes with, alone or under
 /// meta-self-awareness.
 ///
-/// A supervised router ([`RoutingStrategy::SupervisedCpn`]) lives
-/// inside its [`Supervisor`]: the simulation trains it in place through
-/// [`Routing::model_mut`], so a checkpoint is an `Arc` pointer bump and
-/// the only deep copy is the first write after a checkpoint or
+/// The router lives in a [`SelfModel`] slot: the simulation trains it
+/// in place through [`Routing::model_mut`], so under a supervisor
+/// ([`RoutingStrategy::SupervisedCpn`]) a checkpoint is an `Arc` pointer
+/// bump and the only deep copy is the first write after a checkpoint or
 /// restore. While the supervisor benches the model, a 25-tick periodic
 /// table routes instead ([`Routing::in_control`]). That table is built
 /// only when it is needed, from the link costs recorded at the latest
 /// period boundary, so a run whose supervisor never benches the model
 /// never builds it.
 #[derive(Debug)]
-pub enum Routing {
-    /// An unsupervised router.
-    Plain(Router),
-    /// A learned router under a supervisor, with its fallback table.
-    Supervised(Box<SupervisedRouter>),
-}
-
-/// A learned router, the supervisor that owns it, and the table that
-/// routes while the supervisor benches it. The table is built only
-/// then, from the link costs of the latest 25-tick boundary; a copy of
-/// the router is one memcpy of its delay slab.
-#[derive(Debug)]
-pub struct SupervisedRouter {
-    sup: Supervisor<Router>,
+pub struct Routing {
+    slot: SelfModel<Router>,
     /// The fallback table's input, as of the latest period boundary.
     record: LinkRecord,
     /// The fallback table. Built from `record` when the model is
@@ -555,16 +545,6 @@ pub struct SupervisedRouter {
     /// EWMA of realized delivery delay: the supervisor's ground truth
     /// for the model's delay estimates.
     realized: Option<f64>,
-}
-
-impl SupervisedRouter {
-    /// Builds the fallback table from the latest record.
-    fn build_baseline(&mut self, graph: &Graph) {
-        self.baseline.kind = RouterKind::Table {
-            next: self.record.table(graph),
-            period: Some(FALLBACK_PERIOD),
-        };
-    }
 }
 
 /// The link costs a fallback table is built from, recorded at every
@@ -641,40 +621,42 @@ impl Routing {
         name: &str,
         mask: InterventionMask,
     ) -> Self {
-        let router = strategy.build(graph);
-        if matches!(strategy, RoutingStrategy::SupervisedCpn { .. }) {
-            Routing::Supervised(Box::new(SupervisedRouter {
-                sup: Supervisor::new(name, router).with_mask(mask),
-                record: LinkRecord::new(graph),
-                baseline: Router {
-                    kind: RouterKind::Table {
-                        next: Vec::new(),
-                        period: Some(FALLBACK_PERIOD),
-                    },
+        let supervised = matches!(strategy, RoutingStrategy::SupervisedCpn { .. });
+        Self {
+            slot: SelfModel::new(name, strategy.build(graph), supervised).with_mask(mask),
+            record: LinkRecord::new(graph),
+            baseline: Router {
+                kind: RouterKind::Table {
+                    next: Vec::new(),
+                    period: Some(FALLBACK_PERIOD),
                 },
-                realized: None,
-            }))
-        } else {
-            Routing::Plain(router)
+            },
+            realized: None,
         }
+    }
+
+    /// The live router's slot: its supervision counters and freeze, and
+    /// where model corruptions land.
+    #[must_use]
+    pub fn slot(&self) -> &SelfModel<Router> {
+        &self.slot
+    }
+
+    /// Mutable [`Routing::slot`].
+    pub fn slot_mut(&mut self) -> &mut SelfModel<Router> {
+        &mut self.slot
     }
 
     /// The live router.
     #[must_use]
     pub fn model(&self) -> &Router {
-        match self {
-            Routing::Plain(r) => r,
-            Routing::Supervised(s) => s.sup.model(),
-        }
+        self.slot.model()
     }
 
-    /// Mutable access to the live router, for training and fault
-    /// injection — including while it is benched, so it can relearn.
+    /// Mutable access to the live router, for training — including
+    /// while it is benched, so it can relearn.
     pub fn model_mut(&mut self) -> &mut Router {
-        match self {
-            Routing::Plain(r) => r,
-            Routing::Supervised(s) => s.sup.model_mut(),
-        }
+        self.slot.model_mut()
     }
 
     /// The router that picks this tick's hops: the fallback table while
@@ -683,9 +665,10 @@ impl Routing {
     /// and draws nothing.
     #[must_use]
     pub fn in_control(&self) -> &Router {
-        match self {
-            Routing::Supervised(s) if s.sup.is_fallback() => &s.baseline,
-            _ => self.model(),
+        if self.slot.is_fallback() {
+            &self.baseline
+        } else {
+            self.slot.model()
         }
     }
 
@@ -694,14 +677,8 @@ impl Routing {
     /// control is the table if there is one and the model if not. A
     /// caller that trains and routes in one pass borrows both at once.
     pub(crate) fn model_mut_with_fallback(&mut self) -> (&mut Router, Option<&Router>) {
-        match self {
-            Routing::Plain(r) => (r, None),
-            Routing::Supervised(s) => {
-                let s = &mut **s;
-                let fallback = s.sup.is_fallback().then_some(&s.baseline);
-                (s.sup.model_mut(), fallback)
-            }
-        }
+        let fallback = self.slot.is_fallback().then_some(&self.baseline);
+        (self.slot.model_mut(), fallback)
     }
 
     /// Per-tick upkeep of the fallback table (a no-op unsupervised). At
@@ -714,14 +691,23 @@ impl Routing {
         now: Tick,
         queue_len: Q,
     ) {
-        if let Routing::Supervised(s) = self {
-            if now.value() > 0 && now.value().is_multiple_of(FALLBACK_PERIOD) {
-                s.record.record(graph, queue_len);
-                if s.sup.is_fallback() {
-                    s.build_baseline(graph);
-                }
+        if self.slot.is_supervised()
+            && now.value() > 0
+            && now.value().is_multiple_of(FALLBACK_PERIOD)
+        {
+            self.record.record(graph, queue_len);
+            if self.slot.is_fallback() {
+                self.build_baseline(graph);
             }
         }
+    }
+
+    /// Builds the fallback table from the latest record.
+    fn build_baseline(&mut self, graph: &Graph) {
+        self.baseline.kind = RouterKind::Table {
+            next: self.record.table(graph),
+            period: Some(FALLBACK_PERIOD),
+        };
     }
 
     /// The meta-self-awareness step, once per tick after the tick's
@@ -740,20 +726,20 @@ impl Routing {
         routes: &[(usize, usize)],
         log: &mut ExplanationLog,
     ) {
-        let Routing::Supervised(s) = self else {
+        if !self.slot.is_supervised() {
             return;
-        };
+        }
         if let Some(mean) = tick_delay {
-            s.realized = Some(match s.realized {
+            self.realized = Some(match self.realized {
                 Some(r) => 0.9 * r + 0.1 * mean,
                 None => mean,
             });
         }
-        let realized = s.realized.unwrap_or(0.0);
+        let realized = self.realized.unwrap_or(0.0);
         let mut est_sum = 0.0;
         let mut est_n = 0u32;
         for &(src, dst) in routes {
-            if let Some(e) = s.sup.model().route_estimate(src, dst) {
+            if let Some(e) = self.slot.model().route_estimate(src, dst) {
                 est_sum += e;
                 est_n += 1;
             }
@@ -764,22 +750,13 @@ impl Routing {
             realized
         };
         let error = (estimate - realized).abs();
-        let verdict = s.sup.observe(
+        let verdict = self.slot.observe(
             now,
             Evidence::scored(estimate, error).with_input(realized),
             log,
         );
         if matches!(verdict, Verdict::FellBack(_)) {
-            s.build_baseline(graph);
-        }
-    }
-
-    /// Lifetime supervision counters (all zero unsupervised).
-    #[must_use]
-    pub fn stats(&self) -> SupervisionStats {
-        match self {
-            Routing::Plain(_) => SupervisionStats::default(),
-            Routing::Supervised(s) => s.sup.stats(),
+            self.build_baseline(graph);
         }
     }
 }
@@ -787,6 +764,7 @@ impl Routing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfaware::supervision::SupervisionStats;
 
     fn rng() -> Rng {
         simkernel::SeedTree::new(17).rng("route")
@@ -949,14 +927,14 @@ mod tests {
         let mut log = ExplanationLog::new(16);
         let mut plain = Routing::new(RoutingStrategy::cpn_default(), &g, "plain", mask);
         plain.supervise(&g, Tick(0), Some(4.0), &[(0, 8)], &mut log);
-        assert!(matches!(plain, Routing::Plain(_)));
-        assert_eq!(plain.stats(), SupervisionStats::default());
+        assert!(!plain.slot().is_supervised());
+        assert_eq!(plain.slot().stats(), SupervisionStats::default());
 
         let mut routing = Routing::new(RoutingStrategy::supervised_cpn_default(), &g, "r", mask);
         // A NaN estimate before any checkpoint benches the model at once.
-        routing.model_mut().poison_model();
+        routing.model_mut().poison();
         routing.supervise(&g, Tick(0), Some(4.0), &[(0, 8)], &mut log);
-        assert_eq!(routing.stats().fallbacks, 1);
+        assert_eq!(routing.slot().stats().fallbacks, 1);
         let (mut drawn, mut fresh) = (rng(), rng());
         assert!(!routing.in_control().is_smart(&mut drawn));
         assert_eq!(
@@ -986,26 +964,23 @@ mod tests {
             "r",
             InterventionMask::allow_all(),
         );
-        let table_len = |routing: &Routing| match routing {
-            Routing::Supervised(s) => match &s.baseline.kind {
-                RouterKind::Table { next, .. } => next.len(),
-                RouterKind::Cpn { .. } => unreachable!("the fallback is a table"),
-            },
-            Routing::Plain(_) => unreachable!("supervised"),
+        let table_len = |routing: &Routing| match &routing.baseline.kind {
+            RouterKind::Table { next, .. } => next.len(),
+            RouterKind::Cpn { .. } => unreachable!("the fallback is a table"),
         };
         for t in 0..100 {
             routing.maintain_baseline(&g, Tick(t), |_, _| 0);
             routing.supervise(&g, Tick(t), Some(4.0), &[(0, 8)], &mut log);
         }
-        assert_eq!(routing.stats().fallbacks, 0);
+        assert_eq!(routing.slot().stats().fallbacks, 0);
         assert_eq!(table_len(&routing), 0, "a healthy model never pays for it");
         // A rollback cures the first poisoning; the relapse benches.
         for t in [100, 101] {
-            routing.model_mut().poison_model();
+            routing.model_mut().poison();
             routing.supervise(&g, Tick(t), Some(4.0), &[(0, 8)], &mut log);
         }
-        assert_eq!(routing.stats().rollbacks, 1);
-        assert_eq!(routing.stats().fallbacks, 1);
+        assert_eq!(routing.slot().stats().rollbacks, 1);
+        assert_eq!(routing.slot().stats().fallbacks, 1);
         assert_eq!(table_len(&routing), g.len(), "built at the bench");
     }
 

@@ -10,7 +10,7 @@ use selfaware::replay::InterventionMask;
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
-use workloads::faults::{ChannelPlan, FaultKind, FaultPlan, ModelCorruptionKind};
+use workloads::faults::{ChannelPlan, FaultKind, FaultPlan};
 use workloads::rates::poisson;
 
 /// This world's packet plane: hop logs of at most 64 entries,
@@ -271,7 +271,6 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         .collect();
     let mut inject_rng = seeds.rng("inject");
     let mut route_rng = seeds.rng("route");
-    let mut frozen_until: Option<Tick> = None;
     // A packet's payload marks hostile traffic.
     let mut net: Net<bool> = Net::new(&graph, PLANE, cfg.rows + cfg.cols - 1);
 
@@ -322,20 +321,12 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 FaultKind::LinkRestore { a, b } => {
                     graph.restore_edge(a, b);
                 }
-                FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => routing.model_mut().poison_model(),
-                    ModelCorruptionKind::WeightScramble { gain } => {
-                        routing.model_mut().scramble_model(gain);
-                    }
-                    ModelCorruptionKind::StateFreeze { duration } => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                },
+                FaultKind::ModelCorruption { kind, .. } => kind.apply(routing.slot_mut(), now),
                 _ => {}
             }
         }
 
-        let frozen = frozen_until.is_some_and(|until| now.value() < until.value());
+        let frozen = routing.slot().frozen(now);
 
         // The queue state routing sees: believed reports, with the
         // staleness-aware policy discounting silent routers toward
@@ -507,7 +498,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         );
     }
     metrics.set("utility", ratio - mean_delay / 100.0);
-    let sup = routing.stats();
+    let sup = routing.slot().stats();
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));

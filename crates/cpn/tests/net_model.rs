@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
 use selfaware::replay::InterventionMask;
+use selfaware::supervision::Corruptible;
 use simkernel::{SeedTree, Tick};
 use std::collections::VecDeque;
 
@@ -354,7 +355,7 @@ fn estimates(g: &Graph, routing: &Routing) -> Vec<Option<u64>> {
 
 /// Whether the supervisor has the model benched.
 fn benched(routing: &Routing) -> bool {
-    let s = routing.stats();
+    let s = routing.slot().stats();
     s.fallbacks > s.repromotions
 }
 
@@ -420,7 +421,7 @@ proptest! {
             let poison = t >= poison_at && heal_at.is_none();
             for routing in [&mut net.routing, &mut reference.routing] {
                 if poison {
-                    routing.model_mut().poison_model();
+                    routing.model_mut().poison();
                 } else if heal_at == Some(t) {
                     *routing.model_mut() = healthy.clone();
                 }
@@ -461,7 +462,7 @@ proptest! {
                 "tick {}: estimates",
                 t
             );
-            prop_assert_eq!(net.routing.stats(), reference.routing.stats(), "tick {}", t);
+            prop_assert_eq!(net.routing.slot().stats(), reference.routing.slot().stats(), "tick {}", t);
             prop_assert_eq!(net.rng.gen::<u64>(), reference.rng.gen::<u64>(), "tick {}: draws", t);
         }
         prop_assert!(

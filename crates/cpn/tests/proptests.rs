@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
 use selfaware::replay::InterventionMask;
+use selfaware::supervision::Corruptible;
 use simkernel::{SeedTree, Tick};
 use std::collections::VecDeque;
 
@@ -61,7 +62,7 @@ fn assert_routes_like(g: &Graph, routing: &Routing, reference: &Router, t: u64) 
 
 /// Whether the supervisor has the model benched.
 fn benched(routing: &Routing) -> bool {
-    let s = routing.stats();
+    let s = routing.slot().stats();
     s.fallbacks > s.repromotions
 }
 
@@ -231,7 +232,7 @@ proptest! {
                 assert_routes_like(&g, &routing, &reference, t);
             }
             if poison {
-                routing.model_mut().poison_model();
+                routing.model_mut().poison();
             } else if heal_at == Some(t) {
                 *routing.model_mut() = healthy.clone();
             }

@@ -56,8 +56,8 @@ fn main() {
                         r.supervision.fallbacks,
                         r.supervision.repromotions
                     );
-                    for t in &r.transitions {
-                        println!("  t={:>5} {}", t.tick, t.event);
+                    for e in r.log.iter() {
+                        println!("  t={:>5} {}", e.at.value(), e.action());
                     }
                 }
             }

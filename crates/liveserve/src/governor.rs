@@ -22,9 +22,10 @@
 //!
 //! When the supervisor benches the arrival model (NaN poison, weight
 //! scramble — injected by the chaos harness), the policy falls back to
-//! reactive provisioning on raw arrivals; the governor records the
-//! control-source flip as a `live:fallback` / `live:repromote`
-//! transition, alongside `live:shed` / `live:recover`.
+//! reactive provisioning on raw arrivals. The governor's
+//! [`ExplanationLog`] records every transition once: the injected
+//! `live:poison`, the control-source flips `live:fallback` /
+//! `live:repromote`, and `live:shed` / `live:recover`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,7 +35,6 @@ use cloudsim::autoscale::AutoscaleCore;
 use selfaware::explain::{Explanation, ExplanationLog};
 use selfaware::pressure::{HysteresisGate, HysteresisGateConfig};
 use selfaware::runtime::{drive, ControlLoop};
-use selfaware::supervision::ControlSource;
 use simkernel::{Tick, WallClock};
 use workloads::faults::ModelCorruptionKind;
 
@@ -85,17 +85,6 @@ impl Default for GovernorConfig {
     }
 }
 
-/// One recorded governor state transition (for traces and the chaos
-/// harness's shed/recover assertions).
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct Transition {
-    /// Wall-clock tick (quantum index) of the transition.
-    pub tick: u64,
-    /// Event name: `live:shed`, `live:recover`, `live:fallback`,
-    /// `live:repromote`, `live:poison`.
-    pub event: String,
-}
-
 /// What one sensing pass reads off the server.
 #[derive(Debug, Clone, Copy)]
 pub struct SenseFrame {
@@ -114,7 +103,6 @@ pub struct Governor {
     core: AutoscaleCore,
     gate: HysteresisGate,
     log: ExplanationLog,
-    transitions: Vec<Transition>,
     last_cap: usize,
     /// (tick, cap, queue_len, shedding) samples, one per quantum.
     trace: Vec<(u64, usize, usize, bool)>,
@@ -133,10 +121,9 @@ impl Governor {
         });
         Self {
             shared: handle.controls(),
-            core: AutoscaleCore::new("live-arrivals").supervised(),
+            core: AutoscaleCore::new("live-arrivals", true),
             gate,
             log: ExplanationLog::new(1024),
-            transitions: Vec::new(),
             last_cap: cfg.min_workers,
             trace: Vec::new(),
             cfg,
@@ -151,19 +138,13 @@ impl Governor {
         drive(&mut clock, self, Tick(ticks));
     }
 
-    /// Recorded transitions, in order.
-    #[must_use]
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
-    }
-
     /// Per-quantum (tick, cap, queue_len, shedding) samples.
     #[must_use]
     pub fn trace(&self) -> &[(u64, usize, usize, bool)] {
         &self.trace
     }
 
-    /// The governor's explanation log.
+    /// The governor's explanation log: every transition, in order.
     #[must_use]
     pub fn explanations(&self) -> &ExplanationLog {
         &self.log
@@ -172,14 +153,7 @@ impl Governor {
     /// Watchdog counters from the supervised arrival model.
     #[must_use]
     pub fn supervision_stats(&self) -> selfaware::supervision::SupervisionStats {
-        self.core.supervision_stats().unwrap_or_default()
-    }
-
-    fn record_transition(&mut self, tick: u64, event: &str) {
-        self.transitions.push(Transition {
-            tick,
-            event: event.to_string(),
-        });
+        self.core.arrival_model().stats()
     }
 }
 
@@ -207,8 +181,9 @@ impl ControlLoop for Governor {
         // supervisor's watchdog must catch it and fall back.
         if let Some((at, kind)) = self.cfg.poison_at {
             if t == at {
-                self.core.inject_model_corruption(kind, now);
-                self.record_transition(t, "live:poison");
+                kind.apply(self.core.arrival_model_mut(), now);
+                self.log
+                    .record(Explanation::new(now, "live:poison").because("tick", t as f64));
             }
         }
 
@@ -221,7 +196,7 @@ impl ControlLoop for Governor {
             }
         }
 
-        let source_before = self.core.control_source();
+        let benched_before = self.core.arrival_model().is_fallback();
 
         // Size the pool: arrivals per quantum × mean work quanta ×
         // safety, one slot retiring one busy-quantum per quantum.
@@ -242,13 +217,13 @@ impl ControlLoop for Governor {
         self.last_cap = cap;
 
         // Control-source flips (watchdog fallback / re-promotion).
-        let source_after = self.core.control_source();
-        if source_before != source_after {
-            let event = match source_after {
-                Some(ControlSource::Baseline) => "live:fallback",
-                _ => "live:repromote",
+        let benched = self.core.arrival_model().is_fallback();
+        if benched != benched_before {
+            let event = if benched {
+                "live:fallback"
+            } else {
+                "live:repromote"
             };
-            self.record_transition(t, event);
             self.log.record(
                 Explanation::new(now, event)
                     .because("tick", t as f64)
@@ -277,7 +252,6 @@ impl ControlLoop for Governor {
 
         if shed != was_shedding {
             let event = if shed { "live:shed" } else { "live:recover" };
-            self.record_transition(t, event);
             self.log.record(
                 Explanation::new(now, event)
                     .because("queue", backlog)

@@ -61,7 +61,7 @@ pub fn install_quiet_panic_hook() {
         }
     }));
 }
-pub use governor::{Governor, GovernorConfig, Transition};
+pub use governor::{Governor, GovernorConfig};
 pub use load::{run_load, LoadOptions, LoadReport, Status};
 pub use scenario::{run_arm, Arm, ArmResult};
 pub use server::{LimitPolicy, Server, ServerConfig, ServerHandle, ServerReport};

@@ -24,10 +24,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use selfaware::explain::ExplanationLog;
 use simkernel::SeedTree;
 
 use crate::chaos::ChaosPlan;
-use crate::governor::{Governor, GovernorConfig, Transition};
+use crate::governor::{Governor, GovernorConfig};
 use crate::load::{run_load, LoadOptions, LoadReport};
 use crate::server::{LimitPolicy, Server, ServerConfig, ServerReport};
 
@@ -58,8 +59,9 @@ pub struct ArmResult {
     pub load: LoadReport,
     /// Server-side counters + thread accounting.
     pub server: ServerReport,
-    /// Governor transitions (empty for the naive arm).
-    pub transitions: Vec<Transition>,
+    /// The governor's explanation log, one entry per transition
+    /// (empty for the naive arm).
+    pub log: ExplanationLog,
     /// Supervision counters (all zero for the naive arm).
     pub supervision: selfaware::supervision::SupervisionStats,
 }
@@ -122,7 +124,7 @@ pub fn run_arm(arm: Arm, plan: &ChaosPlan, seeds: &SeedTree) -> std::io::Result<
             Ok(ArmResult {
                 load,
                 server,
-                transitions: gov.transitions().to_vec(),
+                log: gov.explanations().clone(),
                 supervision,
             })
         }
@@ -138,7 +140,7 @@ pub fn run_arm(arm: Arm, plan: &ChaosPlan, seeds: &SeedTree) -> std::io::Result<
             Ok(ArmResult {
                 load,
                 server,
-                transitions: Vec::new(),
+                log: ExplanationLog::new(1),
                 supervision: selfaware::supervision::SupervisionStats::default(),
             })
         }

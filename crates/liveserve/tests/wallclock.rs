@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 use cloudsim::autoscale::AutoscaleCore;
 use liveserve::{run_arm, Arm, ChaosPlan};
 use selfaware::runtime::{drive, ControlLoop};
-use selfaware::supervision::ControlSource;
 use simkernel::{SeedTree, Tick, WallClock};
 use workloads::faults::ModelCorruptionKind;
 
@@ -33,10 +32,8 @@ impl ControlLoop for StalledController {
 
     fn step(&mut self, now: Tick, arrivals: f64) {
         if now.value() == self.stall_at {
-            self.core.inject_model_corruption(
-                ModelCorruptionKind::StateFreeze { duration: 10_000 },
-                now,
-            );
+            ModelCorruptionKind::StateFreeze { duration: 10_000 }
+                .apply(self.core.arrival_model_mut(), now);
         }
         let _ = self.core.desired_pool(arrivals, now, 1.0, 1, 32);
     }
@@ -45,7 +42,7 @@ impl ControlLoop for StalledController {
 #[test]
 fn watchdog_fires_on_stalled_controller_within_wall_deadline() {
     let mut ctl = StalledController {
-        core: AutoscaleCore::new("stall-test").supervised(),
+        core: AutoscaleCore::new("stall-test", true),
         stall_at: 60,
     };
     // 1 ms quanta: 400 ticks is ~0.4 s of wall time; the deadline we
@@ -59,7 +56,7 @@ fn watchdog_fires_on_stalled_controller_within_wall_deadline() {
         elapsed < Duration::from_secs(10),
         "wall deadline blown: {elapsed:?}"
     );
-    let stats = ctl.core.supervision_stats().expect("supervised");
+    let stats = ctl.core.arrival_model().stats();
     assert!(
         stats.warns + stats.rollbacks + stats.fallbacks > 0,
         "watchdog never reacted to the stalled controller: {stats:?}"
@@ -67,10 +64,10 @@ fn watchdog_fires_on_stalled_controller_within_wall_deadline() {
     // The ladder must have moved control away from (or restored) the
     // stalled model, not left it silently in charge: either we fell
     // back to the baseline, or a rollback restored a healthy model.
-    let source = ctl.core.control_source().expect("supervised");
+    let benched = ctl.core.arrival_model().is_fallback();
     assert!(
-        source == ControlSource::Baseline || stats.rollbacks > 0,
-        "stalled model left in control: {source:?} {stats:?}"
+        benched || stats.rollbacks > 0,
+        "stalled model left in control: {stats:?}"
     );
 }
 
@@ -104,12 +101,11 @@ fn chaos_run_sheds_and_recovers_without_leaking() {
         "thread leak: {:?}",
         r.server
     );
-    let shed = r.transitions.iter().any(|t| t.event == "live:shed");
-    let recover = r.transitions.iter().any(|t| t.event == "live:recover");
+    let logged = |kind: &str| r.log.iter().any(|e| e.kind == kind);
     assert!(
-        shed && recover,
+        logged("live:shed") && logged("live:recover"),
         "expected shed AND recover transitions, got {:?}",
-        r.transitions
+        r.log.iter().map(|e| e.action()).collect::<Vec<_>>()
     );
     // The chaos plan poisons the arrival model; the supervised
     // governor must notice (warn at minimum) and keep the run alive.

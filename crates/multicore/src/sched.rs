@@ -19,11 +19,9 @@ use selfaware::meta::ExplorationGovernor;
 use selfaware::models::holt::Holt;
 use selfaware::models::qlearn::QLearner;
 use selfaware::models::{Forecaster, OnlineModel};
-use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, Evidence, SupervisionStats, Supervisor};
+use selfaware::supervision::{Evidence, SelfModel};
 use simkernel::rng::Rng;
 use simkernel::Tick;
-use workloads::faults::ModelCorruptionKind;
 use workloads::tasks::{Task, TaskClass};
 
 /// Scheduler selector.
@@ -39,7 +37,7 @@ pub enum Scheduler {
     /// The self-aware learning mapper + DVFS governor.
     SelfAware,
     /// Self-aware mapper whose thermal-forecast bank runs under a
-    /// meta-self-aware [`Supervisor`]: corrupted forecasts are caught
+    /// meta-self-aware supervisor: corrupted forecasts are caught
     /// by the watchdogs, rolled back to a checkpoint, or benched in
     /// favour of reactive (current-temperature) DVFS.
     SupervisedSelfAware,
@@ -62,8 +60,8 @@ impl Scheduler {
     pub fn build(&self, n_cores: usize) -> SchedController {
         let state = match self {
             Scheduler::StaticPin | Scheduler::Greedy => None,
-            Scheduler::SelfAware => Some(SelfAwareSched::new(n_cores)),
-            Scheduler::SupervisedSelfAware => Some(SelfAwareSched::new(n_cores).supervised()),
+            Scheduler::SelfAware => Some(SelfAwareSched::new(n_cores, false)),
+            Scheduler::SupervisedSelfAware => Some(SelfAwareSched::new(n_cores, true)),
         };
         SchedController {
             kind: *self,
@@ -82,15 +80,12 @@ pub struct SchedController {
 }
 
 impl SchedController {
-    /// Applies a counterfactual intervention mask to the thermal
-    /// supervisor (no-op for unsupervised schedulers). Masked paths
-    /// consume no randomness, so this never perturbs seed streams.
-    pub fn set_mask(&mut self, mask: InterventionMask) {
-        if let Some(state) = &mut self.state {
-            if let Some(svc) = &mut state.supervision {
-                svc.sup.set_mask(mask);
-            }
-        }
+    /// The self-aware scheduler's thermal-forecast slot (`None` for
+    /// the model-free baselines): its supervision counters, its
+    /// counterfactual intervention mask, and where model corruptions
+    /// land.
+    pub(crate) fn thermal_model(&mut self) -> Option<&mut SelfModel<Vec<Holt>>> {
+        self.state.as_mut().map(|s| &mut s.thermal)
     }
 
     /// Per-tick pre-processing: DVFS governance (self-aware only).
@@ -162,34 +157,6 @@ impl SchedController {
     pub fn drift_events(&self) -> u32 {
         self.state.as_ref().map_or(0, |s| s.governor.drift_count())
     }
-
-    /// Corrupts the thermal-forecast bank in place — the injection
-    /// point for [`ModelCorruptionKind`] faults. No-op for model-free
-    /// baselines.
-    pub fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        if let Some(s) = &mut self.state {
-            s.inject_model_corruption(kind, now);
-        }
-    }
-
-    /// Watchdog counters, if this scheduler is supervised.
-    #[must_use]
-    pub fn supervision_stats(&self) -> Option<SupervisionStats> {
-        self.state
-            .as_ref()
-            .and_then(|s| s.supervision.as_ref())
-            .map(|svc| svc.sup.stats())
-    }
-
-    /// The supervisor's explanation log, if this scheduler is
-    /// supervised.
-    #[must_use]
-    pub fn explanations(&self) -> Option<&ExplanationLog> {
-        self.state
-            .as_ref()
-            .and_then(|s| s.supervision.as_deref())
-            .map(|svc| &svc.log)
-    }
 }
 
 /// Deadline (ticks) assumed for interactive tasks by the self-aware
@@ -205,76 +172,27 @@ fn qstate(class: TaskClass, big_hot: bool) -> usize {
 struct SelfAwareSched {
     /// Action space: 0 = route to big cluster, 1 = little cluster.
     q: QLearner,
-    temp_forecasts: Vec<Holt>,
+    /// One temperature forecast per core, bare or under a supervisor
+    /// that benches the bank in favour of reactive DVFS on current
+    /// temperatures.
+    thermal: SelfModel<Vec<Holt>>,
+    /// Where the thermal supervisor explains itself.
+    log: ExplanationLog,
     governor: ExplorationGovernor,
     /// Task id → (q-state, action) recorded at assignment time, so
     /// feedback credits the decision that actually routed the task.
     assignments: std::collections::HashMap<u64, (usize, usize)>,
-    /// Watchdog over the thermal-forecast bank. When present, the
-    /// bank in `sup.model()` replaces `temp_forecasts`.
-    supervision: Option<Box<ThermalSupervision>>,
-    frozen_until: Option<Tick>,
-    /// Set per tick by `govern_dvfs`: true while the supervisor has
-    /// benched the forecast bank (reactive DVFS on current temps).
-    benched: bool,
-}
-
-#[derive(Debug)]
-struct ThermalSupervision {
-    sup: Supervisor<Vec<Holt>>,
-    log: ExplanationLog,
 }
 
 impl SelfAwareSched {
-    fn new(n_cores: usize) -> Self {
+    fn new(n_cores: usize, supervised: bool) -> Self {
+        let bank = (0..n_cores).map(|_| Holt::new(0.4, 0.2)).collect();
         Self {
             q: QLearner::new(6, 2, 0.15, 0.0, 0.15),
-            temp_forecasts: (0..n_cores).map(|_| Holt::new(0.4, 0.2)).collect(),
+            thermal: SelfModel::new("thermal-forecasts", bank, supervised),
+            log: ExplanationLog::new(512),
             governor: ExplorationGovernor::new(0.03, 0.4, 0.998, 0.15, 12.0),
             assignments: std::collections::HashMap::new(),
-            supervision: None,
-            frozen_until: None,
-            benched: false,
-        }
-    }
-
-    fn supervised(mut self) -> Self {
-        let bank = std::mem::take(&mut self.temp_forecasts);
-        self.supervision = Some(Box::new(ThermalSupervision {
-            sup: Supervisor::new("thermal-forecasts", bank),
-            log: ExplanationLog::new(512),
-        }));
-        self
-    }
-
-    fn forecasts(&self) -> &[Holt] {
-        match &self.supervision {
-            Some(svc) => svc.sup.model(),
-            None => &self.temp_forecasts,
-        }
-    }
-
-    fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        match kind {
-            ModelCorruptionKind::StateFreeze { duration } => {
-                self.frozen_until = Some(Tick(now.0 + duration));
-            }
-            _ => {
-                let bank = match &mut self.supervision {
-                    Some(svc) => svc.sup.model_mut(),
-                    None => &mut self.temp_forecasts,
-                };
-                for model in bank {
-                    match kind {
-                        ModelCorruptionKind::NanPoison => model.set_state(f64::NAN, f64::NAN),
-                        ModelCorruptionKind::WeightScramble { gain } => {
-                            let (level, trend) = (model.level(), model.trend());
-                            model.set_state(level * gain, -trend * gain - gain);
-                        }
-                        ModelCorruptionKind::StateFreeze { .. } => unreachable!("handled above"),
-                    }
-                }
-            }
         }
     }
 
@@ -283,11 +201,8 @@ impl SelfAwareSched {
     /// reading while the supervisor has benched the model (or the
     /// forecast is unusable).
     fn predicted_temp(&self, i: usize, current: f64) -> f64 {
-        if self.benched {
-            return current;
-        }
-        let predicted = self.forecasts()[i].forecast_h(5).unwrap_or(current);
-        if predicted.is_finite() || self.supervision.is_none() {
+        let predicted = self.thermal.model()[i].forecast_h(5).unwrap_or(current);
+        if self.thermal.trusts(predicted) {
             predicted
         } else {
             current
@@ -303,37 +218,30 @@ impl SelfAwareSched {
     }
 
     fn govern_dvfs(&mut self, cores: &mut [Core], now: Tick) {
-        let frozen = self.frozen_until.is_some_and(|until| now.0 < until.0);
-        if let Some(svc) = &mut self.supervision {
-            // Feed the bank, then hand the supervisor the hottest
-            // current reading (input) against the hottest one-step
-            // prediction (output): the forecast contract the
-            // watchdogs score is "next tick's peak temperature".
-            let mut max_temp = f64::NEG_INFINITY;
-            let mut max_pred = f64::NEG_INFINITY;
-            for (i, core) in cores.iter().enumerate() {
-                let temp = core.temperature();
-                if !frozen {
-                    svc.sup.model_mut()[i].observe(temp);
-                }
-                let pred = svc.sup.model()[i].forecast_h(1).unwrap_or(temp);
-                max_temp = max_temp.max(temp);
-                // NaN-propagating max: a poisoned core must not be
-                // masked by a healthy hotter one.
-                max_pred = if pred.is_nan() {
-                    pred
-                } else {
-                    max_pred.max(pred)
-                };
+        let frozen = self.thermal.frozen(now);
+        // Feed the bank, then hand the supervisor the hottest current
+        // reading (input) against the hottest one-step prediction
+        // (output): the forecast contract the watchdogs score is "next
+        // tick's peak temperature".
+        let mut max_temp = f64::NEG_INFINITY;
+        let mut max_pred = f64::NEG_INFINITY;
+        for (i, core) in cores.iter().enumerate() {
+            let temp = core.temperature();
+            if !frozen {
+                self.thermal.model_mut()[i].observe(temp);
             }
-            svc.sup
-                .observe(now, Evidence::forecast(max_temp, max_pred), &mut svc.log);
-            self.benched = svc.sup.source() == ControlSource::Baseline;
-        } else if !frozen {
-            for (i, core) in cores.iter().enumerate() {
-                self.temp_forecasts[i].observe(core.temperature());
-            }
+            let pred = self.thermal.model()[i].forecast_h(1).unwrap_or(temp);
+            max_temp = max_temp.max(temp);
+            // NaN-propagating max: a poisoned core must not be masked
+            // by a healthy hotter one.
+            max_pred = if pred.is_nan() {
+                pred
+            } else {
+                max_pred.max(pred)
+            };
         }
+        self.thermal
+            .observe(now, Evidence::forecast(max_temp, max_pred), &mut self.log);
         for (i, core) in cores.iter_mut().enumerate() {
             let predicted = self.predicted_temp(i, core.temperature());
             let level = core.dvfs();

@@ -128,7 +128,9 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
         .collect();
     let mut stream = TaskStream::new(cfg.phases.clone(), seeds.rng("tasks"));
     let mut controller = cfg.scheduler.build(cores.len());
-    controller.set_mask(cfg.mask);
+    if let Some(model) = controller.thermal_model() {
+        model.set_mask(cfg.mask);
+    }
     let mut sched_rng = seeds.rng("sched");
 
     let mut arrived = 0u64;
@@ -163,7 +165,9 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
                     cores[core].recover();
                 }
                 FaultKind::ModelCorruption { kind, .. } => {
-                    controller.inject_model_corruption(kind, now);
+                    if let Some(model) = controller.thermal_model() {
+                        kind.apply(model, now);
+                    }
                 }
                 _ => {}
             }
@@ -241,7 +245,10 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
     metrics.set("throttle_ratio", throttled as f64 / core_ticks as f64);
     metrics.set("peak_temp", peak_temp_overall);
     metrics.set("drift_events", f64::from(controller.drift_events()));
-    let sup = controller.supervision_stats().unwrap_or_default();
+    let sup = controller
+        .thermal_model()
+        .map(|model| model.stats())
+        .unwrap_or_default();
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));

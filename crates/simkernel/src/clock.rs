@@ -318,8 +318,8 @@ mod tests {
     }
 
     /// The generic drive loop over `Clock` matches a hand-advanced loop
-    /// step for step (the seq-vs-par parity suites exercise the real
-    /// simulators through this same path via `run_city_with_clock`).
+    /// step for step (`selfaware::runtime::drive` runs its control
+    /// loops through this same path).
     #[test]
     fn sim_clock_source_matches_manual_advance() {
         let mut via_trait = Vec::new();

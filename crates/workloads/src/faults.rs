@@ -14,6 +14,7 @@
 use rand::Rng as _;
 use selfaware::comms::{Arrivals, Channel, ChannelOutcome};
 use selfaware::replay::InterventionMask;
+use selfaware::supervision::{Corruptible, SelfModel};
 use serde::{Deserialize, Serialize};
 use simkernel::rng::{Rng, SeedTree};
 use simkernel::Tick;
@@ -147,6 +148,23 @@ pub enum ModelCorruptionKind {
         /// Freeze length in ticks.
         duration: u64,
     },
+}
+
+impl ModelCorruptionKind {
+    /// Corrupts the self-model in `slot` at `now`, bare or supervised
+    /// alike: poison and scramble damage the model in place, and a
+    /// freeze holds its training until the freeze's own end, replacing
+    /// any earlier deadline. Every substrate applies its model
+    /// corruptions here.
+    pub fn apply<M: Corruptible + Clone>(self, slot: &mut SelfModel<M>, now: Tick) {
+        match self {
+            ModelCorruptionKind::NanPoison => slot.model_mut().poison(),
+            ModelCorruptionKind::WeightScramble { gain } => slot.model_mut().scramble(gain),
+            ModelCorruptionKind::StateFreeze { duration } => {
+                slot.freeze_until(Tick(now.value() + duration));
+            }
+        }
+    }
 }
 
 /// A fault bound to its onset time.
@@ -389,22 +407,6 @@ impl FaultPlan {
                 _ => None,
             })
             .next_back()
-    }
-
-    /// Whether controller `controller`'s model is inside an active
-    /// [`ModelCorruptionKind::StateFreeze`] window at `t`. Simulators
-    /// consult this to suppress model updates while frozen (the freeze
-    /// is a property of the fault plan, not of checkpointable model
-    /// state — a rollback must not thaw it).
-    #[must_use]
-    pub fn model_frozen_at(&self, controller: usize, t: Tick) -> bool {
-        self.events.iter().any(|e| match e.kind {
-            FaultKind::ModelCorruption {
-                controller: c,
-                kind: ModelCorruptionKind::StateFreeze { duration },
-            } => c == controller && e.at <= t && t.value() < e.at.value() + duration,
-            _ => false,
-        })
     }
 
     /// Whether node `node` is inside an active
@@ -1110,26 +1112,28 @@ mod tests {
 
     #[test]
     fn model_frozen_at_windows() {
-        let plan = FaultPlan::none()
-            .and(FaultEvent::model_corruption(
-                Tick(50),
-                0,
-                ModelCorruptionKind::StateFreeze { duration: 10 },
-            ))
-            .and(FaultEvent::model_corruption(
-                Tick(60),
-                1,
-                ModelCorruptionKind::NanPoison,
-            ));
-        assert!(!plan.model_frozen_at(0, Tick(49)));
-        assert!(plan.model_frozen_at(0, Tick(50)));
-        assert!(plan.model_frozen_at(0, Tick(59)));
-        assert!(!plan.model_frozen_at(0, Tick(60)));
-        assert!(!plan.model_frozen_at(1, Tick(55)), "other controller");
-        assert!(
-            !plan.model_frozen_at(1, Tick(60)),
-            "non-freeze corruption never freezes"
-        );
+        use selfaware::models::holt::Holt;
+        use selfaware::models::{Forecaster, OnlineModel};
+        let mut slot = SelfModel::new("m", Holt::new(0.3, 0.1), false);
+        assert!(!slot.frozen(Tick(50)));
+        ModelCorruptionKind::StateFreeze { duration: 10 }.apply(&mut slot, Tick(50));
+        assert!(slot.frozen(Tick(50)));
+        assert!(slot.frozen(Tick(59)));
+        assert!(!slot.frozen(Tick(60)));
+        // A later freeze sets the deadline to its own end, even an
+        // earlier one.
+        ModelCorruptionKind::StateFreeze { duration: 2 }.apply(&mut slot, Tick(52));
+        assert!(slot.frozen(Tick(53)));
+        assert!(!slot.frozen(Tick(54)), "the later freeze's end holds");
+        // Poison and scramble reach the model whatever the freeze says.
+        slot.model_mut().observe(1.0);
+        slot.model_mut().observe(2.0);
+        let mut reference = slot.model().clone();
+        ModelCorruptionKind::WeightScramble { gain: 5.0 }.apply(&mut slot, Tick(53));
+        reference.scramble(5.0);
+        assert_eq!(slot.model(), &reference);
+        ModelCorruptionKind::NanPoison.apply(&mut slot, Tick(53));
+        assert!(slot.model().forecast().is_some_and(f64::is_nan));
     }
 
     #[test]

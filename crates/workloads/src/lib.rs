@@ -6,8 +6,8 @@
 //! external factors" (Section II). This crate provides the synthetic
 //! environments every experiment runs against:
 //!
-//! * [`rates`] — time-varying demand intensities (diurnal, drifting)
-//!   and Poisson sampling;
+//! * [`rates`] — time-varying (diurnal) demand intensity and Poisson
+//!   sampling;
 //! * [`disturbance`] — scheduled step/ramp/spike/regime events to
 //!   inject into any scalar signal;
 //! * [`faults`] — scheduled *component* faults (camera/core/link
@@ -18,9 +18,7 @@
 //! * [`trajectories`] — random-waypoint wanderers in the unit square
 //!   for the camera-network simulator;
 //! * [`tasks`] — phase-switching task mixes for the multicore
-//!   simulator;
-//! * [`traffic`] — flow matrices with surge events for the cognitive
-//!   packet network.
+//!   simulator.
 //!
 //! Everything is deterministic given a [`simkernel::SeedTree`].
 
@@ -33,7 +31,6 @@ pub mod faults;
 pub mod rates;
 pub mod signal;
 pub mod tasks;
-pub mod traffic;
 pub mod trajectories;
 
 pub use disturbance::{Disturbance, DisturbanceKind, Schedule};
@@ -41,8 +38,7 @@ pub use faults::{
     ChannelPlan, FaultCampaign, FaultEvent, FaultKind, FaultPlan, LinkModel, NetPartition,
     SensorFaultKind,
 };
-pub use rates::{DiurnalRate, DriftingRate, RateFn};
+pub use rates::{DiurnalRate, RateFn};
 pub use signal::{SignalGen, SignalSpec};
 pub use tasks::{TaskClass, TaskMix, TaskStream};
-pub use traffic::{FlowSpec, TrafficMatrix};
 pub use trajectories::{Point, Wanderer};

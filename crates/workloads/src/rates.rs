@@ -50,53 +50,6 @@ impl RateFn for DiurnalRate {
     }
 }
 
-/// Slowly drifting rate: a bounded random walk. Models the paper's
-/// "ongoing change ... in response to external factors".
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftingRate {
-    value: f64,
-    step: f64,
-    min: f64,
-    max: f64,
-    rng: Rng,
-    last_t: Option<Tick>,
-}
-
-impl DriftingRate {
-    /// Creates a drifting rate starting at `start`, stepping by
-    /// ±`step` per tick, clamped to `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if bounds are inverted, `step < 0`, or `start` is out of
-    /// bounds.
-    #[must_use]
-    pub fn new(start: f64, step: f64, min: f64, max: f64, rng: Rng) -> Self {
-        assert!(min <= max, "min must not exceed max");
-        assert!(step >= 0.0, "step must be non-negative");
-        assert!((min..=max).contains(&start), "start must be within bounds");
-        Self {
-            value: start,
-            step,
-            min,
-            max,
-            rng,
-            last_t: None,
-        }
-    }
-}
-
-impl RateFn for DriftingRate {
-    fn rate(&mut self, t: Tick) -> f64 {
-        if self.last_t != Some(t) {
-            self.last_t = Some(t);
-            let delta = self.rng.gen_range(-self.step..=self.step);
-            self.value = (self.value + delta).clamp(self.min, self.max);
-        }
-        self.value
-    }
-}
-
 /// Samples a Poisson(λ) variate. Uses Knuth's product method for
 /// λ ≤ 30 and a normal approximation above.
 ///
@@ -161,28 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn drifting_rate_respects_bounds() {
-        let mut r = DriftingRate::new(5.0, 1.0, 0.0, 10.0, rng("drift"));
-        for t in 0..5000u64 {
-            let v = r.rate(Tick(t));
-            assert!((0.0..=10.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn drifting_rate_actually_moves() {
-        let mut r = DriftingRate::new(5.0, 0.5, 0.0, 10.0, rng("drift2"));
-        let first = r.rate(Tick(0));
-        let later = r.rate(Tick(500));
-        // A 500-step random walk of step 0.5 almost surely moved.
-        let mut moved = (first - later).abs() > 0.5;
-        for t in 0..500u64 {
-            moved |= (r.rate(Tick(t)) - first).abs() > 0.5;
-        }
-        assert!(moved);
-    }
-
-    #[test]
     fn poisson_mean_and_variance() {
         let mut r = rng("poisson");
         let lambda = 4.0;
@@ -227,11 +158,5 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn diurnal_bad_period_panics() {
         let _ = DiurnalRate::new(1.0, 1.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "start must be within bounds")]
-    fn drifting_bad_start_panics() {
-        let _ = DriftingRate::new(20.0, 1.0, 0.0, 10.0, rng("x"));
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use simkernel::{SeedTree, Tick};
 use workloads::disturbance::{Disturbance, DisturbanceKind, Schedule};
-use workloads::rates::{poisson, DiurnalRate, DriftingRate, RateFn};
+use workloads::rates::{poisson, DiurnalRate, RateFn};
 use workloads::signal::{SignalGen, SignalSpec};
 use workloads::tasks::{TaskMix, TaskStream};
 use workloads::trajectories::Wanderer;
@@ -56,23 +56,6 @@ proptest! {
         let next_cycle = t + period.round() as u64;
         if (period - period.round()).abs() < 1e-9 {
             prop_assert!((r.rate(Tick(next_cycle)) - v).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn drifting_rate_always_in_bounds(
-        start_frac in 0.0f64..1.0,
-        step in 0.0f64..5.0,
-        min in 0.0f64..10.0,
-        span in 0.1f64..50.0,
-        seed in any::<u64>(),
-    ) {
-        let max = min + span;
-        let start = min + start_frac * span;
-        let mut r = DriftingRate::new(start, step, min, max, SeedTree::new(seed).rng("d"));
-        for t in 0..300u64 {
-            let v = r.rate(Tick(t));
-            prop_assert!((min..=max).contains(&v));
         }
     }
 

@@ -37,8 +37,6 @@ fn data_types_implement_serde() {
     assert_serde::<workloads::Disturbance>();
     assert_serde::<workloads::Schedule>();
     assert_serde::<workloads::TaskMix>();
-    assert_serde::<workloads::FlowSpec>();
-    assert_serde::<workloads::TrafficMatrix>();
     assert_serde::<cloudsim::NodeSpec>();
     assert_serde::<cloudsim::Request>();
     assert_serde::<cloudsim::RequestOutcome>();
