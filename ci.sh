@@ -29,6 +29,12 @@ cargo test --locked -q --offline --workspace
 echo "==> cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim"
 cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim
 
+# The allocation bounds (crates/bench/tests/zero_alloc.rs) in the build
+# the benchmark runs, too: the workspace run above counts a debug
+# build's allocations, and an optimised build can allocate differently.
+echo "==> cargo test --locked --release -q --offline -p sas-bench --test zero_alloc"
+cargo test --locked --release -q --offline -p sas-bench --test zero_alloc
+
 # The repo benchmark (BENCHMARK.json) is its own package with an empty
 # [workspace], so the workspace steps above and below never reach it.
 echo "==> cargo test --locked --offline --manifest-path benchmark/Cargo.toml"

@@ -1109,7 +1109,7 @@ pub fn f5_scenario(strategy: &camnet::HandoverStrategy, seeds: SeedTree, steps: 
     obs::emit(obs::Json::obj([
         ("scenario", obs::Json::str("f5")),
         ("metrics", metrics_json(&m)),
-        ("explanations", result.comms_log.to_json()),
+        ("explanations", result.log.to_json()),
     ]));
     m
 }
@@ -1963,8 +1963,8 @@ pub fn f8_scenario(arm: F8Arm, seeds: SeedTree, steps: u64) -> MetricSet {
         (
             "explanations",
             obs::Json::obj([
-                ("camnet", cam.comms_log.to_json()),
-                ("cpn", net.comms_log.to_json()),
+                ("camnet", cam.log.to_json()),
+                ("cpn", net.log.to_json()),
                 ("cloud", cloud.comms_log.to_json()),
             ]),
         ),

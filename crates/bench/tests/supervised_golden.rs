@@ -13,9 +13,18 @@
 //! bare and supervised, under the same corruption plan; and camnet,
 //! `run_cpn` and the composed city, each with and without a learned
 //! model under supervision, under a plan that adds state freezes.
+//!
+//! The `pinned_*_command_plane_*` tests pin the controller↔agent
+//! command planes over a channel that loses, duplicates and delays
+//! frames ([`rough_link`]), which no experiment or canary uses: the
+//! city's, cloudsim's zoned plane and `run_cpn`'s report plane, each
+//! under both comms policies, with outages and a partition. Only they
+//! reach the planes' guards against reordered and duplicated reports
+//! and orders.
 
+use selfaware::comms::CommsPolicy;
 use simkernel::{MetricSet, SeedTree, Tick};
-use workloads::faults::ModelCorruptionKind;
+use workloads::faults::{ChannelPlan, LinkModel, ModelCorruptionKind};
 use workloads::{FaultEvent, FaultPlan};
 
 const STEPS: u64 = 800;
@@ -180,6 +189,231 @@ fn pinned_city_metrics_under_freezes() {
     let table = frozen_city(compose::CityPolicy::naive_router());
     assert_pinned("naive-router city", &table, CITY_FROZEN_NAIVE_ROUTER);
 }
+
+/// A link that loses a fifth of its frames, duplicates a tenth and
+/// delays two in five by up to 12 ticks, so reports and orders arrive
+/// late, twice and out of order.
+fn rough_link() -> LinkModel {
+    LinkModel {
+        loss: 0.2,
+        dup: 0.1,
+        delay_prob: 0.4,
+        max_delay: 12,
+    }
+}
+
+/// The city over [`rough_link`], with zone 1's agent partitioned from
+/// T/3 for T/4 ticks and the zone dark from tick 540 for T/4 ticks: a
+/// throttle delayed across the outage's start lands at the dead zone
+/// under both comms policies.
+fn rough_city(policy: compose::CityPolicy) -> MetricSet {
+    let seeds = SeedTree::new(SEED);
+    let mut cfg = compose::CityConfig::standard(policy, STEPS, &seeds);
+    cfg.campaign = workloads::FaultCampaign::new("rough", &seeds)
+        .with_loss(rough_link())
+        .zone_outage(Tick(540), 3, 3, STEPS / 4)
+        .net_partition(STEPS / 3, STEPS / 4, vec![1]);
+    compose::run_city(&cfg, &seeds).metrics
+}
+
+#[test]
+fn pinned_city_command_plane_over_a_rough_channel() {
+    let aware = rough_city(compose::CityPolicy::supervised());
+    assert_pinned("supervised city", &aware, CITY_ROUGH_SUPERVISED);
+    let naive = rough_city(compose::CityPolicy::naive_comms());
+    assert_pinned("naive-comms city", &naive, CITY_ROUGH_NAIVE_COMMS);
+}
+
+/// Cloudsim's zoned plane (3 zones of 4 nodes) over [`rough_link`],
+/// with zones 1 and 2 dark in turn and zone 2's agent partitioned
+/// across the end of the first outage.
+fn rough_cloud(comms: CommsPolicy) -> MetricSet {
+    let seeds = SeedTree::new(SEED);
+    let levels = selfaware::levels::LevelSet::full();
+    let mut cfg =
+        cloudsim::ScenarioConfig::standard(cloudsim::Strategy::SelfAware { levels }, STEPS, &seeds);
+    cfg.command_plane = cloudsim::CommandPlane::Zoned { zones: 3 };
+    cfg.comms = comms;
+    cfg.channel = ChannelPlan::uniform(&seeds.child("channel"), rough_link()).with_partition(
+        STEPS / 3,
+        STEPS / 4,
+        vec![2],
+    );
+    cfg.faults = FaultPlan::new(vec![
+        FaultEvent::zone_outage(Tick(STEPS / 4), 4, 4, STEPS / 5),
+        FaultEvent::zone_outage(Tick(3 * STEPS / 5), 8, 4, STEPS / 5),
+    ]);
+    cloudsim::run_scenario(&cfg, &seeds).metrics
+}
+
+#[test]
+fn pinned_cloud_command_plane_over_a_rough_channel() {
+    let aware = rough_cloud(CommsPolicy::default());
+    assert_pinned("staleness-aware cloud", &aware, CLOUD_ROUGH_AWARE);
+    let naive = rough_cloud(CommsPolicy::Naive);
+    assert_pinned("naive cloud", &naive, CLOUD_ROUGH_NAIVE);
+}
+
+/// `run_cpn`'s contested world (a report every 20 ticks) over
+/// [`rough_link`], with the flood-ingress routers 7 and 13 partitioned
+/// from the attack's start for T/4 ticks.
+fn rough_cpn(comms: CommsPolicy) -> MetricSet {
+    let mut cfg = cpn::CpnConfig::contested(cpn::RoutingStrategy::Periodic { period: 50 }, STEPS);
+    let (from, _) = cpn::CpnConfig::attack_window(STEPS);
+    cfg.channel = ChannelPlan::uniform(&SeedTree::new(SEED).child("channel"), rough_link())
+        .with_partition(from.value(), STEPS / 4, vec![7, 13]);
+    cfg.comms = comms;
+    cpn::run_cpn(&cfg, &SeedTree::new(SEED)).metrics
+}
+
+#[test]
+fn pinned_cpn_report_plane_over_a_rough_channel() {
+    let aware = rough_cpn(CommsPolicy::default());
+    assert_pinned("staleness-aware cpn", &aware, CPN_ROUGH_AWARE);
+    let naive = rough_cpn(CommsPolicy::Naive);
+    assert_pinned("naive cpn", &naive, CPN_ROUGH_NAIVE);
+}
+
+const CITY_ROUGH_SUPERVISED: &[(&str, u64)] = &[
+    ("comms_budget_exhausted", 0x0000000000000000),
+    ("comms_dead_zone_expired", 0x4064800000000000),
+    ("comms_expired", 0x4064a00000000000),
+    ("comms_partition_hits", 0x4097b80000000000),
+    ("comms_retries", 0x40b0cb0000000000),
+    ("comms_sent", 0x40bb670000000000),
+    ("coverage", 0x3fed4982d5d4e75c),
+    ("cpn_delivered", 0x40b0230000000000),
+    ("cpn_delivery_ratio", 0x3fed15cc4b069711),
+    ("cpn_injected", 0x40b1c10000000000),
+    ("detections", 0x40b1c10000000000),
+    ("energy", 0x40c019c01ecb2ee3),
+    ("mean_latency", 0x4033c0490fb25f52),
+    ("model_fallbacks", 0x0000000000000000),
+    ("model_rollbacks", 0x0000000000000000),
+    ("net_dropped", 0x4078a00000000000),
+    ("on_time_ratio", 0x3fe607c5df37ee6d),
+    ("quarantine_substitutions", 0x4061800000000000),
+    ("quarantines", 0x4000000000000000),
+    ("rehomed", 0x4068600000000000),
+    ("rejected", 0x4080080000000000),
+    ("service_ratio", 0x3fe9431575c6e2c4),
+    ("serviced", 0x40ac080000000000),
+    ("shed_ticks", 0x4071d00000000000),
+    ("tasks_lost", 0x4030000000000000),
+    ("throttled_ticks", 0x4058800000000000),
+    ("tracking_error", 0x3f832c7e41a4489a),
+    ("tracking_quality", 0x3fe32d8dd84cbc33),
+    ("utility", 0x3fe9215a0d3700ce),
+    ("violation_rate", 0x3fc05fe49a1d1c41),
+];
+const CITY_ROUGH_NAIVE_COMMS: &[(&str, u64)] = &[
+    ("comms_budget_exhausted", 0x0000000000000000),
+    ("comms_dead_zone_expired", 0x0000000000000000),
+    ("comms_expired", 0x0000000000000000),
+    ("comms_partition_hits", 0x406c200000000000),
+    ("comms_retries", 0x0000000000000000),
+    ("comms_sent", 0x40a3e00000000000),
+    ("coverage", 0x3feccdca2e653eca),
+    ("cpn_delivered", 0x40aef80000000000),
+    ("cpn_delivery_ratio", 0x3fec60ac452ed8f1),
+    ("cpn_injected", 0x40b1760000000000),
+    ("detections", 0x40b1760000000000),
+    ("energy", 0x40bc0dffe16f9881),
+    ("mean_latency", 0x4031c1cfedafe17a),
+    ("model_fallbacks", 0x0000000000000000),
+    ("model_rollbacks", 0x0000000000000000),
+    ("net_dropped", 0x4078700000000000),
+    ("on_time_ratio", 0x3fe5622976c787f6),
+    ("quarantine_substitutions", 0x404e000000000000),
+    ("quarantines", 0x4008000000000000),
+    ("rehomed", 0x0000000000000000),
+    ("rejected", 0x4082a00000000000),
+    ("service_ratio", 0x3fe80494e75fa45e),
+    ("serviced", 0x40aa360000000000),
+    ("shed_ticks", 0x4074d00000000000),
+    ("tasks_lost", 0x4022000000000000),
+    ("throttled_ticks", 0x405c000000000000),
+    ("tracking_error", 0x3f690f44f65890cb),
+    ("tracking_quality", 0x3fe345c0f5f14358),
+    ("utility", 0x3fe8de03eb130442),
+    ("violation_rate", 0x3fbc147311040b4b),
+];
+const CLOUD_ROUGH_AWARE: &[(&str, u64)] = &[
+    ("arrived", 0x40ae380000000000),
+    ("comms_duplicates", 0x409d2c0000000000),
+    ("comms_expired", 0x4070100000000000),
+    ("comms_partition_hits", 0x4099240000000000),
+    ("comms_retries", 0x40b0bd0000000000),
+    ("comms_sent", 0x40b9de0000000000),
+    ("completed", 0x40acb40000000000),
+    ("completion_ratio", 0x3fee6521178fc077),
+    ("cost_ratio", 0x3feb400000000000),
+    ("drift_events", 0x4041800000000000),
+    ("mean_latency", 0x401e9d796169370c),
+    ("model_fallbacks", 0x0000000000000000),
+    ("model_repromotions", 0x0000000000000000),
+    ("model_rollbacks", 0x0000000000000000),
+    ("p95_latency", 0x403a000000000000),
+    ("utility", 0x3fe1a5f32fcfb64d),
+    ("violation_rate", 0x3fc4a641200878b8),
+];
+const CLOUD_ROUGH_NAIVE: &[(&str, u64)] = &[
+    ("arrived", 0x40ae380000000000),
+    ("comms_duplicates", 0x0000000000000000),
+    ("comms_expired", 0x0000000000000000),
+    ("comms_partition_hits", 0x4070800000000000),
+    ("comms_retries", 0x0000000000000000),
+    ("comms_sent", 0x40a2560000000000),
+    ("completed", 0x40ab440000000000),
+    ("completion_ratio", 0x3fecdf6ffbc3a3df),
+    ("cost_ratio", 0x3fe846d3a06d3a07),
+    ("drift_events", 0x403b000000000000),
+    ("mean_latency", 0x401ca81fb0314af7),
+    ("model_fallbacks", 0x0000000000000000),
+    ("model_repromotions", 0x0000000000000000),
+    ("model_rollbacks", 0x0000000000000000),
+    ("p95_latency", 0x4035000000000000),
+    ("utility", 0x3fda3004efa4057d),
+    ("violation_rate", 0x3fd170834f27f9a5),
+];
+const CPN_ROUGH_AWARE: &[(&str, u64)] = &[
+    ("comms_duplicates", 0x408cc80000000000),
+    ("comms_expired", 0x4028000000000000),
+    ("comms_partition_hits", 0x405d000000000000),
+    ("comms_retries", 0x4094cc0000000000),
+    ("comms_sent", 0x40a1e60000000000),
+    ("delay_attack", 0x402be49249249249),
+    ("delay_post", 0x402be4d7cec15b9c),
+    ("delay_pre", 0x401023c4f067260f),
+    ("delivered", 0x40ad6a0000000000),
+    ("delivery_ratio", 0x3fef7b48b67c0515),
+    ("dropped", 0x4046000000000000),
+    ("injected", 0x40ade60000000000),
+    ("mean_delay", 0x40256975b2e4dec0),
+    ("model_fallbacks", 0x0000000000000000),
+    ("model_repromotions", 0x0000000000000000),
+    ("model_rollbacks", 0x0000000000000000),
+    ("utility", 0x3fec0e401efb3d9a),
+];
+const CPN_ROUGH_NAIVE: &[(&str, u64)] = &[
+    ("comms_duplicates", 0x0000000000000000),
+    ("comms_expired", 0x0000000000000000),
+    ("comms_partition_hits", 0x4034000000000000),
+    ("comms_retries", 0x0000000000000000),
+    ("comms_sent", 0x408e000000000000),
+    ("delay_attack", 0x403370b7672a07a4),
+    ("delay_post", 0x4043bf903d77caea),
+    ("delay_pre", 0x401023c4f067260f),
+    ("delivered", 0x40ac660000000000),
+    ("delivery_ratio", 0x3fee6502351cf6f8),
+    ("dropped", 0x4062000000000000),
+    ("injected", 0x40ade60000000000),
+    ("mean_delay", 0x40364fdd118942d6),
+    ("model_fallbacks", 0x0000000000000000),
+    ("model_repromotions", 0x0000000000000000),
+    ("model_rollbacks", 0x0000000000000000),
+    ("utility", 0x3fe7413658762943),
+];
 
 const CPN_GOLDEN: &[(&str, u64)] = &[
     ("comms_duplicates", 0x0000000000000000),

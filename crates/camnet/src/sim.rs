@@ -101,8 +101,9 @@ pub struct CamnetResult {
     pub heterogeneity: TimeSeries,
     /// Mean tracking quality per object, sampled every 50 ticks.
     pub quality: TimeSeries,
-    /// Comms-layer events: partitions, heals, failed exchanges.
-    pub comms_log: ExplanationLog,
+    /// Comms-layer events (partitions, heals, failed exchanges) and
+    /// the affinity supervisor's transitions.
+    pub log: ExplanationLog,
 }
 
 /// The composite goal: track well, talk little.
@@ -172,7 +173,6 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
     // While the model is benched, auctions fall back to broadcast.
     let mut affinities = SelfModel::new("camera-affinities", AffinityTable::new(n), cfg.supervise)
         .with_mask(cfg.mask);
-    let mut supervision_log = ExplanationLog::new(512);
     let mut invites = InviteCounts::new(n);
     // Initial ownership: best-quality seer, if any.
     let mut owner: Vec<Option<usize>> = objects
@@ -186,7 +186,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
     // leaves every exchange — and every downstream number — exactly
     // as the perfect-network code produced it.
     let mut comms: CommsNetwork<()> = CommsNetwork::new(cfg.comms).with_mask(cfg.mask);
-    let mut comms_log = ExplanationLog::new(2048);
+    let mut log = ExplanationLog::new(2048);
     let ideal = cfg.channel.is_ideal();
     let aware = !cfg.comms.is_naive();
 
@@ -308,9 +308,11 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                         // as a lost auction, decaying learned
                         // affinity toward them.
                         reachable.clear();
-                        reachable.extend(invitees.iter().map(|&j| {
-                            comms.probe_roundtrip(&cfg.channel, me, j, now, &mut comms_log)
-                        }));
+                        reachable.extend(
+                            invitees.iter().map(|&j| {
+                                comms.probe_roundtrip(&cfg.channel, me, j, now, &mut log)
+                            }),
+                        );
                         let winner = invitees
                             .iter()
                             .copied()
@@ -339,7 +341,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                         match winner {
                             Some((w, _)) => {
                                 messages += 1; // transfer message
-                                if comms.fire_once(&cfg.channel, me, w, now, &mut comms_log) {
+                                if comms.fire_once(&cfg.channel, me, w, now, &mut log) {
                                     handovers += 1;
                                     owner[oi] = Some(w);
                                 } else if !aware {
@@ -384,7 +386,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
             affinities.observe(
                 now,
                 Evidence::scored(mean_affinity, error).with_input(t as f64),
-                &mut supervision_log,
+                &mut log,
             );
         }
 
@@ -436,7 +438,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         metrics,
         heterogeneity,
         quality: quality_series,
-        comms_log,
+        log,
     }
 }
 
@@ -641,6 +643,11 @@ mod tests {
         );
         let again = run_camnet(&cfg(true), &SeedTree::new(21));
         assert_eq!(sup.metrics, again.metrics, "supervised runs deterministic");
+        // The supervisor explains itself in the run's one log.
+        assert!(
+            sup.log.iter().any(|e| e.kind.starts_with("supervise:")),
+            "supervision must reach the run's log"
+        );
     }
 
     #[test]
@@ -708,7 +715,7 @@ mod tests {
             "boundary links must hit the partition window"
         );
         assert!(
-            r.comms_log.iter().any(|e| e.kind == "comms:partition"),
+            r.log.iter().any(|e| e.kind == "comms:partition"),
             "partition onset must be explained"
         );
     }

@@ -5,9 +5,7 @@ use crate::cluster::Cluster;
 use crate::node::NodeSpec;
 use crate::request::{Request, RequestOutcome};
 use crate::strategy::Strategy;
-use selfaware::comms::{
-    AgentLiveChannel, Channel, CommsNetwork, CommsPolicy, CommsStats, Delivered,
-};
+use selfaware::comms::{self, CommsPolicy, CommsStats, Issue, Reissue};
 use selfaware::explain::{Explanation, ExplanationLog};
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::replay::{InterventionClass, InterventionMask};
@@ -39,106 +37,91 @@ pub enum CommandPlane {
     },
 }
 
-/// Ticks between command re-issues when a zone's report disagrees
-/// with its target (staleness-aware plane only).
-const REISSUE_INTERVAL: u64 = 40;
+/// The [`CommandPlane::Zoned`] controller re-sends a zone's rent
+/// target while the zone's report of its applied target disagrees,
+/// at most every 40 ticks (staleness-aware plane only).
+const REISSUE: Reissue<usize, usize> = Reissue::OnContradiction {
+    after: 40,
+    contradicts: |applied, target| applied != target,
+};
+
+/// The node block `z*n/zones .. (z+1)*n/zones` that zone `z` owns.
+fn zone_nodes(n: usize, zones: usize, z: usize) -> std::ops::Range<usize> {
+    z * n / zones..(z + 1) * n / zones
+}
 
 /// Runtime state of the [`CommandPlane::Zoned`] plane: the remote
-/// controller's beliefs plus the per-zone agents' applied targets.
+/// controller's command plane, whose reports are each zone's applied
+/// target as the controller believes it, plus the zone agents'
+/// applied targets themselves.
 ///
 /// Comms addressing: node ids `0..zones` are the zone agents and id
 /// `zones` is the controller. Rent targets are spread *evenly* across
 /// zones (remainder to earlier zones) rather than prefix-packed, the
 /// usual availability practice — and the property that leaves fresh
 /// zones with spare room when a stale zone must be re-homed.
-struct ZonedPlane {
+struct Zones {
     zones: usize,
     n: usize,
-    aware: bool,
-    mask: InterventionMask,
-    net: CommsNetwork<usize>,
+    plane: comms::CommandPlane<usize, usize, ChannelPlan>,
     /// Target each zone agent has actually applied (ground truth).
     applied: Vec<usize>,
-    /// Controller-side belief of each zone's applied target.
-    believed: Vec<usize>,
-    /// Last target the controller issued per zone, and when.
-    issued: Vec<Option<usize>>,
-    issued_at: Vec<u64>,
-    /// Newest sequence seen per zone (reordering guards).
-    last_cmd_seq: Vec<Option<u64>>,
-    last_report_seq: Vec<Option<u64>>,
-    /// Delivery buffer reused every tick (no per-tick allocation).
-    inbox: Vec<Delivered<usize>>,
-    /// Per-zone liveness, refreshed each tick from the fault plan: a
-    /// zone is dead while *all* its nodes sit inside an active
-    /// `ZoneOutage` window. Reused buffer, no per-tick allocation.
-    dead: Vec<bool>,
 }
 
-impl ZonedPlane {
-    fn new(zones: usize, n: usize, policy: CommsPolicy, mask: InterventionMask) -> Self {
+impl Zones {
+    fn new(
+        zones: usize,
+        n: usize,
+        policy: CommsPolicy,
+        mask: InterventionMask,
+        channel: ChannelPlan,
+    ) -> Self {
         assert!(
             zones >= 1 && zones <= n,
             "zone count must be in 1..=node count"
         );
         // All nodes start rented (Cluster::new), so every agent starts
         // at its full zone size and the controller knows it.
-        let sizes: Vec<usize> = (0..zones)
-            .map(|z| (z + 1) * n / zones - z * n / zones)
-            .collect();
+        let sizes: Vec<usize> = (0..zones).map(|z| zone_nodes(n, zones, z).len()).collect();
         Self {
             zones,
             n,
-            aware: !policy.is_naive(),
-            mask,
-            net: CommsNetwork::new(policy).with_mask(mask),
-            applied: sizes.clone(),
-            believed: sizes,
-            issued: vec![None; zones],
-            issued_at: vec![0; zones],
-            last_cmd_seq: vec![None; zones],
-            last_report_seq: vec![None; zones],
-            inbox: Vec::new(),
-            dead: vec![false; zones],
+            plane: comms::CommandPlane::new(policy, mask, channel, sizes.clone())
+                .with_orders(REISSUE, None),
+            applied: sizes,
         }
     }
 
-    fn zone_range(&self, z: usize) -> std::ops::Range<usize> {
-        z * self.n / self.zones..(z + 1) * self.n / self.zones
-    }
-
-    /// Splits a total rent target evenly across zones, then (aware
-    /// plane only) re-homes the believed shortfall of stale zones
-    /// onto fresh zones that still have room.
+    /// Splits a total rent target evenly across zones, then re-homes
+    /// the believed shortfall of stale zones onto fresh zones that
+    /// still have room. A naive plane has no staleness model, so its
+    /// zones are never stale and it never re-homes.
     fn split(&self, total: usize, now: Tick) -> Vec<usize> {
+        let size = |z| zone_nodes(self.n, self.zones, z).len();
         let total = total.min(self.n);
         let base = total / self.zones;
         let rem = total % self.zones;
         let mut targets: Vec<usize> = (0..self.zones)
-            .map(|z| (base + usize::from(z < rem)).min(self.zone_range(z).len()))
+            .map(|z| (base + usize::from(z < rem)).min(size(z)))
             .collect();
         // Even split can undershoot when a zone is smaller than its
         // share; push the leftovers into zones with room.
         let mut leftover = total - targets.iter().sum::<usize>();
         for (z, target) in targets.iter_mut().enumerate() {
-            let room = self.zone_range(z).len() - *target;
+            let room = size(z) - *target;
             let take = leftover.min(room);
             *target += take;
             leftover -= take;
         }
-        if !self.aware {
-            return targets;
-        }
         // A zone whose reports have gone quiet for more than the
         // staleness half-life may never have applied its target;
         // conservatively re-home the believed shortfall.
-        let ctrl = self.zones;
         let stale: Vec<bool> = (0..self.zones)
-            .map(|z| self.net.freshness(ctrl, z, now) < 0.5)
+            .map(|z| self.plane.freshness(z, now) < 0.5)
             .collect();
         let mut shortfall: usize = (0..self.zones)
             .filter(|&z| stale[z])
-            .map(|z| targets[z].saturating_sub(self.believed[z]))
+            .map(|z| targets[z].saturating_sub(self.plane.reports()[z]))
             .sum();
         for z in 0..self.zones {
             if shortfall == 0 {
@@ -147,7 +130,7 @@ impl ZonedPlane {
             if stale[z] {
                 continue;
             }
-            let room = self.zone_range(z).len() - targets[z];
+            let room = size(z) - targets[z];
             let take = shortfall.min(room);
             targets[z] += take;
             shortfall -= take;
@@ -162,128 +145,65 @@ impl ZonedPlane {
         &mut self,
         desired: Option<usize>,
         cluster: &mut Cluster,
-        channel: &ChannelPlan,
         faults: &FaultPlan,
         now: Tick,
         log: &mut ExplanationLog,
     ) {
-        // Taken out of `self` (inbox pattern) so the adapter can
-        // borrow it while `tick_inner` mutates the rest of the plane.
-        let mut dead = std::mem::take(&mut self.dead);
-        let mut any_dead = false;
-        for (z, flag) in dead.iter_mut().enumerate() {
-            let r = z * self.n / self.zones..(z + 1) * self.n / self.zones;
-            *flag = !r.is_empty() && r.clone().all(|i| faults.zone_down_at(i, now));
-            any_dead |= *flag;
-        }
+        let (n, zones) = (self.n, self.zones);
         // A zone whose whole node block is inside a `ZoneOutage` has no
         // agent to talk to, even where a partition heals mid-outage.
-        // The view is substituted only while a zone is dark, so
-        // outage-free runs keep their exact channel behaviour.
-        if any_dead {
-            let live = AgentLiveChannel {
-                inner: channel,
-                dead: &dead,
-            };
-            self.tick_inner(desired, cluster, &live, &dead, now, log);
-        } else {
-            self.tick_inner(desired, cluster, channel, &dead, now, log);
+        let dead = |z| {
+            let nodes = zone_nodes(n, zones, z);
+            !nodes.is_empty() && nodes.clone().all(|i| faults.zone_down_at(i, now))
+        };
+        for z in 0..zones {
+            self.plane.set_dead(z, dead(z));
         }
-        self.dead = dead;
-    }
-
-    fn tick_inner<C: Channel + ?Sized>(
-        &mut self,
-        desired: Option<usize>,
-        cluster: &mut Cluster,
-        channel: &C,
-        dead: &[bool],
-        now: Tick,
-        log: &mut ExplanationLog,
-    ) {
-        let ctrl = self.zones;
         if let Some(total) = desired {
             let targets = self.split(total, now);
-            for (z, &target) in targets.iter().enumerate() {
-                let changed = self.issued[z] != Some(target);
-                // The aware plane also re-issues when the zone's own
+            for (z, target) in targets.into_iter().enumerate() {
+                // The aware plane also re-issues while the zone's own
                 // report disagrees with the standing order — that is
                 // how a command abandoned by the retry budget during a
-                // partition eventually gets through after the heal.
-                // A masked counterfactual run suppresses exactly these
-                // overdue re-issues; changed-triggered sends stay.
-                let overdue = self.aware
-                    && self.mask.allows(InterventionClass::CommsReissue)
-                    && self.believed[z] != target
-                    && now.0.saturating_sub(self.issued_at[z]) >= REISSUE_INTERVAL;
-                if changed || overdue {
-                    if !changed {
-                        log.fired(InterventionClass::CommsReissue);
-                        log.record(
-                            Explanation::new(now, "comms:reissue")
-                                .anchoring(InterventionClass::CommsReissue)
-                                .link(ctrl, z)
-                                .because("target", target as f64)
-                                .because("believed", self.believed[z] as f64),
-                        );
-                    }
-                    self.net.send(channel, ctrl, z, target, now, log);
-                    self.issued[z] = Some(target);
-                    self.issued_at[z] = now.0;
-                    if !self.aware {
-                        // Fire-and-forget: assume the command landed.
-                        self.believed[z] = target;
-                    }
-                }
+                // partition eventually gets through after the heal. A
+                // masked counterfactual run suppresses exactly these
+                // re-issues; changed-triggered sends stay.
+                self.plane
+                    .command(z, target, now, log, |issue, &believed, log| {
+                        if issue == Issue::Reissue {
+                            log.record(
+                                Explanation::new(now, "comms:reissue")
+                                    .anchoring(InterventionClass::CommsReissue)
+                                    .link(zones, z)
+                                    .because("target", target as f64)
+                                    .because("believed", believed as f64),
+                            );
+                        }
+                    });
             }
         }
-        // Zone agents report their applied targets every tick — but a
-        // dead zone's agent is off with its nodes and sends nothing.
-        for (z, &zone_dead) in dead.iter().enumerate().take(self.zones) {
-            if zone_dead {
-                continue;
-            }
-            self.net.send(channel, z, ctrl, self.applied[z], now, log);
+        // Zone agents report their applied targets every tick; a dead
+        // zone's agent is off with its nodes and sends nothing.
+        for z in 0..zones {
+            self.plane.send_report(z, self.applied[z], now, log);
         }
-        // Land deliveries into the reused inbox (taken out of `self`
-        // so the loop body can mutate plane state while iterating).
-        let mut inbox = std::mem::take(&mut self.inbox);
-        inbox.clear();
-        self.net.step_into(channel, now, log, &mut inbox);
-        for d in inbox.drain(..) {
-            if d.dst == ctrl {
-                // Reports from a now-dead zone were sent before it
-                // died; they are stale but true, so land them.
-                if newest(&mut self.last_report_seq[d.src], d.seq) {
-                    self.believed[d.src] = d.payload;
-                }
-            } else if dead[d.dst] {
-                // Nobody home: a command that slipped through (sent
-                // pre-death, arriving now) is not applied, and the
-                // watermark is *not* bumped — when the zone comes
-                // back, the aware plane's re-issue (fresh, higher
-                // seq) must still be accepted.
-            } else if newest(&mut self.last_cmd_seq[d.dst], d.seq) {
-                self.applied[d.dst] = d.payload;
-                let range = self.zone_range(d.dst);
-                let target = d.payload.min(range.len());
-                for (k, i) in range.enumerate() {
-                    cluster.set_rented(i, k < target);
-                }
+        let applied = &mut self.applied;
+        self.plane.step(now, log, |z, target| {
+            // Nobody home: a command that slipped through (sent
+            // pre-death, arriving now) is declined, so the watermark
+            // stays — when the zone comes back, the aware plane's
+            // re-issue (fresh, higher seq) must still be accepted.
+            if dead(z) {
+                return false;
             }
-        }
-        self.inbox = inbox;
-    }
-}
-
-/// Monotone-sequence guard: accepts `seq` only if newer than the
-/// stored watermark (delayed duplicates must not roll state back).
-fn newest(watermark: &mut Option<u64>, seq: u64) -> bool {
-    if watermark.is_none_or(|s| seq > s) {
-        *watermark = Some(seq);
-        true
-    } else {
-        false
+            applied[z] = target;
+            let nodes = zone_nodes(n, zones, z);
+            let rented = target.min(nodes.len());
+            for (k, i) in nodes.enumerate() {
+                cluster.set_rented(i, k < rented);
+            }
+            true
+        });
     }
 }
 
@@ -435,9 +355,15 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
     let mut latency_series = TimeSeries::new(cfg.strategy.label());
     let mut next_id = 0u64;
     let mut comms_log = ExplanationLog::new(2048);
-    let mut plane = match cfg.command_plane {
+    let mut zoned = match cfg.command_plane {
         CommandPlane::Direct => None,
-        CommandPlane::Zoned { zones } => Some(ZonedPlane::new(zones, n, cfg.comms, cfg.mask)),
+        CommandPlane::Zoned { zones } => Some(Zones::new(
+            zones,
+            n,
+            cfg.comms,
+            cfg.mask,
+            cfg.channel.clone(),
+        )),
     };
 
     // Reused across ticks: outcome pushes land in warm capacity
@@ -476,18 +402,11 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
         let count = poisson(rate, &mut arrivals_rng);
         drop(sense_span);
         let decide_span = obs::span("cloudsim:decide");
-        match &mut plane {
+        match &mut zoned {
             None => controller.begin_tick(&mut cluster, count, now, &mut strat_rng),
-            Some(p) => {
+            Some(z) => {
                 let desired = controller.desired_pool(&cluster, count, now);
-                p.tick(
-                    desired,
-                    &mut cluster,
-                    &cfg.channel,
-                    &cfg.faults,
-                    now,
-                    &mut comms_log,
-                );
+                z.tick(desired, &mut cluster, &cfg.faults, now, &mut comms_log);
             }
         }
         drop(decide_span);
@@ -565,7 +484,10 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));
-    let cs: CommsStats = plane.as_ref().map(|p| p.net.stats()).unwrap_or_default();
+    let cs: CommsStats = zoned
+        .as_ref()
+        .map(|z| z.plane.stats().clone())
+        .unwrap_or_default();
     metrics.set("comms_sent", cs.sent as f64);
     metrics.set("comms_retries", cs.retries as f64);
     metrics.set("comms_expired", cs.expired as f64);
@@ -878,7 +800,7 @@ mod tests {
         );
     }
 
-    /// Drives a [`ZonedPlane`] directly over 6 reliable nodes in 3
+    /// Drives a [`Zones`] plane directly over 6 reliable nodes in 3
     /// zones (2 nodes each; zone 1 owns nodes 2..4, comms agent id 1,
     /// controller id 3). Returns every `(tick, new_applied)` change of
     /// zone 1's applied target, so the overlap tests can pin down
@@ -906,21 +828,19 @@ mod tests {
         if let Some((at, duration)) = outage {
             faults = faults.and(FaultEvent::zone_outage(Tick(at), 2, 2, duration));
         }
-        let mut plane =
-            ZonedPlane::new(3, 6, CommsPolicy::default(), InterventionMask::allow_all());
+        let mut zoned = Zones::new(
+            3,
+            6,
+            CommsPolicy::default(),
+            InterventionMask::allow_all(),
+            plan,
+        );
         let mut log = ExplanationLog::new(64);
-        let mut history = vec![(0, plane.applied[1])];
+        let mut history = vec![(0, zoned.applied[1])];
         for t in 0..steps {
-            plane.tick(
-                Some(desired(t)),
-                &mut cluster,
-                &plan,
-                &faults,
-                Tick(t),
-                &mut log,
-            );
-            if plane.applied[1] != history[history.len() - 1].1 {
-                history.push((t, plane.applied[1]));
+            zoned.tick(Some(desired(t)), &mut cluster, &faults, Tick(t), &mut log);
+            if zoned.applied[1] != history[history.len() - 1].1 {
+                history.push((t, zoned.applied[1]));
             }
         }
         history
@@ -1035,20 +955,13 @@ mod tests {
             send_timeout: 10_000,
             ..ReliableConfig::default()
         });
-        let mut plane = ZonedPlane::new(3, 6, policy, InterventionMask::allow_all());
+        let mut zoned = Zones::new(3, 6, policy, InterventionMask::allow_all(), plan);
         let mut log = ExplanationLog::new(64);
         for t in 0..420 {
             let desired = if t < 150 { 6 } else { 3 };
-            plane.tick(
-                Some(desired),
-                &mut cluster,
-                &plan,
-                &faults,
-                Tick(t),
-                &mut log,
-            );
+            zoned.tick(Some(desired), &mut cluster, &faults, Tick(t), &mut log);
         }
-        let stats = plane.net.stats_ref();
+        let stats = zoned.plane.stats();
         assert!(
             stats.link_budget_exhausted(3, 1) >= 1,
             "ctrl→dead-zone sends must exhaust their retry budget: {stats:?}"

@@ -16,14 +16,14 @@
 //! pressure sheds camera quality; zone agents throttle admission
 //! before their backlog breaches the SLA.
 
-use crate::world::{CityConfig, CityEvent};
+use crate::world::{CityConfig, CityOrder, ZoneReport};
 use camnet::Camera;
 use cpn::graph::Graph;
 use cpn::net::{Arrival, Env, Net, Packet, Policy, BANDWIDTH};
 use cpn::routing::Routing;
 use multicore::{Core, CoreSpec};
 use rand::Rng as _;
-use selfaware::comms::{AgentLiveChannel, Channel, CommsNetwork, CommsStats, Delivered};
+use selfaware::comms::{CommandPlane, CommsStats, Issue, Reissue};
 use selfaware::explain::{Explanation, ExplanationLog};
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::health::SensorHealth;
@@ -69,9 +69,9 @@ const PROBE_CONFIRM: u64 = 3;
 const DARK_EVIDENCE_MIN: f64 = 1.5;
 /// Per-tick decay of the bounce-evidence EWMA.
 const DARK_DECAY: f64 = 0.8;
-/// Period (ticks) of the controller's throttle-command refresh to
-/// each zone agent.
-const THROTTLE_REFRESH: u64 = 8;
+/// The controller re-sends each zone agent's throttle every 8 ticks,
+/// zone `z` at the ticks `t % 8 == z % 8`, under either comms policy.
+const REISSUE: Reissue<ZoneReport, CityOrder> = Reissue::Periodic { period: 8 };
 /// Slope weighting for the pressure-proportional throttle band: one
 /// believed-backlog unit per tick of slope tilts the engage/release
 /// thresholds by this many units (clamped to `THROTTLE_MAX_TILT`).
@@ -251,14 +251,14 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
     // Command plane: agents 0..zones, controller, camera head.
     let ctrl = cfg.zones;
     let cam_head = cfg.zones + 1;
-    let mut comms: CommsNetwork<CityEvent> = CommsNetwork::new(cfg.policy.comms).with_mask(mask);
-    let mut comms_inbox: Vec<Delivered<CityEvent>> = Vec::new();
-    let mut believed_backlog = vec![0u64; cfg.zones];
-    let mut believed_pressure = vec![0u64; cfg.zones];
-    let mut last_report_seq: Vec<Option<u64>> = vec![None; cfg.zones];
-    let mut last_throttle_seq: Vec<Option<u64>> = vec![None; cfg.zones];
-    let mut ctrl_throttle = vec![false; cfg.zones];
-    let mut last_directive_seq: Option<u64> = None;
+    // Every zone starts unthrottled, so a first "off" is no change.
+    let mut plane = CommandPlane::new(
+        cfg.policy.comms,
+        mask,
+        cfg.campaign.channel().clone(),
+        vec![ZoneReport::default(); cfg.zones],
+    )
+    .with_orders(REISSUE, Some(CityOrder::Throttle { on: false }));
     let mut sent_directive: Option<(u8, Vec<Option<u8>>)> = None;
     let mut head_shed: u8 = 0;
     let mut head_rehome: Vec<Option<u8>> = vec![None; cfg.zones];
@@ -293,7 +293,6 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
         .collect();
 
     let faults = cfg.campaign.faults().clone();
-    let channel = cfg.campaign.channel().clone();
 
     // Per-tick buffers, reused every tick.
     let mut positions: Vec<Point> = Vec::with_capacity(total_pop);
@@ -327,6 +326,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
                 all_down &= down;
             }
             zone_dead[z] = all_down;
+            plane.set_dead(z, all_down);
         }
         for ev in faults.events_at(now) {
             match ev.kind {
@@ -580,35 +580,23 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
 
         // --- Command plane: reports, directives, delivery. ---------
         let comms_span = obs::span("city:comms");
-        // The outage-aware channel view is only substituted when a
-        // zone is actually dark, so fault-free runs transmit over the
-        // campaign's channel byte-for-byte.
-        let any_dead = zone_dead.iter().any(|&d| d);
-        let live = AgentLiveChannel {
-            inner: &channel,
-            dead: &zone_dead,
-        };
-        let plane: &dyn Channel = if any_dead { &live } else { &channel };
         for z in 0..cfg.zones {
             if throttled[z] && !zone_dead[z] {
                 throttled_ticks += 1;
             }
-            if zone_dead[z] {
-                continue;
-            }
             let backlog: u64 = cores[z].iter().map(|c| c.queue_len() as u64).sum();
             // Only the gateway's neighbours queue packets for it.
             let gw = cfg.gateway(z);
-            let pressure: u64 = graph
+            let gateway_pressure: u64 = graph
                 .neighbours(gw)
                 .iter()
                 .map(|&u| net.queue_len(&graph, u, gw) as u64)
                 .sum();
-            let event = CityEvent::Report {
+            let report = ZoneReport {
                 backlog,
-                gateway_pressure: pressure,
+                gateway_pressure,
             };
-            comms.send(plane, z, ctrl, event, now, &mut log);
+            plane.send_report(z, report, now, &mut log);
         }
         // Decay the per-zone dark evidence with this tick's bounces.
         for z in 0..cfg.zones {
@@ -616,7 +604,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
             bounce_now[z] = 0;
         }
         if cfg.policy.ladder {
-            let pressure_total: u64 = believed_pressure.iter().sum();
+            let pressure_total: u64 = plane.reports().iter().map(|r| r.gateway_pressure).sum();
             // Counterfactual masking forces a rung off *after* the
             // believed state is computed, so the suppressed rung's
             // inputs (and every RNG stream) evolve exactly as in the
@@ -643,7 +631,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
             rehome.fill(None);
             if aware && !mask.suppresses(InterventionClass::ComposeRehome) {
                 for z in 0..cfg.zones {
-                    if comms.freshness(ctrl, z, now) >= REHOME_FRESH {
+                    if plane.freshness(z, now) >= REHOME_FRESH {
                         rehome_latched[z] = false;
                         probe_fail_streak[z] = 0;
                         continue;
@@ -652,7 +640,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
                     // the run, where the masked ladder does nothing.
                     log.fired(InterventionClass::ComposeRehome);
                     if !rehome_latched[z] {
-                        if comms.fire_once(plane, ctrl, z, now, &mut log) {
+                        if plane.probe(z, now, &mut log) {
                             probe_fail_streak[z] = 0;
                         } else {
                             probe_fail_streak[z] += 1;
@@ -672,7 +660,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
                     }
                     // Nearest zone the controller still hears from.
                     rehome[z] = (0..cfg.zones)
-                        .filter(|&o| o != z && comms.freshness(ctrl, o, now) >= REHOME_FRESH)
+                        .filter(|&o| o != z && plane.freshness(o, now) >= REHOME_FRESH)
                         .min_by_key(|&o| (z.abs_diff(o), o))
                         .map(|o| o as u8);
                 }
@@ -699,11 +687,11 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
                             .because("zones", rehome.iter().flatten().count() as f64),
                     );
                 }
-                let event = CityEvent::Directive {
+                let order = CityOrder::Directive {
                     shed,
                     rehome: rehome.clone(),
                 };
-                comms.send(plane, ctrl, cam_head, event, now, &mut log);
+                plane.send_order(cam_head, order, now, &mut log);
                 sent_directive = Some((shed, rehome.clone()));
             }
             // Admission throttling is controller-commanded from the
@@ -715,90 +703,55 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
             // probing every zone — including one that has gone dark,
             // where the retries burn the reliable plane's budget and
             // show up in the per-link expiry counters.
-            for z in 0..cfg.zones {
+            for (z, gate) in throttle_gates.iter_mut().enumerate() {
                 // The gate observes the believed signal every tick —
                 // masked runs included — so its slope state never
                 // depends on whether the intervention is suppressed.
-                let gate_on = throttle_gates[z].observe(believed_backlog[z] as f64);
+                let believed = plane.reports()[z].backlog;
+                let gate_on = gate.observe(believed as f64);
                 let want = !mask.suppresses(InterventionClass::ComposeThrottle) && gate_on;
-                // The periodic refresh is the command plane's re-issue
-                // mechanism; masking `CommsReissue` leaves only
-                // change-triggered sends.
-                let refresh = mask.allows(InterventionClass::CommsReissue)
-                    && t % THROTTLE_REFRESH == z as u64 % THROTTLE_REFRESH;
                 if want {
                     log.fired(InterventionClass::ComposeThrottle);
                 }
-                // A refresh is a re-issue only when it is not a change,
-                // which would be sent anyway.
-                if refresh && want == ctrl_throttle[z] {
-                    log.fired(InterventionClass::CommsReissue);
-                }
-                if want != ctrl_throttle[z] {
-                    log.record(
+                // The periodic re-issue is masked by `CommsReissue`,
+                // which leaves only change-triggered sends.
+                let order = CityOrder::Throttle { on: want };
+                plane.command(z, order, now, &mut log, |issue, _, log| match issue {
+                    Issue::Change => log.record(
                         Explanation::new(now, "ladder:throttle")
                             .anchoring(InterventionClass::ComposeThrottle)
                             .because("zone", z as f64)
                             .because("on", f64::from(u8::from(want)))
-                            .because("believed_backlog", believed_backlog[z] as f64)
-                            .because("backlog_slope", throttle_gates[z].slope()),
-                    );
-                } else if refresh && want {
+                            .because("believed_backlog", believed as f64)
+                            .because("backlog_slope", gate.slope()),
+                    ),
                     // Anchor only the re-issues that keep an *active*
                     // throttle alive — the consequential ones — so the
                     // shared ring is not flooded in benign stretches.
-                    log.record(
+                    Issue::Reissue if want => log.record(
                         Explanation::new(now, "comms:reissue")
                             .anchoring(InterventionClass::CommsReissue)
                             .link(ctrl, z)
                             .because("on", 1.0),
-                    );
-                }
-                if want != ctrl_throttle[z] || refresh {
-                    ctrl_throttle[z] = want;
-                    comms.send(
-                        plane,
-                        ctrl,
-                        z,
-                        CityEvent::Throttle { on: want },
-                        now,
-                        &mut log,
-                    );
-                }
+                    ),
+                    Issue::Reissue => {}
+                });
             }
         }
-        comms_inbox.clear();
-        comms.step_into(plane, now, &mut log, &mut comms_inbox);
-        for d in comms_inbox.drain(..) {
-            match d.payload {
-                CityEvent::Report {
-                    backlog,
-                    gateway_pressure,
-                } if d.dst == ctrl => {
-                    let src = d.src.min(cfg.zones - 1);
-                    if last_report_seq[src].is_none_or(|s| d.seq > s) {
-                        last_report_seq[src] = Some(d.seq);
-                        believed_backlog[src] = backlog;
-                        believed_pressure[src] = gateway_pressure;
-                    }
-                }
-                CityEvent::Directive { shed, rehome }
-                    if d.dst == cam_head && last_directive_seq.is_none_or(|s| d.seq > s) =>
-                {
-                    last_directive_seq = Some(d.seq);
+        // Every order lands where it was sent: throttles at zone
+        // agents, directives at the camera head. A zone applies its
+        // throttle even while dark.
+        plane.step(now, &mut log, |dst, order| {
+            match order {
+                CityOrder::Throttle { on } => throttled[dst] = on,
+                CityOrder::Directive { shed, rehome } => {
                     head_shed = shed;
                     head_rehome = rehome;
                     head_rehome.resize(cfg.zones, None);
                 }
-                CityEvent::Throttle { on }
-                    if d.dst < cfg.zones && last_throttle_seq[d.dst].is_none_or(|s| d.seq > s) =>
-                {
-                    last_throttle_seq[d.dst] = Some(d.seq);
-                    throttled[d.dst] = on;
-                }
-                _ => {}
             }
-        }
+            true
+        });
         drop(comms_span);
         drop(act_span);
 
@@ -811,7 +764,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
     }
 
     // --- Metrics. ----------------------------------------------------
-    let stats = comms.stats();
+    let stats = plane.stats().clone();
     let mut metrics = MetricSet::new();
     let det_f = detections.max(1) as f64;
     let srv_f = serviced.max(1) as f64;

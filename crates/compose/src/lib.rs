@@ -21,10 +21,11 @@
 //! * Each zone gateway feeds a backend of **multicore machines**
 //!   ([`multicore::Core`]) that service the detections against an
 //!   SLA deadline — the compute substrate.
-//! * A **zoned command plane** ([`selfaware::comms::CommsNetwork`]
-//!   over the campaign's [`workloads::ChannelPlan`]) carries typed
-//!   [`CityEvent`]s between zone agents, the controller, and the
-//!   camera cluster head — the cloudsim-style coordination substrate.
+//! * A **zoned command plane** ([`selfaware::comms::CommandPlane`]
+//!   over the campaign's [`workloads::ChannelPlan`]) carries each zone
+//!   agent's [`ZoneReport`] to the controller and the controller's
+//!   [`CityOrder`]s to the zone agents and the camera cluster head —
+//!   the cloudsim-style coordination substrate.
 //!
 //! All of it shares a single [`simkernel::Tick`], consumes randomness
 //! only from named [`simkernel::SeedTree`] streams, and preserves the
@@ -44,4 +45,4 @@ pub mod city;
 pub mod world;
 
 pub use city::{city_goal, run_city, CityResult};
-pub use world::{CityConfig, CityEvent, CityPolicy};
+pub use world::{CityConfig, CityOrder, CityPolicy, ZoneReport};

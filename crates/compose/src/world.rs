@@ -7,24 +7,27 @@ use selfaware::comms::CommsPolicy;
 use simkernel::rng::SeedTree;
 use workloads::FaultCampaign;
 
-/// Typed cross-substrate events carried over the command plane's
-/// [`selfaware::comms::CommsNetwork`]. Addressing: comms ids
-/// `0..zones` are the zone agents, `zones` is the city controller,
-/// `zones + 1` is the camera cluster head.
+/// Zone agent → controller over the city's command plane
+/// ([`selfaware::comms::CommandPlane`]): the zone's backend backlog
+/// (queued tasks across its cores) and the packet pressure on the
+/// links into its gateway, both as observed by the agent this tick.
+/// Comms ids `0..zones` are the zone agents, `zones` is the city
+/// controller, `zones + 1` is the camera cluster head.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ZoneReport {
+    /// Tasks queued across the zone's cores.
+    pub backlog: u64,
+    /// Packets queued on links into the zone's gateway node.
+    pub gateway_pressure: u64,
+}
+
+/// Controller → camera cluster head or zone agent, over the city's
+/// command plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CityEvent {
-    /// Zone agent → controller: the zone's backend backlog (queued
-    /// tasks across its cores) and the packet pressure on the links
-    /// into its gateway, both as observed by the agent this tick.
-    Report {
-        /// Tasks queued across the zone's cores.
-        backlog: u64,
-        /// Packets queued on links into the zone's gateway node.
-        gateway_pressure: u64,
-    },
-    /// Controller → camera cluster head: the current rung of the
-    /// degradation ladder. `shed` levels: 0 = full quality, 1 = halve
-    /// the detection rate, 2 = quarter the rate and reduce
+pub enum CityOrder {
+    /// To the camera cluster head: the current rung of the degradation
+    /// ladder, sent when it changes. `shed` levels: 0 = full quality,
+    /// 1 = halve the detection rate, 2 = quarter the rate and reduce
     /// resolution. `rehome[z] = Some(z')` redirects detections bound
     /// for zone `z` to zone `z'`'s gateway while `z` is believed
     /// unreachable.
@@ -34,12 +37,12 @@ pub enum CityEvent {
         /// Per-zone re-home targets (`None` = deliver normally).
         rehome: Vec<Option<u8>>,
     },
-    /// Controller → zone agent: admission throttle command, decided
-    /// by hysteresis over the controller's *believed* backlog for the
+    /// To a zone agent: its standing admission throttle, decided by
+    /// hysteresis over the controller's *believed* backlog for the
     /// zone (so a stale belief throttles late — the cost the naive
-    /// comms ablation pays). Refreshed periodically, which keeps
-    /// command traffic flowing into a zone even while it is dark and
-    /// makes retry-budget burn on dead links observable.
+    /// comms ablation pays). Re-sent periodically, which keeps command
+    /// traffic flowing into a zone even while it is dark and makes
+    /// retry-budget burn on dead links observable.
     Throttle {
         /// Whether the zone should stop admitting new detections.
         on: bool,

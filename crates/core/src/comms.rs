@@ -10,20 +10,21 @@
 //!   yields zero or more delivery ticks ([`ChannelOutcome`]); the
 //!   deterministic lossy implementation lives in
 //!   `workloads::faults::ChannelPlan`, while [`IdealChannel`] keeps
-//!   the historical perfect-network behaviour and [`AgentLiveChannel`]
-//!   loses every frame to or from an agent that is down.
+//!   the historical perfect-network behaviour.
 //! * [`CommsNetwork`] — a message layer over a channel. In
 //!   [`CommsPolicy::Naive`] mode it is fire-and-forget (the ablation
 //!   baseline: no acknowledgements, no dedup, no retry). In
 //!   [`CommsPolicy::Reliable`] mode it runs a full protocol: per-link
 //!   sequence numbers, receiver-side dedup, ack/retry with exponential
 //!   backoff under a retry budget, send timeouts, and per-peer
-//!   staleness tracking. Every retry, expiry, and partition
-//!   transition is recorded in the [`ExplanationLog`].
-//! * [`StalenessWeighted`] — a fusion rule that discounts peer-derived
-//!   knowledge by its age (weight `0.5^(age/half_life)`), so the
-//!   public self-model leans on fresh peers and falls back toward
-//!   priors for silent ones instead of trusting stale state.
+//!   staleness tracking, whose freshness weight `0.5^(age/half_life)`
+//!   tells a controller how far to trust what it last heard. Every
+//!   retry, expiry, and partition transition is recorded in the
+//!   [`ExplanationLog`].
+//! * [`CommandPlane`] — a controller and its agents over one network:
+//!   the controller's newest report from each agent, the order each
+//!   agent stands under and when to re-send it, and a view of the
+//!   channel that loses every frame to or from an agent that is down.
 //!
 //! Determinism contract: the layer itself consumes **no** randomness;
 //! all stochastic behaviour lives in the [`Channel`] implementation,
@@ -36,11 +37,10 @@
 //! free of per-message heap traffic. Payload bodies live once in a
 //! reference-counted slab shared by duplicates and retries, dedup
 //! uses a flat bitmap window, arrival outcomes are stored inline, and
-//! drained per-tick buffers are recycled. Callers that want the
-//! allocation-free delivery path use [`CommsNetwork::step_into`] with
-//! a reused buffer (`step` is a convenience wrapper that allocates
-//! the result `Vec`); `crates/bench/tests/zero_alloc.rs` enforces the
-//! contract with a counting allocator.
+//! drained per-tick buffers are recycled. [`CommsNetwork::step_into`]
+//! lands deliveries in a buffer the caller reuses;
+//! `crates/bench/tests/zero_alloc.rs` enforces the contract with a
+//! counting allocator.
 //!
 //! ```
 //! use selfaware::comms::{CommsNetwork, CommsPolicy, IdealChannel};
@@ -50,7 +50,8 @@
 //! let mut net: CommsNetwork<&str> = CommsNetwork::new(CommsPolicy::default());
 //! let mut log = ExplanationLog::new(64);
 //! net.send(&IdealChannel, 0, 1, "hello", Tick(0), &mut log);
-//! let got = net.step(&IdealChannel, Tick(0), &mut log);
+//! let mut got = Vec::new();
+//! net.step_into(&IdealChannel, Tick(0), &mut log, &mut got);
 //! assert_eq!(got.len(), 1);
 //! assert_eq!(got[0].payload, "hello");
 //! assert_eq!(net.stats().delivered, 1);
@@ -213,12 +214,6 @@ impl ChannelOutcome {
 pub trait Channel {
     /// Decides the fate of frame `seq` sent `src → dst` at `now`.
     fn transmit(&self, src: usize, dst: usize, seq: u64, now: Tick) -> ChannelOutcome;
-
-    /// True when the channel never loses, delays, duplicates, or
-    /// partitions (lets callers skip degraded-mode bookkeeping).
-    fn is_ideal(&self) -> bool {
-        false
-    }
 }
 
 /// The historical perfect network: every frame arrives once, in the
@@ -230,28 +225,25 @@ impl Channel for IdealChannel {
     fn transmit(&self, _src: usize, _dst: usize, _seq: u64, now: Tick) -> ChannelOutcome {
         ChannelOutcome::delivered(now)
     }
-
-    fn is_ideal(&self) -> bool {
-        true
-    }
 }
 
 /// A channel view that silences dead agents: a frame to or from an
 /// agent marked in `dead` is lost, otherwise `inner` decides. Ids past
-/// the end of `dead` never die.
+/// the end of `dead` never die, and with no agent dead the view
+/// transmits exactly as `inner`.
 ///
 /// This is the restore ordering for overlapping outage and partition
 /// windows: a partition healing while an agent is down re-opens the
 /// *link*, but nobody is home behind it, so retransmits and acks must
 /// keep dying until the outage itself lifts.
-pub struct AgentLiveChannel<'a, C: Channel + ?Sized> {
+struct AgentLiveChannel<C> {
     /// The channel live agents talk over.
-    pub inner: &'a C,
+    inner: C,
     /// Per-agent death flags for the current tick.
-    pub dead: &'a [bool],
+    dead: Vec<bool>,
 }
 
-impl<C: Channel + ?Sized> Channel for AgentLiveChannel<'_, C> {
+impl<C: Channel> Channel for AgentLiveChannel<C> {
     fn transmit(&self, src: usize, dst: usize, seq: u64, now: Tick) -> ChannelOutcome {
         let gone = |id: usize| self.dead.get(id).copied().unwrap_or(false);
         if gone(src) || gone(dst) {
@@ -405,7 +397,7 @@ impl CommsStats {
     }
 }
 
-/// A message delivered by [`CommsNetwork::step`].
+/// A message delivered by [`CommsNetwork::step_into`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivered<M> {
     /// Original sender.
@@ -622,8 +614,19 @@ pub struct CommsNetwork<M> {
 
 impl<M: Clone> CommsNetwork<M> {
     /// Creates an empty network under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reliable policy's `half_life` is not strictly
+    /// positive.
     #[must_use]
     pub fn new(policy: CommsPolicy) -> Self {
+        if let CommsPolicy::Reliable(cfg) = policy {
+            assert!(
+                cfg.half_life.is_finite() && cfg.half_life > 0.0,
+                "half_life must be positive"
+            );
+        }
         Self {
             policy,
             seq: BTreeMap::new(),
@@ -649,36 +652,18 @@ impl<M: Clone> CommsNetwork<M> {
     /// footprint) is withheld. The network consumes no randomness
     /// either way. Each retransmission launched counts one
     /// `CommsRetry` fire in the ledger of the log handed to
-    /// [`CommsNetwork::step`].
-    pub fn set_mask(&mut self, mask: InterventionMask) {
-        self.mask = mask;
-    }
-
-    /// Builder-style [`CommsNetwork::set_mask`].
+    /// [`CommsNetwork::step_into`].
     #[must_use]
     pub fn with_mask(mut self, mask: InterventionMask) -> Self {
-        self.set_mask(mask);
+        self.mask = mask;
         self
     }
 
-    /// The active policy.
-    #[must_use]
-    pub fn policy(&self) -> &CommsPolicy {
-        &self.policy
-    }
-
-    /// Lifetime counters. Cloned out — the per-link attribution maps
-    /// make [`CommsStats`] non-`Copy`; use [`CommsNetwork::stats_ref`]
-    /// on hot paths.
+    /// Lifetime counters, cloned out: the per-link attribution maps
+    /// make [`CommsStats`] non-`Copy`.
     #[must_use]
     pub fn stats(&self) -> CommsStats {
         self.stats.clone()
-    }
-
-    /// Borrowed view of the lifetime counters (no clone).
-    #[must_use]
-    pub fn stats_ref(&self) -> &CommsStats {
-        &self.stats
     }
 
     /// Messages sent but not yet acknowledged (reliable mode).
@@ -708,20 +693,10 @@ impl<M: Clone> CommsNetwork<M> {
         if o.partitioned {
             self.stats.partition_hits += 1;
             if self.partitioned_links.insert((src, dst)) {
-                log.record(
-                    Explanation::new(now, "comms:partition")
-                        .link(src, dst)
-                        .because("src", src as f64)
-                        .because("dst", dst as f64),
-                );
+                log.record(Explanation::new(now, "comms:partition").link(src, dst));
             }
         } else if self.partitioned_links.remove(&(src, dst)) {
-            log.record(
-                Explanation::new(now, "comms:heal")
-                    .link(src, dst)
-                    .because("src", src as f64)
-                    .because("dst", dst as f64),
-            );
+            log.record(Explanation::new(now, "comms:heal").link(src, dst));
         }
         o
     }
@@ -805,25 +780,11 @@ impl<M: Clone> CommsNetwork<M> {
     /// Advances the protocol one tick: lands acks, delivers due
     /// frames (deduped in reliable mode, acknowledged back through
     /// the same lossy channel), retries what the backoff says is due,
-    /// and expires what is out of budget or past its timeout. Returns
-    /// the messages that reached their receiver this tick, in
-    /// deterministic (arrival, send-order) order.
-    pub fn step<C: Channel + ?Sized>(
-        &mut self,
-        ch: &C,
-        now: Tick,
-        log: &mut ExplanationLog,
-    ) -> Vec<Delivered<M>> {
-        let mut out = Vec::new();
-        self.step_into(ch, now, log, &mut out);
-        out
-    }
-
-    /// Like [`CommsNetwork::step`], but appends deliveries to a
-    /// caller-supplied buffer instead of allocating a fresh `Vec`
-    /// (`out` is *not* cleared first). With a reused buffer the
-    /// steady-state send/deliver/ack cycle performs no heap
-    /// allocation per message.
+    /// and expires what is out of budget or past its timeout. Appends
+    /// the messages that reached their receiver this tick to `out`
+    /// (not cleared first), in deterministic (arrival, send-order)
+    /// order; with a reused buffer the steady-state send/deliver/ack
+    /// cycle performs no heap allocation per message.
     pub fn step_into<C: Channel + ?Sized>(
         &mut self,
         ch: &C,
@@ -1070,73 +1031,263 @@ impl<M: Clone> CommsNetwork<M> {
     }
 
     /// The staleness discount `observer` should apply to knowledge
-    /// about `peer` (1.0 = fresh). Naive mode never discounts — it
-    /// has no staleness model at all.
+    /// about `peer`: `0.5^(staleness/half_life)`, 1.0 when fresh.
+    /// Naive mode never discounts — it has no staleness model at all.
     #[must_use]
     pub fn freshness(&self, observer: usize, peer: usize, now: Tick) -> f64 {
         match self.policy {
             CommsPolicy::Naive => 1.0,
             CommsPolicy::Reliable(cfg) => {
-                StalenessWeighted::new(cfg.half_life).weight(self.staleness(observer, peer, now))
+                0.5_f64.powf(self.staleness(observer, peer, now) as f64 / cfg.half_life)
             }
         }
     }
 }
 
-/// Age-discounting fusion: weight `0.5^(age/half_life)` per item.
-///
-/// ```
-/// use selfaware::comms::StalenessWeighted;
-///
-/// let rule = StalenessWeighted::new(10.0);
-/// assert!((rule.weight(0) - 1.0).abs() < 1e-12);
-/// assert!((rule.weight(10) - 0.5).abs() < 1e-12);
-/// // A fresh 4.0 and a very stale 100.0 fuse close to the fresh one.
-/// let fused = rule.fuse([(4.0, 0), (100.0, 80)]).unwrap();
-/// assert!(fused < 5.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StalenessWeighted {
-    half_life: f64,
+/// When a [`CommandPlane`] re-sends an agent's standing order although
+/// it has not changed. Each plane that gives orders picks one in code.
+pub enum Reissue<R, O> {
+    /// Every `period` ticks, phased by agent id: agent `a` at the ticks
+    /// `t` with `t % period == a % period`, under either comms policy.
+    Periodic {
+        /// Ticks between re-sends.
+        period: u64,
+    },
+    /// While the agent's newest report contradicts the order, once
+    /// `after` ticks have passed since the order was issued. Only a
+    /// staleness-aware plane re-issues: a naive controller assumes its
+    /// orders land.
+    OnContradiction {
+        /// Ticks an order stands before it may be re-sent.
+        after: u64,
+        /// Whether a report contradicts an order.
+        contradicts: fn(&R, &O) -> bool,
+    },
 }
 
-impl StalenessWeighted {
-    /// Creates the rule; `half_life` is in ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half_life` is not strictly positive.
-    #[must_use]
-    pub fn new(half_life: f64) -> Self {
-        assert!(
-            half_life.is_finite() && half_life > 0.0,
-            "half_life must be positive"
-        );
-        Self { half_life }
-    }
+/// Why [`CommandPlane::command`] sends an order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Issue {
+    /// The order differs from the agent's standing order.
+    Change,
+    /// The unchanged standing order, re-sent under the [`Reissue`] rule.
+    Reissue,
+}
 
-    /// The weight of an item `age` ticks old.
-    #[must_use]
-    pub fn weight(&self, age: u64) -> f64 {
-        0.5_f64.powf(age as f64 / self.half_life)
-    }
+/// What a command plane's network carries.
+#[derive(Debug, Clone)]
+enum Frame<R, O> {
+    Report(R),
+    Order(O),
+}
 
-    /// Discounts `value` toward `prior` according to its age.
-    #[must_use]
-    pub fn blend(&self, value: f64, prior: f64, age: u64) -> f64 {
-        let w = self.weight(age);
-        w * value + (1.0 - w) * prior
-    }
+/// Whether `seq` is newer than a watermark: a delayed or duplicated
+/// frame older than the newest one landed must not roll state back.
+fn newer(watermark: Option<u64>, seq: u64) -> bool {
+    watermark.is_none_or(|s| seq > s)
+}
 
-    /// Weighted mean of `(value, age)` items; `None` when empty.
-    pub fn fuse(&self, items: impl IntoIterator<Item = (f64, u64)>) -> Option<f64> {
-        let (mut num, mut den) = (0.0, 0.0);
-        for (v, age) in items {
-            let w = self.weight(age);
-            num += w * v;
-            den += w;
+/// A controller and its agents over one [`CommsNetwork`]: reports `R`
+/// flow from the agents to the controller, orders `O` from the
+/// controller. Comms ids `0..agents` are the agents, `agents` is the
+/// controller, and a higher id may receive orders too.
+///
+/// The plane is the controller's public self-awareness (paper §IV):
+/// what each agent last reported, and which order each stands under.
+/// It keeps each agent's dead flag, and every frame crosses a view of
+/// the channel that loses frames to and from a dead agent (with none
+/// dead, the view transmits exactly as the channel); the newest report
+/// from each agent, which an older one never overwrites; each
+/// destination's order watermark, which only an order the caller
+/// applies advances; and each agent's standing order, the tick it was
+/// issued and the [`Reissue`] rule. What a report carries and what a
+/// landed order does stay with the caller.
+///
+/// ```
+/// use selfaware::comms::{CommandPlane, CommsPolicy, IdealChannel};
+/// use selfaware::explain::ExplanationLog;
+/// use selfaware::replay::InterventionMask;
+/// use simkernel::Tick;
+///
+/// // Two agents report a load; the controller starts believing 0.
+/// let policy = CommsPolicy::default();
+/// let mask = InterventionMask::allow_all();
+/// let mut plane = CommandPlane::new(policy, mask, IdealChannel, vec![0, 0]);
+/// let mut log = ExplanationLog::new(16);
+/// plane.send_report(1, 7, Tick(0), &mut log);
+/// plane.step(Tick(0), &mut log, |_, ()| true);
+/// assert_eq!(plane.reports(), &[0, 7]);
+/// ```
+pub struct CommandPlane<R, O, C> {
+    net: CommsNetwork<Frame<R, O>>,
+    channel: AgentLiveChannel<C>,
+    /// Delivery buffer reused every tick.
+    inbox: Vec<Delivered<Frame<R, O>>>,
+    reports: Vec<R>,
+    report_seq: Vec<Option<u64>>,
+    order_seq: Vec<Option<u64>>,
+    standing: Vec<Option<O>>,
+    issued_at: Vec<u64>,
+    reissue: Option<Reissue<R, O>>,
+}
+
+impl<R: Clone, O: Clone + PartialEq, C: Channel> CommandPlane<R, O, C> {
+    /// A plane of one agent per entry of `reports`, each entry the
+    /// controller's belief until that agent's first report lands. No
+    /// agent has a standing order, and without
+    /// [`CommandPlane::with_orders`] none is ever re-issued.
+    #[must_use]
+    pub fn new(policy: CommsPolicy, mask: InterventionMask, channel: C, reports: Vec<R>) -> Self {
+        let agents = reports.len();
+        Self {
+            net: CommsNetwork::new(policy).with_mask(mask),
+            channel: AgentLiveChannel {
+                inner: channel,
+                dead: vec![false; agents],
+            },
+            inbox: Vec::new(),
+            reports,
+            report_seq: vec![None; agents],
+            order_seq: vec![None; agents],
+            standing: vec![None; agents],
+            issued_at: vec![0; agents],
+            reissue: None,
         }
-        (den > 1e-12).then(|| num / den)
+    }
+
+    /// Gives every agent `standing` as its standing order (`None`: no
+    /// order yet), which [`CommandPlane::command`] re-sends under
+    /// `reissue`.
+    #[must_use]
+    pub fn with_orders(mut self, reissue: Reissue<R, O>, standing: Option<O>) -> Self {
+        self.standing.fill(standing);
+        self.reissue = Some(reissue);
+        self
+    }
+
+    /// The controller's comms id.
+    fn controller(&self) -> usize {
+        self.reports.len()
+    }
+
+    /// Marks `agent` dead or alive for this tick.
+    pub fn set_dead(&mut self, agent: usize, dead: bool) {
+        self.channel.dead[agent] = dead;
+    }
+
+    /// Sends `report` from `agent` to the controller, unless the agent
+    /// is dead.
+    pub fn send_report(&mut self, agent: usize, report: R, now: Tick, log: &mut ExplanationLog) {
+        if !self.channel.dead[agent] {
+            let (ch, ctrl) = (&self.channel, self.controller());
+            self.net
+                .send(ch, agent, ctrl, Frame::Report(report), now, log);
+        }
+    }
+
+    /// Sends `order` from the controller to `dst` once, outside any
+    /// standing order.
+    pub fn send_order(&mut self, dst: usize, order: O, now: Tick, log: &mut ExplanationLog) {
+        let (ch, ctrl) = (&self.channel, self.controller());
+        self.net.send(ch, ctrl, dst, Frame::Order(order), now, log);
+    }
+
+    /// Makes `order` the standing order of `agent`. It is sent when it
+    /// changes the standing order or, unchanged, when the [`Reissue`]
+    /// rule says it is due and the mask allows `CommsReissue`, which
+    /// then counts one fire. Just before the send, `note` gets why the
+    /// order goes out and the agent's newest report, so the caller's
+    /// records precede any the send makes.
+    pub fn command(
+        &mut self,
+        agent: usize,
+        order: O,
+        now: Tick,
+        log: &mut ExplanationLog,
+        note: impl FnOnce(Issue, &R, &mut ExplanationLog),
+    ) {
+        let due = self.net.mask.allows(InterventionClass::CommsReissue)
+            && match &self.reissue {
+                Some(Reissue::Periodic { period }) => now.0 % period == agent as u64 % period,
+                Some(Reissue::OnContradiction { after, contradicts }) => {
+                    !self.net.policy.is_naive()
+                        && contradicts(&self.reports[agent], &order)
+                        && now.0.saturating_sub(self.issued_at[agent]) >= *after
+                }
+                None => false,
+            };
+        let issue = if self.standing[agent].as_ref() != Some(&order) {
+            Issue::Change
+        } else if due {
+            log.fired(InterventionClass::CommsReissue);
+            Issue::Reissue
+        } else {
+            return;
+        };
+        note(issue, &self.reports[agent], log);
+        let (ch, ctrl) = (&self.channel, self.controller());
+        self.net
+            .send(ch, ctrl, agent, Frame::Order(order.clone()), now, log);
+        self.standing[agent] = Some(order);
+        self.issued_at[agent] = now.0;
+    }
+
+    /// A one-shot probe from the controller to `agent`; true when it
+    /// lands this tick (see [`CommsNetwork::fire_once`]).
+    pub fn probe(&mut self, agent: usize, now: Tick, log: &mut ExplanationLog) -> bool {
+        let (ch, ctrl) = (&self.channel, self.controller());
+        self.net.fire_once(ch, ctrl, agent, now, log)
+    }
+
+    /// Advances the network one tick and lands what arrives. A report
+    /// newer than the controller's newest from its agent replaces it.
+    /// An order newer than its destination's watermark goes to
+    /// `apply(dst, order)`, which says whether the destination applied
+    /// it; only an applied order advances the watermark.
+    pub fn step(
+        &mut self,
+        now: Tick,
+        log: &mut ExplanationLog,
+        mut apply: impl FnMut(usize, O) -> bool,
+    ) {
+        self.net.step_into(&self.channel, now, log, &mut self.inbox);
+        for d in self.inbox.drain(..) {
+            match d.payload {
+                Frame::Report(report) => {
+                    if newer(self.report_seq[d.src], d.seq) {
+                        self.report_seq[d.src] = Some(d.seq);
+                        self.reports[d.src] = report;
+                    }
+                }
+                Frame::Order(order) => {
+                    if d.dst >= self.order_seq.len() {
+                        self.order_seq.resize(d.dst + 1, None);
+                    }
+                    if newer(self.order_seq[d.dst], d.seq) && apply(d.dst, order) {
+                        self.order_seq[d.dst] = Some(d.seq);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The controller's newest report from each agent, by id.
+    #[must_use]
+    pub fn reports(&self) -> &[R] {
+        &self.reports
+    }
+
+    /// How far the controller trusts what it last heard from `agent`
+    /// (see [`CommsNetwork::freshness`]).
+    #[must_use]
+    pub fn freshness(&self, agent: usize, now: Tick) -> f64 {
+        self.net.freshness(self.controller(), agent, now)
+    }
+
+    /// The network's lifetime counters.
+    #[must_use]
+    pub fn stats(&self) -> &CommsStats {
+        &self.net.stats
     }
 }
 
@@ -1172,12 +1323,24 @@ mod tests {
         ExplanationLog::new(128)
     }
 
+    /// One protocol tick, returning what was delivered.
+    fn step<M: Clone, C: Channel>(
+        net: &mut CommsNetwork<M>,
+        ch: &C,
+        now: Tick,
+        l: &mut ExplanationLog,
+    ) -> Vec<Delivered<M>> {
+        let mut out = Vec::new();
+        net.step_into(ch, now, l, &mut out);
+        out
+    }
+
     #[test]
     fn ideal_channel_delivers_same_tick() {
         let mut net: CommsNetwork<u32> = CommsNetwork::new(CommsPolicy::default());
         let mut l = log();
         net.send(&IdealChannel, 0, 1, 42, Tick(3), &mut l);
-        let got = net.step(&IdealChannel, Tick(3), &mut l);
+        let got = step(&mut net, &IdealChannel, Tick(3), &mut l);
         assert_eq!(got.len(), 1);
         assert_eq!((got[0].src, got[0].dst, got[0].payload), (0, 1, 42));
         // Ack lands the same tick too: nothing pending afterwards.
@@ -1194,10 +1357,10 @@ mod tests {
         let mut net: CommsNetwork<u32> = CommsNetwork::new(CommsPolicy::default());
         let mut l = log();
         net.send(&ch, 0, 1, 7, Tick(0), &mut l);
-        assert!(net.step(&ch, Tick(0), &mut l).is_empty());
-        assert!(net.step(&ch, Tick(1), &mut l).is_empty());
+        assert!(step(&mut net, &ch, Tick(0), &mut l).is_empty());
+        assert!(step(&mut net, &ch, Tick(1), &mut l).is_empty());
         // Backoff 2 -> retry fires at t2 with attempt 1 and lands.
-        let got = net.step(&ch, Tick(2), &mut l);
+        let got = step(&mut net, &ch, Tick(2), &mut l);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, 7);
         assert_eq!(net.stats().retries, 1);
@@ -1219,15 +1382,15 @@ mod tests {
         let mut net: CommsNetwork<u32> = CommsNetwork::new(CommsPolicy::default());
         let mut l = log();
         net.send(&Dup, 0, 1, 9, Tick(0), &mut l);
-        assert_eq!(net.step(&Dup, Tick(0), &mut l).len(), 1);
-        assert!(net.step(&Dup, Tick(1), &mut l).is_empty());
+        assert_eq!(step(&mut net, &Dup, Tick(0), &mut l).len(), 1);
+        assert!(step(&mut net, &Dup, Tick(1), &mut l).is_empty());
         assert_eq!(net.stats().duplicates, 1);
 
         // Naive mode happily double-delivers.
         let mut naive: CommsNetwork<u32> = CommsNetwork::new(CommsPolicy::Naive);
         naive.send(&Dup, 0, 1, 9, Tick(0), &mut l);
-        assert_eq!(naive.step(&Dup, Tick(0), &mut l).len(), 1);
-        assert_eq!(naive.step(&Dup, Tick(1), &mut l).len(), 1);
+        assert_eq!(step(&mut naive, &Dup, Tick(0), &mut l).len(), 1);
+        assert_eq!(step(&mut naive, &Dup, Tick(1), &mut l).len(), 1);
     }
 
     #[test]
@@ -1238,7 +1401,7 @@ mod tests {
         let mut l = log();
         net.send(&ch, 0, 1, 5, Tick(0), &mut l);
         for t in 0..50 {
-            assert!(net.step(&ch, Tick(t), &mut l).is_empty());
+            assert!(step(&mut net, &ch, Tick(t), &mut l).is_empty());
         }
         assert_eq!(net.stats().retries, 0);
         assert_eq!(net.stats().sent, 1);
@@ -1259,7 +1422,7 @@ mod tests {
         let mut l = log();
         net.send(&ch, 2, 3, 1, Tick(0), &mut l);
         for t in 0..40 {
-            net.step(&ch, Tick(t), &mut l);
+            step(&mut net, &ch, Tick(t), &mut l);
         }
         assert_eq!(net.stats().expired, 1);
         assert_eq!(net.unacked(), 0);
@@ -1301,7 +1464,7 @@ mod tests {
         let mut l = log();
         net.send(&ch, 7, 8, 1, Tick(0), &mut l);
         for t in 0..20 {
-            net.step(&ch, Tick(t), &mut l);
+            step(&mut net, &ch, Tick(t), &mut l);
         }
         let s = net.stats();
         assert_eq!(s.expired, 1);
@@ -1312,7 +1475,7 @@ mod tests {
         // attribution to other links.
         ch.partition_all = false;
         net.send(&ch, 8, 7, 2, Tick(30), &mut l);
-        net.step(&ch, Tick(30), &mut l);
+        step(&mut net, &ch, Tick(30), &mut l);
         assert_eq!(net.stats().link_expired(8, 7), 0);
         assert!(s.to_json().get("expired_by_link").is_some());
     }
@@ -1334,10 +1497,10 @@ mod tests {
         let mut net: CommsNetwork<u32> = CommsNetwork::new(CommsPolicy::default());
         let mut l = log();
         net.send(&AckDrop, 0, 1, 3, Tick(0), &mut l);
-        assert_eq!(net.step(&AckDrop, Tick(0), &mut l).len(), 1);
+        assert_eq!(step(&mut net, &AckDrop, Tick(0), &mut l).len(), 1);
         assert_eq!(net.unacked(), 1);
-        net.step(&AckDrop, Tick(1), &mut l);
-        net.step(&AckDrop, Tick(2), &mut l);
+        step(&mut net, &AckDrop, Tick(1), &mut l);
+        step(&mut net, &AckDrop, Tick(2), &mut l);
         assert_eq!(net.stats().duplicates, 1);
         assert_eq!(net.unacked(), 0);
         assert_eq!(net.stats().delivered, 1);
@@ -1372,12 +1535,216 @@ mod tests {
         assert!((f - 0.5).abs() < 1e-12, "{f}");
     }
 
+    /// A channel that delivers each listed wire frame at the given
+    /// delays (several = duplicates) and every other frame at once.
+    #[derive(Default)]
+    struct Delays(BTreeMap<(usize, usize, u64), Vec<u64>>);
+
+    impl Channel for Delays {
+        fn transmit(&self, src: usize, dst: usize, seq: u64, now: Tick) -> ChannelOutcome {
+            let delays = self.0.get(&(src, dst, seq)).map_or(&[0][..], Vec::as_slice);
+            ChannelOutcome {
+                arrivals: delays.iter().map(|d| Tick(now.0 + d)).collect(),
+                partitioned: false,
+            }
+        }
+    }
+
+    fn plane<C: Channel>(
+        policy: CommsPolicy,
+        mask: InterventionMask,
+        channel: C,
+        reports: Vec<u32>,
+    ) -> CommandPlane<u32, u32, C> {
+        CommandPlane::new(policy, mask, channel, reports)
+    }
+
     #[test]
-    fn staleness_weighted_fuse_handles_empty() {
-        let rule = StalenessWeighted::new(5.0);
-        assert_eq!(rule.fuse([]), None);
-        let b = rule.blend(10.0, 0.0, 5);
-        assert!((b - 5.0).abs() < 1e-12);
+    fn older_and_duplicate_reports_never_overwrite_newer_ones() {
+        for policy in [CommsPolicy::Naive, CommsPolicy::default()] {
+            // Agent 0's first report (seq 0) lands late and twice; its
+            // second (seq 1) overtakes it. A reliable plane also
+            // retransmits the first one at tick 2.
+            let mut ch = Delays::default();
+            ch.0.insert((0, 1, 0), vec![3, 5]);
+            let mut p = plane(policy, InterventionMask::allow_all(), ch, vec![0]);
+            let mut l = log();
+            let mut seen = Vec::new();
+            for t in 0..7 {
+                let report = [Some(10), Some(20)].get(t as usize).copied().flatten();
+                if let Some(r) = report {
+                    p.send_report(0, r, Tick(t), &mut l);
+                }
+                p.step(Tick(t), &mut l, |_, _| true);
+                seen.push(p.reports()[0]);
+            }
+            assert_eq!(seen, [0, 20, 20, 20, 20, 20, 20], "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_declined_order_does_not_advance_the_watermark() {
+        // Every order arrives twice, one tick apart; the naive policy
+        // hands both copies up.
+        let mut ch = Delays::default();
+        ch.0.insert((1, 0, 0), vec![0, 1]);
+        ch.0.insert((1, 0, 1), vec![0, 1]);
+        let mut p = plane(
+            CommsPolicy::Naive,
+            InterventionMask::allow_all(),
+            ch,
+            vec![0],
+        );
+        let mut l = log();
+        let mut offered = Vec::new();
+        for t in 0..4 {
+            if t % 2 == 0 {
+                p.send_order(0, 7 + t as u32, Tick(t), &mut l);
+            }
+            // The destination declines the first copy it is offered.
+            p.step(Tick(t), &mut l, |dst, order| {
+                offered.push((t, dst, order));
+                t > 0
+            });
+        }
+        // The declined copy left the watermark alone, so the duplicate
+        // was offered again; the applied order's duplicate was not.
+        assert_eq!(offered, [(0, 0, 7), (1, 0, 7), (2, 0, 9)]);
+    }
+
+    #[test]
+    fn periodic_reissue_fires_on_its_phase_and_never_when_masked() {
+        let rule = || Reissue::Periodic { period: 4 };
+        let masked = InterventionMask::suppressing(InterventionClass::CommsReissue);
+        for mask in [InterventionMask::allow_all(), masked] {
+            let mut p = plane(CommsPolicy::default(), mask, IdealChannel, vec![0; 3])
+                .with_orders(rule(), Some(0));
+            let mut l = log();
+            let mut issued = Vec::new();
+            for t in 0..12 {
+                for z in 0..3 {
+                    p.command(z, 0, Tick(t), &mut l, |why, _, _| issued.push((t, z, why)));
+                }
+                p.step(Tick(t), &mut l, |_, _| true);
+            }
+            p.command(1, 5, Tick(12), &mut l, |why, _, _| {
+                issued.push((12, 1, why))
+            });
+            let mut want: Vec<(u64, usize, Issue)> = Vec::new();
+            if mask.allows(InterventionClass::CommsReissue) {
+                for t in 0..12 {
+                    want.extend(
+                        (0..3)
+                            .filter(|z| t % 4 == z % 4)
+                            .map(|z| (t, z as usize, Issue::Reissue)),
+                    );
+                }
+            }
+            want.push((12, 1, Issue::Change));
+            assert_eq!(issued, want);
+            assert_eq!(
+                l.fires(InterventionClass::CommsReissue),
+                want.len() as u64 - 1
+            );
+            assert_eq!(p.stats().sent, want.len() as u64);
+        }
+    }
+
+    #[test]
+    fn contradiction_reissue_waits_out_its_interval_and_stops_on_agreement() {
+        let rule = || Reissue::OnContradiction {
+            after: 40,
+            contradicts: |report: &u32, order: &u32| report != order,
+        };
+        let masked = InterventionMask::suppressing(InterventionClass::CommsReissue);
+        for (policy, mask, reissues) in [
+            (
+                CommsPolicy::default(),
+                InterventionMask::allow_all(),
+                vec![40, 80],
+            ),
+            (CommsPolicy::Naive, InterventionMask::allow_all(), vec![]),
+            (CommsPolicy::default(), masked, vec![]),
+        ] {
+            // The agent reports 5 until tick 81, then the ordered 3.
+            let mut p = plane(policy, mask, IdealChannel, vec![5]).with_orders(rule(), None);
+            let mut l = log();
+            let mut issued = Vec::new();
+            for t in 0..200 {
+                p.command(0, 3, Tick(t), &mut l, |why, &report, _| {
+                    issued.push((t, why, report));
+                });
+                if t == 81 {
+                    p.send_report(0, 3, Tick(t), &mut l);
+                }
+                p.step(Tick(t), &mut l, |_, _| true);
+            }
+            let mut want = vec![(0, Issue::Change, 5)];
+            want.extend(reissues.iter().map(|&t| (t, Issue::Reissue, 5)));
+            assert_eq!(issued, want, "{policy:?} {mask:?}");
+            assert_eq!(p.reports(), [3]);
+            assert_eq!(
+                l.fires(InterventionClass::CommsReissue),
+                reissues.len() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn with_no_agent_dead_the_view_transmits_as_its_channel() {
+        /// Loses, delays, duplicates and partitions by a hash of the
+        /// frame, so every kind of outcome occurs.
+        struct Hashed;
+        impl Channel for Hashed {
+            fn transmit(&self, src: usize, dst: usize, seq: u64, now: Tick) -> ChannelOutcome {
+                let h = (src as u64 * 31 + dst as u64 * 17 + seq * 7 + now.0 * 3) % 6;
+                match h {
+                    0 => ChannelOutcome::lost(),
+                    1 => ChannelOutcome {
+                        arrivals: Arrivals::new(),
+                        partitioned: true,
+                    },
+                    2 => ChannelOutcome::delivered(Tick(now.0 + h)),
+                    3 => ChannelOutcome {
+                        arrivals: [now, Tick(now.0 + 2)].into_iter().collect(),
+                        partitioned: false,
+                    },
+                    _ => ChannelOutcome::delivered(now),
+                }
+            }
+        }
+        let mut view = AgentLiveChannel {
+            inner: Hashed,
+            dead: vec![false; 3],
+        };
+        for (src, dst, seq, now) in
+            (0..5).flat_map(|s| (0..5).flat_map(move |d| (0..12).map(move |q| (s, d, q, q % 5))))
+        {
+            let now = Tick(now);
+            assert_eq!(
+                view.transmit(src, dst, seq, now),
+                Hashed.transmit(src, dst, seq, now)
+            );
+        }
+        view.dead[1] = true;
+        for other in [0, 2, 4] {
+            assert_eq!(view.transmit(1, other, 5, Tick(0)), ChannelOutcome::lost());
+            assert_eq!(view.transmit(other, 1, 5, Tick(0)), ChannelOutcome::lost());
+        }
+
+        // A dead agent sends no report, and a probe to it fails.
+        let mut p = plane(
+            CommsPolicy::default(),
+            InterventionMask::allow_all(),
+            IdealChannel,
+            vec![0; 2],
+        );
+        let mut l = log();
+        p.set_dead(1, true);
+        p.send_report(1, 9, Tick(0), &mut l);
+        assert_eq!(p.stats().sent, 0);
+        assert!(!p.probe(1, Tick(0), &mut l));
+        assert!(p.probe(0, Tick(0), &mut l));
     }
 
     #[test]
@@ -1457,7 +1824,7 @@ mod tests {
         let mut l = log();
         for t in 0..200u64 {
             net.send(&IdealChannel, 0, 1, t, Tick(t), &mut l);
-            let got = net.step(&IdealChannel, Tick(t), &mut l);
+            let got = step(&mut net, &IdealChannel, Tick(t), &mut l);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].payload, t);
         }

@@ -402,12 +402,12 @@ mod tests {
             (e(1499, "ladder:zone-dark").because("zone", 3.0).because("probe_failures", 3.0).because("bounce_evidence", 41.5),
              "t1499: chose `ladder:zone-dark` because zone=3, probe_failures=3, bounce_evidence=41.5",
              r#"{"tick":1499,"action":"ladder:zone-dark","factors":[["zone",3],["probe_failures",3],["bounce_evidence",41.5]]}"#),
-            (e(1300, "comms:partition").link(0, 3).because("src", 0.0).because("dst", 3.0),
-             "t1300: chose `comms:partition:0->3` because src=0, dst=3",
-             r#"{"tick":1300,"action":"comms:partition:0->3","factors":[["src",0],["dst",3]]}"#),
-            (e(1700, "comms:heal").link(0, 3).because("src", 0.0).because("dst", 3.0),
-             "t1700: chose `comms:heal:0->3` because src=0, dst=3",
-             r#"{"tick":1700,"action":"comms:heal:0->3","factors":[["src",0],["dst",3]]}"#),
+            (e(1300, "comms:partition").link(0, 3),
+             "t1300: chose `comms:partition:0->3`",
+             r#"{"tick":1300,"action":"comms:partition:0->3"}"#),
+            (e(1700, "comms:heal").link(0, 3),
+             "t1700: chose `comms:heal:0->3`",
+             r#"{"tick":1700,"action":"comms:heal:0->3"}"#),
             (e(120, "live:shed").because("queue", 212.0).because("queue_slope", 9.75).because("cap", 16.0).because("retry_after_ms", 325.125),
              "t120: chose `live:shed` because queue=212, queue_slope=9.75, cap=16, retry_after_ms=325.12",
              r#"{"tick":120,"action":"live:shed","factors":[["queue",212],["queue_slope",9.75],["cap",16],["retry_after_ms",325.125]]}"#),

@@ -16,8 +16,9 @@
 //!
 //! 1. **Public vs private self-awareness** — a self-aware node's
 //!    private knowledge is its own controller state; its public
-//!    knowledge is what it learns about peers over [`comms`], where
-//!    [`comms::StalenessWeighted`] discounts it by age.
+//!    knowledge is what it learns about peers over [`comms`]. A
+//!    [`comms::CommandPlane`] holds a controller's belief of its
+//!    agents: each one's newest report and the order it stands under.
 //! 2. **Levels of self-awareness** — [`levels::Level`] and
 //!    [`levels::LevelSet`] name the capability classes (stimulus,
 //!    interaction, time, goal, meta); the cloud substrate's self-aware
@@ -106,8 +107,8 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub mod prelude {
     pub use crate::attention::AttentionAllocator;
     pub use crate::comms::{
-        Arrivals, Channel, ChannelOutcome, CommsNetwork, CommsPolicy, CommsStats, Delivered,
-        IdealChannel, ReliableConfig, StalenessWeighted,
+        Arrivals, Channel, ChannelOutcome, CommandPlane, CommsNetwork, CommsPolicy, CommsStats,
+        Delivered, IdealChannel, ReliableConfig,
     };
     pub use crate::explain::{Explanation, ExplanationLog};
     pub use crate::goals::{Direction, Goal, Objective};

@@ -4,7 +4,7 @@
 use crate::graph::Graph;
 use crate::net::{self, Arrival, Env, Net, Policy};
 use crate::routing::{Routing, RoutingStrategy};
-use selfaware::comms::{CommsNetwork, CommsPolicy};
+use selfaware::comms::{CommandPlane, CommsPolicy};
 use selfaware::explain::ExplanationLog;
 use selfaware::replay::InterventionMask;
 use simkernel::obs;
@@ -237,8 +237,9 @@ pub struct CpnResult {
     /// Per-delivery end-to-end delay of background traffic over time —
     /// the F2 series.
     pub delay: TimeSeries,
-    /// Comms-layer events: retries, expiries, partitions, heals.
-    pub comms_log: ExplanationLog,
+    /// Comms-layer events (retries, expiries, partitions, heals) and
+    /// the routing supervisor's transitions.
+    pub log: ExplanationLog,
 }
 
 /// Runs a scenario. Metric keys:
@@ -262,7 +263,6 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     // while the model is benched — routes over a periodically
     // recomputed table instead.
     let mut routing = Routing::new(cfg.strategy, &graph, "cpn-routing", cfg.mask);
-    let mut supervision_log = ExplanationLog::new(512);
     let background_routes: Vec<(usize, usize)> = cfg
         .flows
         .iter()
@@ -276,24 +276,23 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
 
     // Control plane: every router reports its per-link queue lengths
     // to the routing controller (comms id `graph.len()`) each tick,
-    // over the configured channel. Routing decisions are computed
-    // from this *believed* state, not the live queues — on the ideal
-    // default the two are identical (a report sent at the end of tick
-    // t lands the same tick, and `maintain` at tick t+1 reads exactly
-    // what the live closure used to), so historical numbers are
-    // unchanged bit for bit. On a lossy channel the believed state
-    // goes stale, and the comms policy decides how routing copes.
-    let ctrl = graph.len();
-    let mut comms_net: CommsNetwork<QueueReport> = CommsNetwork::new(cfg.comms).with_mask(cfg.mask);
-    // Delivery buffer reused every tick (no per-tick allocation).
-    let mut comms_inbox: Vec<selfaware::comms::Delivered<QueueReport>> = Vec::new();
-    let mut comms_log = ExplanationLog::new(2048);
+    // over the configured channel; the controller sends no orders.
+    // Routing decisions are computed from this *believed* state, not
+    // the live queues — on the ideal default the two are identical (a
+    // report sent at the end of tick t lands the same tick, and
+    // `maintain` at tick t+1 reads exactly what the live closure used
+    // to), so historical numbers are unchanged bit for bit. On a lossy
+    // channel the believed state goes stale, and the comms policy
+    // decides how routing copes.
+    let mut plane: CommandPlane<QueueReport, (), _> = CommandPlane::new(
+        cfg.comms,
+        cfg.mask,
+        cfg.channel.clone(),
+        vec![[0; MAX_DEGREE]; graph.len()],
+    );
+    let mut log = ExplanationLog::new(2048);
     let ideal = cfg.channel.is_ideal();
     let aware = !cfg.comms.is_naive();
-    let mut believed: Vec<Vec<usize>> = (0..graph.len())
-        .map(|u| vec![0; graph.neighbours(u).len()])
-        .collect();
-    let mut last_report_seq: Vec<Option<u64>> = vec![None; graph.len()];
 
     let (attack_from, attack_to) = CpnConfig::attack_window(cfg.steps);
     let mut injected = 0u64;
@@ -334,19 +333,19 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         // is assumed jammed and routed around, rather than trusted to
         // still be as empty as its last report claimed.
         let cap = PLANE.queue_cap;
-        let discounted: Option<Vec<Vec<usize>>> = (!ideal && aware).then(|| {
-            believed
+        // Entries past a router's degree are never read.
+        let discounted: Option<Vec<QueueReport>> = (!ideal && aware).then(|| {
+            plane
+                .reports()
                 .iter()
                 .enumerate()
                 .map(|(u, row)| {
-                    let w = comms_net.freshness(ctrl, u, now);
-                    row.iter()
-                        .map(|&q| (w * q as f64 + (1.0 - w) * cap as f64).round() as usize)
-                        .collect()
+                    let w = plane.freshness(u, now);
+                    row.map(|q| (w * q as f64 + (1.0 - w) * cap as f64).round() as usize)
                 })
                 .collect()
         });
-        let effective = discounted.as_ref().unwrap_or(&believed);
+        let effective = discounted.as_deref().unwrap_or(plane.reports());
         let qlen = |u: usize, v: usize| {
             graph
                 .neighbours(u)
@@ -377,7 +376,11 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
             let cutoff = cap / 2;
             let congestion: Vec<f64> = effective
                 .iter()
-                .map(|row| row.iter().copied().max().unwrap_or(0))
+                .enumerate()
+                .map(|(u, row)| {
+                    let degree = graph.neighbours(u).len();
+                    row[..degree].iter().copied().max().unwrap_or(0)
+                })
                 .map(|c| if c >= cutoff { c as f64 } else { 0.0 })
                 .collect();
             routing.model_mut().set_congestion(&congestion);
@@ -437,41 +440,26 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         drop(act_span);
 
         // Control-plane exchange: each router reports its end-of-tick
-        // queue lengths; the delivery queue hands the controller
-        // whatever the channel let through (deduped and monotone —
-        // a delayed old report never overwrites a newer one).
+        // queue lengths; the plane hands the controller whatever the
+        // channel let through (deduped and monotone — a delayed old
+        // report never overwrites a newer one).
         if now.value().is_multiple_of(cfg.report_every) {
             for u in 0..graph.len() {
                 let mut report: QueueReport = [0; MAX_DEGREE];
                 for (entry, len) in report.iter_mut().zip(net.queue_lens(u)) {
                     *entry = len;
                 }
-                comms_net.send(&cfg.channel, u, ctrl, report, now, &mut comms_log);
+                plane.send_report(u, report, now, &mut log);
             }
         }
-        comms_inbox.clear();
-        comms_net.step_into(&cfg.channel, now, &mut comms_log, &mut comms_inbox);
-        for d in comms_inbox.drain(..) {
-            if d.dst == ctrl && last_report_seq[d.src].is_none_or(|s| d.seq > s) {
-                last_report_seq[d.src] = Some(d.seq);
-                let row = &mut believed[d.src];
-                let degree = row.len();
-                row.copy_from_slice(&d.payload[..degree]);
-            }
-        }
+        plane.step(now, &mut log, |_, ()| true);
 
         // Meta-self-awareness: score the model's best-case delay
         // estimates against realized deliveries and let the
         // supervisor checkpoint / roll back / bench the live router.
         let _decide_span = obs::span("cpn:decide");
         let tick_delay = (tick_delay_count > 0).then(|| tick_delay_sum / tick_delay_count as f64);
-        routing.supervise(
-            &graph,
-            now,
-            tick_delay,
-            &background_routes,
-            &mut supervision_log,
-        );
+        routing.supervise(&graph, now, tick_delay, &background_routes, &mut log);
     }
 
     let mut metrics = MetricSet::new();
@@ -502,7 +490,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));
-    let cs = comms_net.stats();
+    let cs = plane.stats();
     metrics.set("comms_sent", cs.sent as f64);
     metrics.set("comms_retries", cs.retries as f64);
     metrics.set("comms_expired", cs.expired as f64);
@@ -512,7 +500,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     CpnResult {
         metrics,
         delay: delay_series,
-        comms_log,
+        log,
     }
 }
 
@@ -700,7 +688,7 @@ mod tests {
             "30% report loss must trigger retransmissions"
         );
         assert!(
-            a.comms_log.iter().any(|e| e.kind == "comms:retry"),
+            a.log.iter().any(|e| e.kind == "comms:retry"),
             "retries must be explained"
         );
     }
@@ -783,5 +771,10 @@ mod tests {
             &SeedTree::new(13),
         );
         assert_eq!(sup.metrics, again.metrics, "supervised runs deterministic");
+        // The supervisor explains itself in the run's one log.
+        assert!(
+            sup.log.iter().any(|e| e.kind.starts_with("supervise:")),
+            "supervision must reach the run's log"
+        );
     }
 }

@@ -611,9 +611,9 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A deterministic lossy-channel plan: per-link drop, duplication and
-/// delay probabilities plus scheduled partitions, derived purely from
-/// a [`SeedTree`].
+/// A deterministic lossy-channel plan: one [`LinkModel`] of drop,
+/// duplication and delay probabilities for every link, plus scheduled
+/// partitions, derived purely from a [`SeedTree`].
 ///
 /// Unlike the RNG-stream disturbances elsewhere in this crate, the
 /// channel consumes **no** stream state: every decision is a stateless
@@ -645,7 +645,6 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct ChannelPlan {
     salt: u64,
     default: LinkModel,
-    overrides: Vec<(usize, usize, LinkModel)>,
     partitions: Vec<NetPartition>,
 }
 
@@ -663,7 +662,6 @@ impl ChannelPlan {
         Self {
             salt: 0,
             default: LinkModel::ideal(),
-            overrides: Vec::new(),
             partitions: Vec::new(),
         }
     }
@@ -681,13 +679,12 @@ impl ChannelPlan {
         Self {
             salt: seeds.rng("channel-plan").gen::<u64>(),
             default: model,
-            overrides: Vec::new(),
             partitions: Vec::new(),
         }
     }
 
-    /// Replaces the default (all-links) model, keeping the salt, link
-    /// overrides and scheduled partitions (builder style).
+    /// Replaces the all-links model, keeping the salt and scheduled
+    /// partitions (builder style).
     ///
     /// # Panics
     ///
@@ -696,19 +693,6 @@ impl ChannelPlan {
     pub fn with_default(mut self, model: LinkModel) -> Self {
         model.validate();
         self.default = model;
-        self
-    }
-
-    /// Overrides the model for the directed link `src → dst` (builder
-    /// style; the last override for a link wins).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probability in `model` is outside `[0, 1]`.
-    #[must_use]
-    pub fn with_link(mut self, src: usize, dst: usize, model: LinkModel) -> Self {
-        model.validate();
-        self.overrides.push((src, dst, model));
         self
     }
 
@@ -724,25 +708,11 @@ impl ChannelPlan {
         self
     }
 
-    /// The scheduled partitions.
-    #[must_use]
-    pub fn partitions(&self) -> &[NetPartition] {
-        &self.partitions
-    }
-
     /// Whether the `src → dst` link is inside any partition window at
     /// `t`.
     #[must_use]
     pub fn partitioned_at(&self, src: usize, dst: usize, t: Tick) -> bool {
         self.partitions.iter().any(|p| p.cuts(src, dst, t))
-    }
-
-    fn model_for(&self, src: usize, dst: usize) -> &LinkModel {
-        self.overrides
-            .iter()
-            .rev()
-            .find(|(s, d, _)| *s == src && *d == dst)
-            .map_or(&self.default, |(_, _, m)| m)
     }
 
     /// A uniform hash in `[0, 1)` for one named decision about one
@@ -759,9 +729,7 @@ impl ChannelPlan {
     /// partitions.
     #[must_use]
     pub fn is_ideal(&self) -> bool {
-        self.default.is_ideal()
-            && self.overrides.iter().all(|(_, _, m)| m.is_ideal())
-            && self.partitions.is_empty()
+        self.default.is_ideal() && self.partitions.is_empty()
     }
 }
 
@@ -781,7 +749,7 @@ impl Channel for ChannelPlan {
                 partitioned: true,
             };
         }
-        let m = self.model_for(src, dst);
+        let m = &self.default;
         if m.is_ideal() {
             return ChannelOutcome::delivered(now);
         }
@@ -803,10 +771,6 @@ impl Channel for ChannelPlan {
             arrivals,
             partitioned: false,
         }
-    }
-
-    fn is_ideal(&self) -> bool {
-        ChannelPlan::is_ideal(self)
     }
 }
 
@@ -916,8 +880,7 @@ impl FaultCampaign {
         self
     }
 
-    /// Replaces the channel plan wholesale (for link-level overrides
-    /// built directly on [`ChannelPlan`]).
+    /// Replaces the channel plan wholesale.
     #[must_use]
     pub fn with_channel(mut self, channel: ChannelPlan) -> Self {
         self.channel = channel;
@@ -1196,21 +1159,6 @@ mod tests {
         );
         assert!(!plan.transmit(0, 5, 3, Tick(70)).partitioned, "window over");
         assert!(plan.transmit(0, 5, 3, Tick(70)).arrives_at(Tick(70)));
-    }
-
-    #[test]
-    fn channel_plan_link_overrides_win() {
-        let plan = ChannelPlan::uniform(&SeedTree::new(2), LinkModel::lossy(1.0)).with_link(
-            3,
-            4,
-            LinkModel::ideal(),
-        );
-        assert!(plan.transmit(0, 1, 7, Tick(0)).arrivals.is_empty());
-        assert!(plan.transmit(3, 4, 7, Tick(0)).arrives_at(Tick(0)));
-        assert!(
-            plan.transmit(4, 3, 7, Tick(0)).arrivals.is_empty(),
-            "overrides are directional"
-        );
     }
 
     #[test]
