@@ -11,6 +11,16 @@ cd "$(dirname "$0")"
 echo "==> cargo build --locked --release --offline"
 cargo build --locked --release --offline
 
+# The examples: `cargo test` only compiles them, so run each one once
+# (well under a second together); a panic or non-zero exit fails here.
+echo "==> cargo build --locked --release --offline --examples"
+cargo build --locked --release --offline --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "==> example $name"
+    "${CARGO_TARGET_DIR:-target}/release/examples/$name" > /dev/null
+done
+
 # Pin property-test case counts so the gate's coverage is the same on
 # every machine (the vendored proptest reads PROPTEST_CASES).
 export PROPTEST_CASES="${PROPTEST_CASES:-64}"

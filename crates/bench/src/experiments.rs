@@ -1,5 +1,12 @@
-//! Experiment implementations (T1–T6, F1–F4). See EXPERIMENTS.md for
-//! the claim each one tests and the expected shape.
+//! Experiment implementations: the tables and figures T1–T6, F1–F12
+//! and A1–A3. See EXPERIMENTS.md for the claim each one tests and the
+//! expected shape.
+//!
+//! An experiment whose table has one row per arm is a [`Matrix`]: its
+//! seed, title, arms with their labels, scenario and [`Column`]s.
+//! [`Matrix::run`] runs it, writes its [`RunTrace`] and renders it.
+//! F4 also draws its figure from the reports [`Matrix::run`] returns.
+//! The others (F1–F3, T5, F9b, F10–F12) build their own output.
 
 use selfaware::collective::{centralized_estimate, hierarchical_estimate, GossipNetwork};
 use selfaware::goals::Direction;
@@ -178,6 +185,106 @@ impl RunTrace<'_> {
     }
 }
 
+/// One column of a [`Matrix`] table: its header, and how one arm's
+/// cell renders from that arm's [`RunReport`].
+pub struct Column {
+    header: &'static str,
+    cell: Box<dyn Fn(&RunReport) -> String>,
+}
+
+impl Column {
+    /// `mean±ci95` of metric `key` ([`num_ci`]).
+    #[must_use]
+    pub fn ci(header: &'static str, key: &'static str) -> Self {
+        Self::derived(header, move |r| num_ci(r.mean(key), r.ci95(key)))
+    }
+
+    /// The mean of metric `key` at 3 decimals ([`num`]).
+    #[must_use]
+    pub fn mean(header: &'static str, key: &'static str) -> Self {
+        Self::fixed(header, key, 3)
+    }
+
+    /// The mean of metric `key` at `decimals` decimals.
+    #[must_use]
+    pub fn fixed(header: &'static str, key: &'static str, decimals: usize) -> Self {
+        Self::derived(header, move |r| format!("{:.decimals$}", r.mean(key)))
+    }
+
+    /// A cell computed from the whole report, such as a ratio of two
+    /// metrics.
+    #[must_use]
+    pub fn derived(header: &'static str, cell: impl Fn(&RunReport) -> String + 'static) -> Self {
+        Self {
+            header,
+            cell: Box::new(cell),
+        }
+    }
+}
+
+/// A table experiment as data: each arm runs `reps` replicates of
+/// `scenario` under common random numbers and fills one row, its
+/// label first, then one cell per column.
+pub struct Matrix<'a, A> {
+    /// Registry id: the run trace's directory and provenance name.
+    pub id: &'static str,
+    /// Root seed of the replication tree.
+    pub seed: u64,
+    /// Replicates per arm.
+    pub reps: u32,
+    /// Scenario horizon in ticks.
+    pub steps: u64,
+    /// Table title.
+    pub title: String,
+    /// Header of the first column, which holds the arm labels.
+    pub arm_header: &'static str,
+    /// The arms, in row order.
+    pub arms: Vec<A>,
+    /// An arm's row label, which is also its label in the run trace.
+    pub label: fn(&A) -> String,
+    /// One replicate of one arm.
+    pub scenario: &'a (dyn Fn(&A, SeedTree) -> MetricSet + Sync),
+    /// The columns after the label column.
+    pub columns: Vec<Column>,
+}
+
+impl<A: Sync> Matrix<'_, A> {
+    /// Runs every arm × replicate cell with
+    /// [`Replications::run_matrix`], exports the [`RunTrace`] when
+    /// observability is on, and returns the table with one report per
+    /// arm.
+    #[must_use]
+    pub fn run(self) -> (Table, Vec<RunReport>) {
+        let reports = Replications::new(self.seed, self.reps).run_matrix(&self.arms, self.scenario);
+        let labels: Vec<String> = self.arms.iter().map(self.label).collect();
+        RunTrace {
+            experiment: self.id,
+            seed: self.seed,
+            replicates: self.reps,
+            steps: self.steps,
+            config: &format!("{} arms={labels:?} steps={}", self.id, self.steps),
+            arms: &labels,
+            reports: &reports,
+        }
+        .export();
+        let mut header = vec![self.arm_header];
+        header.extend(self.columns.iter().map(|c| c.header));
+        let mut table = Table::new(self.title, &header);
+        for (label, report) in labels.into_iter().zip(&reports) {
+            let mut row = vec![label];
+            row.extend(self.columns.iter().map(|c| (c.cell)(report)));
+            table.row_owned(row);
+        }
+        (table, reports)
+    }
+
+    /// [`Matrix::run`]'s table.
+    #[must_use]
+    pub fn table(self) -> Table {
+        self.run().0
+    }
+}
+
 fn cloud_strategies() -> Vec<cloudsim::Strategy> {
     vec![
         cloudsim::Strategy::Random,
@@ -190,7 +297,7 @@ fn cloud_strategies() -> Vec<cloudsim::Strategy> {
 }
 
 fn run_cloud(strategy: &cloudsim::Strategy, seeds: SeedTree, steps: u64) -> MetricSet {
-    let cfg = cloudsim::ScenarioConfig::standard(strategy.clone(), steps, &seeds);
+    let cfg = cloudsim::ScenarioConfig::standard(strategy.clone(), steps);
     cloudsim::run_scenario(&cfg, &seeds).metrics
 }
 
@@ -198,70 +305,65 @@ fn run_cloud(strategy: &cloudsim::Strategy, seeds: SeedTree, steps: u64) -> Metr
 /// (cloud: QoS vs cost under churn and drifting demand).
 #[must_use]
 pub fn run_t1(reps: u32, steps: u64) -> Table {
-    let mut table = Table::new(
-        format!("T1: cloud trade-off management ({steps} ticks, {reps} reps, mean±95CI)"),
-        &[
-            "strategy",
-            "completion",
-            "violations",
-            "p95 lat",
-            "cost",
-            "utility",
+    Matrix {
+        id: "t1",
+        seed: 0x71,
+        reps,
+        steps,
+        title: format!("T1: cloud trade-off management ({steps} ticks, {reps} reps, mean±95CI)"),
+        arm_header: "strategy",
+        arms: cloud_strategies(),
+        label: cloudsim::Strategy::label,
+        scenario: &|strategy, seeds| run_cloud(strategy, seeds, steps),
+        columns: vec![
+            Column::ci("completion", "completion_ratio"),
+            Column::ci("violations", "violation_rate"),
+            Column::mean("p95 lat", "p95_latency"),
+            Column::ci("cost", "cost_ratio"),
+            Column::ci("utility", "utility"),
         ],
-    );
-    let arms = cloud_strategies();
-    let aggs = Replications::new(0x71, reps)
-        .run_matrix(&arms, |strategy, seeds| run_cloud(strategy, seeds, steps));
-    for (strategy, agg) in arms.iter().zip(&aggs) {
-        table.row_owned(vec![
-            strategy.label(),
-            num_ci(agg.mean("completion_ratio"), agg.ci95("completion_ratio")),
-            num_ci(agg.mean("violation_rate"), agg.ci95("violation_rate")),
-            num(agg.mean("p95_latency")),
-            num_ci(agg.mean("cost_ratio"), agg.ci95("cost_ratio")),
-            num_ci(agg.mean("utility"), agg.ci95("utility")),
-        ]);
     }
-    table
+    .table()
 }
 
 /// T2 — ablation over the levels of self-awareness (cloud scenario).
 #[must_use]
 pub fn run_t2(reps: u32, steps: u64) -> Table {
-    let ladder: Vec<(&str, LevelSet)> = vec![
-        ("none (pre-self-aware)", LevelSet::new()),
-        ("+stimulus", LevelSet::new().with(Level::Stimulus)),
-        (
-            "+time",
-            LevelSet::new().with(Level::Stimulus).with(Level::Time),
-        ),
-        (
-            "+goal",
-            LevelSet::new()
-                .with(Level::Stimulus)
-                .with(Level::Time)
-                .with(Level::Goal),
-        ),
-        ("full (+meta)", LevelSet::full()),
-    ];
-    let mut table = Table::new(
-        format!("T2: level-of-self-awareness ablation ({steps} ticks, {reps} reps)"),
-        &["levels", "completion", "violations", "cost", "utility"],
-    );
-    let aggs = Replications::new(0x72, reps).run_matrix(&ladder, |&(_, levels), seeds| {
-        let strategy = cloudsim::Strategy::SelfAware { levels };
-        run_cloud(&strategy, seeds, steps)
-    });
-    for ((name, _), agg) in ladder.iter().zip(&aggs) {
-        table.row_owned(vec![
-            (*name).to_string(),
-            num_ci(agg.mean("completion_ratio"), agg.ci95("completion_ratio")),
-            num_ci(agg.mean("violation_rate"), agg.ci95("violation_rate")),
-            num_ci(agg.mean("cost_ratio"), agg.ci95("cost_ratio")),
-            num_ci(agg.mean("utility"), agg.ci95("utility")),
-        ]);
+    Matrix {
+        id: "t2",
+        seed: 0x72,
+        reps,
+        steps,
+        title: format!("T2: level-of-self-awareness ablation ({steps} ticks, {reps} reps)"),
+        arm_header: "levels",
+        arms: vec![
+            ("none (pre-self-aware)", LevelSet::new()),
+            ("+stimulus", LevelSet::new().with(Level::Stimulus)),
+            (
+                "+time",
+                LevelSet::new().with(Level::Stimulus).with(Level::Time),
+            ),
+            (
+                "+goal",
+                LevelSet::new()
+                    .with(Level::Stimulus)
+                    .with(Level::Time)
+                    .with(Level::Goal),
+            ),
+            ("full (+meta)", LevelSet::full()),
+        ],
+        label: |(name, _)| (*name).to_string(),
+        scenario: &|&(_, levels), seeds| {
+            run_cloud(&cloudsim::Strategy::SelfAware { levels }, seeds, steps)
+        },
+        columns: vec![
+            Column::ci("completion", "completion_ratio"),
+            Column::ci("violations", "violation_rate"),
+            Column::ci("cost", "cost_ratio"),
+            Column::ci("utility", "utility"),
+        ],
     }
-    table
+    .table()
 }
 
 fn camnet_strategies() -> Vec<camnet::HandoverStrategy> {
@@ -276,34 +378,28 @@ fn camnet_strategies() -> Vec<camnet::HandoverStrategy> {
 /// T3 — camera-network handover: tracking quality vs communication.
 #[must_use]
 pub fn run_t3(reps: u32, steps: u64) -> Table {
-    let mut table = Table::new(
-        format!("T3: camera handover strategies ({steps} ticks, {reps} reps)"),
-        &[
-            "strategy",
-            "quality",
-            "untracked",
-            "msgs/tick",
-            "ask ratio",
-            "diversity",
-            "utility",
+    Matrix {
+        id: "t3",
+        seed: 0x73,
+        reps,
+        steps,
+        title: format!("T3: camera handover strategies ({steps} ticks, {reps} reps)"),
+        arm_header: "strategy",
+        arms: camnet_strategies(),
+        label: camnet::HandoverStrategy::label,
+        scenario: &|&strategy, seeds| {
+            camnet::run_camnet(&camnet::CamnetConfig::standard(strategy, steps), &seeds).metrics
+        },
+        columns: vec![
+            Column::ci("quality", "track_quality"),
+            Column::mean("untracked", "untracked_ratio"),
+            Column::ci("msgs/tick", "messages_per_tick"),
+            Column::mean("ask ratio", "ask_ratio"),
+            Column::mean("diversity", "heterogeneity_final"),
+            Column::ci("utility", "utility"),
         ],
-    );
-    let arms = camnet_strategies();
-    let aggs = Replications::new(0x73, reps).run_matrix(&arms, |&strategy, seeds| {
-        camnet::run_camnet(&camnet::CamnetConfig::standard(strategy, steps), &seeds).metrics
-    });
-    for (strategy, agg) in arms.iter().zip(&aggs) {
-        table.row_owned(vec![
-            strategy.label(),
-            num_ci(agg.mean("track_quality"), agg.ci95("track_quality")),
-            num(agg.mean("untracked_ratio")),
-            num_ci(agg.mean("messages_per_tick"), agg.ci95("messages_per_tick")),
-            num(agg.mean("ask_ratio")),
-            num(agg.mean("heterogeneity_final")),
-            num_ci(agg.mean("utility"), agg.ci95("utility")),
-        ]);
     }
-    table
+    .table()
 }
 
 /// F1 — emergent heterogeneity: policy divergence over time per
@@ -380,53 +476,43 @@ pub fn run_f2(steps: u64) -> String {
 /// thermal stress under a phase-switching mix.
 #[must_use]
 pub fn run_t4(reps: u32, steps: u64) -> Table {
-    let mut table = Table::new(
-        format!("T4: multicore schedulers ({steps} ticks, {reps} reps)"),
-        &[
-            "scheduler",
-            "completion",
-            "mean lat",
-            "miss rate",
-            "energy/task",
-            "throttle",
-            "utility",
+    Matrix {
+        id: "t4",
+        seed: 0x74,
+        reps,
+        steps,
+        title: format!("T4: multicore schedulers ({steps} ticks, {reps} reps)"),
+        arm_header: "scheduler",
+        arms: vec![
+            multicore::Scheduler::StaticPin,
+            multicore::Scheduler::Greedy,
+            multicore::Scheduler::SelfAware,
         ],
-    );
-    let schedulers = [
-        multicore::Scheduler::StaticPin,
-        multicore::Scheduler::Greedy,
-        multicore::Scheduler::SelfAware,
-    ];
-    let aggs = Replications::new(0x74, reps).run_matrix(&schedulers, |&scheduler, seeds| {
-        multicore::run_multicore(
-            &multicore::MulticoreConfig::standard(scheduler, steps),
-            &seeds,
-        )
-        .metrics
-    });
-    for (scheduler, agg) in schedulers.iter().zip(&aggs) {
-        table.row_owned(vec![
-            scheduler.label().to_string(),
-            num_ci(agg.mean("completion_ratio"), agg.ci95("completion_ratio")),
-            num(agg.mean("mean_latency")),
-            num_ci(
-                agg.mean("deadline_miss_rate"),
-                agg.ci95("deadline_miss_rate"),
-            ),
-            num_ci(agg.mean("energy_per_task"), agg.ci95("energy_per_task")),
-            num(agg.mean("throttle_ratio")),
-            num_ci(agg.mean("utility"), agg.ci95("utility")),
-        ]);
+        label: |scheduler| scheduler.label().to_string(),
+        scenario: &|&scheduler, seeds| {
+            multicore::run_multicore(
+                &multicore::MulticoreConfig::standard(scheduler, steps),
+                &seeds,
+            )
+            .metrics
+        },
+        columns: vec![
+            Column::ci("completion", "completion_ratio"),
+            Column::mean("mean lat", "mean_latency"),
+            Column::ci("miss rate", "deadline_miss_rate"),
+            Column::ci("energy/task", "energy_per_task"),
+            Column::mean("throttle", "throttle_ratio"),
+            Column::ci("utility", "utility"),
+        ],
     }
-    table
+    .table()
 }
 
-/// F3 — meta-self-awareness under concept drift: fixed forecasters vs
-/// the self-selecting model pool on a regime-switching signal.
-#[must_use]
-pub fn run_f3(steps: u64) -> String {
-    use workloads::signal::{SignalGen, SignalSpec};
-    let regimes = vec![
+/// The regime-switching signal of F3 and A3: flat, then a trend, an
+/// oscillation and flat again, switching at each quarter of `steps`.
+fn drift_regimes(steps: u64) -> Vec<(u64, workloads::signal::SignalSpec)> {
+    use workloads::signal::SignalSpec;
+    vec![
         (0, SignalSpec::Flat { level: 10.0 }),
         (
             steps / 4,
@@ -444,7 +530,15 @@ pub fn run_f3(steps: u64) -> String {
             },
         ),
         (3 * steps / 4, SignalSpec::Flat { level: 25.0 }),
-    ];
+    ]
+}
+
+/// F3 — meta-self-awareness under concept drift: fixed forecasters vs
+/// the self-selecting model pool on a regime-switching signal.
+#[must_use]
+pub fn run_f3(steps: u64) -> String {
+    use workloads::signal::SignalGen;
+    let regimes = drift_regimes(steps);
     // One worker per model. Each regenerates the (seed-deterministic)
     // signal independently and records its per-tick absolute error;
     // the joint warm-up gating and windowing run sequentially over
@@ -606,67 +700,59 @@ pub fn run_t5(reps: u32) -> Table {
 /// designer's beliefs.
 #[must_use]
 pub fn run_f4(reps: u32, steps: u64) -> String {
+    let (table, reports) = Matrix {
+        id: "f4",
+        seed: 0xF4,
+        reps,
+        steps,
+        title: format!("F4: utility vs design-divergence ({steps} ticks, {reps} reps)"),
+        arm_header: "divergence",
+        arms: vec![0.0, 0.25, 0.5, 0.75, 1.0],
+        label: |delta| format!("{delta:.2}"),
+        scenario: &|&delta, seeds| {
+            let run = |strategy| {
+                let mut cfg = cloudsim::ScenarioConfig::standard(strategy, steps);
+                // Reality: the standard pool rotated by a delta-dependent
+                // amount — the machines that actually showed up are not
+                // the ones in the design document.
+                cfg.specs.rotate_left((delta * 6.0_f64).round() as usize);
+                let m = cloudsim::run_scenario(&cfg, &seeds).metrics;
+                m.get("utility").unwrap_or(0.0)
+            };
+            // Design-time belief: the standard pool's capacities.
+            let believed_capacity =
+                cloudsim::ScenarioConfig::standard(cloudsim::Strategy::Random, steps)
+                    .specs
+                    .iter()
+                    .map(|s| s.capacity)
+                    .collect();
+            let mut m = MetricSet::new();
+            m.set(
+                "static",
+                run(cloudsim::Strategy::StaticRanked { believed_capacity }),
+            );
+            m.set(
+                "aware",
+                run(cloudsim::Strategy::SelfAware {
+                    levels: LevelSet::full(),
+                }),
+            );
+            m
+        },
+        columns: vec![
+            Column::ci("static-ranked", "static"),
+            Column::ci("self-aware", "aware"),
+            Column::derived("gap", |r| num(r.mean("aware") - r.mean("static"))),
+        ],
+    }
+    .run();
     let mut static_series = TimeSeries::new("static-ranked");
     let mut aware_series = TimeSeries::new("self-aware");
-    let divergences = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let mut out = String::new();
-    let mut table = Table::new(
-        format!("F4: utility vs design-divergence ({steps} ticks, {reps} reps)"),
-        &["divergence", "static-ranked", "self-aware", "gap"],
-    );
-    let aggs = Replications::new(0xF4, reps).run_matrix(&divergences, |&delta, seeds| {
-        // Design-time belief: the spec the designer was given.
-        let designed: Vec<cloudsim::NodeSpec> = (0..12)
-            .map(|j| {
-                let capacity = 1.0 + (j % 4) as f64;
-                if j % 3 == 0 {
-                    cloudsim::NodeSpec::reliable(capacity)
-                } else {
-                    cloudsim::NodeSpec::volunteer(capacity)
-                }
-            })
-            .collect();
-        // Reality: capacities rotated by a delta-dependent amount —
-        // the machines that actually showed up are not the ones in
-        // the design document.
-        let shift = (delta * 6.0_f64).round() as usize;
-        let actual: Vec<cloudsim::NodeSpec> = (0..12).map(|j| designed[(j + shift) % 12]).collect();
-        let believed: Vec<f64> = designed.iter().map(|s| s.capacity).collect();
-
-        let run = |strategy: cloudsim::Strategy, seeds: &SeedTree| {
-            let mut cfg = cloudsim::ScenarioConfig::standard(strategy, steps, seeds);
-            cfg.specs = actual.clone();
-            cloudsim::run_scenario(&cfg, seeds).metrics
-        };
-        let stat = run(
-            cloudsim::Strategy::StaticRanked {
-                believed_capacity: believed,
-            },
-            &seeds,
-        );
-        let aware = run(
-            cloudsim::Strategy::SelfAware {
-                levels: LevelSet::full(),
-            },
-            &seeds,
-        );
-        let mut m = MetricSet::new();
-        m.set("static", stat.get("utility").unwrap_or(0.0));
-        m.set("aware", aware.get("utility").unwrap_or(0.0));
-        m
-    });
-    for (i, (&delta, agg)) in divergences.iter().zip(&aggs).enumerate() {
-        let s = agg.mean("static");
-        let a = agg.mean("aware");
-        table.row_owned(vec![
-            format!("{delta:.2}"),
-            num_ci(s, agg.ci95("static")),
-            num_ci(a, agg.ci95("aware")),
-            num(a - s),
-        ]);
-        static_series.push(Tick(i as u64), s);
-        aware_series.push(Tick(i as u64), a);
+    for (i, report) in reports.iter().enumerate() {
+        static_series.push(Tick(i as u64), report.mean("static"));
+        aware_series.push(Tick(i as u64), report.mean("aware"));
     }
+    let mut out = String::new();
     let _ = writeln!(out, "{table}");
     let _ = writeln!(out, "utility across the divergence sweep:");
     out.push_str(&render_multi(&[&static_series, &aware_series], 5));
@@ -740,36 +826,30 @@ pub fn t6_scenario(budget: usize, steps: u64, seeds: SeedTree) -> MetricSet {
 /// sensing policies on a field of drifting signals.
 #[must_use]
 pub fn run_t6(reps: u32, steps: u64) -> Table {
-    let n_signals = T6_SIGNALS;
-    let mut table = Table::new(
-        format!(
-            "T6: monitoring under budget ({n_signals} signals, {steps} ticks, {reps} reps; \
+    Matrix {
+        id: "t6",
+        seed: 0x76,
+        reps,
+        steps,
+        title: format!(
+            "T6: monitoring under budget ({T6_SIGNALS} signals, {steps} ticks, {reps} reps; \
              cell = mean tracking error, lower is better)"
         ),
-        &[
-            "budget",
-            "attention",
-            "round-robin",
-            "random",
-            "attn advantage",
+        arm_header: "budget",
+        arms: vec![1usize, 2, 4, 8],
+        label: ToString::to_string,
+        scenario: &|&budget, seeds| t6_scenario(budget, steps, seeds),
+        columns: vec![
+            Column::ci("attention", "attention"),
+            Column::mean("round-robin", "round_robin"),
+            Column::mean("random", "random"),
+            Column::derived("attn advantage", |r| {
+                let baseline = r.mean("round_robin").min(r.mean("random"));
+                format!("{:+.1}%", (1.0 - r.mean("attention") / baseline) * 100.0)
+            }),
         ],
-    );
-    let budgets = [1usize, 2, 4, 8];
-    let aggs = Replications::new(0x76, reps)
-        .run_matrix(&budgets, |&budget, seeds| t6_scenario(budget, steps, seeds));
-    for (budget, agg) in budgets.iter().zip(&aggs) {
-        let a = agg.mean("attention");
-        let rr = agg.mean("round_robin");
-        let rnd = agg.mean("random");
-        table.row_owned(vec![
-            budget.to_string(),
-            num_ci(a, agg.ci95("attention")),
-            num(rr),
-            num(rnd),
-            format!("{:+.1}%", (1.0 - a / rr.min(rnd)) * 100.0),
-        ]);
     }
-    table
+    .table()
 }
 
 #[cfg(test)]
@@ -877,62 +957,60 @@ mod tests {
 /// tracking quality against communication.
 #[must_use]
 pub fn run_a1(reps: u32, steps: u64) -> Table {
-    let mut table = Table::new(
-        format!("A1: camnet self-aware ask-threshold sweep ({steps} ticks, {reps} reps)"),
-        &["threshold", "quality", "untracked", "msgs/tick", "utility"],
-    );
-    let thresholds = [0.1, 0.2, 0.25, 0.35, 0.5];
-    let aggs = Replications::new(0xA1, reps).run_matrix(&thresholds, |&threshold, seeds| {
-        let strategy = camnet::HandoverStrategy::SelfAware {
-            threshold,
-            epsilon: 0.05,
-        };
-        camnet::run_camnet(&camnet::CamnetConfig::standard(strategy, steps), &seeds).metrics
-    });
-    for (threshold, agg) in thresholds.iter().zip(&aggs) {
-        table.row_owned(vec![
-            format!("{threshold:.2}"),
-            num_ci(agg.mean("track_quality"), agg.ci95("track_quality")),
-            num(agg.mean("untracked_ratio")),
-            num_ci(agg.mean("messages_per_tick"), agg.ci95("messages_per_tick")),
-            num_ci(agg.mean("utility"), agg.ci95("utility")),
-        ]);
+    Matrix {
+        id: "a1",
+        seed: 0xA1,
+        reps,
+        steps,
+        title: format!("A1: camnet self-aware ask-threshold sweep ({steps} ticks, {reps} reps)"),
+        arm_header: "threshold",
+        arms: vec![0.1, 0.2, 0.25, 0.35, 0.5],
+        label: |threshold| format!("{threshold:.2}"),
+        scenario: &|&threshold, seeds| {
+            let strategy = camnet::HandoverStrategy::SelfAware {
+                threshold,
+                epsilon: 0.05,
+            };
+            camnet::run_camnet(&camnet::CamnetConfig::standard(strategy, steps), &seeds).metrics
+        },
+        columns: vec![
+            Column::ci("quality", "track_quality"),
+            Column::mean("untracked", "untracked_ratio"),
+            Column::ci("msgs/tick", "messages_per_tick"),
+            Column::ci("utility", "utility"),
+        ],
     }
-    table
+    .table()
 }
 
 /// A2 (ablation) — the CPN's smart-packet ratio: how much exploration
 /// traffic the network needs to keep re-planning under attack.
 #[must_use]
 pub fn run_a2(reps: u32, steps: u64) -> Table {
-    let mut table = Table::new(
-        format!("A2: cpn smart-packet ratio sweep ({steps} ticks, {reps} reps)"),
-        &[
-            "smart ratio",
-            "delivery",
-            "delay pre",
-            "delay attack",
-            "delay post",
+    Matrix {
+        id: "a2",
+        seed: 0xA2,
+        reps,
+        steps,
+        title: format!("A2: cpn smart-packet ratio sweep ({steps} ticks, {reps} reps)"),
+        arm_header: "smart ratio",
+        arms: vec![0.0, 0.05, 0.1, 0.25, 0.5],
+        label: |smart_ratio| format!("{smart_ratio:.2}"),
+        scenario: &|&smart_ratio, seeds| {
+            let strategy = cpn::RoutingStrategy::Cpn {
+                smart_ratio,
+                epsilon: 0.1,
+            };
+            cpn::run_cpn(&cpn::CpnConfig::standard(strategy, steps), &seeds).metrics
+        },
+        columns: vec![
+            Column::ci("delivery", "delivery_ratio"),
+            Column::mean("delay pre", "delay_pre"),
+            Column::ci("delay attack", "delay_attack"),
+            Column::mean("delay post", "delay_post"),
         ],
-    );
-    let ratios = [0.0, 0.05, 0.1, 0.25, 0.5];
-    let aggs = Replications::new(0xA2, reps).run_matrix(&ratios, |&smart_ratio, seeds| {
-        let strategy = cpn::RoutingStrategy::Cpn {
-            smart_ratio,
-            epsilon: 0.1,
-        };
-        cpn::run_cpn(&cpn::CpnConfig::standard(strategy, steps), &seeds).metrics
-    });
-    for (smart_ratio, agg) in ratios.iter().zip(&aggs) {
-        table.row_owned(vec![
-            format!("{smart_ratio:.2}"),
-            num_ci(agg.mean("delivery_ratio"), agg.ci95("delivery_ratio")),
-            num(agg.mean("delay_pre")),
-            num_ci(agg.mean("delay_attack"), agg.ci95("delay_attack")),
-            num(agg.mean("delay_post")),
-        ]);
     }
-    table
+    .table()
 }
 
 /// A3 (ablation) — the meta model-pool's switching hysteresis
@@ -940,60 +1018,43 @@ pub fn run_a2(reps: u32, steps: u64) -> Table {
 /// changes.
 #[must_use]
 pub fn run_a3(reps: u32, steps: u64) -> Table {
-    use workloads::signal::{SignalGen, SignalSpec};
-    let mut table = Table::new(
-        format!("A3: model-pool patience sweep ({steps} ticks, {reps} reps)"),
-        &["patience", "mae", "switches"],
-    );
-    let patiences = [1u32, 4, 8, 32, 128];
-    let aggs = Replications::new(0xA3, reps).run_matrix(&patiences, |&patience, seeds| {
-        let regimes = vec![
-            (0, SignalSpec::Flat { level: 10.0 }),
-            (
-                steps / 4,
-                SignalSpec::Trend {
-                    start: 10.0,
-                    slope: 0.3,
-                },
-            ),
-            (
-                steps / 2,
-                SignalSpec::Oscillation {
-                    center: 40.0,
-                    amplitude: 8.0,
-                    period: 40.0,
-                },
-            ),
-            (3 * steps / 4, SignalSpec::Flat { level: 25.0 }),
-        ];
-        let mut gen = SignalGen::new(regimes, 0.5, seeds.rng("signal"));
-        let mut pool = ModelPool::new(0.1, patience);
-        pool.add("ewma", Box::new(Ewma::new(0.3)));
-        pool.add("holt", Box::new(Holt::new(0.5, 0.3)));
-        pool.add("ar", Box::new(ArModel::new(2, 64)));
-        let mut err = 0.0;
-        let mut n = 0u64;
-        for t in 0..steps {
-            let x = gen.sample(Tick(t));
-            if let Some(p) = pool.forecast() {
-                err += (p - x).abs();
-                n += 1;
+    Matrix {
+        id: "a3",
+        seed: 0xA3,
+        reps,
+        steps,
+        title: format!("A3: model-pool patience sweep ({steps} ticks, {reps} reps)"),
+        arm_header: "patience",
+        arms: vec![1u32, 4, 8, 32, 128],
+        label: ToString::to_string,
+        scenario: &|&patience, seeds| {
+            let mut gen =
+                workloads::signal::SignalGen::new(drift_regimes(steps), 0.5, seeds.rng("signal"));
+            let mut pool = ModelPool::new(0.1, patience);
+            pool.add("ewma", Box::new(Ewma::new(0.3)));
+            pool.add("holt", Box::new(Holt::new(0.5, 0.3)));
+            pool.add("ar", Box::new(ArModel::new(2, 64)));
+            let mut err = 0.0;
+            let mut n = 0u64;
+            for t in 0..steps {
+                let x = gen.sample(Tick(t));
+                if let Some(p) = pool.forecast() {
+                    err += (p - x).abs();
+                    n += 1;
+                }
+                pool.observe(x);
             }
-            pool.observe(x);
-        }
-        let mut m = MetricSet::new();
-        m.set("mae", err / n.max(1) as f64);
-        m.set("switches", f64::from(pool.switches()));
-        m
-    });
-    for (patience, agg) in patiences.iter().zip(&aggs) {
-        table.row_owned(vec![
-            patience.to_string(),
-            num_ci(agg.mean("mae"), agg.ci95("mae")),
-            format!("{:.1}", agg.mean("switches")),
-        ]);
+            let mut m = MetricSet::new();
+            m.set("mae", err / n.max(1) as f64);
+            m.set("switches", f64::from(pool.switches()));
+            m
+        },
+        columns: vec![
+            Column::ci("mae", "mae"),
+            Column::fixed("switches", "switches", 1),
+        ],
     }
-    table
+    .table()
 }
 
 #[cfg(test)]
@@ -1119,44 +1180,28 @@ pub fn f5_scenario(strategy: &camnet::HandoverStrategy, seeds: SeedTree, steps: 
 /// cameras fail, and how much tracking quality the outage costs.
 #[must_use]
 pub fn run_f5(reps: u32, steps: u64) -> Table {
-    let arms = vec![
-        camnet::HandoverStrategy::Broadcast,
-        camnet::HandoverStrategy::Static { k: 3 },
-        camnet::HandoverStrategy::self_aware_default(),
-    ];
-    let mut table = Table::new(
-        format!("F5: camnet outage recovery ({steps} ticks, 4-camera outage, {reps} reps)"),
-        &[
-            "strategy",
-            "quality",
-            "pre-fault",
-            "recovery ticks",
-            "degradation area",
-        ],
-    );
-    let aggs = Replications::new(0xF5, reps)
-        .run_matrix(&arms, |strategy, seeds| f5_scenario(strategy, seeds, steps));
-    let labels: Vec<String> = arms.iter().map(camnet::HandoverStrategy::label).collect();
-    RunTrace {
-        experiment: "f5",
+    Matrix {
+        id: "f5",
         seed: 0xF5,
-        replicates: reps,
+        reps,
         steps,
-        config: &format!("f5 arms={labels:?} steps={steps} outage=grid-centre"),
-        arms: &labels,
-        reports: &aggs,
+        title: format!("F5: camnet outage recovery ({steps} ticks, 4-camera outage, {reps} reps)"),
+        arm_header: "strategy",
+        arms: vec![
+            camnet::HandoverStrategy::Broadcast,
+            camnet::HandoverStrategy::Static { k: 3 },
+            camnet::HandoverStrategy::self_aware_default(),
+        ],
+        label: camnet::HandoverStrategy::label,
+        scenario: &|strategy, seeds| f5_scenario(strategy, seeds, steps),
+        columns: vec![
+            Column::ci("quality", "quality"),
+            Column::mean("pre-fault", "pre_quality"),
+            Column::fixed("recovery ticks", "recovery_ticks", 0),
+            Column::ci("degradation area", "degradation_area"),
+        ],
     }
-    .export();
-    for (strategy, agg) in arms.iter().zip(&aggs) {
-        table.row_owned(vec![
-            strategy.label(),
-            num_ci(agg.mean("quality"), agg.ci95("quality")),
-            num(agg.mean("pre_quality")),
-            format!("{:.0}", agg.mean("recovery_ticks")),
-            num_ci(agg.mean("degradation_area"), agg.ci95("degradation_area")),
-        ]);
-    }
-    table
+    .table()
 }
 
 /// Number of redundant sensors observing the F6 signal.
@@ -1323,50 +1368,32 @@ pub fn f6_scenario(guarded: bool, seeds: SeedTree, steps: u64) -> MetricSet {
 /// error paid during fault windows without hurting clean operation.
 #[must_use]
 pub fn run_f6(reps: u32, steps: u64) -> Table {
-    let arms = [false, true];
-    let mut table = Table::new(
-        format!("F6: sensor-fault ablation ({steps} ticks, {reps} reps)"),
-        &[
-            "fusion",
-            "mae",
-            "mae (fault windows)",
-            "mae (clean)",
-            "quarantines",
-            "degraded ticks",
-        ],
-    );
-    let aggs = Replications::new(0xF6, reps)
-        .run_matrix(&arms, |&guarded, seeds| f6_scenario(guarded, seeds, steps));
-    let labels: Vec<String> = arms
-        .iter()
-        .map(|&g| if g { "health-guarded" } else { "raw mean" }.to_string())
-        .collect();
-    RunTrace {
-        experiment: "f6",
+    Matrix {
+        id: "f6",
         seed: 0xF6,
-        replicates: reps,
+        reps,
         steps,
-        config: &format!("f6 arms={labels:?} steps={steps} sensors={F6_SENSORS}"),
-        arms: &labels,
-        reports: &aggs,
-    }
-    .export();
-    for (guarded, agg) in arms.iter().zip(&aggs) {
-        table.row_owned(vec![
-            if *guarded {
+        title: format!("F6: sensor-fault ablation ({steps} ticks, {reps} reps)"),
+        arm_header: "fusion",
+        arms: vec![false, true],
+        label: |&guarded| {
+            if guarded {
                 "health-guarded"
             } else {
                 "raw mean"
             }
-            .to_string(),
-            num_ci(agg.mean("mae"), agg.ci95("mae")),
-            num_ci(agg.mean("mae_faulty"), agg.ci95("mae_faulty")),
-            num(agg.mean("mae_clean")),
-            format!("{:.1}", agg.mean("quarantines")),
-            format!("{:.0}", agg.mean("degraded_ticks")),
-        ]);
+            .to_string()
+        },
+        scenario: &|&guarded, seeds| f6_scenario(guarded, seeds, steps),
+        columns: vec![
+            Column::ci("mae", "mae"),
+            Column::ci("mae (fault windows)", "mae_faulty"),
+            Column::mean("mae (clean)", "mae_clean"),
+            Column::fixed("quarantines", "quarantines", 1),
+            Column::fixed("degraded ticks", "degraded_ticks", 0),
+        ],
     }
-    table
+    .table()
 }
 
 #[cfg(test)]
@@ -1679,46 +1706,28 @@ pub fn f7_scenario(
 /// regret and recover the model instead of riding it into the ground.
 #[must_use]
 pub fn run_f7(reps: u32, steps: u64) -> Table {
-    let arms = [F7Arm::Baseline, F7Arm::Unsupervised, F7Arm::Supervised];
-    let mut table = Table::new(
-        format!(
+    Matrix {
+        id: "f7",
+        seed: 0xF7,
+        reps,
+        steps,
+        title: format!(
             "F7: controller corruption ablation ({steps} ticks, {reps} reps; \
              NaN poison, weight scramble, state freeze)"
         ),
-        &[
-            "controller",
-            "mean regret",
-            "corrupted-window regret",
-            "recovery ticks",
-            "rollbacks",
-            "fallbacks",
+        arm_header: "controller",
+        arms: vec![F7Arm::Baseline, F7Arm::Unsupervised, F7Arm::Supervised],
+        label: |arm| arm.label().to_string(),
+        scenario: &|&arm, seeds| f7_scenario(arm, &f7_fault_plan(steps), seeds, steps),
+        columns: vec![
+            Column::ci("mean regret", "mean_regret"),
+            Column::ci("corrupted-window regret", "regret_corrupt"),
+            Column::fixed("recovery ticks", "recovery_ticks", 0),
+            Column::fixed("rollbacks", "model_rollbacks", 1),
+            Column::fixed("fallbacks", "model_fallbacks", 1),
         ],
-    );
-    let aggs = Replications::new(0xF7, reps).run_matrix(&arms, |&arm, seeds| {
-        f7_scenario(arm, &f7_fault_plan(steps), seeds, steps)
-    });
-    let labels: Vec<String> = arms.iter().map(|a| a.label().to_string()).collect();
-    RunTrace {
-        experiment: "f7",
-        seed: 0xF7,
-        replicates: reps,
-        steps,
-        config: &format!("f7 arms={labels:?} steps={steps}"),
-        arms: &labels,
-        reports: &aggs,
     }
-    .export();
-    for (arm, agg) in arms.iter().zip(&aggs) {
-        table.row_owned(vec![
-            arm.label().to_string(),
-            num_ci(agg.mean("mean_regret"), agg.ci95("mean_regret")),
-            num_ci(agg.mean("regret_corrupt"), agg.ci95("regret_corrupt")),
-            format!("{:.0}", agg.mean("recovery_ticks")),
-            format!("{:.1}", agg.mean("model_rollbacks")),
-            format!("{:.1}", agg.mean("model_fallbacks")),
-        ]);
-    }
-    table
+    .table()
 }
 
 #[cfg(test)]
@@ -1838,7 +1847,6 @@ pub fn f8_cloud_cfg(arm: F8Arm, seeds: &SeedTree, steps: u64) -> cloudsim::Scena
             levels: LevelSet::new().with(Level::Stimulus).with(Level::Time),
         },
         steps,
-        seeds,
     );
     cfg.specs = (0..18)
         .map(|i| {
@@ -2007,44 +2015,26 @@ pub fn f8_arms() -> Vec<F8Arm> {
 /// hits) is visible in the explanation log.
 #[must_use]
 pub fn run_f8(reps: u32, steps: u64) -> Table {
-    let arms = f8_arms();
-    let mut table = Table::new(
-        format!("F8: unreliable communications ({steps} ticks, {reps} reps, mean±95CI)"),
-        &[
-            "arm",
-            "cam quality",
-            "cpn delivery",
-            "cloud utility",
-            "retries",
-            "expired",
-            "part hits",
-        ],
-    );
-    let aggs = Replications::new(0xF8, reps)
-        .run_matrix(&arms, |&arm, seeds| f8_scenario(arm, seeds, steps));
-    let labels: Vec<String> = arms.iter().map(F8Arm::label).collect();
-    RunTrace {
-        experiment: "f8",
+    Matrix {
+        id: "f8",
         seed: 0xF8,
-        replicates: reps,
+        reps,
         steps,
-        config: &format!("f8 arms={labels:?} steps={steps}"),
-        arms: &labels,
-        reports: &aggs,
+        title: format!("F8: unreliable communications ({steps} ticks, {reps} reps, mean±95CI)"),
+        arm_header: "arm",
+        arms: f8_arms(),
+        label: F8Arm::label,
+        scenario: &|&arm, seeds| f8_scenario(arm, seeds, steps),
+        columns: vec![
+            Column::ci("cam quality", "cam_quality"),
+            Column::ci("cpn delivery", "cpn_delivery"),
+            Column::ci("cloud utility", "cloud_utility"),
+            Column::fixed("retries", "comms_retries", 0),
+            Column::fixed("expired", "comms_expired", 0),
+            Column::fixed("part hits", "comms_partition_hits", 0),
+        ],
     }
-    .export();
-    for (arm, agg) in arms.iter().zip(&aggs) {
-        table.row_owned(vec![
-            arm.label(),
-            num_ci(agg.mean("cam_quality"), agg.ci95("cam_quality")),
-            num_ci(agg.mean("cpn_delivery"), agg.ci95("cpn_delivery")),
-            num_ci(agg.mean("cloud_utility"), agg.ci95("cloud_utility")),
-            format!("{:.0}", agg.mean("comms_retries")),
-            format!("{:.0}", agg.mean("comms_expired")),
-            format!("{:.0}", agg.mean("comms_partition_hits")),
-        ]);
-    }
-    table
+    .table()
 }
 
 #[cfg(test)]
@@ -2284,46 +2274,27 @@ pub fn f9_breaking_point(reps: u32, steps: u64) -> (Table, Option<f64>) {
 /// reporting the learned router's report-loss breaking point.
 #[must_use]
 pub fn run_f9(reps: u32, steps: u64) -> Table {
-    let arms = F9Arm::all();
-    let aggs = Replications::new(0xF9, reps)
-        .run_matrix(&arms, |&arm, seeds| f9_scenario(arm, seeds, steps));
-    let labels: Vec<String> = arms.iter().map(F9Arm::label).collect();
-    RunTrace {
-        experiment: "f9",
+    Matrix {
+        id: "f9",
         seed: 0xF9,
-        replicates: reps,
+        reps,
         steps,
-        config: &format!("f9 arms={labels:?} steps={steps}"),
-        arms: &labels,
-        reports: &aggs,
-    }
-    .export();
-    let mut table = Table::new(
-        format!("F9: composed smart-city cascade ({steps} ticks, {reps} reps, mean±95CI)"),
-        &[
-            "arm",
-            "on-time",
-            "service",
-            "coverage",
-            "track err",
-            "utility",
-            "rehomed",
-            "expired",
+        title: format!("F9: composed smart-city cascade ({steps} ticks, {reps} reps, mean±95CI)"),
+        arm_header: "arm",
+        arms: F9Arm::all(),
+        label: F9Arm::label,
+        scenario: &|&arm, seeds| f9_scenario(arm, seeds, steps),
+        columns: vec![
+            Column::ci("on-time", "on_time_ratio"),
+            Column::ci("service", "service_ratio"),
+            Column::ci("coverage", "coverage"),
+            Column::ci("track err", "tracking_error"),
+            Column::ci("utility", "utility"),
+            Column::fixed("rehomed", "rehomed", 0),
+            Column::fixed("expired", "comms_expired", 0),
         ],
-    );
-    for (arm, agg) in arms.iter().zip(&aggs) {
-        table.row_owned(vec![
-            arm.label(),
-            num_ci(agg.mean("on_time_ratio"), agg.ci95("on_time_ratio")),
-            num_ci(agg.mean("service_ratio"), agg.ci95("service_ratio")),
-            num_ci(agg.mean("coverage"), agg.ci95("coverage")),
-            num_ci(agg.mean("tracking_error"), agg.ci95("tracking_error")),
-            num_ci(agg.mean("utility"), agg.ci95("utility")),
-            format!("{:.0}", agg.mean("rehomed")),
-            format!("{:.0}", agg.mean("comms_expired")),
-        ]);
     }
-    table
+    .table()
 }
 
 #[cfg(test)]

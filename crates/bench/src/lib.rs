@@ -1,9 +1,11 @@
 //! # sas-bench — the evaluation harness
 //!
-//! One module per experiment in EXPERIMENTS.md. Each `run_*` function
-//! executes the experiment at the scale it is given and returns the
-//! rendered table/figure; [`registry`] fixes each experiment's scale,
-//! and the `experiments` binary prints what the registry runs
+//! [`experiments`] holds one `run_*` function per table or figure of
+//! EXPERIMENTS.md: each executes its experiment at the scale it is
+//! given and returns the rendered output. Most are a [`Matrix`], which
+//! runs, traces and renders one row per arm. [`registry`] fixes each
+//! experiment's scale, and the `experiments` binary prints what the
+//! registry runs
 //! (`cargo run --release -p sas-bench --bin experiments -- all`
 //! regenerates every table and figure of the reproduction).
 //!

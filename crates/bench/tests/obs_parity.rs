@@ -9,9 +9,9 @@
 //! own integration binary because the obs override is process-global:
 //! sharing a binary with unrelated tests would race the toggle.
 
-use sas_bench::experiments::{f5_scenario, f8_scenario, F8Arm, RunTrace};
+use sas_bench::experiments::{f5_scenario, f8_scenario, Column, F8Arm, Matrix, RunTrace};
 use simkernel::obs::{self, Json};
-use simkernel::{Aggregate, MetricSet, Replications, RunReport, SeedTree};
+use simkernel::{Aggregate, MetricSet, Replications, RunReport, SeedTree, Table};
 use std::sync::Mutex;
 
 const REPS: u32 = 3;
@@ -183,4 +183,123 @@ fn f9_scenario_obs_parity() {
         |seeds| f9_scenario(F9Arm::Supervised, seeds, 400),
         "f9/supervised",
     );
+}
+
+/// A toy two-arm, two-replicate matrix: each replicate draws `x`
+/// uniformly in `[0, scale)`.
+fn toy_matrix(id: &'static str) -> (Table, Vec<RunReport>) {
+    use rand::Rng as _;
+    Matrix {
+        id,
+        seed: 0x7AB1E,
+        reps: 2,
+        steps: 10,
+        title: "toy".to_string(),
+        arm_header: "scale",
+        arms: vec![1.0, 4.0],
+        label: |scale| format!("x{scale}"),
+        scenario: &|&scale, seeds| {
+            let mut m = MetricSet::new();
+            m.set("x", scale * seeds.rng("x").gen::<f64>());
+            obs::emit(Json::obj([("scale", Json::from(scale))]));
+            m
+        },
+        columns: vec![Column::ci("x", "x")],
+    }
+    .run()
+}
+
+fn num(record: &Json, key: &str) -> f64 {
+    record
+        .get(key)
+        .and_then(Json::as_num)
+        .unwrap_or_else(|| panic!("record lacks number {key}"))
+}
+
+#[test]
+fn matrix_run_writes_one_trace_only_with_obs_on() {
+    let _guard = obs_lock();
+    let id = "matrix-path-test";
+    let dir = obs::artifact_root().join(id);
+    std::fs::remove_dir_all(&dir).ok();
+
+    obs::set_override(Some(false));
+    let (off_table, off_reports) = toy_matrix(id);
+    obs::set_override(None);
+    assert!(!dir.exists(), "obs off must write no trace");
+
+    obs::set_override(Some(true));
+    let (table, reports) = toy_matrix(id);
+    obs::set_override(None);
+    assert_eq!(off_table, table, "the table must not depend on obs");
+    assert_eq!(
+        off_reports
+            .iter()
+            .map(|r| r.aggregate())
+            .collect::<Vec<_>>(),
+        reports.iter().map(|r| r.aggregate()).collect::<Vec<_>>()
+    );
+
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("trace directory")
+        .map(|e| e.expect("trace entry").file_name())
+        .collect();
+    assert_eq!(files, ["run.jsonl"], "exactly one trace");
+    let text = std::fs::read_to_string(dir.join("run.jsonl")).expect("trace readable");
+    std::fs::remove_dir_all(&dir).ok();
+    let lines: Vec<Json> = text
+        .lines()
+        .map(|l| obs::parse(l).expect("invalid JSON line"))
+        .collect();
+
+    let prov = &lines[0];
+    assert_eq!(
+        prov.get("record").and_then(Json::as_str),
+        Some("provenance")
+    );
+    assert_eq!(prov.get("experiment").and_then(Json::as_str), Some(id));
+    assert_eq!(num(prov, "seed"), f64::from(0x7AB1E));
+    assert_eq!(num(prov, "replicates"), 2.0);
+    assert_eq!(num(prov, "steps"), 10.0);
+
+    let arms: Vec<&Json> = lines
+        .iter()
+        .filter(|l| l.get("record").and_then(Json::as_str) == Some("arm"))
+        .collect();
+    let labels: Vec<&str> = arms
+        .iter()
+        .map(|a| a.get("label").and_then(Json::as_str).expect("arm label"))
+        .collect();
+    let rows: Vec<&str> = (0..table.len())
+        .map(|i| table.cell(i, 0).expect("row label"))
+        .collect();
+    assert_eq!(labels, rows, "arm labels are the table's row labels");
+    assert_eq!(labels, ["x1", "x4"]);
+
+    assert_eq!(arms.len(), reports.len());
+    for (arm, report) in arms.iter().zip(&reports) {
+        assert_eq!(num(arm, "completed"), f64::from(report.completed()));
+        let aggregate = arm.get("aggregate").expect("arm aggregate");
+        assert_eq!(report.iter().count(), 1);
+        for (metric, stats) in report.iter() {
+            let traced = aggregate.get(metric).expect("traced metric");
+            assert_eq!(num(traced, "n"), stats.count() as f64);
+            for (key, value) in [
+                ("mean", stats.mean()),
+                ("ci95", stats.ci95_halfwidth()),
+                ("std_dev", stats.std_dev()),
+            ] {
+                assert_eq!(
+                    num(traced, key).to_bits(),
+                    value.to_bits(),
+                    "{metric}.{key} differs from the returned report"
+                );
+            }
+        }
+    }
+    let replicates = lines
+        .iter()
+        .filter(|l| l.get("record").and_then(Json::as_str) == Some("replicate"))
+        .count();
+    assert_eq!(replicates, 4, "one replicate record per arm × replicate");
 }

@@ -62,7 +62,7 @@ fn cloud_scenarios_are_parity_clean() {
         check_parity(
             0x71,
             |seeds| {
-                let cfg = cloudsim::ScenarioConfig::standard(strategy.clone(), STEPS, &seeds);
+                let cfg = cloudsim::ScenarioConfig::standard(strategy.clone(), STEPS);
                 cloudsim::run_scenario(&cfg, &seeds).metrics
             },
             &format!("cloud/{}", strategy.label()),
@@ -286,7 +286,7 @@ fn faulted_cloud_is_parity_clean() {
             let strategy = cloudsim::Strategy::SelfAware {
                 levels: LevelSet::full(),
             };
-            let mut cfg = cloudsim::ScenarioConfig::standard(strategy, STEPS, &seeds);
+            let mut cfg = cloudsim::ScenarioConfig::standard(strategy, STEPS);
             cfg.faults = workloads::FaultPlan::new(vec![FaultEvent::zone_outage(
                 simkernel::Tick(STEPS / 3),
                 0,
@@ -350,7 +350,7 @@ fn supervised_substrates_are_parity_clean() {
             let strategy = cloudsim::Strategy::SupervisedSelfAware {
                 levels: LevelSet::full(),
             };
-            let mut cfg = cloudsim::ScenarioConfig::standard(strategy, STEPS, &seeds);
+            let mut cfg = cloudsim::ScenarioConfig::standard(strategy, STEPS);
             cfg.faults = plan();
             cloudsim::run_scenario(&cfg, &seeds).metrics
         },
@@ -371,8 +371,7 @@ fn supervised_substrates_are_parity_clean() {
     check_parity(
         0xF7C,
         |seeds| {
-            let mut cfg =
-                cpn::CpnConfig::standard(cpn::RoutingStrategy::supervised_cpn_default(), STEPS);
+            let mut cfg = cpn::CpnConfig::standard(cpn::RoutingStrategy::SupervisedCpn, STEPS);
             cfg.faults = plan();
             cpn::run_cpn(&cfg, &seeds).metrics
         },

@@ -97,7 +97,7 @@ fn assert_pinned(world: &str, m: &MetricSet, expected: &[(&str, u64)]) {
 
 #[test]
 fn supervised_cpn_metrics_are_golden() {
-    let mut cfg = cpn::CpnConfig::standard(cpn::RoutingStrategy::supervised_cpn_default(), STEPS);
+    let mut cfg = cpn::CpnConfig::standard(cpn::RoutingStrategy::SupervisedCpn, STEPS);
     cfg.faults = corruption_plan();
     let r = cpn::run_cpn(&cfg, &SeedTree::new(SEED));
     assert_golden("supervised cpn", &r.metrics, CPN_GOLDEN);
@@ -115,7 +115,7 @@ fn supervised_camnet_metrics_are_golden() {
 
 fn cloud(strategy: cloudsim::Strategy) -> MetricSet {
     let seeds = SeedTree::new(SEED);
-    let mut cfg = cloudsim::ScenarioConfig::standard(strategy, STEPS, &seeds);
+    let mut cfg = cloudsim::ScenarioConfig::standard(strategy, STEPS);
     cfg.faults = corruption_plan();
     cloudsim::run_scenario(&cfg, &seeds).metrics
 }
@@ -171,7 +171,7 @@ fn frozen_cpn(strategy: cpn::RoutingStrategy) -> MetricSet {
 fn pinned_cpn_metrics_under_freezes() {
     let bare = frozen_cpn(cpn::RoutingStrategy::cpn_default());
     assert_pinned("bare cpn", &bare, CPN_FROZEN_BARE);
-    let supervised = frozen_cpn(cpn::RoutingStrategy::supervised_cpn_default());
+    let supervised = frozen_cpn(cpn::RoutingStrategy::SupervisedCpn);
     assert_pinned("supervised cpn", &supervised, CPN_FROZEN_SUPERVISED);
 }
 
@@ -231,7 +231,7 @@ fn rough_cloud(comms: CommsPolicy) -> MetricSet {
     let seeds = SeedTree::new(SEED);
     let levels = selfaware::levels::LevelSet::full();
     let mut cfg =
-        cloudsim::ScenarioConfig::standard(cloudsim::Strategy::SelfAware { levels }, STEPS, &seeds);
+        cloudsim::ScenarioConfig::standard(cloudsim::Strategy::SelfAware { levels }, STEPS);
     cfg.command_plane = cloudsim::CommandPlane::Zoned { zones: 3 };
     cfg.comms = comms;
     cfg.channel = ChannelPlan::uniform(&seeds.child("channel"), rough_link()).with_partition(

@@ -77,12 +77,6 @@ impl Cluster {
         &self.nodes[i]
     }
 
-    /// Whether node `i` is rented.
-    #[must_use]
-    pub fn is_rented(&self, i: usize) -> bool {
-        self.rented[i]
-    }
-
     /// Marks nodes `0..k` rented and releases the rest. Strategies
     /// that want a non-prefix subset use [`Cluster::set_rented`].
     pub fn rent_first(&mut self, k: usize) {
@@ -120,24 +114,6 @@ impl Cluster {
     #[must_use]
     pub fn rented_indices(&self) -> Vec<usize> {
         (0..self.nodes.len()).filter(|&i| self.rented[i]).collect()
-    }
-
-    /// Total backlog across online rented nodes, in work units.
-    #[must_use]
-    pub fn total_backlog(&self) -> f64 {
-        self.dispatchable()
-            .into_iter()
-            .map(|i| self.nodes[i].backlog())
-            .sum()
-    }
-
-    /// Aggregate online rented capacity, work units per tick.
-    #[must_use]
-    pub fn online_capacity(&self) -> f64 {
-        self.dispatchable()
-            .into_iter()
-            .map(|i| self.nodes[i].spec().capacity)
-            .sum()
     }
 
     /// Accumulated rented-node-ticks (the cost integral).
@@ -233,15 +209,21 @@ mod tests {
         c.step(Tick(2));
         assert_eq!(c.rented_node_ticks(), 4);
         c.set_rented(3, true);
-        assert!(c.is_rented(3));
+        assert_eq!(c.rented_indices(), vec![0, 1, 3]);
         assert_eq!(c.dispatchable(), vec![0, 1, 3]);
     }
 
     #[test]
     fn capacities_aggregate() {
         let c = stable_cluster(3);
-        assert!((c.online_capacity() - 6.0).abs() < 1e-12);
-        assert_eq!(c.total_backlog(), 0.0);
+        let capacity: f64 = c
+            .dispatchable()
+            .iter()
+            .map(|&i| c.node(i).spec().capacity)
+            .sum();
+        let backlog: f64 = c.dispatchable().iter().map(|&i| c.node(i).backlog()).sum();
+        assert!((capacity - 6.0).abs() < 1e-12);
+        assert_eq!(backlog, 0.0);
     }
 
     #[test]

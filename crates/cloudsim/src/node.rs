@@ -88,7 +88,6 @@ pub struct Node {
     online: bool,
     queue: VecDeque<(Request, f64)>, // (request, remaining work)
     completed: u64,
-    lost: u64,
     /// When set, the node is pinned offline by an injected fault until
     /// this tick; stochastic churn cannot bring it back early.
     forced_until: Option<Tick>,
@@ -103,7 +102,6 @@ impl Node {
             online: true,
             queue: VecDeque::new(),
             completed: 0,
-            lost: 0,
             forced_until: None,
         }
     }
@@ -144,12 +142,6 @@ impl Node {
         self.completed
     }
 
-    /// Lifetime losses (failures + churn drops).
-    #[must_use]
-    pub fn lost_count(&self) -> u64 {
-        self.lost
-    }
-
     /// Enqueues a request. Fails with [`EnqueueError::NodeOffline`]
     /// (leaving the request unaccepted, to be retried or counted lost
     /// by the caller) if the node is offline — dispatchers should not
@@ -181,7 +173,6 @@ impl Node {
             self.queue.push_back((req, req.work));
             None
         } else {
-            self.lost += 1;
             Some(RequestOutcome::Failed {
                 request: req,
                 at: now,
@@ -200,13 +191,10 @@ impl Node {
         self.forced_until = Some(until);
         self.queue
             .drain(..)
-            .map(|(request, _)| {
-                self.lost += 1;
-                RequestOutcome::Failed {
-                    request,
-                    at: now,
-                    node: node_id,
-                }
+            .map(|(request, _)| RequestOutcome::Failed {
+                request,
+                at: now,
+                node: node_id,
             })
             .collect()
     }
@@ -242,7 +230,6 @@ impl Node {
             if rng.gen::<f64>() < self.spec.churn_off {
                 self.online = false;
                 while let Some((request, _)) = self.queue.pop_front() {
-                    self.lost += 1;
                     out.push(RequestOutcome::Failed {
                         request,
                         at: now,
@@ -282,7 +269,6 @@ impl Node {
         // Per-busy-tick failure of the head-of-line request.
         if rng.gen::<f64>() < self.spec.failure_prob {
             if let Some((request, _)) = self.queue.pop_front() {
-                self.lost += 1;
                 out.push(RequestOutcome::Failed {
                     request,
                     at: now,
@@ -377,7 +363,6 @@ mod tests {
         n.enqueue(Request::new(0, 5.0, Tick(0), 10)).unwrap();
         let o = n.process_step(Tick(1), 3, &mut r);
         assert!(matches!(o[0], RequestOutcome::Failed { node: 3, .. }));
-        assert_eq!(n.lost_count(), 1);
     }
 
     #[test]
@@ -428,7 +413,6 @@ mod tests {
         assert_eq!(err, EnqueueError::NodeOffline);
         assert_eq!(err.to_string(), "cannot enqueue on an offline node");
         assert_eq!(n.queue_len(), 0, "request was not accepted");
-        assert_eq!(n.lost_count(), 0, "refusal is not a loss");
     }
 
     #[test]

@@ -252,7 +252,7 @@ impl ScenarioConfig {
     /// The standard T1/T2 scenario: 12-node heterogeneous volunteer
     /// pool, diurnal demand with a mid-run surge, given strategy.
     #[must_use]
-    pub fn standard(strategy: Strategy, steps: u64, seeds: &SeedTree) -> Self {
+    pub fn standard(strategy: Strategy, steps: u64) -> Self {
         let specs = (0..12)
             .map(|i| {
                 let capacity = 1.0 + (i % 4) as f64;
@@ -263,7 +263,6 @@ impl ScenarioConfig {
                 }
             })
             .collect();
-        let _ = seeds; // specs are deterministic; seeds reserved for variants
         Self {
             specs,
             steps,
@@ -511,7 +510,7 @@ mod tests {
 
     fn run(strategy: Strategy, seed: u64, steps: u64) -> ScenarioResult {
         let seeds = SeedTree::new(seed);
-        let cfg = ScenarioConfig::standard(strategy, steps, &seeds);
+        let cfg = ScenarioConfig::standard(strategy, steps);
         run_scenario(&cfg, &seeds)
     }
 
@@ -589,7 +588,7 @@ mod tests {
         let steps = 2000;
         let faulty = |seed: u64| {
             let seeds = SeedTree::new(seed);
-            let mut cfg = ScenarioConfig::standard(Strategy::LeastLoaded, steps, &seeds);
+            let mut cfg = ScenarioConfig::standard(Strategy::LeastLoaded, steps);
             // Take out half the pool for a fifth of the run, twice.
             cfg.faults = FaultPlan::none()
                 .and(FaultEvent::zone_outage(Tick(steps / 4), 0, 6, steps / 5))
@@ -631,7 +630,7 @@ mod tests {
             ));
         let run_arm = |strategy: Strategy| {
             let seeds = SeedTree::new(11);
-            let mut cfg = ScenarioConfig::standard(strategy, steps, &seeds);
+            let mut cfg = ScenarioConfig::standard(strategy, steps);
             cfg.faults = plan.clone();
             run_scenario(&cfg, &seeds)
         };
@@ -682,7 +681,6 @@ mod tests {
                     .with(selfaware::levels::Level::Time),
             },
             steps,
-            &seeds,
         );
         cfg.specs = (0..18)
             .map(|i| {

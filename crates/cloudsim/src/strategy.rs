@@ -224,10 +224,9 @@ impl Controller {
         }
     }
 
-    /// Current autoscaling safety margin, if the controller has one
-    /// (exposed for tests and explanations).
-    #[must_use]
-    pub fn safety_margin(&self) -> Option<f64> {
+    /// Current autoscaling safety margin, if the controller has one.
+    #[cfg(test)]
+    fn safety_margin(&self) -> Option<f64> {
         match &self.kind {
             Kind::SelfAware(s) if s.levels.contains(Level::Time) => Some(s.core.safety()),
             _ => None,

@@ -107,11 +107,7 @@ proptest! {
     #[test]
     fn scenario_metrics_are_internally_consistent(seed in 0u64..20) {
         let seeds = SeedTree::new(seed);
-        let cfg = cloudsim::ScenarioConfig::standard(
-            cloudsim::Strategy::LeastLoaded,
-            600,
-            &seeds,
-        );
+        let cfg = cloudsim::ScenarioConfig::standard(cloudsim::Strategy::LeastLoaded, 600);
         let m = cloudsim::run_scenario(&cfg, &seeds).metrics;
         let arrived = m.get("arrived").unwrap();
         let completed = m.get("completed").unwrap();

@@ -72,7 +72,7 @@ impl CityPolicy {
     #[must_use]
     pub fn supervised() -> Self {
         Self {
-            router: RoutingStrategy::supervised_cpn_default(),
+            router: RoutingStrategy::SupervisedCpn,
             comms: CommsPolicy::default(),
             health: true,
             ladder: true,

@@ -5,10 +5,10 @@
 //! direct their limited resources, given the vast set of possible
 //! things they could attend to", attention is intertwined with
 //! self-awareness. The [`AttentionAllocator`] chooses, each step, which
-//! sensors to sample under a cost budget, prioritising signals that are
-//! *volatile* (changing fast, so stale knowledge decays quickly) and
-//! *stale* (unsampled for a long time), with ε exploration so quiet
-//! signals are still revisited.
+//! sensors to sample under a budget of samples, prioritising signals
+//! that are *volatile* (changing fast, so stale knowledge decays
+//! quickly) and *stale* (unsampled for a long time), with ε
+//! exploration so quiet signals are still revisited.
 //!
 //! Experiment T6 sweeps the budget and compares this policy against
 //! round-robin and random monitoring.
@@ -44,13 +44,13 @@ pub struct AttentionAllocator {
     volatility: Vec<EwmaVariance>,
     last_sampled: Vec<Option<Tick>>,
     counts: Vec<u64>,
-    costs: Vec<f64>,
     epsilon: f64,
     staleness_weight: f64,
 }
 
 impl AttentionAllocator {
-    /// Creates an allocator over `n_signals` unit-cost signals.
+    /// Creates an allocator over `n_signals` signals, each costing one
+    /// unit of budget to sample.
     ///
     /// * `epsilon` — probability that each selection slot explores a
     ///   uniformly random signal instead of the top-priority one;
@@ -73,28 +73,9 @@ impl AttentionAllocator {
             volatility: (0..n_signals).map(|_| EwmaVariance::new(0.1)).collect(),
             last_sampled: vec![None; n_signals],
             counts: vec![0; n_signals],
-            costs: vec![1.0; n_signals],
             epsilon,
             staleness_weight,
         }
-    }
-
-    /// Overrides per-signal sampling costs (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `costs.len()` differs from the signal count or any
-    /// cost is non-positive.
-    #[must_use]
-    pub fn with_costs(mut self, costs: Vec<f64>) -> Self {
-        assert_eq!(
-            costs.len(),
-            self.volatility.len(),
-            "cost vector length mismatch"
-        );
-        assert!(costs.iter().all(|&c| c > 0.0), "costs must be positive");
-        self.costs = costs;
-        self
     }
 
     /// Number of managed signals.
@@ -110,21 +91,20 @@ impl AttentionAllocator {
     }
 
     /// Priority score of signal `i` at time `now`: volatility plus
-    /// weighted staleness, per unit cost. Never-sampled signals get
-    /// infinite priority.
+    /// weighted staleness. Never-sampled signals get infinite priority.
     #[must_use]
     pub fn priority(&self, i: usize, now: Tick) -> f64 {
         match self.last_sampled[i] {
             None => f64::INFINITY,
             Some(t) => {
                 let stale = now.value().saturating_sub(t.value()) as f64;
-                (self.volatility[i].std_dev() + self.staleness_weight * stale) / self.costs[i]
+                self.volatility[i].std_dev() + self.staleness_weight * stale
             }
         }
     }
 
-    /// Selects signals to sample under `budget` total cost at time
-    /// `now`. Selection is greedy by priority with per-slot ε
+    /// Selects signals to sample at time `now`, one unit of `budget`
+    /// each. Selection is greedy by priority with per-slot ε
     /// exploration; a signal is selected at most once.
     pub fn select(&self, budget: f64, now: Tick, rng: &mut Rng) -> Vec<usize> {
         use rand::Rng as _;
@@ -132,12 +112,7 @@ impl AttentionAllocator {
         let mut remaining = budget;
         let mut chosen = Vec::new();
         let mut available: Vec<usize> = (0..n).collect();
-        while !available.is_empty() {
-            // Anything still affordable?
-            available.retain(|&i| self.costs[i] <= remaining + 1e-12);
-            if available.is_empty() {
-                break;
-            }
+        while !available.is_empty() && remaining + 1e-12 >= 1.0 {
             let pick = if rng.gen::<f64>() < self.epsilon {
                 available[rng.gen_range(0..available.len())]
             } else {
@@ -150,7 +125,7 @@ impl AttentionAllocator {
                     })
                     .expect("available is non-empty")
             };
-            remaining -= self.costs[pick];
+            remaining -= 1.0;
             chosen.push(pick);
             available.retain(|&i| i != pick);
         }
@@ -269,24 +244,6 @@ mod tests {
         for &c in a.sample_counts() {
             assert!(c >= 80, "every signal should be visited, got {c}");
         }
-    }
-
-    #[test]
-    fn costs_bias_selection() {
-        let a = AttentionAllocator::new(2, 0.0, 0.1).with_costs(vec![1.0, 10.0]);
-        let mut r = rng();
-        // Budget 1: can only ever afford signal 0... but both start
-        // with infinite priority; greedy picks the max — ties by
-        // partial_cmp are broken by position, and signal 1 is
-        // unaffordable anyway.
-        let picked = a.select(1.0, Tick(0), &mut r);
-        assert_eq!(picked, vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost vector length mismatch")]
-    fn wrong_cost_len_panics() {
-        let _ = AttentionAllocator::new(2, 0.0, 0.1).with_costs(vec![1.0]);
     }
 
     #[test]

@@ -1444,6 +1444,37 @@ mod tests {
         assert_eq!(heals.count(), 1);
     }
 
+    /// The default protocol's whole life over a channel that loses
+    /// every frame: the backoff doubles from 2 up to its 32-tick cap,
+    /// and the 120-tick `send_timeout` expires the message after its
+    /// seventh transmission, before the 8-send `retry_budget` binds.
+    #[test]
+    fn default_policy_retries_until_the_timeout_not_the_budget() {
+        struct LoseAll(std::cell::RefCell<Vec<u64>>);
+        impl Channel for LoseAll {
+            fn transmit(&self, _s: usize, _d: usize, _q: u64, now: Tick) -> ChannelOutcome {
+                self.0.borrow_mut().push(now.0);
+                ChannelOutcome::lost()
+            }
+        }
+        let ch = LoseAll(std::cell::RefCell::default());
+        let mut net: CommsNetwork<u32> = CommsNetwork::new(CommsPolicy::default());
+        let mut l = log();
+        net.send(&ch, 0, 1, 3, Tick(0), &mut l);
+        for t in 0..=200 {
+            step(&mut net, &ch, Tick(t), &mut l);
+        }
+        assert_eq!(*ch.0.borrow(), [0, 2, 6, 14, 30, 62, 94]);
+        let expiries: Vec<&Explanation> = l.iter().filter(|e| e.kind == "comms:expire").collect();
+        assert_eq!(expiries.len(), 1);
+        assert_eq!(expiries[0].at, Tick(126));
+        assert!(expiries[0].factors().contains(&("out_of_budget", 0.0)));
+        let s = net.stats();
+        assert_eq!((s.sent, s.retries, s.expired), (7, 6, 1));
+        assert_eq!(s.budget_exhausted, 0);
+        assert_eq!(net.unacked(), 0);
+    }
+
     #[test]
     fn timeout_expiry_is_not_counted_as_budget_exhaustion() {
         // A generous retry budget with a tight send timeout: the

@@ -7,7 +7,7 @@
 //! be *first-class run-time objects* rather than design-time
 //! assumptions: stakeholder concerns (throughput, cost, reliability,
 //! ...) become [`Objective`]s; a [`Goal`] aggregates them into a scalar
-//! utility and tracks constraint violations.
+//! utility.
 //!
 //! Normalisation: each objective declares a `scale` — the magnitude at
 //! which the stakeholder considers the concern "fully satisfied"
@@ -62,9 +62,6 @@ pub struct Objective {
     /// Relative importance in the weighted aggregate. Must be
     /// non-negative.
     pub weight: f64,
-    /// Optional hard constraint: for `Maximize`, the value must stay
-    /// **at or above** this; for `Minimize`, **at or below**.
-    pub constraint: Option<f64>,
 }
 
 impl Objective {
@@ -82,15 +79,7 @@ impl Objective {
             direction,
             scale,
             weight,
-            constraint: None,
         }
-    }
-
-    /// Adds a hard constraint (builder style).
-    #[must_use]
-    pub fn with_constraint(mut self, threshold: f64) -> Self {
-        self.constraint = Some(threshold);
-        self
     }
 
     /// Normalised satisfaction score in `[0, 1]` for a measured value.
@@ -102,26 +91,10 @@ impl Objective {
         };
         raw.clamp(0.0, 1.0)
     }
-
-    /// Whether `value` violates the hard constraint (false if no
-    /// constraint is set).
-    #[must_use]
-    pub fn violated_by(&self, value: f64) -> bool {
-        match (self.constraint, self.direction) {
-            (Some(c), Direction::Maximize) => value < c,
-            (Some(c), Direction::Minimize) => value > c,
-            (None, _) => false,
-        }
-    }
 }
 
-/// A run-time goal: a weighted set of objectives plus a constraint
-/// penalty.
-///
-/// Utility is the weight-normalised sum of objective scores, minus
-/// `violation_penalty` for each violated constraint (clamped at 0 from
-/// below is deliberately **not** done: persistent violation should be
-/// visible as strongly negative utility).
+/// A run-time goal: a weighted set of objectives. Its utility is the
+/// weight-normalised sum of the objective scores.
 ///
 /// # Example
 ///
@@ -130,16 +103,14 @@ impl Objective {
 ///
 /// let goal = Goal::new("serve-well")
 ///     .objective(Objective::new("throughput", Direction::Maximize, 100.0, 2.0))
-///     .objective(
-///         Objective::new("latency", Direction::Minimize, 50.0, 1.0).with_constraint(45.0),
-///     );
+///     .objective(Objective::new("latency", Direction::Minimize, 50.0, 1.0));
 ///
 /// let u = goal.utility(|k| match k {
 ///     "throughput" => Some(80.0),
 ///     "latency" => Some(10.0),
 ///     _ => None,
 /// });
-/// // (2*0.8 + 1*0.8) / 3 = 0.8, no violations
+/// // (2*0.8 + 1*0.8) / 3 = 0.8
 /// assert!((u - 0.8).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -147,17 +118,15 @@ pub struct Goal {
     /// Human-readable goal name.
     pub name: String,
     objectives: Vec<Objective>,
-    violation_penalty: f64,
 }
 
 impl Goal {
-    /// Creates an empty goal with the default violation penalty (0.5).
+    /// Creates an empty goal.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             objectives: Vec::new(),
-            violation_penalty: 0.5,
         }
     }
 
@@ -165,18 +134,6 @@ impl Goal {
     #[must_use]
     pub fn objective(mut self, o: Objective) -> Self {
         self.objectives.push(o);
-        self
-    }
-
-    /// Sets the per-violation utility penalty (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `penalty` is negative.
-    #[must_use]
-    pub fn with_violation_penalty(mut self, penalty: f64) -> Self {
-        assert!(penalty >= 0.0, "penalty must be non-negative");
-        self.violation_penalty = penalty;
         self
     }
 
@@ -196,31 +153,13 @@ impl Goal {
             return 0.0;
         }
         let mut sum = 0.0;
-        let mut penalty = 0.0;
         for o in &self.objectives {
-            match read(&o.key) {
-                Some(v) => {
-                    sum += o.weight * o.score(v);
-                    if o.violated_by(v) {
-                        penalty += self.violation_penalty;
-                    }
-                }
-                None => {
-                    // worst-case score for unknown signals
-                    sum += 0.0;
-                }
+            // An unknown signal scores 0, the worst case.
+            if let Some(v) = read(&o.key) {
+                sum += o.weight * o.score(v);
             }
         }
-        sum / total_weight - penalty
-    }
-
-    /// Number of violated constraints given a signal lookup (unknown
-    /// signals are not counted).
-    pub fn violations<F: Fn(&str) -> Option<f64>>(&self, read: F) -> usize {
-        self.objectives
-            .iter()
-            .filter(|o| read(&o.key).is_some_and(|v| o.violated_by(v)))
-            .count()
+        sum / total_weight
     }
 }
 
@@ -238,18 +177,6 @@ mod tests {
         assert_eq!(m.score(0.0), 1.0);
         assert_eq!(m.score(10.0), 0.0);
         assert_eq!(m.score(99.0), 0.0);
-    }
-
-    #[test]
-    fn constraints_by_direction() {
-        let up = Objective::new("thr", Direction::Maximize, 10.0, 1.0).with_constraint(5.0);
-        assert!(up.violated_by(4.0));
-        assert!(!up.violated_by(5.0));
-        let down = Objective::new("lat", Direction::Minimize, 10.0, 1.0).with_constraint(5.0);
-        assert!(down.violated_by(6.0));
-        assert!(!down.violated_by(5.0));
-        let free = Objective::new("z", Direction::Minimize, 10.0, 1.0);
-        assert!(!free.violated_by(1e9));
     }
 
     #[test]
@@ -271,20 +198,6 @@ mod tests {
             .objective(Objective::new("b", Direction::Maximize, 1.0, 1.0));
         let u = g.utility(|k| if k == "a" { Some(1.0) } else { Some(0.0) });
         assert!((u - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utility_penalises_violations() {
-        let g = Goal::new("g")
-            .objective(Objective::new("lat", Direction::Minimize, 10.0, 1.0).with_constraint(5.0))
-            .with_violation_penalty(1.0);
-        let ok = g.utility(|_| Some(2.0));
-        let bad = g.utility(|_| Some(8.0));
-        assert!(ok > bad);
-        assert!(bad < 0.0, "violation should push utility negative");
-        assert_eq!(g.violations(|_| Some(8.0)), 1);
-        assert_eq!(g.violations(|_| Some(2.0)), 0);
-        assert_eq!(g.violations(|_| None), 0);
     }
 
     #[test]

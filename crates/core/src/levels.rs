@@ -29,8 +29,8 @@ pub enum Level {
     /// Time awareness: knowledge of historical phenomena and of likely
     /// futures (prediction).
     Time,
-    /// Goal awareness: explicit representation of goals, objectives
-    /// and constraints, enabling run-time trade-off management.
+    /// Goal awareness: explicit representation of goals and their
+    /// weighted objectives, enabling run-time trade-off management.
     Goal,
     /// Meta-self-awareness: awareness of the system's own awareness —
     /// of which models it runs and how well they are doing.
@@ -56,18 +56,6 @@ impl Level {
             Level::Time => "time",
             Level::Goal => "goal",
             Level::Meta => "meta",
-        }
-    }
-
-    /// The psychological notion the level was translated from.
-    #[must_use]
-    pub fn psychological_origin(self) -> &'static str {
-        match self {
-            Level::Stimulus => "Neisser's ecological self",
-            Level::Interaction => "Neisser's interpersonal self",
-            Level::Time => "Neisser's extended self",
-            Level::Goal => "Neisser's private & conceptual self",
-            Level::Meta => "Morin's meta-self-awareness",
         }
     }
 
@@ -233,12 +221,5 @@ mod tests {
         let s = LevelSet::new().with(Level::Stimulus).with(Level::Goal);
         assert_eq!(s.to_string(), "stimulus+goal");
         assert_eq!(Level::Meta.to_string(), "meta");
-    }
-
-    #[test]
-    fn origins_are_documented() {
-        for l in Level::ALL {
-            assert!(!l.psychological_origin().is_empty());
-        }
     }
 }

@@ -170,12 +170,8 @@ impl ModelPool {
     }
 
     /// Recent smoothed error of member `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn error_of(&self, idx: usize) -> f64 {
+    #[cfg(test)]
+    fn error_of(&self, idx: usize) -> f64 {
         self.errors[idx].error()
     }
 

@@ -134,18 +134,6 @@ impl EwmaVariance {
     pub fn mean(&self) -> f64 {
         self.mean.level()
     }
-
-    /// Standardised distance of `x` from the smoothed mean (0 when no
-    /// variance has accumulated).
-    #[must_use]
-    pub fn z_score(&self, x: f64) -> f64 {
-        let sd = self.std_dev();
-        if sd < 1e-12 {
-            0.0
-        } else {
-            (x - self.mean.level()) / sd
-        }
-    }
 }
 
 #[cfg(test)]
@@ -215,8 +203,6 @@ mod tests {
         // Uniform(-1,1) has variance 1/3.
         assert!((v.mean() - 5.0).abs() < 0.2);
         assert!((v.variance() - 1.0 / 3.0).abs() < 0.15);
-        assert!(v.z_score(5.0).abs() < 0.5);
-        assert!(v.z_score(10.0) > 3.0);
     }
 
     #[test]
@@ -226,6 +212,5 @@ mod tests {
             v.observe(3.0);
         }
         assert!(v.variance() < 1e-9);
-        assert_eq!(v.z_score(99.0), 0.0);
     }
 }

@@ -38,17 +38,12 @@ pub enum RoutingStrategy {
         /// Exploration rate of smart packets.
         epsilon: f64,
     },
-    /// CPN routing under a meta-self-aware supervisor: the simulator
-    /// watchdogs the learned delay estimates and falls back to
-    /// periodic table routing while the model is benched (see
-    /// [`Routing`]). Routing behaviour while healthy is identical to
-    /// [`RoutingStrategy::Cpn`].
-    SupervisedCpn {
-        /// Fraction of packets that explore (smart packets).
-        smart_ratio: f64,
-        /// Exploration rate of smart packets.
-        epsilon: f64,
-    },
+    /// [`RoutingStrategy::cpn_default`]'s router under a
+    /// meta-self-aware supervisor: the simulator watchdogs the learned
+    /// delay estimates and falls back to periodic table routing while
+    /// the model is benched (see [`Routing`]). Routing behaviour while
+    /// healthy is identical to the unsupervised router's.
+    SupervisedCpn,
 }
 
 impl RoutingStrategy {
@@ -61,16 +56,6 @@ impl RoutingStrategy {
         }
     }
 
-    /// Canonical supervised-CPN configuration (same routing knobs as
-    /// [`RoutingStrategy::cpn_default`]).
-    #[must_use]
-    pub fn supervised_cpn_default() -> Self {
-        RoutingStrategy::SupervisedCpn {
-            smart_ratio: 0.1,
-            epsilon: 0.1,
-        }
-    }
-
     /// Table label.
     #[must_use]
     pub fn label(&self) -> String {
@@ -78,7 +63,7 @@ impl RoutingStrategy {
             RoutingStrategy::StaticShortest => "static-shortest".into(),
             RoutingStrategy::Periodic { period } => format!("periodic({period})"),
             RoutingStrategy::Cpn { .. } => "cpn".into(),
-            RoutingStrategy::SupervisedCpn { .. } => "supervised-cpn".into(),
+            RoutingStrategy::SupervisedCpn => "supervised-cpn".into(),
         }
     }
 
@@ -102,11 +87,8 @@ impl RoutingStrategy {
                     },
                 }
             }
+            RoutingStrategy::SupervisedCpn => RoutingStrategy::cpn_default().build(graph),
             RoutingStrategy::Cpn {
-                smart_ratio,
-                epsilon,
-            }
-            | RoutingStrategy::SupervisedCpn {
                 smart_ratio,
                 epsilon,
             } => {
@@ -621,7 +603,7 @@ impl Routing {
         name: &str,
         mask: InterventionMask,
     ) -> Self {
-        let supervised = matches!(strategy, RoutingStrategy::SupervisedCpn { .. });
+        let supervised = strategy == RoutingStrategy::SupervisedCpn;
         Self {
             slot: SelfModel::new(name, strategy.build(graph), supervised).with_mask(mask),
             record: LinkRecord::new(graph),
@@ -930,7 +912,7 @@ mod tests {
         assert!(!plain.slot().is_supervised());
         assert_eq!(plain.slot().stats(), SupervisionStats::default());
 
-        let mut routing = Routing::new(RoutingStrategy::supervised_cpn_default(), &g, "r", mask);
+        let mut routing = Routing::new(RoutingStrategy::SupervisedCpn, &g, "r", mask);
         // A NaN estimate before any checkpoint benches the model at once.
         routing.model_mut().poison();
         routing.supervise(&g, Tick(0), Some(4.0), &[(0, 8)], &mut log);
@@ -959,7 +941,7 @@ mod tests {
         let g = Graph::grid(3, 3);
         let mut log = ExplanationLog::new(16);
         let mut routing = Routing::new(
-            RoutingStrategy::supervised_cpn_default(),
+            RoutingStrategy::SupervisedCpn,
             &g,
             "r",
             InterventionMask::allow_all(),

@@ -751,10 +751,7 @@ mod tests {
                 ));
             c
         };
-        let sup = run_cpn(
-            &cfg(RoutingStrategy::supervised_cpn_default()),
-            &SeedTree::new(13),
-        );
+        let sup = run_cpn(&cfg(RoutingStrategy::SupervisedCpn), &SeedTree::new(13));
         let interventions = sup.metrics.get("model_rollbacks").unwrap()
             + sup.metrics.get("model_fallbacks").unwrap();
         assert!(
@@ -766,10 +763,7 @@ mod tests {
             "supervised router should keep delivering: {:?}",
             sup.metrics.get("delivery_ratio")
         );
-        let again = run_cpn(
-            &cfg(RoutingStrategy::supervised_cpn_default()),
-            &SeedTree::new(13),
-        );
+        let again = run_cpn(&cfg(RoutingStrategy::SupervisedCpn), &SeedTree::new(13));
         assert_eq!(sup.metrics, again.metrics, "supervised runs deterministic");
         // The supervisor explains itself in the run's one log.
         assert!(

@@ -390,7 +390,7 @@ proptest! {
             RoutingStrategy::StaticShortest,
             RoutingStrategy::Periodic { period: 10 },
             RoutingStrategy::cpn_default(),
-            RoutingStrategy::supervised_cpn_default(),
+            RoutingStrategy::SupervisedCpn,
         ][strategy];
         let routing = |g: &Graph| Routing::new(strategy, g, "net", InterventionMask::allow_all());
         let seeds = SeedTree::new(seed);
@@ -466,7 +466,7 @@ proptest! {
             prop_assert_eq!(net.rng.gen::<u64>(), reference.rng.gen::<u64>(), "tick {}: draws", t);
         }
         prop_assert!(
-            strategy != RoutingStrategy::supervised_cpn_default() || poison_at >= 100 || heal_at.is_some(),
+            strategy != RoutingStrategy::SupervisedCpn || poison_at >= 100 || heal_at.is_some(),
             "a model poisoned from tick {} was never benched",
             poison_at
         );

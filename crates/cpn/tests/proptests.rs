@@ -172,7 +172,7 @@ proptest! {
         let mut g = Graph::grid(4, 6);
         let n = g.len();
         let mut routing = Routing::new(
-            RoutingStrategy::supervised_cpn_default(),
+            RoutingStrategy::SupervisedCpn,
             &g,
             "r",
             InterventionMask::allow_all(),

@@ -88,8 +88,9 @@ impl SchedController {
         self.state.as_mut().map(|s| &mut s.thermal)
     }
 
-    /// Per-tick pre-processing: DVFS governance (self-aware only).
-    pub fn begin_tick(&mut self, cores: &mut [Core], now: Tick) {
+    /// Per-tick pre-processing: DVFS governance (self-aware only). The
+    /// thermal supervisor explains itself in `log`.
+    pub fn begin_tick(&mut self, cores: &mut [Core], now: Tick, log: &mut ExplanationLog) {
         match self.kind {
             Scheduler::StaticPin | Scheduler::Greedy => {
                 for c in cores {
@@ -98,7 +99,7 @@ impl SchedController {
             }
             Scheduler::SelfAware | Scheduler::SupervisedSelfAware => {
                 if let Some(s) = &mut self.state {
-                    s.govern_dvfs(cores, now);
+                    s.govern_dvfs(cores, now, log);
                 }
             }
         }
@@ -159,8 +160,9 @@ impl SchedController {
     }
 }
 
-/// Deadline (ticks) assumed for interactive tasks by the self-aware
-/// reward model; matches `MulticoreConfig::standard`.
+/// Deadline (ticks) of interactive tasks: a later completion is a miss
+/// in the scenario's `deadline_miss_rate`, and the self-aware reward
+/// model penalises it.
 pub const INTERACTIVE_DEADLINE: u64 = 8;
 
 /// Q-learning state: task class × whether the big cluster is hot.
@@ -176,8 +178,6 @@ struct SelfAwareSched {
     /// that benches the bank in favour of reactive DVFS on current
     /// temperatures.
     thermal: SelfModel<Vec<Holt>>,
-    /// Where the thermal supervisor explains itself.
-    log: ExplanationLog,
     governor: ExplorationGovernor,
     /// Task id → (q-state, action) recorded at assignment time, so
     /// feedback credits the decision that actually routed the task.
@@ -190,7 +190,6 @@ impl SelfAwareSched {
         Self {
             q: QLearner::new(6, 2, 0.15, 0.0, 0.15),
             thermal: SelfModel::new("thermal-forecasts", bank, supervised),
-            log: ExplanationLog::new(512),
             governor: ExplorationGovernor::new(0.03, 0.4, 0.998, 0.15, 12.0),
             assignments: std::collections::HashMap::new(),
         }
@@ -217,7 +216,7 @@ impl SelfAwareSched {
             .any(|(i, c)| self.predicted_temp(i, c.temperature()) > T_CAP - 8.0)
     }
 
-    fn govern_dvfs(&mut self, cores: &mut [Core], now: Tick) {
+    fn govern_dvfs(&mut self, cores: &mut [Core], now: Tick, log: &mut ExplanationLog) {
         let frozen = self.thermal.frozen(now);
         // Feed the bank, then hand the supervisor the hottest current
         // reading (input) against the hottest one-step prediction
@@ -241,7 +240,7 @@ impl SelfAwareSched {
             };
         }
         self.thermal
-            .observe(now, Evidence::forecast(max_temp, max_pred), &mut self.log);
+            .observe(now, Evidence::forecast(max_temp, max_pred), log);
         for (i, core) in cores.iter_mut().enumerate() {
             let predicted = self.predicted_temp(i, core.temperature());
             let level = core.dvfs();
@@ -400,7 +399,7 @@ mod tests {
         let mut cs = cores();
         cs[0].set_dvfs(DvfsLevel::Low);
         let mut ctl = Scheduler::Greedy.build(4);
-        ctl.begin_tick(&mut cs, Tick(0));
+        ctl.begin_tick(&mut cs, Tick(0), &mut ExplanationLog::new(8));
         assert_eq!(cs[0].dvfs(), DvfsLevel::High);
     }
 
@@ -408,8 +407,9 @@ mod tests {
     fn self_aware_drops_idle_cores_to_low() {
         let mut cs = cores();
         let mut ctl = Scheduler::SelfAware.build(4);
+        let mut log = ExplanationLog::new(8);
         for t in 0..10u64 {
-            ctl.begin_tick(&mut cs, Tick(t));
+            ctl.begin_tick(&mut cs, Tick(t), &mut log);
         }
         for c in &cs {
             assert_eq!(c.dvfs(), DvfsLevel::Low, "idle cores should downclock");

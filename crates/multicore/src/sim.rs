@@ -2,7 +2,8 @@
 //! big.LITTLE platform.
 
 use crate::core::{Core, CoreSpec};
-use crate::sched::Scheduler;
+use crate::sched::{Scheduler, INTERACTIVE_DEADLINE};
+use selfaware::explain::ExplanationLog;
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::replay::InterventionMask;
 use simkernel::obs;
@@ -20,10 +21,10 @@ pub struct MulticoreConfig {
     pub little_cores: usize,
     /// Simulation length in ticks.
     pub steps: u64,
-    /// Task phases (onset tick, mix).
+    /// Task phases (onset tick, mix). Interactive tasks are due
+    /// [`INTERACTIVE_DEADLINE`] ticks after arrival; the others have
+    /// no deadline.
     pub phases: Vec<(u64, TaskMix)>,
-    /// Deadline for interactive tasks (ticks); others unconstrained.
-    pub interactive_deadline: u64,
     /// Scheduled faults. `CoreFail` / `CoreRecover` take cores
     /// offline — a failing core orphans its queue (partial progress
     /// lost), the scheduler immediately redistributes the orphans,
@@ -55,7 +56,6 @@ impl MulticoreConfig {
                 (third, TaskMix::new(3.5, [0.1, 0.8, 0.1], 2.5)),
                 (2 * third, TaskMix::new(4.0, [0.3, 0.3, 0.4], 1.8)),
             ],
-            interactive_deadline: 8,
             faults: FaultPlan::none(),
             scheduler,
             mask: InterventionMask::allow_all(),
@@ -70,6 +70,9 @@ pub struct MulticoreResult {
     pub metrics: MetricSet,
     /// Max core temperature per 25 ticks.
     pub peak_temp: TimeSeries,
+    /// The thermal supervisor's explanations (empty unless the
+    /// scheduler is [`Scheduler::SupervisedSelfAware`]).
+    pub log: ExplanationLog,
 }
 
 /// The platform goal: throughput up, energy and thermal stress down.
@@ -132,6 +135,7 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
         model.set_mask(cfg.mask);
     }
     let mut sched_rng = seeds.rng("sched");
+    let mut log = ExplanationLog::new(512);
 
     let mut arrived = 0u64;
     let mut completed = 0u64;
@@ -175,7 +179,7 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
 
         drop(sense_span);
         let decide_span = obs::span("multicore:decide");
-        controller.begin_tick(&mut cores, now);
+        controller.begin_tick(&mut cores, now, &mut log);
         for task in stream.emit(now) {
             arrived += 1;
             let idx = controller.assign(&cores, &task, &mut sched_rng);
@@ -192,7 +196,7 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
                 latency_sum += *latency as f64;
                 if task.class == workloads::tasks::TaskClass::Interactive {
                     interactive_done += 1;
-                    if *latency > cfg.interactive_deadline {
+                    if *latency > INTERACTIVE_DEADLINE {
                         interactive_late += 1;
                     }
                 }
@@ -258,6 +262,7 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
     MulticoreResult {
         metrics,
         peak_temp: peak_series,
+        log,
     }
 }
 
@@ -406,6 +411,10 @@ mod tests {
         assert!(
             m.get("model_rollbacks").unwrap() + m.get("model_fallbacks").unwrap() >= 1.0,
             "supervisor never intervened: {m:?}"
+        );
+        assert!(
+            sup.log.iter().any(|e| e.kind.starts_with("supervise:")),
+            "the supervisor's interventions must reach the run's log"
         );
         assert!(
             m.get("completion_ratio").unwrap() > 0.7,

@@ -111,12 +111,6 @@ impl Clock {
         Self { now: Tick::ZERO }
     }
 
-    /// Creates a clock at an arbitrary start time.
-    #[must_use]
-    pub fn starting_at(t: Tick) -> Self {
-        Self { now: t }
-    }
-
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> Tick {
@@ -126,12 +120,6 @@ impl Clock {
     /// Advances by one tick and returns the new time.
     pub fn advance(&mut self) -> Tick {
         self.now += Tick(1);
-        self.now
-    }
-
-    /// Advances by `n` ticks and returns the new time.
-    pub fn advance_by(&mut self, n: u64) -> Tick {
-        self.now += Tick(n);
         self.now
     }
 }
@@ -306,12 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_advance_by_bulk() {
-        let mut c = Clock::starting_at(Tick(5));
-        assert_eq!(c.advance_by(10), Tick(15));
-    }
-
-    #[test]
     fn tick_ordering() {
         assert!(Tick(1) < Tick(2));
         assert_eq!(Tick(3).saturating_sub(5), Tick(0));
@@ -341,7 +323,8 @@ mod tests {
 
     #[test]
     fn sim_clock_wait_until_past_is_noop() {
-        let mut c = Clock::starting_at(Tick(10));
+        let mut c = Clock::new();
+        c.wait_until(Tick(10));
         c.wait_until(Tick(3));
         assert_eq!(c.now(), Tick(10));
         assert!(!ClockSource::is_wall(&c));

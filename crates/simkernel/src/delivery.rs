@@ -118,12 +118,6 @@ impl<T> DeliveryQueue<T> {
         }
     }
 
-    /// Earliest arrival tick still queued, if any.
-    #[must_use]
-    pub fn next_arrival(&self) -> Option<Tick> {
-        self.slots.keys().next().map(|&t| Tick(t))
-    }
-
     /// Number of items still in flight.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -148,13 +142,11 @@ mod tests {
         q.schedule(Tick(1), "a1");
         q.schedule(Tick(1), "a2");
         q.schedule(Tick(2), "b");
-        assert_eq!(q.next_arrival(), Some(Tick(1)));
         assert_eq!(q.due(Tick(2)), vec!["a1", "a2", "b"]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.due(Tick(2)), Vec::<&str>::new());
         assert_eq!(q.due(Tick(3)), vec!["c"]);
         assert!(q.is_empty());
-        assert_eq!(q.next_arrival(), None);
     }
 
     #[test]

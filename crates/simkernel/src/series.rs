@@ -79,24 +79,6 @@ impl TimeSeries {
         self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
     }
 
-    /// Mean value over samples with tick in `[from, to)`.
-    #[must_use]
-    pub fn mean_in(&self, from: Tick, to: Tick) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for &(t, v) in &self.points {
-            if t >= from.value() && t < to.value() {
-                sum += v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// Down-samples into `buckets` equal-width time buckets, returning
     /// `(bucket_midpoint_tick, bucket_mean)` for each non-empty bucket.
     #[must_use]
@@ -209,8 +191,9 @@ mod tests {
     fn mean_and_windowed_mean() {
         let s = ramp("r", 10);
         assert!((s.mean() - 4.5).abs() < 1e-12);
-        assert!((s.mean_in(Tick(0), Tick(5)) - 2.0).abs() < 1e-12);
-        assert_eq!(s.mean_in(Tick(100), Tick(200)), 0.0);
+        // The first five samples alone.
+        assert!((ramp("r", 5).mean() - 2.0).abs() < 1e-12);
+        assert_eq!(TimeSeries::new("empty").mean(), 0.0);
     }
 
     #[test]

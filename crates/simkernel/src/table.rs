@@ -131,12 +131,6 @@ pub fn num_ci(mean: f64, ci: f64) -> String {
     format!("{mean:.3}±{ci:.3}")
 }
 
-/// Formats a percentage with 1 decimal place.
-#[must_use]
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +168,6 @@ mod tests {
     fn numeric_formatting() {
         assert_eq!(num(1.23456), "1.235");
         assert_eq!(num_ci(1.0, 0.5), "1.000±0.500");
-        assert_eq!(pct(0.123), "12.3%");
     }
 
     #[test]

@@ -471,44 +471,6 @@ impl FaultPlan {
         }
         Self::new(events)
     }
-
-    /// A seed-derived plan of `count` random model corruptions: each
-    /// picks a controller in `0..controllers`, an onset in
-    /// `[window.0, window.1)` and one of the three
-    /// [`ModelCorruptionKind`]s (scramble gains in `[5, 50)`, freeze
-    /// durations in `[20, 80)`). Deterministic per seed subtree, like
-    /// every other randomised plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `controllers == 0` or the window is empty.
-    #[must_use]
-    pub fn random_model_corruptions(
-        seeds: &SeedTree,
-        controllers: usize,
-        count: usize,
-        window: (u64, u64),
-    ) -> Self {
-        assert!(controllers > 0, "need at least one controller");
-        assert!(window.0 < window.1, "fault window must be non-empty");
-        let mut rng = seeds.rng("model-corruption-plan");
-        let mut events = Vec::with_capacity(count);
-        for _ in 0..count {
-            let controller = rng.gen_range(0..controllers);
-            let at = rng.gen_range(window.0..window.1);
-            let kind = match rng.gen_range(0..3u8) {
-                0 => ModelCorruptionKind::NanPoison,
-                1 => ModelCorruptionKind::WeightScramble {
-                    gain: rng.gen_range(5.0..50.0),
-                },
-                _ => ModelCorruptionKind::StateFreeze {
-                    duration: rng.gen_range(20..80),
-                },
-            };
-            events.push(FaultEvent::model_corruption(Tick(at), controller, kind));
-        }
-        Self::new(events)
-    }
 }
 
 /// Per-link unreliability parameters.
@@ -1174,33 +1136,6 @@ mod tests {
     #[should_panic(expected = "loss must be a probability")]
     fn channel_plan_rejects_bad_probability() {
         let _ = ChannelPlan::uniform(&SeedTree::new(0), LinkModel::lossy(1.5));
-    }
-
-    #[test]
-    fn random_model_corruptions_are_seed_deterministic() {
-        let seeds = SeedTree::new(21);
-        let a = FaultPlan::random_model_corruptions(&seeds, 3, 12, (100, 900));
-        let b = FaultPlan::random_model_corruptions(&seeds, 3, 12, (100, 900));
-        assert_eq!(a, b);
-        assert_eq!(a.events().len(), 12);
-        let other = FaultPlan::random_model_corruptions(&SeedTree::new(22), 3, 12, (100, 900));
-        assert_ne!(a, other, "different seed, different plan");
-        for e in a.events() {
-            let FaultKind::ModelCorruption { controller, kind } = e.kind else {
-                panic!("unexpected kind");
-            };
-            assert!(controller < 3);
-            assert!(e.at.value() >= 100 && e.at.value() < 900);
-            match kind {
-                ModelCorruptionKind::NanPoison => {}
-                ModelCorruptionKind::WeightScramble { gain } => {
-                    assert!((5.0..50.0).contains(&gain));
-                }
-                ModelCorruptionKind::StateFreeze { duration } => {
-                    assert!((20..80).contains(&duration));
-                }
-            }
-        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
         ],
     );
     for strategy in strategies {
-        let cfg = ScenarioConfig::standard(strategy.clone(), steps, &seeds);
+        let cfg = ScenarioConfig::standard(strategy.clone(), steps);
         let result = run_scenario(&cfg, &seeds);
         let m = &result.metrics;
         table.row_owned(vec![

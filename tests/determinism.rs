@@ -12,7 +12,6 @@ fn cloud_metrics(seed: u64) -> simkernel::MetricSet {
             levels: LevelSet::full(),
         },
         1200,
-        &seeds,
     );
     cloudsim::run_scenario(&cfg, &seeds).metrics
 }

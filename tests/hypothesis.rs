@@ -20,12 +20,11 @@ fn cloud_self_aware_wins_composite_utility() {
                     levels: LevelSet::full(),
                 },
                 3000,
-                &seeds,
             ),
             &seeds,
         );
         let rr = cloudsim::run_scenario(
-            &cloudsim::ScenarioConfig::standard(cloudsim::Strategy::RoundRobin, 3000, &seeds),
+            &cloudsim::ScenarioConfig::standard(cloudsim::Strategy::RoundRobin, 3000),
             &seeds,
         );
         if sa.metrics.get("utility") > rr.metrics.get("utility") {
@@ -44,12 +43,11 @@ fn cloud_self_aware_cuts_cost_without_losing_completion() {
                 levels: LevelSet::full(),
             },
             4000,
-            &seeds,
         ),
         &seeds,
     );
     let ll = cloudsim::run_scenario(
-        &cloudsim::ScenarioConfig::standard(cloudsim::Strategy::LeastLoaded, 4000, &seeds),
+        &cloudsim::ScenarioConfig::standard(cloudsim::Strategy::LeastLoaded, 4000),
         &seeds,
     );
     assert!(
