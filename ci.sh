@@ -35,9 +35,11 @@ cargo test --locked -q --offline --workspace
 # (one seeded sparse world pinned), and both worlds' dense-vs-sparse
 # parity proptests. The check that each camera visit's tally counts
 # the objects it sees is a debug assertion, so only the workspace run
-# above makes it.
-echo "==> cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim"
-cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim
+# above makes it. The packet plane, the command plane and the city run
+# in that build too, so their crates' tests (the plane's and the comms
+# network's reference models among them) run optimised as well.
+echo "==> cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim -p cpn -p selfaware -p compose"
+cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim -p cpn -p selfaware -p compose
 
 # The allocation bounds (crates/bench/tests/zero_alloc.rs) in the build
 # the benchmark runs, too: the workspace run above counts a debug

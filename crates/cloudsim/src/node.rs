@@ -87,7 +87,6 @@ pub struct Node {
     spec: NodeSpec,
     online: bool,
     queue: VecDeque<(Request, f64)>, // (request, remaining work)
-    completed: u64,
     /// When set, the node is pinned offline by an injected fault until
     /// this tick; stochastic churn cannot bring it back early.
     forced_until: Option<Tick>,
@@ -101,7 +100,6 @@ impl Node {
             spec,
             online: true,
             queue: VecDeque::new(),
-            completed: 0,
             forced_until: None,
         }
     }
@@ -134,12 +132,6 @@ impl Node {
     #[must_use]
     pub fn drain_time(&self) -> f64 {
         self.backlog() / self.spec.capacity
-    }
-
-    /// Lifetime completions.
-    #[must_use]
-    pub fn completed_count(&self) -> u64 {
-        self.completed
     }
 
     /// Enqueues a request. Fails with [`EnqueueError::NodeOffline`]
@@ -285,7 +277,6 @@ impl Node {
                 budget -= *remaining;
                 let request = *req;
                 self.queue.pop_front();
-                self.completed += 1;
                 let latency = now.value().saturating_sub(request.arrived.value()).max(1);
                 out.push(RequestOutcome::Completed {
                     request,
@@ -328,7 +319,6 @@ mod tests {
         assert_eq!(o2.len(), 2);
         assert_eq!(o2[0].request().id, 0);
         assert_eq!(o2[1].request().id, 1);
-        assert_eq!(n.completed_count(), 2);
         assert_eq!(n.queue_len(), 0);
     }
 

@@ -385,7 +385,9 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
         };
         let qmul = if head_shed >= 2 { 0.8 } else { 1.0 };
         // Ownership: each active wanderer is owned by the best-quality
-        // live, shuttered camera that sees it.
+        // live, shuttered camera that sees it. One distance per pair
+        // gives both `Camera::sees` and `Camera::quality`, computed as
+        // they compute them.
         owned.iter_mut().for_each(Vec::clear);
         for (i, &pos) in positions.iter().enumerate() {
             if !active(i) {
@@ -394,10 +396,15 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
             active_ticks += 1;
             let mut best: Option<(usize, f64)> = None;
             for (c, cam) in cameras.iter().enumerate() {
-                if camera_down[c] || !shutter(c) || !cam.sees(pos) {
+                if camera_down[c] || !shutter(c) {
                     continue;
                 }
-                let q = cam.quality(pos);
+                let (d, fov) = (cam.position().distance(pos), cam.fov_radius());
+                let sees = d <= fov;
+                if !sees {
+                    continue;
+                }
+                let q = (1.0 - d / fov).max(0.0);
                 if best.is_none_or(|(_, b)| q > b) {
                     best = Some((c, q));
                 }

@@ -63,7 +63,7 @@ use serde::{Deserialize, Serialize};
 use simkernel::delivery::DeliveryQueue;
 use simkernel::obs::{self, Json};
 use simkernel::Tick;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// High bit of the wire sequence space: marks acknowledgement frames
 /// so they never share a channel decision with the data frame they
@@ -429,8 +429,10 @@ struct AckFlight {
     seq: u64,
 }
 
+/// A message sent but not yet acknowledged (reliable mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pending {
+    seq: u64,
     slot: u32,
     sent_at: u64,
     next_retry: u64,
@@ -507,6 +509,66 @@ impl SeenWindow {
         }
         self.bits = next;
     }
+}
+
+/// Per-link state in one flat `[src][dst]` table, `width` members a
+/// side: the `src → dst` cell sits at `src * width + dst`, so the cells
+/// in index order are the links in `(src, dst)` order. A write naming a
+/// member past the side grows the table to take it; a read there finds
+/// nothing.
+#[derive(Debug, Clone, PartialEq)]
+struct LinkTable<T> {
+    width: usize,
+    cells: Vec<T>,
+}
+
+impl<T: Default> LinkTable<T> {
+    const fn new() -> Self {
+        Self {
+            width: 0,
+            cells: Vec::new(),
+        }
+    }
+
+    fn index(&self, src: usize, dst: usize) -> Option<usize> {
+        (src < self.width && dst < self.width).then(|| src * self.width + dst)
+    }
+
+    fn get(&self, src: usize, dst: usize) -> Option<&T> {
+        self.index(src, dst).map(|i| &self.cells[i])
+    }
+
+    fn get_mut(&mut self, src: usize, dst: usize) -> Option<&mut T> {
+        self.index(src, dst).map(|i| &mut self.cells[i])
+    }
+
+    /// The `src → dst` cell, growing the table first if either member
+    /// is new.
+    fn entry(&mut self, src: usize, dst: usize) -> &mut T {
+        let width = src.max(dst) + 1;
+        if width > self.width {
+            let mut grown = Vec::with_capacity(width * width);
+            grown.resize_with(width * width, T::default);
+            for (i, cell) in std::mem::take(&mut self.cells).into_iter().enumerate() {
+                grown[i / self.width * width + i % self.width] = cell;
+            }
+            (self.cells, self.width) = (grown, width);
+        }
+        &mut self.cells[src * self.width + dst]
+    }
+}
+
+/// What a [`CommsNetwork`] knows of one `src → dst` link.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Link {
+    /// The sequence number of `src`'s next message to `dst`.
+    seq: u64,
+    /// Which of `src`'s messages `dst` has seen (reliable mode).
+    seen: SeenWindow,
+    /// When `src` last heard from `dst`; 0 if never.
+    last_heard: u64,
+    /// Whether the link's latest frame hit a partition.
+    partitioned: bool,
 }
 
 /// Reference-counted payload arena: one copy of each message body,
@@ -591,17 +653,23 @@ impl<M> PayloadSlab<M> {
 ///
 /// The network consumes no randomness; pair it with a deterministic
 /// channel and the whole exchange is a pure function of the seed.
+///
+/// Per-link state lives in flat `[src][dst]` tables sized to the
+/// largest member id yet written, so sending, acknowledging,
+/// deduplicating and the retry scan index instead of searching. The
+/// tables hold `(largest id + 1)²` links: members are meant to be
+/// numbered densely from 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommsNetwork<M> {
     policy: CommsPolicy,
-    seq: BTreeMap<(usize, usize), u64>,
     payloads: PayloadSlab<M>,
     data: DeliveryQueue<Flight>,
     acks: DeliveryQueue<AckFlight>,
-    pending: BTreeMap<(usize, usize, u64), Pending>,
-    seen: BTreeMap<(usize, usize), SeenWindow>,
-    last_heard: BTreeMap<(usize, usize), u64>,
-    partitioned_links: BTreeSet<(usize, usize)>,
+    links: LinkTable<Link>,
+    /// Each link's unacknowledged messages, in sequence order.
+    pending: LinkTable<Vec<Pending>>,
+    /// Messages in `pending`.
+    unacked: usize,
     stats: CommsStats,
     mask: InterventionMask,
     // Scratch buffers reused across `step` calls. Always drained
@@ -609,7 +677,6 @@ pub struct CommsNetwork<M> {
     // sees only empty vectors) and `Clone` stay honest.
     flight_scratch: Vec<Flight>,
     ack_scratch: Vec<AckFlight>,
-    retry_scratch: Vec<(usize, usize, u64)>,
 }
 
 impl<M: Clone> CommsNetwork<M> {
@@ -629,19 +696,16 @@ impl<M: Clone> CommsNetwork<M> {
         }
         Self {
             policy,
-            seq: BTreeMap::new(),
             payloads: PayloadSlab::new(),
             data: DeliveryQueue::new(),
             acks: DeliveryQueue::new(),
-            pending: BTreeMap::new(),
-            seen: BTreeMap::new(),
-            last_heard: BTreeMap::new(),
-            partitioned_links: BTreeSet::new(),
+            links: LinkTable::new(),
+            pending: LinkTable::new(),
+            unacked: 0,
             stats: CommsStats::default(),
             mask: InterventionMask::allow_all(),
             flight_scratch: Vec::new(),
             ack_scratch: Vec::new(),
-            retry_scratch: Vec::new(),
         }
     }
 
@@ -669,14 +733,19 @@ impl<M: Clone> CommsNetwork<M> {
     /// Messages sent but not yet acknowledged (reliable mode).
     #[must_use]
     pub fn unacked(&self) -> usize {
-        self.pending.len()
+        self.unacked
     }
 
     fn bump_seq(&mut self, src: usize, dst: usize) -> u64 {
-        let c = self.seq.entry((src, dst)).or_insert(0);
-        let seq = *c;
-        *c += 1;
+        let link = self.links.entry(src, dst);
+        let seq = link.seq;
+        link.seq += 1;
         seq
+    }
+
+    /// Records that `observer` heard from `peer` at `now`.
+    fn heard(&mut self, observer: usize, peer: usize, now: Tick) {
+        self.links.entry(observer, peer).last_heard = now.0;
     }
 
     /// One raw channel attempt, with partition-transition logging.
@@ -692,10 +761,13 @@ impl<M: Clone> CommsNetwork<M> {
         let o = ch.transmit(src, dst, wire_seq, now);
         if o.partitioned {
             self.stats.partition_hits += 1;
-            if self.partitioned_links.insert((src, dst)) {
+            let link = self.links.entry(src, dst);
+            if !link.partitioned {
+                link.partitioned = true;
                 log.record(Explanation::new(now, "comms:partition").link(src, dst));
             }
-        } else if self.partitioned_links.remove(&(src, dst)) {
+        } else if let Some(link) = self.links.get_mut(src, dst).filter(|l| l.partitioned) {
+            link.partitioned = false;
             log.record(Explanation::new(now, "comms:heal").link(src, dst));
         }
         o
@@ -754,19 +826,20 @@ impl<M: Clone> CommsNetwork<M> {
         let slot = self.payloads.insert(payload);
         if let CommsPolicy::Reliable(cfg) = self.policy {
             // The slab reference created by `insert` transfers to the
-            // pending entry (released on ack or expiry).
-            self.pending.insert(
-                (src, dst, seq),
-                Pending {
-                    slot,
-                    sent_at: now.0,
-                    // Saturating: `retry_backoff` is caller-supplied
-                    // and may be huge; a saturated deadline simply
-                    // means "never retries before the timeout".
-                    next_retry: now.0.saturating_add(cfg.retry_backoff),
-                    attempts: 1,
-                },
-            );
+            // pending entry (released on ack or expiry). A link's
+            // sequence numbers only grow, so the push keeps its
+            // pending list in sequence order.
+            self.pending.entry(src, dst).push(Pending {
+                seq,
+                slot,
+                sent_at: now.0,
+                // Saturating: `retry_backoff` is caller-supplied and
+                // may be huge; a saturated deadline simply means "never
+                // retries before the timeout".
+                next_retry: now.0.saturating_add(cfg.retry_backoff),
+                attempts: 1,
+            });
+            self.unacked += 1;
             self.launch(ch, src, dst, seq, 0, slot, now, log);
         } else {
             self.launch(ch, src, dst, seq, 0, slot, now, log);
@@ -806,14 +879,10 @@ impl<M: Clone> CommsNetwork<M> {
         let mut flights = std::mem::take(&mut self.flight_scratch);
         self.data.drain_due_into(now, &mut flights);
         for f in flights.drain(..) {
-            let fresh = if reliable {
-                self.seen.entry((f.src, f.dst)).or_default().mark(f.seq)
-            } else {
-                true
-            };
+            let fresh = !reliable || self.links.entry(f.src, f.dst).seen.mark(f.seq);
             if fresh {
                 self.stats.delivered += 1;
-                self.last_heard.insert((f.dst, f.src), now.0);
+                self.heard(f.dst, f.src, now);
                 out.push(Delivered {
                     src: f.src,
                     dst: f.dst,
@@ -856,111 +925,123 @@ impl<M: Clone> CommsNetwork<M> {
         let mut acks = std::mem::take(&mut self.ack_scratch);
         self.acks.drain_due_into(now, &mut acks);
         for a in acks.drain(..) {
-            if let Some(p) = self.pending.remove(&(a.src, a.dst, a.seq)) {
-                self.stats.acked += 1;
-                self.last_heard.insert((a.src, a.dst), now.0);
-                self.payloads.decref(p.slot);
-            }
+            let Some(pending) = self.pending.get_mut(a.src, a.dst) else {
+                continue;
+            };
+            let Ok(i) = pending.binary_search_by_key(&a.seq, |p| p.seq) else {
+                continue;
+            };
+            let p = pending.remove(i);
+            self.unacked -= 1;
+            self.stats.acked += 1;
+            self.heard(a.src, a.dst, now);
+            self.payloads.decref(p.slot);
         }
         self.ack_scratch = acks;
     }
 
+    /// Retries and expires what is due: links in `(src, dst)` order,
+    /// each link's messages in sequence order.
     fn drive_pending<C: Channel + ?Sized>(&mut self, ch: &C, now: Tick, log: &mut ExplanationLog) {
         let CommsPolicy::Reliable(cfg) = self.policy else {
             return;
         };
-        let mut due = std::mem::take(&mut self.retry_scratch);
-        due.extend(
-            self.pending
-                .iter()
-                .filter(|(_, p)| p.next_retry <= now.0)
-                .map(|(k, _)| *k),
-        );
-        for &key in &due {
-            // `expired` distinguishes the two abandonment causes so
-            // the stats can attribute them: `Some(true)` = retry
-            // budget exhausted (checked first — the crisper signal
-            // when both trip on the same tick), `Some(false)` = send
-            // timeout.
-            let (expired, info) = match self.pending.get_mut(&key) {
-                None => continue,
-                Some(p) => {
-                    if p.attempts >= cfg.retry_budget {
-                        (Some(true), None)
-                    } else if now.0.saturating_sub(p.sent_at) >= cfg.send_timeout {
-                        (Some(false), None)
-                    } else {
-                        let attempt = p.attempts;
-                        p.attempts += 1;
-                        // `1 << attempt.min(16)` cannot overflow:
-                        // the literal is inferred as u64 from the
-                        // `saturating_mul` receiver, and the
-                        // shift amount is clamped to 16 ≪ 64, so
-                        // the factor is at most 2¹⁶. The multiply
-                        // saturates, and the deadline add below
-                        // must too — `backoff_max` is
-                        // caller-supplied and may be near
-                        // `u64::MAX`, where `now + backoff`
-                        // would overflow (a panic in debug, a
-                        // *past-due* wrapped deadline in release;
-                        // the regression tests cover both).
-                        let backoff = cfg
-                            .retry_backoff
-                            .saturating_mul(1 << attempt.min(16))
-                            .min(cfg.backoff_max.max(1));
-                        p.next_retry = now.0.saturating_add(backoff);
-                        (None, Some((p.slot, attempt, backoff)))
-                    }
-                }
-            };
-            let (src, dst, seq) = key;
-            if let Some(out_of_budget) = expired {
-                if let Some(p) = self.pending.remove(&key) {
-                    self.stats.expired += 1;
-                    *self.stats.expired_by_link.entry((src, dst)).or_insert(0) += 1;
-                    if out_of_budget {
-                        self.stats.budget_exhausted += 1;
-                        *self
-                            .stats
-                            .budget_exhausted_by_link
-                            .entry((src, dst))
-                            .or_insert(0) += 1;
-                    }
-                    self.payloads.decref(p.slot);
-                    log.record(
-                        Explanation::new(now, "comms:expire")
-                            .link(src, dst)
-                            .because("seq", seq as f64)
-                            .because("attempts", f64::from(p.attempts))
-                            .because("age", now.0.saturating_sub(p.sent_at) as f64)
-                            .because("out_of_budget", f64::from(u8::from(out_of_budget))),
-                    );
-                }
-            } else if let Some((slot, attempt, backoff)) = info {
-                // Masked retry (counterfactual replay): the pending
-                // entry above already aged and backed off exactly as
-                // in the factual run — withholding only the wire
-                // attempt keeps expiry timing bit-identical.
-                if self.mask.suppresses(InterventionClass::CommsRetry) {
-                    continue;
-                }
-                self.stats.retries += 1;
-                log.fired(InterventionClass::CommsRetry);
-                log.record(
-                    Explanation::new(now, "comms:retry")
-                        .anchoring(InterventionClass::CommsRetry)
-                        .link(src, dst)
-                        .because("seq", seq as f64)
-                        .because("attempt", f64::from(attempt))
-                        .because("backoff", backoff as f64),
-                );
-                // Retransmits straight out of the slab: no payload
-                // clone, however many attempts the budget allows.
-                self.launch(ch, src, dst, seq, attempt, slot, now, log);
-            }
+        if self.unacked == 0 {
+            return;
         }
-        due.clear();
-        self.retry_scratch = due;
+        let width = self.pending.width;
+        for i in 0..self.pending.cells.len() {
+            if self.pending.cells[i].is_empty() {
+                continue;
+            }
+            let (src, dst) = (i / width, i % width);
+            // Out of the table for the scan, since a retry launches
+            // through `self`; put back below.
+            let mut pending = std::mem::take(&mut self.pending.cells[i]);
+            pending.retain_mut(|p| {
+                if p.next_retry > now.0 {
+                    return true;
+                }
+                // The retry budget is checked first (the crisper signal
+                // when both trip on the same tick), so the stats can
+                // tell it from the send timeout.
+                let out_of_budget = p.attempts >= cfg.retry_budget;
+                if out_of_budget || now.0.saturating_sub(p.sent_at) >= cfg.send_timeout {
+                    self.expire(src, dst, p, out_of_budget, now, log);
+                    return false;
+                }
+                let attempt = p.attempts;
+                p.attempts += 1;
+                // `1 << attempt.min(16)` cannot overflow: the literal is
+                // inferred as u64 from the `saturating_mul` receiver, and
+                // the shift amount is clamped to 16 ≪ 64, so the factor
+                // is at most 2¹⁶. The multiply saturates, and the
+                // deadline add below must too — `backoff_max` is
+                // caller-supplied and may be near `u64::MAX`, where
+                // `now + backoff` would overflow (a panic in debug, a
+                // *past-due* wrapped deadline in release; the
+                // regression tests cover both).
+                let backoff = cfg
+                    .retry_backoff
+                    .saturating_mul(1 << attempt.min(16))
+                    .min(cfg.backoff_max.max(1));
+                p.next_retry = now.0.saturating_add(backoff);
+                // Masked retry (counterfactual replay): the pending entry
+                // above already aged and backed off exactly as in the
+                // factual run — withholding only the wire attempt keeps
+                // expiry timing bit-identical.
+                if !self.mask.suppresses(InterventionClass::CommsRetry) {
+                    self.stats.retries += 1;
+                    log.fired(InterventionClass::CommsRetry);
+                    log.record(
+                        Explanation::new(now, "comms:retry")
+                            .anchoring(InterventionClass::CommsRetry)
+                            .link(src, dst)
+                            .because("seq", p.seq as f64)
+                            .because("attempt", f64::from(attempt))
+                            .because("backoff", backoff as f64),
+                    );
+                    // Retransmits straight out of the slab: no payload
+                    // clone, however many attempts the budget allows.
+                    self.launch(ch, src, dst, p.seq, attempt, p.slot, now, log);
+                }
+                true
+            });
+            self.pending.cells[i] = pending;
+        }
+    }
+
+    /// Abandons `p`, sent on `src → dst`, out of retry budget or past
+    /// its send timeout.
+    fn expire(
+        &mut self,
+        src: usize,
+        dst: usize,
+        p: &Pending,
+        out_of_budget: bool,
+        now: Tick,
+        log: &mut ExplanationLog,
+    ) {
+        self.unacked -= 1;
+        self.stats.expired += 1;
+        *self.stats.expired_by_link.entry((src, dst)).or_insert(0) += 1;
+        if out_of_budget {
+            self.stats.budget_exhausted += 1;
+            *self
+                .stats
+                .budget_exhausted_by_link
+                .entry((src, dst))
+                .or_insert(0) += 1;
+        }
+        self.payloads.decref(p.slot);
+        log.record(
+            Explanation::new(now, "comms:expire")
+                .link(src, dst)
+                .because("seq", p.seq as f64)
+                .because("attempts", f64::from(p.attempts))
+                .because("age", now.0.saturating_sub(p.sent_at) as f64)
+                .because("out_of_budget", f64::from(u8::from(out_of_budget))),
+        );
     }
 
     /// A latency-bound request/response exchange (`a` asks, `b`
@@ -985,7 +1066,7 @@ impl<M: Clone> CommsNetwork<M> {
             return false;
         }
         self.stats.delivered += 1;
-        self.last_heard.insert((b, a), now.0);
+        self.heard(b, a, now);
         let rseq = self.bump_seq(b, a);
         self.stats.sent += 1;
         let reply = self.transmit_logged(ch, b, a, rseq, now, log);
@@ -994,7 +1075,7 @@ impl<M: Clone> CommsNetwork<M> {
             return false;
         }
         self.stats.delivered += 1;
-        self.last_heard.insert((a, b), now.0);
+        self.heard(a, b, now);
         true
     }
 
@@ -1014,7 +1095,7 @@ impl<M: Clone> CommsNetwork<M> {
         let o = self.transmit_logged(ch, src, dst, seq, now, log);
         if o.arrives_at(now) {
             self.stats.delivered += 1;
-            self.last_heard.insert((dst, src), now.0);
+            self.heard(dst, src, now);
             true
         } else {
             self.stats.exchange_failures += 1;
@@ -1026,8 +1107,8 @@ impl<M: Clone> CommsNetwork<M> {
     /// ticks since the start of the run).
     #[must_use]
     pub fn staleness(&self, observer: usize, peer: usize, now: Tick) -> u64 {
-        now.0
-            .saturating_sub(self.last_heard.get(&(observer, peer)).copied().unwrap_or(0))
+        let heard = self.links.get(observer, peer).map_or(0, |l| l.last_heard);
+        now.0.saturating_sub(heard)
     }
 
     /// The staleness discount `observer` should apply to knowledge
@@ -1294,6 +1375,7 @@ impl<R: Clone, O: Clone + PartialEq, C: Channel> CommandPlane<R, O, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// A scriptable channel: drops wire frames whose (src, dst,
     /// wire_seq) is listed, delays others by a fixed amount.

@@ -156,18 +156,6 @@ impl QLearner {
         assert!((0.0..=1.0).contains(&epsilon), "epsilon must be in [0,1]");
         self.epsilon = epsilon;
     }
-
-    /// Number of states.
-    #[must_use]
-    pub fn n_states(&self) -> usize {
-        self.n_states
-    }
-
-    /// Number of actions.
-    #[must_use]
-    pub fn n_actions(&self) -> usize {
-        self.n_actions
-    }
 }
 
 #[cfg(test)]
@@ -216,8 +204,6 @@ mod tests {
     #[test]
     fn counters_and_accessors() {
         let mut q = QLearner::new(2, 2, 0.1, 0.5, 0.3);
-        assert_eq!(q.n_states(), 2);
-        assert_eq!(q.n_actions(), 2);
         assert_eq!(q.updates(), 0);
         q.update(0, 0, 1.0, 1);
         assert_eq!(q.updates(), 1);

@@ -1161,11 +1161,15 @@ mod tests {
                 let verdict = slot.observe(Tick(t), Evidence::forecast(x, out), &mut l);
                 assert_eq!(verdict, Verdict::Healthy);
                 assert!(slot.trusts(out) && !slot.is_fallback());
-                assert_eq!(
-                    slot.model().forecast().map(f64::to_bits),
-                    model.forecast().map(f64::to_bits),
-                    "seed {seed}, t={t}"
-                );
+                // Bit-equal, or NaN in both: an optimised build need not
+                // keep a NaN's sign bit, so two copies of one poisoned
+                // model may forecast NaNs that differ only there.
+                let (got, want) = (slot.model().forecast(), model.forecast());
+                let same = match (got, want) {
+                    (Some(a), Some(b)) => a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    _ => got.is_none() && want.is_none(),
+                };
+                assert!(same, "seed {seed}, t={t}: {got:?} vs {want:?}");
             }
             assert_eq!(slot.stats(), SupervisionStats::default());
             assert!(l.is_empty());

@@ -4,11 +4,11 @@
 //! [`crate::sim`] (F2, A2, F8) and the composed city (F9, F10) both run
 //! on a [`Net`]; what differs between them is each world's [`Policy`],
 //! its service rate and its delivery hook. Random draws keep one order:
-//! `is_smart` then `next_hop` at injection, links served in `(u, k)`
+//! `is_smart` then `next_hop` at injection, busy links served in `(u, k)`
 //! order, arrivals forwarded in the order they left their links.
 
 use crate::graph::Graph;
-use crate::routing::{Router, Routing};
+use crate::routing::{slot_starts, Router, Routing};
 use simkernel::rng::Rng;
 use simkernel::Tick;
 use std::collections::VecDeque;
@@ -78,12 +78,10 @@ pub struct Env<'a> {
 #[derive(Debug, Clone)]
 pub struct Net<P> {
     policy: Policy,
-    /// `queues[u][k]` holds the handles of the packets waiting at `u` for
-    /// the link to its `k`-th neighbour.
-    queues: Vec<Vec<VecDeque<u32>>>,
-    /// Handles of the packets that left a link this tick,
-    /// `(from, to, handle)`; reused every tick.
-    arrivals: Vec<(usize, usize, u32)>,
+    links: Links,
+    /// Handles of the packets that left a link this tick, with that
+    /// link's slot, `(slot, handle)`; reused every tick.
+    arrivals: Vec<(usize, u32)>,
     /// The packets in flight.
     slab: Slab<P>,
 }
@@ -94,17 +92,18 @@ impl<P> Net<P> {
     /// dropped, not pooled, when its packet leaves the plane.
     #[must_use]
     pub fn new(graph: &Graph, policy: Policy, log_capacity: usize) -> Self {
+        let start = slot_starts(graph);
+        let slots = start[graph.len()];
         Self {
             policy,
-            queues: (0..graph.len())
-                .map(|u| {
-                    graph
-                        .neighbours(u)
-                        .iter()
-                        .map(|_| VecDeque::new())
-                        .collect()
-                })
-                .collect(),
+            links: Links {
+                ends: (0..graph.len())
+                    .flat_map(|u| graph.neighbours(u).iter().map(move |&v| (u, v)))
+                    .collect(),
+                queues: vec![VecDeque::new(); slots],
+                busy: vec![0; slots.div_ceil(64)],
+                start,
+            },
             arrivals: Vec::new(),
             slab: Slab {
                 slots: Vec::new(),
@@ -117,7 +116,7 @@ impl<P> Net<P> {
 
     /// Queue lengths at `u`, in [`Graph::neighbours`] order.
     pub fn queue_lens(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
-        self.queues[u].iter().map(VecDeque::len)
+        self.links.at(u).iter().map(VecDeque::len)
     }
 
     /// Packets waiting at `u` for the link to `v`; 0 if `v` is not a
@@ -125,13 +124,13 @@ impl<P> Net<P> {
     #[must_use]
     pub fn queue_len(&self, graph: &Graph, u: usize, v: usize) -> usize {
         let k = graph.neighbours(u).iter().position(|&x| x == v);
-        k.map_or(0, |k| self.queues[u][k].len())
+        k.map_or(0, |k| self.links.at(u)[k].len())
     }
 
     /// Every queued packet, link by link in `(u, k)` order, each queue
     /// front to back.
     pub fn packets(&self) -> impl Iterator<Item = &Packet<P>> {
-        let packets = self.queues.iter().flatten().flatten();
+        let packets = self.links.queues.iter().flatten();
         packets.map(|&h| self.slab.get(h))
     }
 
@@ -149,20 +148,23 @@ impl<P> Net<P> {
     ) {
         let router = env.routing.in_control();
         let smart = router.is_smart(env.rng);
-        let hop = router.next_hop(env.graph, src, dst, None, smart, env.rng);
-        let Some(v) = hop else {
+        let hop = router.next_hop_slot(env.graph, src, dst, None, smart, env.rng);
+        let Some((v, slot)) = hop else {
             dropped(&payload);
             return;
         };
-        let cap = self.policy.queue_cap;
-        let Some(k) = room(&self.queues[src], env.graph, src, v, cap) else {
+        debug_assert_eq!(
+            self.links.ends[slot],
+            (src, v),
+            "a router's slot is the plane's"
+        );
+        if self.links.queues[slot].len() >= self.policy.queue_cap {
             if !env.frozen {
-                let model = env.routing.model_mut();
-                model.reinforce_drop(env.graph, src, v, dst);
+                env.routing.model_mut().reinforce_drop_slot(slot, dst);
             }
             dropped(&payload);
             return;
-        };
+        }
         let mut hop_log = self.slab.log();
         hop_log.push((src, env.now));
         let h = self.slab.insert(Packet {
@@ -172,17 +174,18 @@ impl<P> Net<P> {
             hop_log,
             payload,
         });
-        self.queues[src][k].push_back(h);
+        self.links.push(slot, h);
     }
 
-    /// One tick of transit. Every link that is up moves up to
-    /// `rate(u, v)` packets, while a cut link's queue stalls; each moved
-    /// packet reinforces the hop it took. At its destination `arrive`
-    /// delivers or bounces it; elsewhere it is forwarded. A packet is
-    /// dropped, and `dropped` sees its payload, when one more hop would
-    /// take its log past the TTL (punishing the hop that brought it),
-    /// when its router finds no next hop, or when its next queue is
-    /// full (punishing that hop, unless the packet was bounced).
+    /// One tick of transit. Every busy link that is up moves up to
+    /// `rate(u, v)` packets, in slot order, while a cut link's queue
+    /// stalls; each moved packet reinforces the hop it took. At its
+    /// destination `arrive` delivers or bounces it; elsewhere it is
+    /// forwarded. A packet is dropped, and `dropped` sees its payload,
+    /// when one more hop would take its log past the TTL (punishing the
+    /// hop that brought it), when its router finds no next hop, or when
+    /// its next queue is full (punishing that hop, unless the packet was
+    /// bounced).
     ///
     /// A tick with arrivals borrows the live model for writing once,
     /// unless it is frozen.
@@ -196,31 +199,23 @@ impl<P> Net<P> {
         let (graph, now) = (env.graph, env.now);
         let Self {
             policy,
-            queues,
+            links,
             arrivals,
             slab,
         } = self;
-        for (u, links) in queues.iter_mut().enumerate() {
-            for (k, q) in links.iter_mut().enumerate() {
-                let v = graph.neighbours(u)[k];
-                if q.is_empty() || graph.link_down(u, v) {
-                    continue;
-                }
-                let moved = q.drain(..rate(u, v).min(q.len()));
-                arrivals.extend(moved.map(|h| (u, v, h)));
-            }
-        }
+        links.serve(graph, rate, arrivals);
         if arrivals.is_empty() {
             return;
         }
         let mut routers = Routers::borrow(env.routing, env.frozen);
-        for (u, v, h) in arrivals.drain(..) {
+        for (slot, h) in arrivals.drain(..) {
+            let (u, v) = links.ends[slot];
             let pkt = slab.get_mut(h);
             let dst = pkt.dst;
             if let Some(model) = routers.model() {
                 let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
                 let hop_delay = now.value().saturating_sub(entered.value()) as f64;
-                model.reinforce_hop(graph, u, v, dst, hop_delay);
+                model.reinforce_hop_slot(slot, v, dst, hop_delay);
             }
             let at_dst = v == dst;
             if at_dst && arrive(pkt) == Arrival::Deliver {
@@ -235,52 +230,105 @@ impl<P> Net<P> {
             }
             if pkt.hop_log.len() >= policy.ttl {
                 if let Some(model) = routers.model() {
-                    model.reinforce_drop(graph, u, v, dst);
+                    model.reinforce_drop_slot(slot, dst);
                 }
                 dropped(&slab.remove(h));
                 continue;
             }
-            let slot = if at_dst {
-                shortest_queue(&queues[v], policy.queue_cap)
+            let next = if at_dst {
+                links.shortest_queue(v, policy.queue_cap)
             } else {
                 let router = routers.in_control();
-                let hop = router.next_hop(graph, v, dst, Some(u), pkt.smart, env.rng);
-                hop.and_then(|w| {
-                    let k = room(&queues[v], graph, v, w, policy.queue_cap);
-                    if let (None, Some(model)) = (k, routers.model()) {
-                        model.reinforce_drop(graph, v, w, dst);
+                let hop = router.next_hop_slot(graph, v, dst, Some(u), pkt.smart, env.rng);
+                hop.and_then(|(w, next)| {
+                    debug_assert_eq!(links.ends[next], (v, w), "a router's slot is the plane's");
+                    let room = links.queues[next].len() < policy.queue_cap;
+                    if let (false, Some(model)) = (room, routers.model()) {
+                        model.reinforce_drop_slot(next, dst);
                     }
-                    k
+                    room.then_some(next)
                 })
             };
-            let Some(k) = slot else {
+            let Some(next) = next else {
                 dropped(&slab.remove(h));
                 continue;
             };
             pkt.hop_log.push((v, now));
-            queues[v][k].push_back(h);
+            links.push(next, h);
         }
     }
 }
 
-/// The index of `u`'s link to its neighbour `v` if that link's queue,
-/// among `u`'s `links`, holds fewer than `cap` packets.
-fn room(links: &[VecDeque<u32>], graph: &Graph, u: usize, v: usize, cap: usize) -> Option<usize> {
-    let k = graph.neighbours(u).iter().position(|&x| x == v);
-    let k = k.expect("a next hop is a neighbour");
-    (links[k].len() < cap).then_some(k)
+/// The plane's links: one queue per adjacency slot (see
+/// [`crate::routing`]'s slot layout, which a router's estimates share),
+/// and a bitset of the busy ones, so a tick serves only links that
+/// hold packets.
+#[derive(Debug, Clone)]
+struct Links {
+    /// Node `u`'s links are the slots `start[u]..start[u + 1]`, in
+    /// [`Graph::neighbours`] order.
+    start: Vec<usize>,
+    /// Slot `s` is the link `ends[s] = (u, v)`.
+    ends: Vec<(usize, usize)>,
+    /// `queues[s]` holds the handles of the packets waiting at `u` for
+    /// the link to `v`.
+    queues: Vec<VecDeque<u32>>,
+    /// Bit `s` is set exactly when `queues[s]` is not empty.
+    busy: Vec<u64>,
 }
 
-/// The first of a node's shortest link queues, if it holds fewer than
-/// `cap` packets.
-fn shortest_queue(links: &[VecDeque<u32>], cap: usize) -> Option<usize> {
-    links
-        .iter()
-        .map(VecDeque::len)
-        .enumerate()
-        .min_by_key(|&(k, len)| (len, k))
-        .filter(|&(_, len)| len < cap)
-        .map(|(k, _)| k)
+impl Links {
+    /// Node `u`'s queues, in [`Graph::neighbours`] order.
+    fn at(&self, u: usize) -> &[VecDeque<u32>] {
+        &self.queues[self.start[u]..self.start[u + 1]]
+    }
+
+    /// Queues handle `h` on slot `slot`'s link.
+    fn push(&mut self, slot: usize, h: u32) {
+        self.queues[slot].push_back(h);
+        self.busy[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Moves up to `rate(u, v)` handles off each busy link that is up,
+    /// in ascending slot order, into `arrivals` with their slot, and
+    /// clears the bit of each link it empties.
+    fn serve(
+        &mut self,
+        graph: &Graph,
+        rate: impl Fn(usize, usize) -> usize,
+        arrivals: &mut Vec<(usize, u32)>,
+    ) {
+        for w in 0..self.busy.len() {
+            let mut word = self.busy[w];
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                let slot = w * 64 + bit;
+                let (u, v) = self.ends[slot];
+                if graph.link_down(u, v) {
+                    continue;
+                }
+                let q = &mut self.queues[slot];
+                let moved = q.drain(..rate(u, v).min(q.len()));
+                arrivals.extend(moved.map(|h| (slot, h)));
+                if q.is_empty() {
+                    self.busy[w] &= !(1 << bit);
+                }
+            }
+        }
+    }
+
+    /// The slot of the first of `u`'s shortest link queues, if it holds
+    /// fewer than `cap` packets.
+    fn shortest_queue(&self, u: usize, cap: usize) -> Option<usize> {
+        self.at(u)
+            .iter()
+            .map(VecDeque::len)
+            .enumerate()
+            .min_by_key(|&(k, len)| (len, k))
+            .filter(|&(_, len)| len < cap)
+            .map(|(k, _)| self.start[u] + k)
+    }
 }
 
 /// The routers one [`Net::step`] works with, borrowed once a tick.

@@ -71,12 +71,14 @@ impl RoutingStrategy {
     #[must_use]
     pub fn build(&self, graph: &Graph) -> Router {
         let live = |u: usize, v: usize| !graph.link_down(u, v);
+        let start = slot_starts(graph);
         match *self {
             RoutingStrategy::StaticShortest => Router {
                 kind: RouterKind::Table {
                     next: bfs_tables(graph, live),
                     period: None,
                 },
+                start,
             },
             RoutingStrategy::Periodic { period } => {
                 assert!(period > 0, "period must be positive");
@@ -85,6 +87,7 @@ impl RoutingStrategy {
                         next: bfs_tables(graph, live),
                         period: Some(period),
                     },
+                    start,
                 }
             }
             RoutingStrategy::SupervisedCpn => RoutingStrategy::cpn_default().build(graph),
@@ -99,9 +102,9 @@ impl RoutingStrategy {
                 assert!((0.0..=1.0).contains(&epsilon), "epsilon must be in [0,1]");
                 // Optimistic init from hop counts so cold-start routes
                 // are sensible.
-                let start = slot_starts(graph);
                 let n = graph.len();
-                let mut cells = Vec::with_capacity(n * start[n]);
+                let slots = start[n];
+                let mut cells = Vec::with_capacity(n * slots);
                 for dst in 0..n {
                     let hops = hop_distances(graph, dst);
                     for u in 0..n {
@@ -116,11 +119,12 @@ impl RoutingStrategy {
                 }
                 Router {
                     kind: RouterKind::Cpn {
-                        q: QTable { cells, start },
+                        q: QTable { cells, slots },
                         smart_ratio,
                         epsilon,
                         penalty: vec![0.0; n],
                     },
+                    start,
                 }
             }
         }
@@ -152,8 +156,10 @@ where
 }
 
 /// Node `u`'s adjacency slots are `start[u]..start[u + 1]`, in
-/// [`Graph::neighbours`] order; `start[n]` counts every slot.
-fn slot_starts(graph: &Graph) -> Vec<usize> {
+/// [`Graph::neighbours`] order; `start[n]` counts every slot. The slot
+/// `start[u] + k` is the link from `u` to its `k`-th neighbour: a
+/// router's estimates and the packet plane's queues share this layout.
+pub(crate) fn slot_starts(graph: &Graph) -> Vec<usize> {
     let mut start = Vec::with_capacity(graph.len() + 1);
     start.push(0);
     for u in 0..graph.len() {
@@ -181,34 +187,34 @@ fn hop_distances(graph: &Graph, dst: usize) -> Vec<usize> {
     dist
 }
 
-/// CPN delay estimates in one slab: the cell of `(u, dst, k)` is the
-/// estimated remaining delay from `u` to `dst` via `u`'s k-th
-/// neighbour. The rows of one destination are contiguous, in node
-/// order, so `(u, dst)`'s row starts at `dst * slots + start[u]`.
+/// CPN delay estimates in one slab: the cell of `(slot, dst)` is the
+/// estimated remaining delay to `dst` over the link in adjacency slot
+/// `slot` (see [`slot_starts`]). The cells of one destination are
+/// contiguous, in slot order, so the cell sits at `dst * slots + slot`
+/// and `(u, dst)`'s row starts at `dst * slots + start[u]`.
 #[derive(Clone)]
 struct QTable {
     cells: Vec<f64>,
-    /// [`slot_starts`] of the graph the table was built for.
-    start: Vec<usize>,
+    /// Adjacency slots of the graph the table was built for.
+    slots: usize,
 }
 
 impl QTable {
-    fn nodes(&self) -> usize {
-        self.start.len() - 1
+    fn range(&self, start: &[usize], u: usize, dst: usize) -> Range<usize> {
+        let base = dst * self.slots;
+        base + start[u]..base + start[u + 1]
     }
 
-    fn range(&self, u: usize, dst: usize) -> Range<usize> {
-        let base = dst * self.start[self.nodes()];
-        base + self.start[u]..base + self.start[u + 1]
+    fn row(&self, start: &[usize], u: usize, dst: usize) -> &[f64] {
+        &self.cells[self.range(start, u, dst)]
     }
 
-    fn row(&self, u: usize, dst: usize) -> &[f64] {
-        &self.cells[self.range(u, dst)]
+    fn cell(&self, slot: usize, dst: usize) -> f64 {
+        self.cells[dst * self.slots + slot]
     }
 
-    fn row_mut(&mut self, u: usize, dst: usize) -> &mut [f64] {
-        let range = self.range(u, dst);
-        &mut self.cells[range]
+    fn cell_mut(&mut self, slot: usize, dst: usize) -> &mut f64 {
+        &mut self.cells[dst * self.slots + slot]
     }
 }
 
@@ -239,6 +245,8 @@ enum RouterKind {
 #[derive(Clone)]
 pub struct Router {
     kind: RouterKind,
+    /// [`slot_starts`] of the graph the router was built for.
+    start: Vec<usize>,
 }
 
 /// Penalty delay (ticks) learned for a hop that led to a drop.
@@ -300,11 +308,31 @@ impl Router {
         smart: bool,
         rng: &mut Rng,
     ) -> Option<usize> {
+        self.next_hop_slot(graph, at, dst, prev, smart, rng)
+            .map(|(v, _)| v)
+    }
+
+    /// [`Router::next_hop`] together with the adjacency slot of the link
+    /// it takes (see [`slot_starts`]), drawing the same numbers from
+    /// `rng`. A table router finds the slot among `at`'s neighbours; a
+    /// CPN router picks by slot and searches nothing.
+    pub(crate) fn next_hop_slot(
+        &self,
+        graph: &Graph,
+        at: usize,
+        dst: usize,
+        prev: Option<usize>,
+        smart: bool,
+        rng: &mut Rng,
+    ) -> Option<(usize, usize)> {
         if at == dst {
             return None;
         }
         match &self.kind {
-            RouterKind::Table { next, .. } => next[dst][at],
+            RouterKind::Table { next, .. } => {
+                let v = next[dst][at]?;
+                Some((v, self.slot(graph, at, v)?))
+            }
             RouterKind::Cpn {
                 q,
                 epsilon,
@@ -315,7 +343,7 @@ impl Router {
                 // are never candidates, so packets detour immediately
                 // (table routers keep pointing at the dead link until
                 // the next recompute — or forever, for StaticShortest).
-                let neighbours = graph.neighbours(at);
+                let (neighbours, first) = (graph.neighbours(at), self.start[at]);
                 let up = neighbours
                     .iter()
                     .filter(|&&v| !graph.link_down(at, v))
@@ -323,14 +351,15 @@ impl Router {
                 if up == 0 {
                     return None;
                 }
-                let row = q.row(at, dst);
+                let row = q.row(&self.start, at, dst);
                 if smart && rng.gen::<f64>() < *epsilon {
                     let pick = rng.gen_range(0..up);
                     return neighbours
                         .iter()
-                        .copied()
-                        .filter(|&v| !graph.link_down(at, v))
-                        .nth(pick);
+                        .enumerate()
+                        .filter(|&(_, &v)| !graph.link_down(at, v))
+                        .nth(pick)
+                        .map(|(k, &v)| (v, first + k));
                 }
                 // Prefer not to bounce straight back unless forced.
                 let mut best: Option<(usize, f64)> = None;
@@ -346,12 +375,18 @@ impl Router {
                     // penalty does not apply to it.
                     let est = row[k] + if v == dst { 0.0 } else { penalty[v] };
                     if best.is_none_or(|(_, b)| est < b) {
-                        best = Some((v, est));
+                        best = Some((k, est));
                     }
                 }
-                best.map(|(v, _)| v)
+                best.map(|(k, _)| (neighbours[k], first + k))
             }
         }
+    }
+
+    /// The adjacency slot of the link from `u` to its neighbour `v`.
+    fn slot(&self, graph: &Graph, u: usize, v: usize) -> Option<usize> {
+        let k = graph.neighbours(u).iter().position(|&x| x == v)?;
+        Some(self.start[u] + k)
     }
 
     /// Per-hop Q-routing update (Boyan & Littman): when a packet that
@@ -362,6 +397,14 @@ impl Router {
     /// route around a forming hot-spot, unlike waiting for end-to-end
     /// delivery feedback.
     pub fn reinforce_hop(&mut self, graph: &Graph, u: usize, v: usize, dst: usize, hop_delay: f64) {
+        if let Some(slot) = self.slot(graph, u, v) {
+            self.reinforce_hop_slot(slot, v, dst, hop_delay);
+        }
+    }
+
+    /// [`Router::reinforce_hop`] for the hop over the link in adjacency
+    /// slot `slot`, which ends at `v`.
+    pub(crate) fn reinforce_hop_slot(&mut self, slot: usize, v: usize, dst: usize, hop_delay: f64) {
         let RouterKind::Cpn { q, .. } = &mut self.kind else {
             return;
         };
@@ -369,17 +412,15 @@ impl Router {
         let downstream = if v == dst {
             0.0
         } else {
-            q.row(v, dst)
+            q.row(&self.start, v, dst)
                 .iter()
                 .copied()
                 .fold(f64::INFINITY, f64::min)
                 .min(DROP_PENALTY)
         };
-        if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-            let target = hop_delay.max(1.0) + downstream;
-            let cell = &mut q.row_mut(u, dst)[k];
-            *cell += ALPHA * (target - *cell);
-        }
+        let target = hop_delay.max(1.0) + downstream;
+        let cell = q.cell_mut(slot, dst);
+        *cell += ALPHA * (target - *cell);
     }
 
     /// Reinforces from a delivered packet: `hop_log` holds
@@ -402,7 +443,7 @@ impl Router {
             let (v, _) = w[1];
             let remaining = arrived.value().saturating_sub(entered_u.value()).max(1) as f64;
             if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-                let cell = &mut q.row_mut(u, dst)[k];
+                let cell = q.cell_mut(self.start[u] + k, dst);
                 *cell += ALPHA * (remaining - *cell);
             }
         }
@@ -411,14 +452,20 @@ impl Router {
     /// Punishes the hop that dropped a packet: the packet was at `u`
     /// heading to `v` toward `dst`.
     pub fn reinforce_drop(&mut self, graph: &Graph, u: usize, v: usize, dst: usize) {
+        if let Some(slot) = self.slot(graph, u, v) {
+            self.reinforce_drop_slot(slot, dst);
+        }
+    }
+
+    /// [`Router::reinforce_drop`] for the hop over the link in adjacency
+    /// slot `slot`.
+    pub(crate) fn reinforce_drop_slot(&mut self, slot: usize, dst: usize) {
         let RouterKind::Cpn { q, .. } = &mut self.kind else {
             return;
         };
         const ALPHA: f64 = 0.3;
-        if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-            let cell = &mut q.row_mut(u, dst)[k];
-            *cell += ALPHA * (DROP_PENALTY - *cell);
-        }
+        let cell = q.cell_mut(slot, dst);
+        *cell += ALPHA * (DROP_PENALTY - *cell);
     }
 
     /// Current delay estimate from `u` to `dst` via neighbour `v`
@@ -426,11 +473,7 @@ impl Router {
     #[must_use]
     pub fn estimate(&self, graph: &Graph, u: usize, v: usize, dst: usize) -> Option<f64> {
         match &self.kind {
-            RouterKind::Cpn { q, .. } => graph
-                .neighbours(u)
-                .iter()
-                .position(|&x| x == v)
-                .map(|k| q.row(u, dst)[k]),
+            RouterKind::Cpn { q, .. } => self.slot(graph, u, v).map(|slot| q.cell(slot, dst)),
             RouterKind::Table { .. } => None,
         }
     }
@@ -446,7 +489,7 @@ impl Router {
         let RouterKind::Cpn { q, .. } = &self.kind else {
             return None;
         };
-        let row = q.row(src, dst);
+        let row = q.row(&self.start, src, dst);
         if row.is_empty() {
             return None;
         }
@@ -477,9 +520,11 @@ impl Corruptible for Router {
     /// away from measured delays.
     fn scramble(&mut self, gain: f64) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
-            for dst in 0..q.nodes() {
-                for u in 0..q.nodes() {
-                    for (k, cell) in q.row_mut(u, dst).iter_mut().enumerate() {
+            let nodes = self.start.len() - 1;
+            for dst in 0..nodes {
+                for u in 0..nodes {
+                    let row = q.range(&self.start, u, dst);
+                    for (k, cell) in q.cells[row].iter_mut().enumerate() {
                         *cell = *cell * gain + (k as f64 + 1.0) * gain;
                     }
                 }
@@ -604,15 +649,17 @@ impl Routing {
         mask: InterventionMask,
     ) -> Self {
         let supervised = strategy == RoutingStrategy::SupervisedCpn;
+        let record = LinkRecord::new(graph);
         Self {
             slot: SelfModel::new(name, strategy.build(graph), supervised).with_mask(mask),
-            record: LinkRecord::new(graph),
             baseline: Router {
                 kind: RouterKind::Table {
                     next: Vec::new(),
                     period: Some(FALLBACK_PERIOD),
                 },
+                start: record.start.clone(),
             },
+            record,
             realized: None,
         }
     }
@@ -796,6 +843,49 @@ mod tests {
         }
         assert_eq!(r.next_hop(&g, 0, 8, None, false, &mut rr), Some(3));
         assert!(r.estimate(&g, 0, 1, 8).unwrap() > 100.0);
+    }
+
+    /// The slot forms and the public ones agree on the layout: a hop's
+    /// slot names the link to the hop, and reinforcing a hop moves the
+    /// one estimate [`Router::estimate`] reads for it and no other.
+    #[test]
+    fn slot_forms_touch_exactly_the_hop_they_name() {
+        let g = Graph::grid(3, 4);
+        let n = g.len();
+        let fresh = RoutingStrategy::cpn_default().build(&g);
+        let estimates = |r: &Router| -> Vec<(usize, usize, usize, u64)> {
+            (0..n)
+                .flat_map(|u| g.neighbours(u).iter().map(move |&v| (u, v)))
+                .flat_map(|(u, v)| (0..n).map(move |dst| (u, v, dst)))
+                .map(|(u, v, dst)| (u, v, dst, r.estimate(&g, u, v, dst).unwrap().to_bits()))
+                .collect()
+        };
+        let before = estimates(&fresh);
+        let mut rr = rng();
+        for u in 0..n {
+            for dst in 0..n {
+                if let Some((v, slot)) = fresh.next_hop_slot(&g, u, dst, None, true, &mut rr) {
+                    assert_eq!(g.neighbours(u)[slot - fresh.start[u]], v);
+                }
+            }
+            for &v in g.neighbours(u) {
+                for dst in [0, v, n - 1] {
+                    let mut hop = fresh.clone();
+                    hop.reinforce_hop(&g, u, v, dst, 7.0);
+                    let mut drop = fresh.clone();
+                    drop.reinforce_drop(&g, u, v, dst);
+                    for r in [&hop, &drop] {
+                        let moved: Vec<_> = estimates(r)
+                            .into_iter()
+                            .zip(&before)
+                            .filter(|(a, b)| a != *b)
+                            .map(|(a, _)| (a.0, a.1, a.2))
+                            .collect();
+                        assert_eq!(moved, [(u, v, dst)]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
