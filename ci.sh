@@ -41,6 +41,12 @@ cargo test --locked -q --offline --workspace
 echo "==> cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim -p cpn -p selfaware -p compose"
 cargo test --locked --release -q --offline -p simkernel -p camnet -p cloudsim -p cpn -p selfaware -p compose
 
+# The scheduler's model test is the oracle for its due FIFOs, its pop
+# fast path and its wheel, and the runs above give it the gate's case
+# count; run it once more in release at 512 cases (about 5 s).
+echo "==> PROPTEST_CASES=512 cargo test --locked --release -q --offline -p simkernel --test sched_model"
+PROPTEST_CASES=512 cargo test --locked --release -q --offline -p simkernel --test sched_model
+
 # The allocation bounds (crates/bench/tests/zero_alloc.rs) in the build
 # the benchmark runs, too: the workspace run above counts a debug
 # build's allocations, and an optimised build can allocate differently.

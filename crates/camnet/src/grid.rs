@@ -128,18 +128,23 @@ impl GridIndex {
         let last = self.cols - 1;
         let (cx, cy) = (self.axis(center.x), self.axis(center.y));
         let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(last));
+        let mut hits = 0;
         for y in cy.saturating_sub(1)..=(cy + 1).min(last) {
             // Cells (y, x0..=x1) are adjacent in the CSR layout: one
             // slice of ids and coordinates covers the block's row.
             let lo = self.starts[y * self.cols + x0] as usize;
             let hi = self.starts[y * self.cols + x1 + 1] as usize;
+            // Every candidate is written behind the hits so far, and
+            // only a hit moves past it: the `≤ r` test is a 0 or 1 to
+            // add, not a branch that mispredicts on a third of them.
+            out.resize(hits + (hi - lo), (0, 0.0));
             for (&id, p) in self.ids[lo..hi].iter().zip(&self.coords[lo..hi]) {
                 let d = p.distance(center);
-                if d <= r {
-                    out.push((id as usize, d));
-                }
+                out[hits] = (id as usize, d);
+                hits += usize::from(d <= r);
             }
         }
+        out.truncate(hits);
         // Ids ascend only within a cell; one sort restores the global
         // id order the parity contract requires. The result set is a
         // handful of neighbours, so this is cheap.
@@ -276,6 +281,21 @@ mod tests {
         grid.query_circle_into(Point::new(0.5, 0.5), 0.1, &mut out);
         let ids: Vec<usize> = out.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    /// The radius is a closed boundary: a point at exactly `r` is a hit
+    /// at distance `r`, and one a single ulp farther is not.
+    #[test]
+    fn a_point_at_exactly_the_radius_is_a_hit() {
+        let (centre, r) = (Point::new(0.0, 0.5), 0.25f64);
+        let beyond = f64::from_bits(r.to_bits() + 1);
+        let points = vec![Point::new(beyond, 0.5), Point::new(r, 0.5)];
+        assert_eq!(points[0].distance(centre), beyond);
+        assert_eq!(points[1].distance(centre), r);
+        let grid = GridIndex::build(&points, r);
+        let mut out = Vec::new();
+        grid.query_circle_into(centre, r, &mut out);
+        assert_eq!(bits(&out), bits(&[(1, r)]));
     }
 
     #[test]

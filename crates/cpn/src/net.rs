@@ -24,9 +24,24 @@ pub struct Policy {
     pub ttl: usize,
     /// Per-link queue capacity, packets.
     pub queue_cap: usize,
-    /// Whether the hop log a delivered packet reinforces the router with
-    /// ends with the destination; without it the final hop is not.
+    /// Whether a delivered packet reinforces its final hop, every hop
+    /// toward the tick it arrived; without it the final hop is not
+    /// reinforced, and the others are pulled toward the tick the
+    /// packet entered that hop's queue.
     pub log_destination: bool,
+}
+
+impl Policy {
+    /// The hops a packet with `hop_log` that arrived at `now` reinforces
+    /// on delivery, and the tick each is pulled toward: every hop and
+    /// `now` under [`Policy::log_destination`], else all but the final
+    /// hop and the tick the packet entered that hop's queue.
+    fn reinforced(self, hop_log: &[(usize, Tick)], now: Tick) -> (&[(usize, Tick)], Tick) {
+        match hop_log.split_last() {
+            Some((&(_, entered), hops)) if !self.log_destination => (hops, entered),
+            _ => (hop_log, now),
+        }
+    }
 }
 
 /// A packet in flight.
@@ -38,8 +53,10 @@ pub struct Packet<P> {
     pub smart: bool,
     /// Injection tick.
     pub created: Tick,
-    /// `(node, tick it entered that node's queue)` per hop, source
-    /// first, for reinforcement.
+    /// `(slot, tick it entered that link's queue)` per link queue the
+    /// packet entered, the source's first, for reinforcement. The slot
+    /// of node `u`'s `k`-th link, in [`Graph::neighbours`] order, is `k`
+    /// plus the degrees of the nodes before `u`.
     pub hop_log: Vec<(usize, Tick)>,
     /// What the world carries in the packet.
     pub payload: P,
@@ -166,7 +183,7 @@ impl<P> Net<P> {
             return;
         }
         let mut hop_log = self.slab.log();
-        hop_log.push((src, env.now));
+        hop_log.push((slot, env.now));
         let h = self.slab.insert(Packet {
             dst,
             smart,
@@ -219,11 +236,9 @@ impl<P> Net<P> {
             }
             let at_dst = v == dst;
             if at_dst && arrive(pkt) == Arrival::Deliver {
-                if policy.log_destination {
-                    pkt.hop_log.push((v, now));
-                }
                 if let Some(model) = routers.model() {
-                    model.reinforce_delivery(graph, dst, &pkt.hop_log);
+                    let (hops, arrived) = policy.reinforced(&pkt.hop_log, now);
+                    model.reinforce_delivery(dst, hops, arrived);
                 }
                 slab.remove(h);
                 continue;
@@ -253,7 +268,7 @@ impl<P> Net<P> {
                 dropped(&slab.remove(h));
                 continue;
             };
-            pkt.hop_log.push((v, now));
+            pkt.hop_log.push((next, now));
             links.push(next, h);
         }
     }

@@ -423,29 +423,25 @@ impl Router {
         *cell += ALPHA * (target - *cell);
     }
 
-    /// Reinforces from a delivered packet: `hop_log` holds
-    /// `(node, entered_at)` per node on the path, source first, and each
-    /// consecutive pair is a hop pulled toward the time from entering
-    /// its first node to the log's last entry. The log ends with the
-    /// destination only under [`crate::net::Policy::log_destination`];
-    /// without it, as in the composed city, it ends at the last queue
-    /// the packet entered, and the final hop is not reinforced.
-    pub fn reinforce_delivery(&mut self, graph: &Graph, dst: usize, hop_log: &[(usize, Tick)]) {
+    /// Reinforces from a packet delivered to `dst`: `hops` holds
+    /// `(slot, entered_at)` per hop it took, in order, and each hop is
+    /// pulled toward the time from entering its queue to `arrived`. The
+    /// slot names the hop's link: node `u`'s `k`-th link, in
+    /// [`Graph::neighbours`] order, is slot `k` plus the degrees of the
+    /// nodes before `u`, as in [`crate::net::Packet::hop_log`]. The
+    /// packet plane passes every hop and the arrival tick under
+    /// [`crate::net::Policy::log_destination`]; without it, as in the
+    /// composed city, it leaves out the final hop and passes the tick
+    /// the packet entered that hop's queue.
+    pub fn reinforce_delivery(&mut self, dst: usize, hops: &[(usize, Tick)], arrived: Tick) {
         let RouterKind::Cpn { q, .. } = &mut self.kind else {
             return;
         };
-        let Some(&(_, arrived)) = hop_log.last() else {
-            return;
-        };
         const ALPHA: f64 = 0.2;
-        for w in hop_log.windows(2) {
-            let (u, entered_u) = w[0];
-            let (v, _) = w[1];
-            let remaining = arrived.value().saturating_sub(entered_u.value()).max(1) as f64;
-            if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-                let cell = q.cell_mut(self.start[u] + k, dst);
-                *cell += ALPHA * (remaining - *cell);
-            }
+        for &(slot, entered) in hops {
+            let remaining = arrived.value().saturating_sub(entered.value()).max(1) as f64;
+            let cell = q.cell_mut(slot, dst);
+            *cell += ALPHA * (remaining - *cell);
         }
     }
 
@@ -899,9 +895,12 @@ mod tests {
         }
         let inflated = r.estimate(&g, 0, 1, 2).unwrap();
         assert!(inflated > 50.0);
-        let log = vec![(0, Tick(0)), (1, Tick(1)), (2, Tick(2))];
+        let hops = [
+            (r.slot(&g, 0, 1).unwrap(), Tick(0)),
+            (r.slot(&g, 1, 2).unwrap(), Tick(1)),
+        ];
         for _ in 0..60 {
-            r.reinforce_delivery(&g, 2, &log);
+            r.reinforce_delivery(2, &hops, Tick(2));
         }
         let after = r.estimate(&g, 0, 1, 2).unwrap();
         assert!((after - 2.0).abs() < 0.2, "estimate {after}");

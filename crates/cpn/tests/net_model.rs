@@ -5,8 +5,9 @@
 //! reference plane does, tick by tick.
 //!
 //! The reference is the plain form of the same transit: whole packets
-//! in a `VecDeque` per link, a fresh hop log per packet, and the live
-//! model reached through `Routing::model_mut` on every reinforcement.
+//! in a `VecDeque` per link, found by node and neighbour index, a fresh
+//! hop log per packet, and the live model reached through
+//! `Routing::model_mut` on every reinforcement.
 
 use cpn::graph::Graph;
 use cpn::net::{self, Arrival, Env, Net, Packet, Policy};
@@ -49,6 +50,9 @@ struct Reference<P> {
     policy: Policy,
     log_capacity: usize,
     queues: Vec<Vec<VecDeque<Packet<P>>>>,
+    /// Links before node `u`'s first one: a hop log names node `u`'s
+    /// `k`-th link by the slot `first[u] + k`.
+    first: Vec<usize>,
 }
 
 impl<P> Reference<P> {
@@ -62,10 +66,18 @@ impl<P> Reference<P> {
                     .collect()
             })
             .collect();
+        let first = (0..graph.len())
+            .scan(0, |links, u| {
+                let first = *links;
+                *links += graph.neighbours(u).len();
+                Some(first)
+            })
+            .collect();
         Self {
             policy,
             log_capacity,
             queues,
+            first,
         }
     }
 
@@ -103,7 +115,7 @@ impl<P> Reference<P> {
             return Some(payload);
         };
         let mut hop_log = Vec::with_capacity(self.log_capacity);
-        hop_log.push((src, env.now));
+        hop_log.push((self.first[src] + k, env.now));
         self.queues[src][k].push_back(Packet {
             dst,
             smart,
@@ -145,13 +157,16 @@ impl<P> Reference<P> {
             }
             let at_dst = v == pkt.dst;
             if at_dst && arrive(&pkt) == Arrival::Deliver {
-                if self.policy.log_destination {
-                    pkt.hop_log.push((v, now));
-                }
                 if !env.frozen {
+                    let (hops, arrived) = if self.policy.log_destination {
+                        (&pkt.hop_log[..], now)
+                    } else {
+                        let (&(_, entered), hops) = pkt.hop_log.split_last().unwrap();
+                        (hops, entered)
+                    };
                     env.routing
                         .model_mut()
-                        .reinforce_delivery(graph, pkt.dst, &pkt.hop_log);
+                        .reinforce_delivery(pkt.dst, hops, arrived);
                 }
                 continue;
             }
@@ -171,7 +186,7 @@ impl<P> Reference<P> {
                 dropped(&pkt.payload);
                 continue;
             };
-            pkt.hop_log.push((v, now));
+            pkt.hop_log.push((self.first[v] + k, now));
             self.queues[v][k].push_back(pkt);
         }
     }

@@ -123,7 +123,6 @@ pub struct Core {
     energy: f64,
     busy_ticks: u64,
     throttled_ticks: u64,
-    completed: u64,
     online: bool,
 }
 
@@ -139,7 +138,6 @@ impl Core {
             energy: 0.0,
             busy_ticks: 0,
             throttled_ticks: 0,
-            completed: 0,
             online: true,
         }
     }
@@ -212,12 +210,6 @@ impl Core {
         self.queue.iter().map(|(_, w)| w).sum()
     }
 
-    /// Completed task count.
-    #[must_use]
-    pub fn completed_count(&self) -> u64 {
-        self.completed
-    }
-
     /// Ticks spent throttled (forced low frequency by the thermal
     /// cap).
     #[must_use]
@@ -271,7 +263,6 @@ impl Core {
                 remaining_tick -= time_needed;
                 utilisation += time_needed;
                 let (task, _) = self.queue.pop_front().expect("front exists");
-                self.completed += 1;
                 let latency = now.value().saturating_sub(task.arrived.value()).max(1);
                 done.push((task, latency));
             } else {
@@ -346,7 +337,6 @@ mod tests {
         c.step(Tick(2), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, 2);
-        assert_eq!(c.completed_count(), 1);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! The scheduler keeps a tick `cur` at which every pending wake is due
 //! or later, and holds each wake in one of three tiers:
 //!
-//! 1. **Due**: wakes at `cur`, one FIFO per priority class. A 256-bit
-//!    mask finds the lowest non-empty class, so a pop is O(1).
+//! 1. **Due**: wakes at `cur`, one flat FIFO of keys per priority class.
+//!    A 256-bit mask finds the lowest non-empty class, so a pop is O(1).
 //! 2. **Wheel**: wakes in the next `WINDOW - 1` ticks (32,767), one
 //!    FIFO per tick in a ring indexed by `tick % WINDOW`. A 512-word
 //!    occupancy bitmap finds the next tick that has wakes; the
@@ -45,7 +45,9 @@
 //! by class) and hands every far wake whose tick has entered the
 //! window to the wheel, in heap order. So a drain that jumps past
 //! undrained ticks still delivers their wakes first, each with its own
-//! tick.
+//! tick. [`SimScheduler::pop_due`] takes a due wake at once while
+//! `cur` is not past the caller's `now`, and tries a move only when
+//! the due tier is empty.
 //!
 //! Why the order holds: a far wake's tick was outside the window when
 //! it was scheduled, so it was scheduled before any wake that went
@@ -56,11 +58,15 @@
 //! which leaves every class's wakes in `seq` order; splitting the list
 //! by class keeps that order, and pushes at `cur` append behind it.
 //!
-//! All due and wheel wakes live in one arena of nodes linked by `u32`
-//! indices, with freed nodes reused; a tick or a class keeps only a
-//! head/tail pair. Per-tick vectors would each keep their capacity
-//! (or reallocate every tick), and the arena's steady state allocates
-//! nothing.
+//! A due FIFO is a `VecDeque` of keys: every dirty-input wake, every
+//! wake at `now` and every wheel wake once its tick comes up is pushed
+//! to its back and popped from its front, with no link to follow. The
+//! wheel's wakes live in one arena of nodes linked by `u32` indices, a
+//! tick keeping only a head/tail pair; a move frees each node as it
+//! hands the node's key to a due FIFO, and freed nodes are reused.
+//! Per-tick vectors would each keep their capacity (or reallocate
+//! every tick), while the arena and the due FIFOs keep their
+//! high-water marks, so the steady state allocates nothing.
 //!
 //! ## Same-tick budget
 //!
@@ -103,7 +109,7 @@
 use crate::clock::Tick;
 use crate::obs;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Default per-tick same-tick delivery budget. Generous — real worlds
 /// deliver a handful of wakes per entity per tick — while still
@@ -124,7 +130,7 @@ const CLASSES: usize = 256;
 /// End-of-list link.
 const NIL: u32 = u32::MAX;
 
-/// A FIFO of arena nodes linked through [`Node::next`].
+/// A wheel tick's FIFO of arena nodes linked through [`Node::next`].
 #[derive(Debug, Clone, Copy)]
 struct Fifo {
     head: u32,
@@ -198,16 +204,16 @@ fn slot(at: Tick) -> usize {
 /// A deterministic sparse-activation wake queue (see module docs).
 #[derive(Debug, Clone)]
 pub struct SimScheduler<K> {
-    /// Arena of the due and wheel tiers' wakes; freed nodes are chained
-    /// from `free` and reused.
+    /// Arena of the wheel tier's wakes; freed nodes are chained from
+    /// `free` and reused.
     nodes: Vec<Node<K>>,
     free: u32,
-    /// Wakes held in the arena.
+    /// Wakes held in the due and wheel tiers.
     held: usize,
     /// The tick the due tier holds; no pending wake is earlier.
     cur: Tick,
-    /// Tier 1: one FIFO per class, and which are non-empty.
-    due: Box<[Fifo]>,
+    /// Tier 1: one FIFO of keys per class, and which are non-empty.
+    due: Box<[VecDeque<K>]>,
     due_classes: [u64; CLASSES / 64],
     /// Tier 2: one FIFO per tick in `cur + 1 .. cur + WINDOW`, at
     /// [`slot`]; which slots are occupied, each occupied slot's lowest
@@ -236,7 +242,7 @@ impl<K> SimScheduler<K> {
             free: NIL,
             held: 0,
             cur: Tick::ZERO,
-            due: vec![Fifo::EMPTY; CLASSES].into_boxed_slice(),
+            due: (0..CLASSES).map(|_| VecDeque::new()).collect(),
             due_classes: [0; CLASSES / 64],
             wheel: vec![Fifo::EMPTY; SLOTS].into_boxed_slice(),
             occupied: vec![0; SLOTS / 64].into_boxed_slice(),
@@ -332,11 +338,18 @@ impl<K> SimScheduler<K> {
     /// `None`.
     pub fn pop_due(&mut self, now: Tick) -> Option<(Tick, u8, K)> {
         self.now = self.now.max(now);
-        self.roll(now);
-        if self.cur > now {
-            return None;
-        }
-        let class = self.due_class()?;
+        let class = match self.due_class() {
+            // The fast path: a wake is due at `cur`, and `cur` is not
+            // past `now` (a caller may pop at a tick behind `self.now`).
+            Some(class) if self.cur <= now => class,
+            Some(_) => return None,
+            // A move never passes `now`, so whatever it makes due is
+            // due by `now`.
+            None => {
+                self.roll(now);
+                self.due_class()?
+            }
+        };
         let key = self.pop_class(class);
         if self.fired_at != now {
             self.fired_at = now;
@@ -412,8 +425,10 @@ impl<K> SimScheduler<K> {
             while i != NIL {
                 let node = &mut self.nodes[i as usize];
                 let (next, class) = (node.next, node.class);
-                node.next = NIL;
-                self.push_due(class, i);
+                let key = node.key.take().expect("a queued node holds a key");
+                node.next = self.free;
+                self.free = i;
+                self.push_due(class, key);
                 i = next;
             }
             self.wheel_next = self.scan_wheel();
@@ -449,9 +464,15 @@ impl<K> SimScheduler<K> {
         })
     }
 
-    /// Stores a wake due less than `WINDOW` ticks after `cur` in the
-    /// arena and queues it in its tier.
+    /// Queues a wake due less than `WINDOW` ticks after `cur`: at `cur`
+    /// in its class's due FIFO, later in an arena node on its tick's
+    /// wheel list.
     fn hold(&mut self, at: Tick, class: u8, key: K) {
+        self.held += 1;
+        if at == self.cur {
+            self.push_due(class, key);
+            return;
+        }
         let node = Node {
             key: Some(key),
             next: NIL,
@@ -469,11 +490,6 @@ impl<K> SimScheduler<K> {
             self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
             i
         };
-        self.held += 1;
-        if at == self.cur {
-            self.push_due(class, i);
-            return;
-        }
         let s = slot(at);
         if append(&mut self.nodes, &mut self.wheel[s], i) {
             set_bit(&mut self.occupied, s);
@@ -486,49 +502,39 @@ impl<K> SimScheduler<K> {
         }
     }
 
-    fn push_due(&mut self, class: u8, i: u32) {
-        if append(&mut self.nodes, &mut self.due[usize::from(class)], i) {
-            set_bit(&mut self.due_classes, usize::from(class));
-        }
+    fn push_due(&mut self, class: u8, key: K) {
+        self.due[usize::from(class)].push_back(key);
+        set_bit(&mut self.due_classes, usize::from(class));
     }
 
-    /// Unlinks the head of class `class`'s due FIFO (which must be
-    /// non-empty), frees its node and returns its key.
+    /// Pops the front of class `class`'s due FIFO, which must be
+    /// non-empty.
     fn pop_class(&mut self, class: u8) -> K {
         let fifo = &mut self.due[usize::from(class)];
-        let i = fifo.head;
-        let node = &mut self.nodes[i as usize];
-        fifo.head = node.next;
-        if fifo.head == NIL {
-            fifo.tail = NIL;
+        let key = fifo.pop_front().expect("a due class holds a wake");
+        if fifo.is_empty() {
             clear_bit(&mut self.due_classes, usize::from(class));
         }
-        node.next = self.free;
-        self.free = i;
         self.held -= 1;
-        node.key.take().expect("a queued node holds a key")
+        key
     }
 
     /// Every pending wake as `(tick, class, key)`, in delivery order.
     fn delivery_order(&self) -> Vec<(Tick, u8, &K)> {
         let mut order = Vec::with_capacity(self.len());
-        let mut walk = |at: Tick, mut i: u32| {
+        for (class, fifo) in (0..=u8::MAX).zip(self.due.iter()) {
+            order.extend(fifo.iter().map(|key| (self.cur, class, key)));
+        }
+        let start = slot(self.cur);
+        for (s, fifo) in self.wheel.iter().enumerate() {
+            let at = Tick(self.cur.value() + ((s + SLOTS - start) % SLOTS) as u64);
+            let mut i = fifo.head;
             while i != NIL {
                 let node = &self.nodes[i as usize];
                 if let Some(key) = &node.key {
                     order.push((at, node.class, key));
                 }
                 i = node.next;
-            }
-        };
-        for fifo in self.due.iter() {
-            walk(self.cur, fifo.head);
-        }
-        let start = slot(self.cur);
-        for (s, fifo) in self.wheel.iter().enumerate() {
-            if fifo.head != NIL {
-                let ahead = (s + SLOTS - start) % SLOTS;
-                walk(Tick(self.cur.value() + ahead as u64), fifo.head);
             }
         }
         let mut far: Vec<&Wake<K>> = self.far.iter().collect();

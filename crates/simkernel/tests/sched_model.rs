@@ -5,8 +5,13 @@
 //!
 //! Wake offsets straddle the wheel's window on both edges, advances
 //! jump across it, and drain handlers schedule new wakes at `now` and
-//! later. Debug builds panic on an overflowing budget by design, so
-//! small budgets (and so sheds) are exercised in release builds only.
+//! later. Drains also pop at a tick behind the scheduler's time, while
+//! wakes are due at the tick it holds, and hand-overs move wakes of the
+//! same and other classes off the wheel or out of the far heap onto one
+//! tick, where bursts of `wake_on_input` interleave with single pops at
+//! that tick and behind it. Debug builds panic on an overflowing budget
+//! by design, so small budgets (and so sheds) are exercised in release
+//! builds only.
 
 use proptest::prelude::*;
 use simkernel::sched::{SimScheduler, DEFAULT_SAME_TICK_BUDGET};
@@ -83,6 +88,24 @@ enum Op {
     /// Drains `pop_due(now + by)` to `None`; the first deliveries each
     /// schedule one wake, at the listed offset from the drained tick.
     Drain(u64, Vec<(i64, u8)>),
+    /// Drains `pop_due(now - back)` to `None`: a caller behind the
+    /// scheduler's time.
+    DrainBehind(u64),
+    /// Wakes the listed classes at `now + gap` (on the wheel, or in the
+    /// far heap from `WINDOW` on), advances to that tick and runs the
+    /// steps there.
+    HandOver(u64, Vec<u8>, Vec<Step>),
+}
+
+/// One call within a [`Op::HandOver`]'s tick.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `wake_on_input` in this class.
+    Input(u8),
+    /// One `pop_due` at the tick.
+    Pop,
+    /// One `pop_due` this many ticks behind it.
+    PopBehind(u64),
 }
 
 fn offset() -> impl Strategy<Value = i64> {
@@ -107,6 +130,34 @@ fn jump() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), Just(1u64), 2u64..200, w - 2..2 * w + 2]
 }
 
+/// A hand-over's gap: onto the wheel, or into the far heap on either
+/// side of the window's edge.
+fn gap() -> impl Strategy<Value = u64> {
+    let w = WINDOW as u64;
+    prop_oneof![
+        Just(1u64),
+        2u64..200,
+        Just(w - 1),
+        Just(w),
+        Just(w + 1),
+        w + 2..3 * w
+    ]
+}
+
+fn back() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..4, 4u64..200]
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        class().prop_map(Step::Input),
+        class().prop_map(Step::Input),
+        Just(Step::Pop),
+        Just(Step::Pop),
+        back().prop_map(Step::PopBehind),
+    ]
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (offset(), class()).prop_map(|(off, c)| Op::WakeAt(off, c)),
@@ -115,6 +166,13 @@ fn op() -> impl Strategy<Value = Op> {
         jump().prop_map(Op::Advance),
         (jump(), proptest::collection::vec((offset(), class()), 0..6))
             .prop_map(|(by, pushes)| Op::Drain(by, pushes)),
+        back().prop_map(Op::DrainBehind),
+        (
+            gap(),
+            proptest::collection::vec(class(), 1..6),
+            proptest::collection::vec(step(), 1..16)
+        )
+            .prop_map(|(gap, ahead, steps)| Op::HandOver(gap, ahead, steps)),
     ]
 }
 
@@ -131,6 +189,10 @@ fn budget() -> impl Strategy<Value = u64> {
 
 fn at(now: Tick, offset: i64) -> Tick {
     Tick(now.value().saturating_add_signed(offset))
+}
+
+fn behind(now: Tick, back: u64) -> Tick {
+    Tick(now.value().saturating_sub(back))
 }
 
 proptest! {
@@ -172,6 +234,42 @@ proptest! {
                             wheel.wake_at(at(t, off), c, next_key);
                             model.wake_at(at(t, off), c, next_key);
                             next_key += 1;
+                        }
+                    }
+                }
+                Op::DrainBehind(back) => {
+                    let t = behind(now, *back);
+                    loop {
+                        let got = wheel.pop_due(t);
+                        prop_assert_eq!(got, model.pop_due(t), "pop_due({}) in {:?}", t, op);
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+                Op::HandOver(gap, ahead, steps) => {
+                    let t = at(now, *gap as i64);
+                    for &c in ahead {
+                        wheel.wake_at(t, c, next_key);
+                        model.wake_at(t, c, next_key);
+                        next_key += 1;
+                    }
+                    wheel.advance(t);
+                    model.advance(t);
+                    for step in steps {
+                        match step {
+                            Step::Input(c) => {
+                                wheel.wake_on_input(*c, next_key);
+                                model.wake_at(t, *c, next_key);
+                                next_key += 1;
+                            }
+                            Step::Pop => {
+                                prop_assert_eq!(wheel.pop_due(t), model.pop_due(t), "pop_due({}) in {:?}", t, op);
+                            }
+                            Step::PopBehind(back) => {
+                                let b = behind(t, *back);
+                                prop_assert_eq!(wheel.pop_due(b), model.pop_due(b), "pop_due({}) in {:?}", b, op);
+                            }
                         }
                     }
                 }
