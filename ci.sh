@@ -53,6 +53,14 @@ PROPTEST_CASES=512 cargo test --locked --release -q --offline -p simkernel --tes
 echo "==> cargo test --locked --release -q --offline -p sas-bench --test zero_alloc"
 cargo test --locked --release -q --offline -p sas-bench --test zero_alloc
 
+# The city's mask property (factual-mask identity, parity of every
+# single-flip mask, the replay skip) in release too, at the gate's
+# case count: release is the build the benchmark's `audit` replays
+# masks in.
+echo "==> cargo test --locked --release -q --offline -p sas-bench --test fault_proptest any_single_flip_mask_is_parity_clean_and_factual_mask_is_identity"
+cargo test --locked --release -q --offline -p sas-bench --test fault_proptest \
+    any_single_flip_mask_is_parity_clean_and_factual_mask_is_identity
+
 # The repo benchmark (BENCHMARK.json) is its own package with an empty
 # [workspace], so the workspace steps above and below never reach it.
 echo "==> cargo test --locked --offline --manifest-path benchmark/Cargo.toml"

@@ -1973,7 +1973,7 @@ pub fn f8_scenario(arm: F8Arm, seeds: SeedTree, steps: u64) -> MetricSet {
             obs::Json::obj([
                 ("camnet", cam.log.to_json()),
                 ("cpn", net.log.to_json()),
-                ("cloud", cloud.comms_log.to_json()),
+                ("cloud", cloud.log.to_json()),
             ]),
         ),
     ]));
@@ -2099,7 +2099,7 @@ mod f8_tests {
         let cloud_seeds = seeds.child("probe").child("cloud");
         let r = cloudsim::run_scenario(&f8_cloud_cfg(arm, &cloud_seeds, 1500), &cloud_seeds);
         assert!(
-            r.comms_log.iter().any(|e| e.kind == "comms:retry"),
+            r.log.iter().any(|e| e.kind == "comms:retry"),
             "retries must be explained"
         );
     }
@@ -2370,9 +2370,10 @@ pub enum F10Campaign {
     /// two fifths; the degradation ladder (re-home, shed, throttle) is
     /// on trial. Headline: `utility` (maximise).
     Outage,
-    /// Capacity brownout (ROADMAP item 5): two of zone 1's three
-    /// backend machines die for the middle three fifths while the
-    /// zone — and its agent — stay alive. Re-homing never triggers
+    /// Capacity brownout, the campaign built so throttle has a fault
+    /// it is the right answer to: two of zone 1's three backend
+    /// machines die for the middle three fifths while the zone — and
+    /// its agent — stay alive. Re-homing never triggers
     /// (the zone is not dark) and gateway pressure stays under the
     /// shed threshold, so admission throttling is the *only* defence
     /// that can keep the surviving core's queueing delay inside the
@@ -2571,13 +2572,13 @@ pub fn f10_canonical(class: InterventionClass) -> F10Campaign {
         | InterventionClass::SupervisorFallback
         | InterventionClass::SupervisorRepromote => F10Campaign::Corruption,
         InterventionClass::CommsRetry => F10Campaign::Loss,
-        // Throttle's canonical home is the brownout (ROADMAP item 5):
-        // on the cascade its measured delta sat at ≈ 0 because the
-        // zone either dies (re-home takes over) or survives with
-        // enough capacity that the admission cap alone bounds
-        // latency. The brownout leaves a crippled-but-alive zone
-        // where holding the queue short is the only defence, so the
-        // gate can demand a strictly positive delta.
+        // Throttle's canonical home is the brownout: on the cascade
+        // its measured delta sat at ≈ 0 because the zone either dies
+        // (re-home takes over) or survives with enough capacity that
+        // the admission cap alone bounds latency. The brownout leaves
+        // a crippled-but-alive zone where holding the queue short is
+        // the only defence, so the gate can demand a strictly
+        // positive delta.
         InterventionClass::ComposeThrottle => F10Campaign::Brownout,
         InterventionClass::CommsReissue
         | InterventionClass::ComposeShed
@@ -2784,8 +2785,8 @@ pub fn run_f10(reps: u32, steps: u64) -> F10Report {
                 benefit: aggs[idx].mean(&format!("benefit:{}", class.label())),
                 fires: aggs[idx].mean(&format!("fires:{}", class.label())),
                 require_fire: true,
-                // The brownout exists so throttle pays (ROADMAP item
-                // 5); its cell must show a strictly positive delta.
+                // The brownout exists so throttle pays; its cell must
+                // show a strictly positive delta.
                 require_positive: class == InterventionClass::ComposeThrottle,
             }
         })
@@ -2806,9 +2807,9 @@ pub fn run_f10(reps: u32, steps: u64) -> F10Report {
             require_positive: false,
         });
     }
-    // Restraint cell (this PR, ROADMAP item 5): the cascade is where
-    // throttle historically idled at ≈ 0 measured benefit. Now that
-    // its canonical (positive) home is the brownout, the cascade cell
+    // Restraint cell for throttle: the cascade is where throttle
+    // historically idled at ≈ 0 measured benefit. Now that its
+    // canonical (positive) home is the brownout, the cascade cell
     // only polices harm: throttle may hold fire there or fire with
     // non-negative delta, but a harmful firing fails.
     if let Some(idx) = campaigns.iter().position(|c| *c == F10Campaign::Cascade) {
@@ -3004,7 +3005,7 @@ mod f10_tests {
 
     #[test]
     fn positive_cells_fail_at_zero_benefit() {
-        // ROADMAP item 5's closure is enforced, not prose: the
+        // The brownout's claim is enforced, not prose: the
         // throttle cell on the brownout demands a strictly positive
         // measured delta, so a relapse to the old ≈ 0 misfire fails
         // the gate even though 0 is within the negative tolerance.

@@ -333,12 +333,7 @@ fn steady_state_packet_plane_is_allocation_free() {
         log_destination: false,
     };
     let graph = cpn::Graph::grid(4, 6);
-    let mut routing = cpn::Routing::new(
-        cpn::RoutingStrategy::cpn_default(),
-        &graph,
-        "plane",
-        selfaware::replay::InterventionMask::allow_all(),
-    );
+    let mut routing = cpn::Routing::new(cpn::RoutingStrategy::cpn_default(), &graph, "plane");
     // Room for the TTL's worth of entries: no log ever regrows.
     let mut net = cpn::net::Net::new(&graph, policy, policy.ttl);
     let seeds = SeedTree::new(23);

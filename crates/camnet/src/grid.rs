@@ -2,11 +2,11 @@
 //!
 //! The dense camera loop answers "which cameras see this object?" by
 //! scanning all `n` cameras — O(n) per object, O(n·m) per tick, the
-//! cost that caps the network at tens of cameras (ROADMAP item 1). The
-//! grid bins points into square cells of edge `cell ≥ query radius`,
-//! so a radius query inspects at most the 3×3 cell block around the
-//! centre: O(points in the neighbourhood), independent of the network
-//! size.
+//! cost that caps that loop at tens of cameras and that the sparse
+//! drive of `camnet::des` was built to escape. The grid bins points
+//! into square cells of edge `cell ≥ query radius`, so a radius query
+//! inspects at most the 3×3 cell block around the centre: O(points in
+//! the neighbourhood), independent of the network size.
 //!
 //! The index is a counting sort of the points by cell, in CSR form:
 //! cell `c`'s points are `ids[starts[c] .. starts[c + 1]]`, and their

@@ -8,7 +8,6 @@ use rand::Rng as _;
 use selfaware::comms::{CommsNetwork, CommsPolicy};
 use selfaware::explain::ExplanationLog;
 use selfaware::goals::{Direction, Goal, Objective};
-use selfaware::replay::InterventionMask;
 use selfaware::supervision::{Evidence, SelfModel};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
@@ -62,10 +61,6 @@ pub struct CamnetConfig {
     /// protocol that refuses to unlearn unreachable peers and aborts
     /// undeliverable handovers.
     pub comms: CommsPolicy,
-    /// Counterfactual-replay intervention mask (see
-    /// [`selfaware::replay`]), applied to the affinity supervisor and
-    /// the comms layer. Factual (everything allowed) by default.
-    pub mask: InterventionMask,
 }
 
 impl CamnetConfig {
@@ -86,7 +81,6 @@ impl CamnetConfig {
             supervise: false,
             channel: ChannelPlan::ideal(),
             comms: CommsPolicy::default(),
-            mask: InterventionMask::allow_all(),
         }
     }
 }
@@ -171,8 +165,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
     // in place, a checkpoint is an `Arc` pointer bump, and the table is
     // deep-copied only on the first write after a checkpoint or restore.
     // While the model is benched, auctions fall back to broadcast.
-    let mut affinities = SelfModel::new("camera-affinities", AffinityTable::new(n), cfg.supervise)
-        .with_mask(cfg.mask);
+    let mut affinities = SelfModel::new("camera-affinities", AffinityTable::new(n), cfg.supervise);
     let mut invites = InviteCounts::new(n);
     // Initial ownership: best-quality seer, if any.
     let mut owner: Vec<Option<usize>> = objects
@@ -185,7 +178,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
     // are a pure function of the channel plan, so the ideal default
     // leaves every exchange — and every downstream number — exactly
     // as the perfect-network code produced it.
-    let mut comms: CommsNetwork<()> = CommsNetwork::new(cfg.comms).with_mask(cfg.mask);
+    let mut comms: CommsNetwork<()> = CommsNetwork::new(cfg.comms);
     let mut log = ExplanationLog::new(2048);
     let ideal = cfg.channel.is_ideal();
     let aware = !cfg.comms.is_naive();

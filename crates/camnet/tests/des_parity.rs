@@ -49,7 +49,7 @@ proptest! {
     #[test]
     fn random_campaigns_match_dense_bit_for_bit(
         seed in 0u64..1000,
-        side in 4usize..9,
+        side in 1usize..9,
         objects in 0usize..16,
         home_bias in any::<bool>(),
         faults in campaign(80, 250),

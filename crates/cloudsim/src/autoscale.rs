@@ -81,7 +81,7 @@ impl AutoscaleCore {
     }
 
     /// The arrival model's slot: its supervision counters and control
-    /// source, its intervention mask, and where model corruptions land.
+    /// source, and where model corruptions land.
     #[must_use]
     pub fn arrival_model(&self) -> &SelfModel<Holt> {
         &self.arrival

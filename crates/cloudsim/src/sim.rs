@@ -8,11 +8,11 @@ use crate::strategy::Strategy;
 use selfaware::comms::{self, CommsPolicy, CommsStats, Issue, Reissue};
 use selfaware::explain::{Explanation, ExplanationLog};
 use selfaware::goals::{Direction, Goal, Objective};
-use selfaware::replay::{InterventionClass, InterventionMask};
+use selfaware::replay::InterventionClass;
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::stats::Percentiles;
-use simkernel::{MetricSet, Tick, TimeSeries};
+use simkernel::{MetricSet, Tick};
 use workloads::faults::{ChannelPlan, FaultKind, FaultPlan};
 use workloads::rates::{poisson, DiurnalRate, RateFn};
 use workloads::Schedule;
@@ -69,13 +69,7 @@ struct Zones {
 }
 
 impl Zones {
-    fn new(
-        zones: usize,
-        n: usize,
-        policy: CommsPolicy,
-        mask: InterventionMask,
-        channel: ChannelPlan,
-    ) -> Self {
+    fn new(zones: usize, n: usize, policy: CommsPolicy, channel: ChannelPlan) -> Self {
         assert!(
             zones >= 1 && zones <= n,
             "zone count must be in 1..=node count"
@@ -86,7 +80,7 @@ impl Zones {
         Self {
             zones,
             n,
-            plane: comms::CommandPlane::new(policy, mask, channel, sizes.clone())
+            plane: comms::CommandPlane::new(policy, channel, sizes.clone())
                 .with_orders(REISSUE, None),
             applied: sizes,
         }
@@ -241,11 +235,6 @@ pub struct ScenarioConfig {
     pub comms: CommsPolicy,
     /// How autoscaling decisions reach the pool.
     pub command_plane: CommandPlane,
-    /// Counterfactual intervention mask, applied to the arrival-model
-    /// supervisor and the zoned command plane (retries, overdue
-    /// re-issues). [`InterventionMask::allow_all`] (the default)
-    /// reproduces historical behaviour bit for bit.
-    pub mask: InterventionMask,
 }
 
 impl ScenarioConfig {
@@ -283,7 +272,6 @@ impl ScenarioConfig {
             channel: ChannelPlan::ideal(),
             comms: CommsPolicy::default(),
             command_plane: CommandPlane::Direct,
-            mask: InterventionMask::allow_all(),
         }
     }
 }
@@ -293,13 +281,9 @@ impl ScenarioConfig {
 pub struct ScenarioResult {
     /// Scalar metrics (see [`run_scenario`] for keys).
     pub metrics: MetricSet,
-    /// Per-tick SLA-violation fraction (bucketable for figures).
-    pub violations: TimeSeries,
-    /// Per-tick completed-request mean latency.
-    pub latency: TimeSeries,
     /// Command-plane protocol events (retries, expiries, partition
     /// hits). Empty under [`CommandPlane::Direct`].
-    pub comms_log: ExplanationLog,
+    pub log: ExplanationLog,
 }
 
 /// The composite utility goal used to score all cloud strategies:
@@ -337,9 +321,6 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
     let n = cfg.specs.len();
     let mut cluster = Cluster::new(cfg.specs.clone(), seeds);
     let mut controller = cfg.strategy.build(n);
-    if let Some(model) = controller.arrival_model() {
-        model.set_mask(cfg.mask);
-    }
     let mut rate_fn = DiurnalRate::new(cfg.base_rate, cfg.amplitude, cfg.period);
     let mut arrivals_rng = seeds.rng("arrivals");
     let mut work_rng = seeds.rng("work");
@@ -350,19 +331,11 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
     let mut violations = 0u64;
     let mut latencies = Percentiles::new();
     let mut lat_sum = 0.0;
-    let mut violations_series = TimeSeries::new(cfg.strategy.label());
-    let mut latency_series = TimeSeries::new(cfg.strategy.label());
     let mut next_id = 0u64;
-    let mut comms_log = ExplanationLog::new(2048);
+    let mut log = ExplanationLog::new(2048);
     let mut zoned = match cfg.command_plane {
         CommandPlane::Direct => None,
-        CommandPlane::Zoned { zones } => Some(Zones::new(
-            zones,
-            n,
-            cfg.comms,
-            cfg.mask,
-            cfg.channel.clone(),
-        )),
+        CommandPlane::Zoned { zones } => Some(Zones::new(zones, n, cfg.comms, cfg.channel.clone())),
     };
 
     // Reused across ticks: outcome pushes land in warm capacity
@@ -405,7 +378,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
             None => controller.begin_tick(&mut cluster, count, now, &mut strat_rng),
             Some(z) => {
                 let desired = controller.desired_pool(&cluster, count, now);
-                z.tick(desired, &mut cluster, &cfg.faults, now, &mut comms_log);
+                z.tick(desired, &mut cluster, &cfg.faults, now, &mut log);
             }
         }
         drop(decide_span);
@@ -432,27 +405,16 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
         }
         cluster.step_into(now, &mut tick_outcomes);
 
-        let mut tick_viol = 0u64;
-        let tick_total = tick_outcomes.len();
         for outcome in &tick_outcomes {
             controller.feedback(outcome, now);
             if outcome.violates_sla() {
                 violations += 1;
-                tick_viol += 1;
             }
             if let Some(lat) = outcome.latency() {
                 completed += 1;
                 latencies.push(lat as f64);
                 lat_sum += lat as f64;
             }
-        }
-        if tick_total > 0 {
-            violations_series.push(now, tick_viol as f64 / tick_total as f64);
-        }
-        if let Some(RequestOutcome::Completed { latency, .. }) =
-            tick_outcomes.iter().find(|o| o.completed())
-        {
-            latency_series.push(now, *latency as f64);
         }
     }
 
@@ -495,12 +457,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, seeds: &SeedTree) -> ScenarioResult {
     let utility = cloud_goal().utility(|k| metrics.get(k));
     metrics.set("utility", utility);
 
-    ScenarioResult {
-        metrics,
-        violations: violations_series,
-        latency: latency_series,
-        comms_log,
-    }
+    ScenarioResult { metrics, log }
 }
 
 #[cfg(test)]
@@ -525,7 +482,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&vr));
         assert!(m.get("p95_latency").unwrap() >= m.get("mean_latency").unwrap() * 0.5);
         assert!(m.get("utility").is_some());
-        assert!(!r.violations.is_empty());
     }
 
     #[test]
@@ -742,7 +698,7 @@ mod tests {
             a.metrics
         );
         assert!(
-            a.comms_log.iter().any(|e| e.kind == "comms:retry"),
+            a.log.iter().any(|e| e.kind == "comms:retry"),
             "retries must be explained in the comms log"
         );
     }
@@ -774,7 +730,7 @@ mod tests {
                 // entry itself is checked in the short test below,
                 // where later traffic cannot evict it from the ring.
                 assert!(
-                    aware.comms_log.iter().any(|e| e.kind == "comms:expire"),
+                    aware.log.iter().any(|e| e.kind == "comms:expire"),
                     "abandoned sends must be explained"
                 );
             }
@@ -793,7 +749,7 @@ mod tests {
         let r = run_scenario(&cfg, &seeds);
         assert!(r.metrics.get("comms_partition_hits").unwrap() > 0.0);
         assert!(
-            r.comms_log.iter().any(|e| e.kind == "comms:partition"),
+            r.log.iter().any(|e| e.kind == "comms:partition"),
             "partition onset must be explained"
         );
     }
@@ -826,13 +782,7 @@ mod tests {
         if let Some((at, duration)) = outage {
             faults = faults.and(FaultEvent::zone_outage(Tick(at), 2, 2, duration));
         }
-        let mut zoned = Zones::new(
-            3,
-            6,
-            CommsPolicy::default(),
-            InterventionMask::allow_all(),
-            plan,
-        );
+        let mut zoned = Zones::new(3, 6, CommsPolicy::default(), plan);
         let mut log = ExplanationLog::new(64);
         let mut history = vec![(0, zoned.applied[1])];
         for t in 0..steps {
@@ -953,7 +903,7 @@ mod tests {
             send_timeout: 10_000,
             ..ReliableConfig::default()
         });
-        let mut zoned = Zones::new(3, 6, policy, InterventionMask::allow_all(), plan);
+        let mut zoned = Zones::new(3, 6, policy, plan);
         let mut log = ExplanationLog::new(64);
         for t in 0..420 {
             let desired = if t < 150 { 6 } else { 3 };

@@ -125,9 +125,8 @@ pub struct Controller {
 
 impl Controller {
     /// The self-aware controller's arrival-model slot (`None` for the
-    /// model-free baselines): its supervision counters, its
-    /// counterfactual intervention mask, and where model corruptions
-    /// land.
+    /// model-free baselines): its supervision counters, and where model
+    /// corruptions land.
     pub(crate) fn arrival_model(&mut self) -> Option<&mut SelfModel<Holt>> {
         match &mut self.kind {
             Kind::SelfAware(state) => Some(state.core.arrival_model_mut()),

@@ -157,18 +157,19 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
     assert!(cfg.rows >= 2 && cfg.cols >= cfg.zones, "grid too small");
     let mut graph = Graph::grid(cfg.rows, cfg.cols);
     let n = graph.len();
-    let mask = cfg.campaign.mask();
     // Meta-self-awareness over the detection-transport router, as in
     // `cpn::sim`: the supervisor owns the learned router, scores its
     // route-delay estimates against realized transit delays, and
     // benches it onto a periodic table when it misbehaves.
-    let mut routing = Routing::new(cfg.policy.router, &graph, "city-routing", mask);
+    let mut routing = Routing::new(cfg.policy.router, &graph, "city-routing");
 
     let mut wander_rng = seeds.rng("wander");
     let mut work_rng = seeds.rng("work");
     let mut sensor_rng = seeds.rng("sensor");
     let mut route_rng = seeds.rng("route");
-    let mut log = ExplanationLog::new(1024);
+    // The run's one log carries the campaign's intervention mask to
+    // every site that reads it: health, supervisor, comms and ladder.
+    let mut log = ExplanationLog::new(1024).with_mask(cfg.campaign.mask());
 
     // Cameras in two rows over the square, overlapping fields of view.
     let cam_cols = cfg.cameras.div_ceil(2);
@@ -198,10 +199,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
     let mut camera_down = vec![false; cfg.cameras];
     let mut held = vec![0.5f64; cfg.cameras];
     let mut cam_degraded = vec![false; cfg.cameras];
-    let mut health = cfg
-        .policy
-        .health
-        .then(|| SensorHealth::default().with_mask(mask));
+    let mut health = cfg.policy.health.then(SensorHealth::default);
 
     // Wanderer population: diurnal subset of the base plus the flash
     // crowd. All of them step every tick so the trajectory stream is
@@ -254,7 +252,6 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
     // Every zone starts unthrottled, so a first "off" is no change.
     let mut plane = CommandPlane::new(
         cfg.policy.comms,
-        mask,
         cfg.campaign.channel().clone(),
         vec![ZoneReport::default(); cfg.zones],
     )
@@ -616,7 +613,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
             // believed state is computed, so the suppressed rung's
             // inputs (and every RNG stream) evolve exactly as in the
             // factual run.
-            let shed = if mask.suppresses(InterventionClass::ComposeShed) {
+            let shed = if log.mask().suppresses(InterventionClass::ComposeShed) {
                 0
             } else if pressure_total >= SHED2 {
                 2
@@ -636,7 +633,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
             // from again, so decaying bounce telemetry (traffic has
             // been re-homed away) cannot flap the directive.
             rehome.fill(None);
-            if aware && !mask.suppresses(InterventionClass::ComposeRehome) {
+            if aware && !log.mask().suppresses(InterventionClass::ComposeRehome) {
                 for z in 0..cfg.zones {
                     if plane.freshness(z, now) >= REHOME_FRESH {
                         rehome_latched[z] = false;
@@ -716,7 +713,7 @@ pub fn run_city(cfg: &CityConfig, seeds: &SeedTree) -> CityResult {
                 // depends on whether the intervention is suppressed.
                 let believed = plane.reports()[z].backlog;
                 let gate_on = gate.observe(believed as f64);
-                let want = !mask.suppresses(InterventionClass::ComposeThrottle) && gate_on;
+                let want = !log.mask().suppresses(InterventionClass::ComposeThrottle) && gate_on;
                 if want {
                     log.fired(InterventionClass::ComposeThrottle);
                 }

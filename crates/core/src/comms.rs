@@ -58,7 +58,7 @@
 //! ```
 
 use crate::explain::{Explanation, ExplanationLog};
-use crate::replay::{InterventionClass, InterventionMask};
+use crate::replay::InterventionClass;
 use serde::{Deserialize, Serialize};
 use simkernel::delivery::DeliveryQueue;
 use simkernel::obs::{self, Json};
@@ -671,7 +671,6 @@ pub struct CommsNetwork<M> {
     /// Messages in `pending`.
     unacked: usize,
     stats: CommsStats,
-    mask: InterventionMask,
     // Scratch buffers reused across `step` calls. Always drained
     // empty before a call returns, so the derived `PartialEq` (which
     // sees only empty vectors) and `Clone` stay honest.
@@ -703,24 +702,9 @@ impl<M: Clone> CommsNetwork<M> {
             pending: LinkTable::new(),
             unacked: 0,
             stats: CommsStats::default(),
-            mask: InterventionMask::allow_all(),
             flight_scratch: Vec::new(),
             ack_scratch: Vec::new(),
         }
-    }
-
-    /// Sets the counterfactual-replay intervention mask (see
-    /// [`crate::replay`]). With `CommsRetry` suppressed, pending
-    /// messages still age, back off and expire on exactly the factual
-    /// schedule — only the retransmission itself (and its stats/log
-    /// footprint) is withheld. The network consumes no randomness
-    /// either way. Each retransmission launched counts one
-    /// `CommsRetry` fire in the ledger of the log handed to
-    /// [`CommsNetwork::step_into`].
-    #[must_use]
-    pub fn with_mask(mut self, mask: InterventionMask) -> Self {
-        self.mask = mask;
-        self
     }
 
     /// Lifetime counters, cloned out: the per-link attribution maps
@@ -858,6 +842,13 @@ impl<M: Clone> CommsNetwork<M> {
     /// (not cleared first), in deterministic (arrival, send-order)
     /// order; with a reused buffer the steady-state send/deliver/ack
     /// cycle performs no heap allocation per message.
+    ///
+    /// Each retransmission launched counts one `CommsRetry` fire in
+    /// `log`'s ledger. While `log`'s intervention mask suppresses
+    /// `CommsRetry` (see [`crate::replay`]), pending messages still
+    /// age, back off and expire on exactly the factual schedule; only
+    /// the retransmission itself (and its stats and log footprint) is
+    /// withheld. The network consumes no randomness either way.
     pub fn step_into<C: Channel + ?Sized>(
         &mut self,
         ch: &C,
@@ -949,6 +940,7 @@ impl<M: Clone> CommsNetwork<M> {
         if self.unacked == 0 {
             return;
         }
+        let retry = log.mask().allows(InterventionClass::CommsRetry);
         let width = self.pending.width;
         for i in 0..self.pending.cells.len() {
             if self.pending.cells[i].is_empty() {
@@ -990,7 +982,7 @@ impl<M: Clone> CommsNetwork<M> {
                 // above already aged and backed off exactly as in the
                 // factual run — withholding only the wire attempt keeps
                 // expiry timing bit-identical.
-                if !self.mask.suppresses(InterventionClass::CommsRetry) {
+                if retry {
                     self.stats.retries += 1;
                     log.fired(InterventionClass::CommsRetry);
                     log.record(
@@ -1187,13 +1179,11 @@ fn newer(watermark: Option<u64>, seq: u64) -> bool {
 /// ```
 /// use selfaware::comms::{CommandPlane, CommsPolicy, IdealChannel};
 /// use selfaware::explain::ExplanationLog;
-/// use selfaware::replay::InterventionMask;
 /// use simkernel::Tick;
 ///
 /// // Two agents report a load; the controller starts believing 0.
 /// let policy = CommsPolicy::default();
-/// let mask = InterventionMask::allow_all();
-/// let mut plane = CommandPlane::new(policy, mask, IdealChannel, vec![0, 0]);
+/// let mut plane = CommandPlane::new(policy, IdealChannel, vec![0, 0]);
 /// let mut log = ExplanationLog::new(16);
 /// plane.send_report(1, 7, Tick(0), &mut log);
 /// plane.step(Tick(0), &mut log, |_, ()| true);
@@ -1218,10 +1208,10 @@ impl<R: Clone, O: Clone + PartialEq, C: Channel> CommandPlane<R, O, C> {
     /// agent has a standing order, and without
     /// [`CommandPlane::with_orders`] none is ever re-issued.
     #[must_use]
-    pub fn new(policy: CommsPolicy, mask: InterventionMask, channel: C, reports: Vec<R>) -> Self {
+    pub fn new(policy: CommsPolicy, channel: C, reports: Vec<R>) -> Self {
         let agents = reports.len();
         Self {
-            net: CommsNetwork::new(policy).with_mask(mask),
+            net: CommsNetwork::new(policy),
             channel: AgentLiveChannel {
                 inner: channel,
                 dead: vec![false; agents],
@@ -1275,10 +1265,11 @@ impl<R: Clone, O: Clone + PartialEq, C: Channel> CommandPlane<R, O, C> {
 
     /// Makes `order` the standing order of `agent`. It is sent when it
     /// changes the standing order or, unchanged, when the [`Reissue`]
-    /// rule says it is due and the mask allows `CommsReissue`, which
-    /// then counts one fire. Just before the send, `note` gets why the
-    /// order goes out and the agent's newest report, so the caller's
-    /// records precede any the send makes.
+    /// rule says it is due and `log`'s intervention mask allows
+    /// `CommsReissue`, which then counts one fire in `log`'s ledger.
+    /// Just before the send, `note` gets why the order goes out and the
+    /// agent's newest report, so the caller's records precede any the
+    /// send makes.
     pub fn command(
         &mut self,
         agent: usize,
@@ -1287,7 +1278,7 @@ impl<R: Clone, O: Clone + PartialEq, C: Channel> CommandPlane<R, O, C> {
         log: &mut ExplanationLog,
         note: impl FnOnce(Issue, &R, &mut ExplanationLog),
     ) {
-        let due = self.net.mask.allows(InterventionClass::CommsReissue)
+        let due = log.mask().allows(InterventionClass::CommsReissue)
             && match &self.reissue {
                 Some(Reissue::Periodic { period }) => now.0 % period == agent as u64 % period,
                 Some(Reissue::OnContradiction { after, contradicts }) => {
@@ -1375,6 +1366,7 @@ impl<R: Clone, O: Clone + PartialEq, C: Channel> CommandPlane<R, O, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::InterventionMask;
     use std::collections::BTreeSet;
 
     /// A scriptable channel: drops wire frames whose (src, dst,
@@ -1665,11 +1657,10 @@ mod tests {
 
     fn plane<C: Channel>(
         policy: CommsPolicy,
-        mask: InterventionMask,
         channel: C,
         reports: Vec<u32>,
     ) -> CommandPlane<u32, u32, C> {
-        CommandPlane::new(policy, mask, channel, reports)
+        CommandPlane::new(policy, channel, reports)
     }
 
     #[test]
@@ -1680,7 +1671,7 @@ mod tests {
             // retransmits the first one at tick 2.
             let mut ch = Delays::default();
             ch.0.insert((0, 1, 0), vec![3, 5]);
-            let mut p = plane(policy, InterventionMask::allow_all(), ch, vec![0]);
+            let mut p = plane(policy, ch, vec![0]);
             let mut l = log();
             let mut seen = Vec::new();
             for t in 0..7 {
@@ -1702,12 +1693,7 @@ mod tests {
         let mut ch = Delays::default();
         ch.0.insert((1, 0, 0), vec![0, 1]);
         ch.0.insert((1, 0, 1), vec![0, 1]);
-        let mut p = plane(
-            CommsPolicy::Naive,
-            InterventionMask::allow_all(),
-            ch,
-            vec![0],
-        );
+        let mut p = plane(CommsPolicy::Naive, ch, vec![0]);
         let mut l = log();
         let mut offered = Vec::new();
         for t in 0..4 {
@@ -1730,9 +1716,9 @@ mod tests {
         let rule = || Reissue::Periodic { period: 4 };
         let masked = InterventionMask::suppressing(InterventionClass::CommsReissue);
         for mask in [InterventionMask::allow_all(), masked] {
-            let mut p = plane(CommsPolicy::default(), mask, IdealChannel, vec![0; 3])
+            let mut p = plane(CommsPolicy::default(), IdealChannel, vec![0; 3])
                 .with_orders(rule(), Some(0));
-            let mut l = log();
+            let mut l = log().with_mask(mask);
             let mut issued = Vec::new();
             for t in 0..12 {
                 for z in 0..3 {
@@ -1780,8 +1766,8 @@ mod tests {
             (CommsPolicy::default(), masked, vec![]),
         ] {
             // The agent reports 5 until tick 81, then the ordered 3.
-            let mut p = plane(policy, mask, IdealChannel, vec![5]).with_orders(rule(), None);
-            let mut l = log();
+            let mut p = plane(policy, IdealChannel, vec![5]).with_orders(rule(), None);
+            let mut l = log().with_mask(mask);
             let mut issued = Vec::new();
             for t in 0..200 {
                 p.command(0, 3, Tick(t), &mut l, |why, &report, _| {
@@ -1846,12 +1832,7 @@ mod tests {
         }
 
         // A dead agent sends no report, and a probe to it fails.
-        let mut p = plane(
-            CommsPolicy::default(),
-            InterventionMask::allow_all(),
-            IdealChannel,
-            vec![0; 2],
-        );
+        let mut p = plane(CommsPolicy::default(), IdealChannel, vec![0; 2]);
         let mut l = log();
         p.set_dead(1, true);
         p.send_report(1, 9, Tick(0), &mut l);

@@ -13,10 +13,12 @@
 //! evidence (factor values the agent believed at decision time). It
 //! allocates nothing; the readable action label is built only when a
 //! record is exported. The [`ExplanationLog`] retains a bounded
-//! history an operator can query, and keeps the exact count of
-//! interventions fired per class that a bounded history cannot.
+//! history an operator can query, keeps the exact count of
+//! interventions fired per class that a bounded history cannot, and
+//! holds the run's [`InterventionMask`]: which classes the run
+//! suppresses.
 
-use crate::replay::InterventionClass;
+use crate::replay::{InterventionClass, InterventionMask};
 use serde::{Deserialize, Serialize};
 use simkernel::obs::Json;
 use simkernel::Tick;
@@ -199,7 +201,7 @@ fn trim_float(v: f64) -> String {
 }
 
 /// A bounded ring buffer of explanations, plus an exact intervention
-/// ledger.
+/// ledger and the run's intervention mask.
 ///
 /// Heavy producers (retry storms in the comms layer, quarantine churn
 /// in sensor health) can record far more entries than an operator will
@@ -212,6 +214,11 @@ fn trim_float(v: f64) -> String {
 /// an intervention changes what the system does. It never evicts and
 /// allocates nothing, so it is the exact record of what fired that the
 /// ring's anchors are not (see [`crate::replay`]).
+///
+/// The mask says which classes the run suppresses: factual unless set
+/// with [`ExplanationLog::with_mask`]. Every intervention site reads it
+/// from the log it is handed ([`ExplanationLog::mask`]), so a replay
+/// sets it once, where the ledger that counts the fires lives.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExplanationLog {
     entries: VecDeque<Explanation>,
@@ -219,6 +226,7 @@ pub struct ExplanationLog {
     recorded: u64,
     dropped: u64,
     fires: [u64; InterventionClass::ALL.len()],
+    mask: InterventionMask,
 }
 
 impl ExplanationLog {
@@ -236,7 +244,23 @@ impl ExplanationLog {
             recorded: 0,
             dropped: 0,
             fires: [0; InterventionClass::ALL.len()],
+            mask: InterventionMask::allow_all(),
         }
+    }
+
+    /// Sets the run's counterfactual-replay intervention mask (builder
+    /// style; see [`crate::replay`]).
+    #[must_use]
+    pub fn with_mask(mut self, mask: InterventionMask) -> Self {
+        self.mask = mask;
+        self
+    }
+
+    /// The run's intervention mask: the classes whose interventions
+    /// must not fire.
+    #[must_use]
+    pub fn mask(&self) -> InterventionMask {
+        self.mask
     }
 
     /// Counts one fire of intervention `class` in the ledger. Call it
@@ -424,10 +448,18 @@ mod tests {
              "t50: chose `live:poison` because tick=50",
              r#"{"tick":50,"action":"live:poison","factors":[["tick",50]]}"#),
         ];
+        // A masked log renders exactly as a factual one: the mask is
+        // an input of the run, not part of its record.
+        let mut factual = ExplanationLog::new(cases.len());
+        let mut masked = ExplanationLog::new(cases.len())
+            .with_mask(InterventionMask::suppressing(C::SensorQuarantine));
         for (e, text, json) in cases {
             assert_eq!(e.to_string(), text);
             assert_eq!(e.to_json().render(), json);
+            factual.record(e.clone());
+            masked.record(e);
         }
+        assert_eq!(masked.to_json().render(), factual.to_json().render());
     }
 
     #[test]

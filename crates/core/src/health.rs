@@ -26,7 +26,7 @@ use crate::explain::{Explanation, ExplanationLog};
 use crate::meta::ResidualTracker;
 use crate::models::holt::Holt;
 use crate::models::{Forecaster, OnlineModel};
-use crate::replay::{InterventionClass, InterventionMask};
+use crate::replay::InterventionClass;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -237,24 +237,9 @@ pub struct SensorHealth {
     monitors: BTreeMap<Arc<str>, Monitor>,
     quarantine_events: u64,
     restore_events: u64,
-    mask: InterventionMask,
 }
 
 impl SensorHealth {
-    /// Sets the counterfactual-replay intervention mask (see
-    /// [`crate::replay`]): with `SensorQuarantine` suppressed,
-    /// readings pass through raw and no quarantine ever fires.
-    pub fn set_mask(&mut self, mask: InterventionMask) {
-        self.mask = mask;
-    }
-
-    /// Builder-style [`SensorHealth::set_mask`].
-    #[must_use]
-    pub fn with_mask(mut self, mask: InterventionMask) -> Self {
-        self.set_mask(mask);
-        self
-    }
-
     /// Processes one reading from sensor `key` and returns the value
     /// downstream consumers should use. `raw = None` means the sensor
     /// produced nothing this tick (dropout). Quarantine entries and
@@ -279,7 +264,10 @@ impl SensorHealth {
     ///
     /// A reading returned substituted or degraded counts one
     /// `SensorQuarantine` fire in `log`'s ledger: every other reading
-    /// is the raw value the masked path would pass through.
+    /// is the raw value the masked path would pass through. While
+    /// `log`'s intervention mask suppresses `SensorQuarantine` (see
+    /// [`crate::replay`]), readings pass through raw and no quarantine
+    /// ever fires.
     pub fn observe_with_reference(
         &mut self,
         key: &str,
@@ -319,7 +307,7 @@ impl SensorHealth {
         // without this layer would do. The monitor keeps tracking
         // `last_raw` (and nothing here draws randomness), so flipping
         // the mask cannot perturb the host's seed streams.
-        if self.mask.suppresses(InterventionClass::SensorQuarantine) {
+        if log.mask().suppresses(InterventionClass::SensorQuarantine) {
             if let Some(x) = raw {
                 m.last_raw = Some(x);
             }
@@ -525,6 +513,7 @@ impl SensorHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::InterventionMask;
 
     fn log() -> ExplanationLog {
         ExplanationLog::new(64)
@@ -600,6 +589,32 @@ mod tests {
         let r = h.observe("s", Some(ramp(60) + 4.0), Tick(60), &mut log2);
         assert!(r.substituted);
         assert!((r.value - ramp(60)).abs() < 1.0);
+    }
+
+    /// The quarantine reads the mask from the log it is handed: masked,
+    /// a biased sensor's readings pass through raw (a dropout holds the
+    /// last one), nothing is quarantined and the ledger counts no fire.
+    #[test]
+    fn a_quarantine_the_log_masks_passes_readings_through_raw() {
+        let class = InterventionClass::SensorQuarantine;
+        for masked in [false, true] {
+            let mut h = SensorHealth::default();
+            let mut log = log();
+            if masked {
+                log = log.with_mask(InterventionMask::suppressing(class));
+            }
+            let biased = |t| ramp(t) + if t < 50 { 0.0 } else { 4.0 };
+            let mut raw_through = true;
+            for t in 0..60 {
+                let r = h.observe("s", Some(biased(t)), Tick(t), &mut log);
+                raw_through &= r.value == biased(t) && !r.substituted && !r.degraded;
+            }
+            let r = h.observe("s", None, Tick(60), &mut log);
+            raw_through &= r.value == biased(59) && !r.substituted;
+            assert_eq!(raw_through, masked);
+            assert_eq!(h.is_quarantined("s"), !masked);
+            assert_eq!(log.fires(class) == 0, masked);
+        }
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //! originating [`ExplanationLog`] entry ("rolling back at tick 812
 //! avoided 47.9 regret").
 //!
-//! Every mask site also counts a fire in the run's
-//! [`ExplanationLog`] ledger ([`ExplanationLog::fired`]) exactly
-//! where the allowed branch does something the suppressed branch
-//! would not, so a masked run's ledger reads 0 for its suppressed
-//! class, and until a class's first fire its masked run takes the
-//! factual run's steps.
+//! A run's mask lives in its [`ExplanationLog`]
+//! ([`ExplanationLog::with_mask`]), and every mask site reads it from
+//! the log it is handed ([`ExplanationLog::mask`]). Each site also
+//! counts a fire in that log's ledger ([`ExplanationLog::fired`])
+//! exactly where the allowed branch does something the suppressed
+//! branch would not, so a masked run's ledger reads 0 for its
+//! suppressed class, and until a class's first fire its masked run
+//! takes the factual run's steps.
 //!
 //! Masking invariants (enforced by the proptest suite in `sas-bench`):
 //!
@@ -128,8 +130,9 @@ impl InterventionClass {
 /// The default ([`InterventionMask::allow_all`]) suppresses nothing —
 /// the factual run. [`InterventionMask::suppressing`] flips exactly
 /// one bit, the single-intervention counterfactual the F10 driver
-/// measures. Plumbed by value (it is two bytes) through every
-/// intervention site.
+/// measures. A run carries it in its [`ExplanationLog`]
+/// ([`ExplanationLog::with_mask`]), where every intervention site
+/// reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct InterventionMask(u16);
 
@@ -308,12 +311,15 @@ impl CounterfactualReport {
 ///
 /// # The closure contract
 ///
-/// The returned log must count every intervention the run takes in
-/// its ledger, through [`ExplanationLog::fired`], at each point where
-/// the allowed branch's outcome differs from the suppressed one.
-/// [`crate::health::SensorHealth`], [`crate::supervision::Supervisor`]
-/// and [`crate::comms::CommsNetwork`] count for their callers, into
-/// the log they are handed; a scenario counts its own mask sites.
+/// The closure builds the run's log with the mask it is given
+/// ([`ExplanationLog::with_mask`]) and hands that log to every mask
+/// site. The returned log must count every intervention the run takes
+/// in its ledger, through [`ExplanationLog::fired`], at each point
+/// where the allowed branch's outcome differs from the suppressed one.
+/// [`crate::health::SensorHealth`], [`crate::supervision::Supervisor`],
+/// [`crate::comms::CommsNetwork`] and [`crate::comms::CommandPlane`]
+/// read the mask from the log they are handed and count their fires
+/// into it; a scenario does the same at its own mask sites.
 /// [`CounterfactualRun::probe`] re-executes only the classes whose
 /// factual ledger is non-zero. For a class that never fired it reports
 /// the factual value as the counterfactual and a benefit of `0.0`, the
@@ -331,8 +337,8 @@ impl CounterfactualReport {
 /// // A toy "system" whose only intervention is a comms retry that
 /// // recovers 2.0 of utility when allowed.
 /// let run = |mask: InterventionMask| {
-///     let mut log = ExplanationLog::new(8);
-///     let retried = mask.allows(InterventionClass::CommsRetry);
+///     let mut log = ExplanationLog::new(8).with_mask(mask);
+///     let retried = log.mask().allows(InterventionClass::CommsRetry);
 ///     if retried {
 ///         log.fired(InterventionClass::CommsRetry);
 ///         log.record(

@@ -35,7 +35,7 @@
 use crate::explain::{Explanation, ExplanationLog};
 use crate::meta::ResidualTracker;
 use crate::models::drift::PageHinkley;
-use crate::replay::{InterventionClass, InterventionMask};
+use crate::replay::InterventionClass;
 use simkernel::obs::Json;
 use simkernel::Tick;
 use std::sync::Arc;
@@ -278,7 +278,6 @@ pub struct Supervisor<C: Clone> {
     probe_quiet: u32,
     backoff: u64,
     stats: SupervisionStats,
-    mask: InterventionMask,
 }
 
 impl<C: Clone> Supervisor<C> {
@@ -308,25 +307,7 @@ impl<C: Clone> Supervisor<C> {
             probe_quiet: 0,
             backoff: BACKOFF_INITIAL,
             stats: SupervisionStats::default(),
-            mask: InterventionMask::allow_all(),
         }
-    }
-
-    /// Sets the counterfactual-replay intervention mask (see
-    /// [`crate::replay`]). Masked escalation rungs never fire; all
-    /// watchdog state (residual trackers, drift detector, warn/quiet
-    /// streaks, backoff timers) still advances identically, and no
-    /// RNG is consumed either way, so masking cannot perturb the
-    /// host simulation's seed streams.
-    pub fn set_mask(&mut self, mask: InterventionMask) {
-        self.mask = mask;
-    }
-
-    /// Builder-style [`Supervisor::set_mask`].
-    #[must_use]
-    pub fn with_mask(mut self, mask: InterventionMask) -> Self {
-        self.set_mask(mask);
-        self
     }
 
     /// The supervised model.
@@ -375,6 +356,12 @@ impl<C: Clone> Supervisor<C> {
     /// `"supervise:{name}:{step}"`; each rollback, fallback and
     /// re-promotion taken also counts a fire of its class in `log`'s
     /// ledger.
+    ///
+    /// A rung that `log`'s intervention mask suppresses (see
+    /// [`crate::replay`]) never fires. All watchdog state (residual
+    /// trackers, drift detector, warn/quiet streaks, backoff timers)
+    /// still advances identically, and no RNG is consumed either way,
+    /// so masking cannot perturb the host simulation's seed streams.
     pub fn observe(&mut self, now: Tick, evidence: Evidence, log: &mut ExplanationLog) -> Verdict {
         let output = evidence.output;
         let error = evidence
@@ -498,7 +485,7 @@ impl<C: Clone> Supervisor<C> {
 
         if self.checkpoint.is_some()
             && !relapse
-            && self.mask.allows(InterventionClass::SupervisorRollback)
+            && log.mask().allows(InterventionClass::SupervisorRollback)
         {
             // Clone-on-restore: the restored state is shared with the
             // checkpoint and only deep-copied on the next write.
@@ -521,7 +508,7 @@ impl<C: Clone> Supervisor<C> {
             // Masked fallback: the anomaly stays visible as a warning
             // but the model keeps control — the counterfactual world
             // where the supervisor never benches it.
-            if self.mask.suppresses(InterventionClass::SupervisorFallback) {
+            if log.mask().suppresses(InterventionClass::SupervisorFallback) {
                 return Verdict::Warned(a);
             }
             // Restore the checkpoint too (when one exists) so the
@@ -580,7 +567,7 @@ impl<C: Clone> Supervisor<C> {
                 self.probe_quiet += 1;
                 if self.fallback_elapsed >= self.backoff
                     && self.probe_quiet >= QUIET_TICKS
-                    && self.mask.allows(InterventionClass::SupervisorRepromote)
+                    && log.mask().allows(InterventionClass::SupervisorRepromote)
                 {
                     self.source = ControlSource::Model;
                     self.checkpoint = Some(Arc::clone(&self.controller));
@@ -667,19 +654,6 @@ impl<M: Clone> SelfModel<M> {
         }
     }
 
-    /// Sets the supervisor's counterfactual-replay intervention mask
-    /// (see [`Supervisor::set_mask`]).
-    pub fn set_mask(&mut self, mask: InterventionMask) {
-        self.sup.set_mask(mask);
-    }
-
-    /// Builder-style [`SelfModel::set_mask`].
-    #[must_use]
-    pub fn with_mask(mut self, mask: InterventionMask) -> Self {
-        self.set_mask(mask);
-        self
-    }
-
     /// Whether a supervisor watches the model.
     #[must_use]
     pub fn is_supervised(&self) -> bool {
@@ -749,6 +723,7 @@ mod tests {
     use super::*;
     use crate::models::holt::Holt;
     use crate::models::{Forecaster, OnlineModel};
+    use crate::replay::InterventionMask;
 
     fn log() -> ExplanationLog {
         ExplanationLog::new(256)
@@ -787,6 +762,59 @@ mod tests {
             (0, 0, 0, 0)
         );
         assert!(l.is_empty(), "no transitions logged on a healthy run");
+    }
+
+    /// Each rung reads the mask from the log it is handed: a rung the
+    /// mask suppresses never fires, counts nothing in the ledger, and
+    /// leaves the ladder on its suppressed branch.
+    #[test]
+    fn a_rung_the_log_masks_never_fires() {
+        use InterventionClass as C;
+        let masked = |class| log().with_mask(InterventionMask::suppressing(class));
+        let nan = Evidence::forecast(1.0, f64::NAN);
+
+        // A NaN after a checkpoint rolls back; masked, it falls back.
+        for (mut l, want) in [
+            (log(), Verdict::RolledBack(Anomaly::NonFinite)),
+            (
+                masked(C::SupervisorRollback),
+                Verdict::FellBack(Anomaly::NonFinite),
+            ),
+        ] {
+            let mut sup = Supervisor::new("m", Holt::new(0.3, 0.1));
+            warm_up(&mut sup, &mut l, 0, 100);
+            assert_eq!(sup.observe(Tick(100), nan, &mut l), want);
+            let rolled = matches!(want, Verdict::RolledBack(_));
+            assert_eq!(l.fires(C::SupervisorRollback), u64::from(rolled));
+        }
+
+        // A NaN before any checkpoint benches the model; masked, the
+        // model keeps control and the anomaly stays a warning.
+        for (mut l, want) in [
+            (log(), Verdict::FellBack(Anomaly::NonFinite)),
+            (
+                masked(C::SupervisorFallback),
+                Verdict::Warned(Anomaly::NonFinite),
+            ),
+        ] {
+            let mut sup = Supervisor::new("m", Holt::new(0.3, 0.1));
+            assert_eq!(sup.observe(Tick(0), nan, &mut l), want);
+            assert_eq!(sup.is_fallback(), l.fires(C::SupervisorFallback) == 1);
+        }
+
+        // Quiet probes re-promote a benched model; masked, it stays
+        // benched.
+        for (mut l, repromotes) in [(log(), true), (masked(C::SupervisorRepromote), false)] {
+            let mut sup = Supervisor::new("m", Holt::new(0.3, 0.1));
+            sup.observe(Tick(0), nan, &mut l);
+            let quiet = Evidence::forecast(1.0, 1.0);
+            let verdicts: Vec<Verdict> = (1..60)
+                .map(|t| sup.observe(Tick(t), quiet, &mut l))
+                .collect();
+            assert_eq!(verdicts.contains(&Verdict::Repromoted), repromotes);
+            assert_eq!(sup.is_fallback(), !repromotes);
+            assert_eq!(l.fires(C::SupervisorRepromote), u64::from(repromotes));
+        }
     }
 
     #[test]

@@ -473,9 +473,12 @@ proptest! {
         } else {
             InterventionMask::allow_all()
         };
-        let mut net: CommsNetwork<u64> = CommsNetwork::new(policy).with_mask(mask);
+        // The network reads the mask from the log it is handed; the
+        // reference keeps its own copy.
+        let mut net: CommsNetwork<u64> = CommsNetwork::new(policy);
         let mut reference = Reference::new(policy, mask);
-        let (mut net_log, mut ref_log) = (ExplanationLog::new(256), ExplanationLog::new(256));
+        let log = || ExplanationLog::new(256).with_mask(mask);
+        let (mut net_log, mut ref_log) = (log(), log());
         let (mut got, mut want) = (Vec::new(), Vec::new());
         let mut payload = 0u64;
         for (t, ops) in ticks.iter().enumerate() {

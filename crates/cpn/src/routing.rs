@@ -12,7 +12,6 @@
 use crate::graph::Graph;
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
-use selfaware::replay::InterventionMask;
 use selfaware::supervision::{Corruptible, Evidence, SelfModel, Verdict};
 use simkernel::rng::Rng;
 use simkernel::Tick;
@@ -635,19 +634,14 @@ impl LinkRecord {
 impl Routing {
     /// Builds `strategy`'s router on `graph`. A
     /// [`RoutingStrategy::SupervisedCpn`] router goes under a supervisor
-    /// named `name` with counterfactual intervention `mask`, and gets a
-    /// 25-tick periodic table as its fallback (built only when needed).
+    /// named `name`, and gets a 25-tick periodic table as its fallback
+    /// (built only when needed).
     #[must_use]
-    pub fn new(
-        strategy: RoutingStrategy,
-        graph: &Graph,
-        name: &str,
-        mask: InterventionMask,
-    ) -> Self {
+    pub fn new(strategy: RoutingStrategy, graph: &Graph, name: &str) -> Self {
         let supervised = strategy == RoutingStrategy::SupervisedCpn;
         let record = LinkRecord::new(graph);
         Self {
-            slot: SelfModel::new(name, strategy.build(graph), supervised).with_mask(mask),
+            slot: SelfModel::new(name, strategy.build(graph), supervised),
             baseline: Router {
                 kind: RouterKind::Table {
                     next: Vec::new(),
@@ -994,14 +988,13 @@ mod tests {
     #[test]
     fn benched_routing_hands_hops_to_a_table_that_draws_nothing() {
         let g = Graph::grid(3, 3);
-        let mask = InterventionMask::allow_all();
         let mut log = ExplanationLog::new(16);
-        let mut plain = Routing::new(RoutingStrategy::cpn_default(), &g, "plain", mask);
+        let mut plain = Routing::new(RoutingStrategy::cpn_default(), &g, "plain");
         plain.supervise(&g, Tick(0), Some(4.0), &[(0, 8)], &mut log);
         assert!(!plain.slot().is_supervised());
         assert_eq!(plain.slot().stats(), SupervisionStats::default());
 
-        let mut routing = Routing::new(RoutingStrategy::SupervisedCpn, &g, "r", mask);
+        let mut routing = Routing::new(RoutingStrategy::SupervisedCpn, &g, "r");
         // A NaN estimate before any checkpoint benches the model at once.
         routing.model_mut().poison();
         routing.supervise(&g, Tick(0), Some(4.0), &[(0, 8)], &mut log);
@@ -1029,12 +1022,7 @@ mod tests {
     fn fallback_table_is_built_only_while_benched() {
         let g = Graph::grid(3, 3);
         let mut log = ExplanationLog::new(16);
-        let mut routing = Routing::new(
-            RoutingStrategy::SupervisedCpn,
-            &g,
-            "r",
-            InterventionMask::allow_all(),
-        );
+        let mut routing = Routing::new(RoutingStrategy::SupervisedCpn, &g, "r");
         let table_len = |routing: &Routing| match &routing.baseline.kind {
             RouterKind::Table { next, .. } => next.len(),
             RouterKind::Cpn { .. } => unreachable!("the fallback is a table"),

@@ -6,7 +6,6 @@ use crate::net::{self, Arrival, Env, Net, Policy};
 use crate::routing::{Routing, RoutingStrategy};
 use selfaware::comms::{CommandPlane, CommsPolicy};
 use selfaware::explain::ExplanationLog;
-use selfaware::replay::InterventionMask;
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
@@ -142,10 +141,6 @@ pub struct CpnConfig {
     /// registers; sparser cadences make each report carry real
     /// information and each loss cost real staleness.
     pub report_every: u64,
-    /// Counterfactual intervention mask, applied to the routing
-    /// supervisor and the comms layer. [`InterventionMask::allow_all`]
-    /// (the default) reproduces historical behaviour bit for bit.
-    pub mask: InterventionMask,
 }
 
 impl CpnConfig {
@@ -182,7 +177,6 @@ impl CpnConfig {
             channel: ChannelPlan::ideal(),
             comms: CommsPolicy::default(),
             report_every: 1,
-            mask: InterventionMask::allow_all(),
         }
     }
 
@@ -262,7 +256,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     // best-case delay estimates against realized deliveries, and —
     // while the model is benched — routes over a periodically
     // recomputed table instead.
-    let mut routing = Routing::new(cfg.strategy, &graph, "cpn-routing", cfg.mask);
+    let mut routing = Routing::new(cfg.strategy, &graph, "cpn-routing");
     let background_routes: Vec<(usize, usize)> = cfg
         .flows
         .iter()
@@ -286,7 +280,6 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     // decides how routing copes.
     let mut plane: CommandPlane<QueueReport, (), _> = CommandPlane::new(
         cfg.comms,
-        cfg.mask,
         cfg.channel.clone(),
         vec![[0; MAX_DEGREE]; graph.len()],
     );
@@ -535,7 +528,6 @@ mod tests {
             channel: ChannelPlan::ideal(),
             comms: CommsPolicy::default(),
             report_every: 1,
-            mask: InterventionMask::allow_all(),
         };
         let r = run_cpn(&cfg, &SeedTree::new(1));
         assert!(r.metrics.get("delivery_ratio").unwrap() > 0.95);
@@ -601,7 +593,6 @@ mod tests {
             channel: ChannelPlan::ideal(),
             comms: CommsPolicy::default(),
             report_every: 1,
-            mask: InterventionMask::allow_all(),
         };
         let stat = run_cpn(&faulty(RoutingStrategy::StaticShortest), &SeedTree::new(9));
         let cpn = run_cpn(&faulty(RoutingStrategy::cpn_default()), &SeedTree::new(9));
@@ -628,7 +619,6 @@ mod tests {
             channel: ChannelPlan::ideal(),
             comms: CommsPolicy::default(),
             report_every: 1,
-            mask: InterventionMask::allow_all(),
         };
         let r = run_cpn(&cfg, &SeedTree::new(9));
         // The cut is permanent, but a 50-tick recompute horizon keeps

@@ -15,7 +15,6 @@ use cpn::routing::{Routing, RoutingStrategy};
 use proptest::prelude::*;
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
-use selfaware::replay::InterventionMask;
 use selfaware::supervision::Corruptible;
 use simkernel::{SeedTree, Tick};
 use std::collections::VecDeque;
@@ -407,7 +406,7 @@ proptest! {
             RoutingStrategy::cpn_default(),
             RoutingStrategy::SupervisedCpn,
         ][strategy];
-        let routing = |g: &Graph| Routing::new(strategy, g, "net", InterventionMask::allow_all());
+        let routing = |g: &Graph| Routing::new(strategy, g, "net");
         let seeds = SeedTree::new(seed);
         let mut net = Side::new(Net::<u64>::new(&g, policy, log_capacity), routing(&g), &seeds);
         let mut reference =

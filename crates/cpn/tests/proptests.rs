@@ -7,7 +7,6 @@ use cpn::routing::{Router, Routing, RoutingStrategy};
 use proptest::prelude::*;
 use rand::Rng as _;
 use selfaware::explain::ExplanationLog;
-use selfaware::replay::InterventionMask;
 use selfaware::supervision::Corruptible;
 use simkernel::{SeedTree, Tick};
 use std::collections::VecDeque;
@@ -171,12 +170,7 @@ proptest! {
     ) {
         let mut g = Graph::grid(4, 6);
         let n = g.len();
-        let mut routing = Routing::new(
-            RoutingStrategy::SupervisedCpn,
-            &g,
-            "r",
-            InterventionMask::allow_all(),
-        );
+        let mut routing = Routing::new(RoutingStrategy::SupervisedCpn, &g, "r");
         let mut reference = RoutingStrategy::Periodic { period: 25 }.build(&g);
         let healthy = routing.model().clone();
         let routes = [(0, n - 1), (5, n - 6)];
@@ -286,7 +280,7 @@ proptest! {
             RoutingStrategy::Periodic { period: 10 },
             RoutingStrategy::cpn_default(),
         ][strategy];
-        let mut routing = Routing::new(strategy, &g, "net", InterventionMask::allow_all());
+        let mut routing = Routing::new(strategy, &g, "net");
         let mut net: Net<()> = Net::new(&g, policy, rows + cols - 1);
         let edges: Vec<(usize, usize)> = (0..n)
             .flat_map(|u| g.neighbours(u).iter().filter(move |&&v| u < v).map(move |&v| (u, v)))

@@ -81,9 +81,8 @@ pub struct SchedController {
 
 impl SchedController {
     /// The self-aware scheduler's thermal-forecast slot (`None` for
-    /// the model-free baselines): its supervision counters, its
-    /// counterfactual intervention mask, and where model corruptions
-    /// land.
+    /// the model-free baselines): its supervision counters, and where
+    /// model corruptions land.
     pub(crate) fn thermal_model(&mut self) -> Option<&mut SelfModel<Vec<Holt>>> {
         self.state.as_mut().map(|s| &mut s.thermal)
     }

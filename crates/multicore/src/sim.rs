@@ -5,7 +5,6 @@ use crate::core::{Core, CoreSpec};
 use crate::sched::{Scheduler, INTERACTIVE_DEADLINE};
 use selfaware::explain::ExplanationLog;
 use selfaware::goals::{Direction, Goal, Objective};
-use selfaware::replay::InterventionMask;
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
@@ -34,10 +33,6 @@ pub struct MulticoreConfig {
     pub faults: FaultPlan,
     /// Scheduler under test.
     pub scheduler: Scheduler,
-    /// Counterfactual intervention mask, applied to the thermal
-    /// supervisor. [`InterventionMask::allow_all`] (the default)
-    /// reproduces historical behaviour bit for bit.
-    pub mask: InterventionMask,
 }
 
 impl MulticoreConfig {
@@ -58,7 +53,6 @@ impl MulticoreConfig {
             ],
             faults: FaultPlan::none(),
             scheduler,
-            mask: InterventionMask::allow_all(),
         }
     }
 }
@@ -131,9 +125,6 @@ pub fn run_multicore(cfg: &MulticoreConfig, seeds: &SeedTree) -> MulticoreResult
         .collect();
     let mut stream = TaskStream::new(cfg.phases.clone(), seeds.rng("tasks"));
     let mut controller = cfg.scheduler.build(cores.len());
-    if let Some(model) = controller.thermal_model() {
-        model.set_mask(cfg.mask);
-    }
     let mut sched_rng = seeds.rng("sched");
     let mut log = ExplanationLog::new(512);
 

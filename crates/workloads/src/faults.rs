@@ -791,9 +791,9 @@ impl FaultCampaign {
         &self.name
     }
 
-    /// The counterfactual-replay intervention mask substrates run
-    /// this campaign under (see [`selfaware::replay`]). Factual by
-    /// default.
+    /// The counterfactual-replay intervention mask the composed city
+    /// runs this campaign under (see [`selfaware::replay`]): its run's
+    /// log carries it to every intervention site. Factual by default.
     #[must_use]
     pub fn mask(&self) -> InterventionMask {
         self.mask
